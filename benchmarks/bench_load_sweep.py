@@ -16,10 +16,9 @@ Two acceptance gates for the epoch-synchronous contention engine:
    persistent directory (CI uploads it with the sweep-results
    artifact).
 
-A third gate covers the new engine tiers (``epochs-par``,
-``epochs-jit``): both must reproduce the epoch engine bit-exactly on
-every gate case, and the *best* new tier must beat ``epochs`` by at
-least 1.5x -- but only when numba is importable.  Without numba the
+A third gate covers the JIT tier (``epochs-jit``): it must reproduce
+the epoch engine bit-exactly on every gate case and beat ``epochs`` by
+at least 1.5x -- but only when numba is importable.  Without numba the
 JIT kernel runs interpreted (orders of magnitude slower -- that is the
 supported fallback, not a regression), so the tier ratio is recorded
 and printed but the floor stays disarmed; the run doubles as the
@@ -60,7 +59,7 @@ from repro.eval.sweeps import SweepCase, case_topology
 from repro.net.grantkernel import NUMBA_AVAILABLE, warmup_kernels
 from repro.net.simulator import simulate
 
-NEW_TIERS = ("epochs-par", "epochs-jit")
+NEW_TIERS = ("epochs-jit",)
 
 #: (arch, num_chiplets, workload) cases for the timed speedup gate --
 #: large systems near saturation, where virtually every packet shares a
@@ -115,8 +114,7 @@ def _assert_reports_identical(events, epochs, label):
 def _run_gate():
     rows = []
     tier_rows = []
-    totals = {"events": 0.0, "epochs": 0.0,
-              "epochs-par": 0.0, "epochs-jit": 0.0}
+    totals = {"events": 0.0, "epochs": 0.0, "epochs-jit": 0.0}
     warmup_kernels()
     for arch, size, workload in _gate_cases():
         case = SweepCase(arch=arch, num_chiplets=size, workload=workload)
@@ -154,11 +152,9 @@ def _run_gate():
             timed["events"] / max(timed["epochs"], 1e-12),
             epochs.epochs,
         ))
-        best = min(timed[t] for t in NEW_TIERS)
         tier_rows.append((
-            label, timed["epochs"], timed["epochs-par"],
-            timed["epochs-jit"],
-            timed["epochs"] / max(best, 1e-12),
+            label, timed["epochs"], timed["epochs-jit"],
+            timed["epochs"] / max(timed["epochs-jit"], 1e-12),
         ))
     return rows, tier_rows, totals
 
@@ -186,9 +182,9 @@ def test_load_sweep(benchmark):
     print()
     print(table)
     print(format_table(
-        ["case", "epochs (s)", "par (s)", "jit (s)", "tier speedup"],
+        ["case", "epochs (s)", "jit (s)", "tier speedup"],
         tier_rows,
-        title="Engine-tier gate: epochs vs component-parallel / JIT "
+        title="Engine-tier gate: epochs vs JIT "
               f"(numba {'present' if NUMBA_AVAILABLE else 'absent'})",
     ))
     latency = outcome.pivot("steady_mean_latency")
@@ -212,9 +208,7 @@ def test_load_sweep(benchmark):
 
     speedup = events_s / max(epochs_s, 1e-12)
     floor = 2.0 if quick_mode() else 5.0
-    best_tier_s = min(totals[t] for t in NEW_TIERS)
-    best_tier = min(NEW_TIERS, key=lambda t: totals[t])
-    tier_speedup = epochs_s / max(best_tier_s, 1e-12)
+    tier_speedup = epochs_s / max(totals["epochs-jit"], 1e-12)
     tier_floor = 1.2 if quick_mode() else 1.5
 
     store_dir = os.environ.get("REPRO_STORE_DIR")
@@ -224,7 +218,7 @@ def test_load_sweep(benchmark):
         for bench, ratio, extra in (
             ("load_sweep", speedup, {}),
             ("load_sweep_tier", tier_speedup,
-             {"tier": best_tier, "numba": NUMBA_AVAILABLE}),
+             {"tier": "epochs-jit", "numba": NUMBA_AVAILABLE}),
         ):
             prior = [
                 rec for rec in history
@@ -251,9 +245,9 @@ def test_load_sweep(benchmark):
     )
     if NUMBA_AVAILABLE:
         assert tier_speedup >= tier_floor, (
-            f"best new tier ({best_tier}) only {tier_speedup:.2f}x "
-            f"faster than the epoch engine (floor {tier_floor}x)"
+            f"JIT tier only {tier_speedup:.2f}x faster than the epoch "
+            f"engine (floor {tier_floor}x)"
         )
     else:
-        print(f"tier gate disarmed (numba absent): best tier {best_tier} "
-              f"at {tier_speedup:.2f}x vs epochs, interpreted fallback")
+        print(f"tier gate disarmed (numba absent): JIT tier at "
+              f"{tier_speedup:.2f}x vs epochs, interpreted fallback")

@@ -15,7 +15,7 @@ prices the enabled path honestly:
    >20% drift warning.
 
 2. **Enabled-tracer price list (informational).**  Per engine tier
-   (``events`` / ``epochs`` / ``epochs-par`` / ``epochs-jit``), the
+   (``events`` / ``epochs`` / ``epochs-jit``), the
    same contended packet grid is resolved with ``profile=False`` and
    ``profile=True`` (phase timings + dispatch counters); and one traced
    :func:`~repro.eval.shard.drain_cases` run is compared against an
@@ -66,7 +66,7 @@ from repro.net.journey import latency_breakdown
 from repro.net.simulator import simulate, simulate_packets
 from repro.obs import REGISTRY
 
-ENGINES = ("events", "epochs", "epochs-par", "epochs-jit")
+ENGINES = ("events", "epochs", "epochs-jit")
 #: Disabled-path overhead ceiling: instrumented <= 1.03x bare.
 OVERHEAD_CEILING = 1.03
 REPEATS = 5

@@ -53,14 +53,17 @@ from .params import (
 # below the evaluator layer so stale cached results self-invalidate.
 # 1.2.0: closed-loop flow control (finite buffers / backpressure) in the
 # packet simulator -- pre-flow-control cached sweep results are stale.
-# 1.3.0: engine tiers epochs-par/epochs-jit and the params.sim_engine
-# knob the evaluators consume -- cached results predate the engine
+# 1.3.0: component-parallel and JIT engine tiers and the
+# params.sim_engine knob the evaluators consume -- cached results predate the engine
 # field and must re-evaluate.
 # 1.4.0: cross-layer batched task evaluation (evaluate_task rides
 # multicast_step_cost_steps + layer_compute_vec) and the corrected
 # payload-weighted hop recombination -- weighted_hops changed below
 # the evaluator layer, so cached mix results must re-evaluate.
-__version__ = "1.4.0"
+# 1.5.0: the component-parallel tier is gone and engine="auto" resolves
+# to epochs without numba, so cached load-sweep sim_epochs values
+# change.
+__version__ = "1.5.0"
 
 __all__ = [
     "ContiguousMapper",

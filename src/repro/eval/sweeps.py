@@ -31,7 +31,7 @@ import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import product
 from typing import (
@@ -47,6 +47,7 @@ from typing import (
 
 import numpy as np
 
+from ..net.simulator import ENGINES
 from ..noi.topology import Topology
 from ..obs.clock import Stopwatch
 from ..obs.metrics import REGISTRY
@@ -194,7 +195,15 @@ def sweep_grid(
     overrides: Sequence[Overrides] = ((),),
     tag: str = "",
 ) -> List[SweepCase]:
-    """Cartesian product of sweep axes, topology-major for cache reuse."""
+    """Cartesian product of sweep axes, topology-major for cache reuse.
+
+    Every override tuple is checked once, so a bad name or engine fails
+    here with a ``ValueError`` instead of in every case after it is
+    leased.
+    """
+    overrides = tuple(overrides)
+    for over in overrides:
+        _check_overrides(over)
     return [
         SweepCase(
             arch=a, num_chiplets=n, workload=w, seed=s,
@@ -203,6 +212,33 @@ def sweep_grid(
         for a, n, o, w, s in product(archs, sizes, overrides,
                                      workloads, seeds)
     ]
+
+
+_NOI_FIELDS = frozenset(f.name for f in fields(NoIParams))
+
+
+def _check_overrides(overrides: Overrides) -> None:
+    """Raise ``ValueError`` naming the first bad ``noi_overrides`` entry.
+
+    Each entry must be a ``(name, value)`` pair whose name is a
+    :class:`~repro.params.NoIParams` field; a ``sim_engine`` value must
+    be one of :data:`repro.net.simulator.ENGINES`.
+    """
+    for pair in overrides:
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and isinstance(pair[0], str)):
+            raise ValueError(
+                f"override {pair!r} is not a (name, value) pair"
+            )
+        name, value = pair
+        if name not in _NOI_FIELDS:
+            raise ValueError(
+                f"unknown override {name!r}: not a NoIParams field"
+            )
+        if name == "sim_engine" and value not in ENGINES:
+            raise ValueError(
+                f"override sim_engine={value!r}: expected one of {ENGINES}"
+            )
 
 
 def is_pool_failure(exc: BaseException) -> bool:

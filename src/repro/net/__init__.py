@@ -7,9 +7,9 @@ Three evaluation layers share one routing substrate:
   precomputed :mod:`repro.net.routing` tables -- the hot path,
 * the packet simulator (:mod:`repro.net.simulator`) with its own
   engine split: closed-form fast path, event-heap oracle, the
-  epoch-synchronous vectorized contention engine, component-parallel
-  epoch resolution (``epochs-par``) and the optionally-compiled grant
-  kernel (:mod:`repro.net.grantkernel`, ``epochs-jit``), plus the
+  epoch-synchronous vectorized contention engine and the
+  optionally-compiled grant kernel (:mod:`repro.net.grantkernel`,
+  ``epochs-jit``), plus the
   closed-loop flow-control subsystem (:mod:`repro.net.flowcontrol`):
   finite per-link buffers with credit backpressure, per-source
   injection queues and per-link telemetry.  Every tier is pinned
@@ -51,7 +51,6 @@ from .routing import (
     RoutingTables,
     build_link_queue_index,
     build_routing_tables,
-    contention_components,
 )
 from .simulator import (
     ENGINES,
@@ -66,7 +65,6 @@ from .simulator import (
 )
 from .vectorized import (
     communication_cost_vec,
-    multicast_step_cost_pergroup,
     multicast_step_cost_steps,
     multicast_step_cost_vec,
     traffic_matrix_cost,
@@ -95,7 +93,6 @@ __all__ = [
     "attribute_task",
     "build_link_queue_index",
     "build_routing_tables",
-    "contention_components",
     "latency_breakdown",
     "link_telemetry",
     "communication_cost",
@@ -106,7 +103,6 @@ __all__ = [
     "flits_for_bytes",
     "message_array",
     "multicast_step_cost",
-    "multicast_step_cost_pergroup",
     "multicast_step_cost_steps",
     "multicast_step_cost_vec",
     "path_pipeline_cycles",

@@ -26,8 +26,8 @@ packet's latency:
 
 The reduction is order-invariant: rows are put into canonical
 ``(packet, hop)`` order first and every aggregation is a segment sum in
-exact int64, so all five tiers (events / epochs / epochs-par /
-epochs-jit / fast path) produce **bit-identical** breakdowns from their
+exact int64, so all four tiers (events / epochs / epochs-jit / fast
+path) produce **bit-identical** breakdowns from their
 differently-ordered traces (``tests/test_journey.py``).
 
 Entry points:

@@ -263,69 +263,6 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(step)
 
 
-def contention_components(
-    entry_links: np.ndarray,
-    pkt_of_entry: np.ndarray,
-    num_packets: int,
-    source_of_packet: "np.ndarray | None" = None,
-) -> Tuple[np.ndarray, int]:
-    """Partition packets into disjoint contention components.
-
-    Two packets interact only when their routes share a directed link
-    (FIFO order and buffer credits are per-link state) or -- when
-    ``source_of_packet`` is given, i.e. per-source injection queues are
-    active -- when they share a source.  Connected components of that
-    relation can therefore be resolved independently, in any order or
-    in parallel, with bit-identical results: the basis of the
-    ``engine="epochs-par"`` simulator tier.
-
-    Args:
-        entry_links: Directed link id of every route entry of every
-            packet (the concatenated route links of the batch).
-        pkt_of_entry: Packet index (0..num_packets) owning each entry.
-        num_packets: Packet count; isolated packets (no entries) form
-            singleton components.
-        source_of_packet: Optional ``(num_packets,)`` source node per
-            packet; packets sharing a source are merged.
-
-    Returns:
-        ``(labels, count)``: dense component labels in ``[0, count)``
-        per packet, numbered by first appearance in packet order.
-    """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    m = int(num_packets)
-    if m == 0:
-        return np.empty(0, dtype=np.int64), 0
-    # Bipartite graph: packet nodes [0, m) plus one node per distinct
-    # used link (and per distinct source, under injection queues).
-    used_links, link_node = np.unique(entry_links, return_inverse=True)
-    row = [pkt_of_entry]
-    col = [m + link_node]
-    extra = int(used_links.shape[0])
-    if source_of_packet is not None:
-        _, src_node = np.unique(source_of_packet, return_inverse=True)
-        row.append(np.arange(m, dtype=np.int64))
-        col.append(m + extra + src_node)
-        extra += int(src_node.max()) + 1
-    size = m + extra
-    rows = np.concatenate(row)
-    cols = np.concatenate(col)
-    graph = coo_matrix(
-        (np.ones(rows.shape[0], dtype=np.int8), (rows, cols)),
-        shape=(size, size),
-    )
-    _count, raw = connected_components(graph, directed=False)
-    raw = raw[:m]
-    # Renumber by first appearance so labels are independent of the
-    # auxiliary nodes' positions.
-    uniq, first = np.unique(raw, return_index=True)
-    remap = np.empty(int(uniq.max()) + 1, dtype=np.int64)
-    remap[uniq[np.argsort(first)]] = np.arange(uniq.shape[0])
-    return remap[raw].astype(np.int64), int(uniq.shape[0])
-
-
 def build_routing_tables(topology: "Topology") -> RoutingTables:
     """Build :class:`RoutingTables` for ``topology``.
 

@@ -9,7 +9,7 @@ flits); each directed link transmits one packet at a time.
 
 Routes and per-hop constants come from the topology's cached
 :class:`~repro.net.routing.RoutingTables`.  The simulator is layered
-into three engines that share one packetisation/report substrate
+into four tiers that share one packetisation/report substrate
 (:class:`PacketSim`):
 
 * **closed-form fast path** -- packets whose routes share no directed
@@ -26,17 +26,8 @@ into three engines that share one packetisation/report substrate
   :class:`~repro.net.routing.LinkQueueIndex` forward-delay minimum, so
   no future event can overtake a resolved one and the result is
   event-loop exact, including FIFO tie-breaking
-  (``tests/test_sim_engines.py``).  With the tiers below in place this
-  engine is the pinned mid-tier oracle: slower than the compiled
-  kernel, but pure NumPy and therefore always available.
-* **component-parallel resolution** (``engine="epochs-par"``) --
-  contended packets interact only through shared directed links (plus
-  shared sources under injection queues), so
-  :func:`~repro.net.routing.contention_components` partitions the
-  contended subset into disjoint components, each resolved by an
-  independent epoch engine run -- sequentially for a few components,
-  across a thread pool for many.  Results are bit-identical because
-  the components share no simulator state at all.
+  (``tests/test_sim_engines.py``).  Pure NumPy, so always available:
+  the fast path wherever numba is not.
 * **JIT grant kernel** (``engine="epochs-jit"``) -- the whole
   contended subset resolved in one pass of the
   :mod:`~repro.net.grantkernel` event kernel, compiled with numba when
@@ -45,8 +36,8 @@ into three engines that share one packetisation/report substrate
 
 ``engine="auto"`` (the default) picks the heap for small contended
 subsets; beyond ``AUTO_EPOCH_MIN_PACKETS`` it picks the JIT kernel
-when numba is importable and the component-parallel epoch engine
-otherwise -- the results are identical either way.
+when numba is importable and the epoch engine otherwise -- the results
+are identical either way.
 
 This is deliberately not a cycle-accurate RTL model: the paper's claims
 are about *relative* NoI behaviour, and a queueing-accurate packet model
@@ -57,8 +48,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -70,7 +59,6 @@ from ..obs.metrics import REGISTRY
 from ..obs.trace import tracing_enabled
 from ..params import NoIParams
 from .flowcontrol import (
-    FlowControlDeadlockError,
     FlowControlParams,
     GrantTrace,
     LinkTelemetry,
@@ -78,13 +66,13 @@ from .flowcontrol import (
     simulate_fc_epochs,
     simulate_fc_events,
 )
-from .routing import concat_ranges, contention_components
+from .routing import concat_ranges
 
 #: Default packet payload in bytes.
 PACKET_BYTES = 64
 
 #: Engine selectors accepted by :func:`simulate`.
-ENGINES = ("auto", "events", "epochs", "epochs-par", "epochs-jit")
+ENGINES = ("auto", "events", "epochs", "epochs-jit")
 
 #: ``flow_control`` default: derive the closed-loop knobs from the
 #: topology's ``NoIParams`` (``fc_buffer_flits`` et al.).  Pass ``None``
@@ -94,19 +82,8 @@ FLOW_CONTROL_FROM_PARAMS = "params"
 
 #: ``engine="auto"``: contended subsets at least this large go through
 #: a vectorized tier (the JIT kernel when numba is importable, the
-#: component-parallel epoch engine otherwise); below it the heap's
-#: constant factor wins.
+#: epoch engine otherwise); below it the heap's constant factor wins.
 AUTO_EPOCH_MIN_PACKETS = 96
-
-#: ``engine="epochs-par"``: spin up a thread pool only when there are
-#: at least this many contended packets *and* more than one component;
-#: below that the pool overhead dominates.
-PARALLEL_MIN_PACKETS = 2 * AUTO_EPOCH_MIN_PACKETS
-
-#: Thread-pool width for component-parallel resolution.  The epoch
-#: engine spends its time in NumPy kernels that release the GIL, so a
-#: small pool scales on real components without oversubscribing.
-COMPONENT_THREADS = min(8, os.cpu_count() or 1)
 
 _GRANTKERNEL = None
 
@@ -146,8 +123,7 @@ class SimReport:
     the engine that resolved the contended subset (one of
     :data:`ENGINES` except ``"auto"``, or ``"none"`` when nothing was
     contended); ``epochs`` is the lockstep epoch count (0 for the heap
-    and the JIT kernel) and ``components`` the disjoint contention
-    component count (0 unless ``"epochs-par"`` resolved the subset).
+    and the JIT kernel).
     """
 
     makespan_cycles: int
@@ -158,7 +134,6 @@ class SimReport:
     batched_packets: int = 0
     engine: str = "none"
     epochs: int = 0
-    components: int = 0
     #: Per-link census when the run was made with ``telemetry=True``.
     telemetry: "LinkTelemetry | None" = None
     #: Wall-time per simulation phase (``packetize``/``classify``/
@@ -197,9 +172,6 @@ class PacketSim:
     contended: np.ndarray
     engine: str
     epochs: int = 0
-    #: Disjoint contention components resolved independently (only set
-    #: by the ``"epochs-par"`` tier; 0 otherwise).
-    components: int = 0
     #: Per-link census (``simulate_packets(..., telemetry=True)``),
     #: identical across engines by construction.
     telemetry: "LinkTelemetry | None" = None
@@ -254,7 +226,6 @@ class PacketSim:
             batched_packets=self.packets - self.contended_packets,
             engine=self.engine,
             epochs=self.epochs,
-            components=self.components,
             telemetry=self.telemetry,
             phase_timings=self.phase_timings,
         )
@@ -376,8 +347,7 @@ def simulate(
             contended engine -- the result is identical; the flag
             exists for the equivalence tests and for debugging.
         engine: ``"events"`` (per-event heap oracle), ``"epochs"``
-            (epoch-synchronous vectorized engine), ``"epochs-par"``
-            (component-parallel epoch resolution), ``"epochs-jit"``
+            (epoch-synchronous vectorized engine), ``"epochs-jit"``
             (compiled grant kernel; runs interpreted without numba) or
             ``"auto"`` (size- and availability-based choice).  All
             tiers produce bit-identical results.
@@ -526,7 +496,6 @@ def simulate_packets(
     contended_ids = np.nonzero(contended)[0]
     resolved = "none"
     epochs = 0
-    components = 0
     contended_trace = None
     if contended_ids.size:
         resolved = engine
@@ -535,7 +504,7 @@ def simulate_packets(
                 resolved = (
                     "epochs-jit"
                     if _grant_kernel_module().NUMBA_AVAILABLE
-                    else "epochs-par"
+                    else "epochs"
                 )
             else:
                 resolved = "events"
@@ -544,14 +513,6 @@ def simulate_packets(
                 tables, fc, inject, src, flits, starts, hops,
                 contended_ids, completion, latencies,
                 collect_trace=collect,
-            )
-        elif resolved == "epochs-par":
-            epochs, components, contended_trace = (
-                _simulate_contended_components(
-                    tables, fc, inject, src, flits, starts, hops,
-                    contended_ids, completion, latencies,
-                    collect_trace=collect,
-                )
             )
         elif fc is not None:
             if resolved == "epochs":
@@ -598,15 +559,13 @@ def simulate_packets(
         phase_t0 = now
         # Engine-dispatch and scale counters: which tier actually
         # resolved the contended subset, and how much lockstep work the
-        # epoch tiers did.  Behind the same flag as the phase timings
+        # epoch engine did.  Behind the same flag as the phase timings
         # so an untraced hot path pays nothing.
         REGISTRY.counter(f"sim_engine_{resolved}").inc()
         REGISTRY.counter("sim_packets").inc(num_packets)
         REGISTRY.counter("sim_contended").inc(int(contended_ids.size))
         if epochs:
             REGISTRY.counter("sim_epochs").inc(epochs)
-        if components:
-            REGISTRY.counter("sim_components").inc(components)
     census = None
     trace = None
     if collect:
@@ -626,7 +585,7 @@ def simulate_packets(
     return PacketSim(
         inject=inject, src=src, dst=dst, flits=flits, message_id=mids,
         completion=completion, latency=latencies, contended=contended,
-        engine=resolved, epochs=epochs, components=components,
+        engine=resolved, epochs=epochs,
         telemetry=census,
         phase_timings=timings,
         trace=trace if attribution else None,
@@ -906,105 +865,6 @@ def _simulate_contended_epochs(
                 far = np.concatenate([far, sorted_movers[~soon]])
                 far_min = min(far_min, int(arrival[~soon].min()))
     return epochs
-
-
-def _simulate_contended_components(
-    tables,
-    fc: "FlowControlParams | None",
-    inject: np.ndarray,
-    src: np.ndarray,
-    flits: np.ndarray,
-    starts: np.ndarray,
-    hops: np.ndarray,
-    contended_ids: np.ndarray,
-    completion: np.ndarray,
-    latencies: np.ndarray,
-    collect_trace: bool = False,
-) -> "Tuple[int, int, GrantTrace | None]":
-    """Component-parallel epoch resolution of the contended subset.
-
-    Partitions the contended packets into disjoint contention
-    components (:func:`~repro.net.routing.contention_components`) and
-    resolves each with an independent epoch-engine run -- the engines
-    share no state across components (per-link FIFO/credit arrays are
-    per-run, output slots are disjoint global ids), so any execution
-    order, including a thread pool, is bit-identical to one global run.
-    Within a component the packet subset keeps ascending global order,
-    which preserves the oracle's FIFO tie-breaking.
-
-    Deadlocks are aggregated: every component runs to completion (or
-    its own deadlock) first, then one
-    :class:`~repro.net.flowcontrol.FlowControlDeadlockError` is raised
-    whose ``blocked``/``links`` are the sum/union over the deadlocked
-    components -- exactly the end state a single global run reports,
-    since a global run also drains every resolvable component before
-    detecting that the rest are stuck.
-
-    Returns ``(total epochs, component count, trace or None)``.
-    """
-    ids = contended_ids
-    entries = concat_ranges(starts[ids], hops[ids])
-    entry_links = tables.route_links[entries]
-    pkt_of_entry = np.repeat(
-        np.arange(ids.size, dtype=np.int64), hops[ids]
-    )
-    source_of = (
-        src[ids]
-        if fc is not None and fc.source_queue is not None
-        else None
-    )
-    labels, count = contention_components(
-        entry_links, pkt_of_entry, int(ids.size),
-        source_of_packet=source_of,
-    )
-    if count <= 1:
-        groups = [ids]
-    else:
-        order = np.argsort(labels, kind="stable")
-        bounds = np.flatnonzero(np.diff(labels[order])) + 1
-        groups = np.split(ids[order], bounds)
-    tables.queue_index()  # build once, outside the worker threads
-
-    def resolve(group_ids):
-        try:
-            if fc is not None:
-                ep, tr = simulate_fc_epochs(
-                    tables, fc, inject, src, flits, starts, hops,
-                    group_ids, completion, latencies,
-                    collect_trace=collect_trace,
-                )
-            else:
-                chunks = [] if collect_trace else None
-                ep = _simulate_contended_epochs(
-                    tables, inject, flits, starts, hops,
-                    group_ids, completion, latencies, trace=chunks,
-                )
-                tr = None
-                if collect_trace:
-                    from .flowcontrol import _trace_from_chunks
-
-                    tr = _trace_from_chunks(chunks)
-            return ep, tr, None
-        except FlowControlDeadlockError as err:
-            return 0, None, err
-
-    if len(groups) > 1 and ids.size >= PARALLEL_MIN_PACKETS:
-        workers = min(len(groups), COMPONENT_THREADS)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(resolve, groups))
-    else:
-        results = [resolve(g) for g in groups]
-
-    failures = [err for _, _, err in results if err is not None]
-    if failures:
-        blocked = sum(err.blocked for err in failures)
-        links = sorted({e for err in failures for e in err.links})
-        raise FlowControlDeadlockError(fc, blocked, links)
-    total_epochs = sum(ep for ep, _, _ in results)
-    trace = None
-    if collect_trace:
-        trace = GrantTrace.concat([tr for _, tr, _ in results])
-    return total_epochs, count, trace
 
 
 def simulate_transfers(

@@ -209,87 +209,10 @@ def multicast_step_cost_vec(
 ) -> CommReport:
     """Batched :func:`repro.net.analytic.multicast_step_cost`.
 
-    On unicast NoIs the whole step collapses into one batched unicast
-    evaluation.  On multicast-capable NoIs the trees of *all* groups
-    are built in one pass: every (group, destination) route's links are
-    gathered together, deduplicated per group with a single
-    ``np.unique`` over combined ``group * L + link`` keys, and all
-    per-group sums fall out of segment reductions -- no per-group
-    Python iteration.  :func:`multicast_step_cost_pergroup` keeps the
-    per-group construction as the pinned reference.
+    One step of :func:`multicast_step_cost_steps`: every group's tree is
+    built in one cross-group pass.
     """
-    if not topology.multicast_capable:
-        src, payload, pg, pdst = _groups_to_arrays(groups)
-        return unicast_step_cost_vec(
-            topology,
-            np.stack([src[pg], pdst, payload[pg]], axis=1),
-        )
-
-    t = topology.routing_tables()
-    params = topology.params
-    src, payload, pg, pdst = _groups_to_arrays(groups)
-    if pg.shape[0] == 0:
-        return _EMPTY_REPORT
-    t.check_reachable(src[pg], pdst, topology.name)
-    num_groups = src.shape[0]
-    num_links = t.num_directed_links
-
-    # All groups' trees in one pass: dedupe (group, link) pairs over
-    # the concatenated route slices of every (group, dst).
-    pair = src[pg] * t.num_nodes + pdst
-    counts = t.route_indptr[pair + 1] - t.route_indptr[pair]
-    entries = t.route_links[concat_ranges(t.route_indptr[pair], counts)]
-    key = np.repeat(pg, counts) * num_links + entries
-    key = np.unique(key)
-    tree_group = key // num_links
-    tree_link = key % num_links
-
-    flits = _flits(payload, params.flit_bytes)
-    active = np.zeros(num_groups, dtype=bool)
-    active[pg] = True
-
-    link_load = np.zeros(num_links, dtype=np.int64)
-    np.add.at(link_load, tree_link, flits[tree_group])
-
-    # Per-group segment reductions over the deduplicated tree entries.
-    tree_link_energy = np.bincount(
-        tree_group,
-        weights=t.link_energy_pj_per_flit[tree_link],
-        minlength=num_groups,
-    )
-    tree_router_energy = np.bincount(
-        tree_group,
-        weights=t.router_energy_pj_per_flit[t.link_v[tree_link]],
-        minlength=num_groups,
-    )
-    deepest = np.zeros(num_groups, dtype=np.int64)
-    np.maximum.at(deepest, pg, t.pipeline_cycles[src[pg], pdst])
-
-    group_energy = flits * (
-        t.router_energy_pj_per_flit[src]
-        + tree_router_energy
-        + tree_link_energy
-    )
-    packets = _packets(payload, params.packet_bytes)
-    hop_weight = float(
-        (t.hops[src[pg], pdst] * payload[pg]).sum()
-    )
-    volume_total = int(payload[pg].sum())
-    max_load = int(link_load.max()) if link_load.size else 0
-    return CommReport(
-        latency_cycles=max_load + int(deepest.max()),
-        serial_latency_cycles=int((deepest + flits)[active].sum()),
-        energy_pj=float(group_energy[active].sum()),
-        total_flits=int(flits[active].sum()),
-        weighted_hops=(
-            hop_weight / volume_total if volume_total else 0.0
-        ),
-        packet_count=int(packets[active].sum()),
-        packet_latency_sum=int(
-            (packets * (deepest + params.flits_per_packet))[active].sum()
-        ),
-        payload_volume=volume_total,
-    )
+    return multicast_step_cost_steps(topology, groups, [0] * len(groups), 1)[0]
 
 
 def _segment_max_link_load(
@@ -417,9 +340,10 @@ def multicast_step_cost_steps(
     groups; ``step_of_group[g]`` assigns group ``g`` to a step in
     ``range(num_steps)`` (typically the consumer layer's position in
     ``model.weight_layers()``).  Returns one :class:`CommReport` per
-    step, each equal to :func:`multicast_step_cost_vec` on that step's
-    groups alone -- integer fields exactly, floats to accumulation
-    order -- with the per-layer Python loop replaced by step-segmented
+    step, each equal to the scalar
+    :func:`repro.net.analytic.multicast_step_cost` on that step's groups
+    alone -- integer fields exactly, floats to accumulation order --
+    with the per-layer Python loop replaced by step-segmented
     reductions: the cross-group ``group * L + link`` tree-dedup keys
     already carry the step through the group id, so link loads, tree
     energies and pipeline depths all fall out of one ``np.unique`` /
@@ -456,9 +380,11 @@ def multicast_step_cost_steps(
     num_groups = src.shape[0]
     num_links = t.num_directed_links
 
-    # Same cross-group tree dedup as multicast_step_cost_vec: the group
-    # id in the combined key keeps groups of different steps apart, so
-    # one np.unique builds every step's trees at once.
+    # Cross-group tree dedup: every (group, dst) route's links are
+    # gathered together and deduplicated per group with one np.unique
+    # over combined ``group * L + link`` keys.  The group id also keeps
+    # groups of different steps apart, so every step's trees are built
+    # at once.
     pair = src[pg] * t.num_nodes + pdst
     counts = t.route_indptr[pair + 1] - t.route_indptr[pair]
     entries = t.route_links[concat_ranges(t.route_indptr[pair], counts)]
@@ -525,78 +451,4 @@ def multicast_step_cost_steps(
         num_steps, has, max_load + step_deepest, step_serial,
         step_energy, step_flits, step_hop_weight, step_volume,
         step_packets, step_packet_latency,
-    )
-
-
-def multicast_step_cost_pergroup(
-    topology: Topology,
-    groups: Sequence[Tuple[int, Sequence[int], int]],
-) -> CommReport:
-    """Per-group reference for :func:`multicast_step_cost_vec`.
-
-    Builds each group's tree with its own ``np.unique`` -- the original
-    vectorized implementation, kept as the pinned mid-level oracle
-    between the scalar :func:`repro.net.analytic.multicast_step_cost`
-    and the cross-group batched path
-    (``tests/test_vectorized.py::TestMulticastBatching``).
-    """
-    if not topology.multicast_capable:
-        transfers = [
-            (src, d, payload)
-            for src, dsts, payload in groups
-            for d in dsts
-            if d != src and payload > 0
-        ]
-        return unicast_step_cost_vec(topology, transfers)
-
-    t = topology.routing_tables()
-    params = topology.params
-    link_load = np.zeros(t.num_directed_links, dtype=np.int64)
-    pipeline_max = 0
-    energy = 0.0
-    flits_total = 0
-    serial = 0
-    hop_weight = 0.0
-    volume_total = 0
-    packet_count = 0
-    packet_latency_sum = 0
-    for src, dsts, payload in groups:
-        real = np.array([d for d in dsts if d != src], dtype=np.int64)
-        if real.size == 0 or payload <= 0:
-            continue
-        src_arr = np.full(real.shape, src, dtype=np.int64)
-        t.check_reachable(src_arr, real, topology.name)
-        flits = int(_flits(np.int64(payload), params.flit_bytes))
-        flits_total += flits
-        pair = src * t.num_nodes + real
-        counts = t.route_indptr[pair + 1] - t.route_indptr[pair]
-        tree = np.unique(
-            t.route_links[concat_ranges(t.route_indptr[pair], counts)]
-        )
-        link_load[tree] += flits
-        pipeline = t.pipeline_cycles[src, real]
-        deepest = int(pipeline.max())
-        pipeline_max = max(pipeline_max, deepest)
-        serial += deepest + flits
-        router_energy = (
-            t.router_energy_pj_per_flit[src]
-            + float(t.router_energy_pj_per_flit[t.link_v[tree]].sum())
-        )
-        link_energy = float(t.link_energy_pj_per_flit[tree].sum())
-        energy += flits * (router_energy + link_energy)
-        packets = int(_packets(np.int64(payload), params.packet_bytes))
-        packet_count += packets
-        packet_latency_sum += packets * (deepest + params.flits_per_packet)
-        hop_weight += float((t.hops[src, real] * payload).sum())
-        volume_total += payload * int(real.size)
-    max_load = int(link_load.max()) if link_load.size else 0
-    return CommReport(
-        latency_cycles=max_load + pipeline_max,
-        serial_latency_cycles=serial,
-        energy_pj=energy,
-        total_flits=flits_total,
-        weighted_hops=(hop_weight / volume_total) if volume_total else 0.0,
-        packet_count=packet_count,
-        packet_latency_sum=packet_latency_sum,
-        payload_volume=volume_total,
     )

@@ -94,9 +94,10 @@ class NoIParams:
     #: Packet-simulator engine tier the experiment evaluators (load
     #: sweeps, saturation ramps, sim crosschecks) pass through to
     #: :func:`repro.net.simulator.simulate_packets` -- one of
-    #: ``repro.net.simulator.ENGINES``.  ``"auto"`` picks the fastest
-    #: available tier; pin ``"events"``/``"epochs"`` to force an oracle
-    #: run, e.g. as a sweep override when validating a new tier.
+    #: ``repro.net.simulator.ENGINES``.  ``"auto"`` picks the heap for
+    #: small contended subsets, else ``"epochs-jit"`` when numba imports
+    #: and ``"epochs"`` otherwise; pin ``"events"`` to force an oracle
+    #: run, e.g. as a sweep override when validating a fast tier.
     sim_engine: str = "auto"
 
     #: Packet-simulator latency attribution: when truthy, experiment

@@ -248,6 +248,52 @@ class TestOpenLoopCompatibility:
                              flow_control="warp")
 
 
+class TestOpenLoopArbitration:
+    """Open loop is *not* flow control with infinite buffers.
+
+    Both modes queue a request at its event cycle, but break same-cycle
+    ties differently: the open-loop engines by event push order, the
+    flow-control engines by packet id.  The difference cascades, so
+    individual packets and the aggregates both diverge.
+    """
+
+    INFINITE = FlowControlParams(buffer_flits=10 ** 6)
+
+    def test_hand_computed_tie(self, line):
+        # Stage 2, wire 1, 64 B = 2 flits.  Packet 0 (0 -> 2, inject 0)
+        # is granted link 0->1 at 2 and requests link 1->2 at cycle
+        # 2 + 2 + 1 + 2 = 7.  Packet 1 (1 -> 2, inject 7) requests link
+        # 1->2 at cycle 7 too, ready at 9 after its source stage.
+        #   flow control: packet 0 wins by id -> starts 7, done 12;
+        #     packet 1 starts 9, done 9 + 2 + 1 + 2 = 14.
+        #   open loop: packet 1's request was pushed first (at setup,
+        #     before packet 0's hop-1 push at cycle 2), so it wins ->
+        #     starts 9, done 14; packet 0 starts 11, done 16.
+        msgs = [Message(0, 2, 64, inject_cycle=0, message_id=0),
+                Message(1, 2, 64, inject_cycle=7, message_id=1)]
+        for engine in ("events", "epochs"):
+            open_loop = simulate_packets(line, msgs, engine=engine,
+                                         flow_control=None)
+            closed = simulate_packets(line, msgs, engine=engine,
+                                      flow_control=self.INFINITE)
+            assert open_loop.completion.tolist() == [16, 14]
+            assert closed.completion.tolist() == [12, 14]
+
+    def test_seeded_divergence(self):
+        from repro.noi.mesh import build_mesh
+
+        topo = build_mesh(16)
+        table = load_sweep_traffic(parse_load_workload("uniform@0.02"),
+                                   16, 0)
+        open_loop = simulate_packets(topo, table, engine="events",
+                                     flow_control=None)
+        closed = simulate_packets(topo, table, engine="events",
+                                  flow_control=self.INFINITE)
+        assert open_loop.packets == closed.packets == 374
+        assert int((open_loop.completion != closed.completion).sum()) == 4
+        assert open_loop.latency.mean() != closed.latency.mean()
+
+
 class TestBackpressurePhysics:
     def test_buffer_too_small_for_packet(self, line):
         # 64 B payload at 32 B flits = 2-flit packets; a 1-flit buffer
@@ -291,10 +337,10 @@ class TestBackpressurePhysics:
 
     def test_large_source_queue_approximates_unbounded(self, small_mesh):
         # A source queue deep enough to never gate leaves the physics
-        # open-loop.  Results are equivalent up to FIFO *tie-breaks*:
-        # the flow-control spec orders same-cycle link requests by
-        # packet id, the open-loop heap by event push order, so only
-        # aggregate closeness (not bit-equality) is guaranteed.
+        # open-loop, but not the arbitration: the flow-control spec
+        # orders same-cycle link requests by packet id, the open-loop
+        # heap by event push order, so results are only close
+        # (TestOpenLoopArbitration pins how far apart).
         spec = parse_load_workload("uniform@0.06:w32+96")
         table = load_sweep_traffic(spec, 36, 4)
         bounded = simulate_packets(

@@ -1,13 +1,11 @@
-"""New engine tiers: component-parallel epochs and the JIT grant kernel.
+"""JIT grant kernel tier vs the event-heap oracle and the epoch engine.
 
-Tentpole coverage: ``engine="epochs-par"`` (disjoint contention
-components resolved independently, optionally on a thread pool) and
 ``engine="epochs-jit"`` (the flattened grant kernel, numba-compiled
-when available and interpreted otherwise) are pinned bit-exactly to the
+when available and interpreted otherwise) is pinned bit-exactly to the
 event-heap oracle and the epoch engine -- completions, latencies, FIFO
 tie-breaks and every ``LinkTelemetry`` counter -- open-loop and under
-closed-loop flow control, on mesh (SIAM), Kite, SWAP and Floret; both
-tiers detect the identical credit deadlock on the cyclic-route ring.
+closed-loop flow control, on mesh (SIAM), Kite, SWAP and Floret; every
+tier detects the identical credit deadlock on the cyclic-route ring.
 """
 
 from __future__ import annotations
@@ -21,14 +19,13 @@ from repro.net.flowcontrol import (
     FlowControlParams,
 )
 from repro.net.grantkernel import NUMBA_AVAILABLE, warmup_kernels
-from repro.net.routing import contention_components
 from repro.net.simulator import Message, simulate, simulate_packets
 from repro.noi.topology import Chiplet, Link, Topology
 
 TOPOLOGY_FIXTURES = ("small_mesh", "small_kite", "small_swap",
                      "small_floret")
 
-NEW_TIERS = ("epochs-par", "epochs-jit")
+NEW_TIERS = ("epochs-jit",)
 
 FC_CONFIGS = (
     None,
@@ -90,7 +87,7 @@ def assert_sims_identical(a, b):
 
 
 class TestTierEquivalence:
-    """Both new tiers bit-exact vs the heap oracle on seeded sweeps."""
+    """The JIT tier bit-exact vs the heap oracle on seeded sweeps."""
 
     @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
     @pytest.mark.parametrize("seed", [0, 1])
@@ -178,58 +175,6 @@ class TestDeadlockParity:
             assert error.links == baseline.links
 
 
-class TestContentionComponents:
-    def test_empty(self):
-        labels, count = contention_components(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-        )
-        assert labels.shape == (0,) and count == 0
-
-    def test_disjoint_links_separate_components(self):
-        # Packets 0-1 share link 4; packet 2 alone on link 9.
-        entry_links = np.array([4, 4, 9], dtype=np.int64)
-        pkt_of_entry = np.array([0, 1, 2], dtype=np.int64)
-        labels, count = contention_components(entry_links, pkt_of_entry, 3)
-        assert count == 2
-        assert labels[0] == labels[1] != labels[2]
-        # Labels are renumbered by first appearance.
-        assert labels.tolist() == [0, 0, 1]
-
-    def test_shared_link_merges_chains(self):
-        # 0-{1,2}, 1-{2,3}: link 2 bridges, one component; packet 2 on
-        # link 7 is its own.
-        entry_links = np.array([1, 2, 2, 3, 7], dtype=np.int64)
-        pkt_of_entry = np.array([0, 0, 1, 1, 2], dtype=np.int64)
-        labels, count = contention_components(entry_links, pkt_of_entry, 3)
-        assert count == 2
-        assert labels.tolist() == [0, 0, 1]
-
-    def test_source_coupling_merges_link_disjoint_packets(self):
-        # Link-disjoint packets from the same source must land in one
-        # component once source queues serialise injections.
-        entry_links = np.array([0, 5], dtype=np.int64)
-        pkt_of_entry = np.array([0, 1], dtype=np.int64)
-        free = contention_components(entry_links, pkt_of_entry, 2)
-        assert free[1] == 2
-        coupled = contention_components(
-            entry_links, pkt_of_entry, 2,
-            source_of_packet=np.array([3, 3], dtype=np.int64),
-        )
-        assert coupled[1] == 1
-        assert coupled[0].tolist() == [0, 0]
-
-    def test_report_counts_components(self, line):
-        # Two independent congested segments on the line: 0->1 traffic
-        # and 5->6 traffic never share a link.
-        msgs = [Message(0, 1, 64, message_id=i) for i in range(8)] + \
-               [Message(5, 6, 64, message_id=8 + i) for i in range(8)]
-        sim = simulate_packets(line, msgs, engine="epochs-par")
-        assert sim.components == 2
-        assert sim.report().components == 2
-        # The oracle leaves the field at zero.
-        assert simulate_packets(line, msgs, engine="events").components == 0
-
-
 class TestJitTierFallback:
     def test_jit_tier_runs_without_numba(self, line):
         # With numba absent the kernel runs interpreted but is still
@@ -252,7 +197,7 @@ class TestJitTierFallback:
         monkeypatch.setattr(simulator, "_GRANTKERNEL", grantkernel)
         msgs = [Message(0, 1, 64, message_id=i) for i in range(100)]
         sim = simulate_packets(line, msgs, engine="auto")
-        assert sim.engine == "epochs-par"
+        assert sim.engine == "epochs"
 
     def test_auto_prefers_jit_with_numba(self, line, monkeypatch):
         from repro.net import grantkernel
@@ -263,3 +208,4 @@ class TestJitTierFallback:
         msgs = [Message(0, 1, 64, message_id=i) for i in range(100)]
         sim = simulate_packets(line, msgs, engine="auto")
         assert sim.engine == "epochs-jit"
+

@@ -203,6 +203,15 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="unknown engine"):
             simulate(line, [Message(0, 1, 64)], engine="warp")
 
+    def test_removed_parallel_tier_rejected(self, line):
+        # The component-parallel tier was deleted; naming it must fail
+        # up front and list what is allowed.  (Spelled in two parts so
+        # a repo-wide search for the old tier finds no live caller.)
+        with pytest.raises(ValueError, match="unknown engine") as info:
+            simulate(line, [Message(0, 1, 64)], engine="epochs-" + "par")
+        for allowed in ENGINES:
+            assert repr(allowed) in str(info.value)
+
     def test_auto_picks_heap_below_threshold(self, line):
         report = simulate(
             line,
@@ -219,7 +228,7 @@ class TestEdgeCases:
         table = load_sweep_traffic(spec, small_mesh.num_chiplets, 1)
         sim = simulate_packets(small_mesh, table, engine="auto")
         assert sim.contended_packets >= AUTO_EPOCH_MIN_PACKETS
-        expected = "epochs-jit" if NUMBA_AVAILABLE else "epochs-par"
+        expected = "epochs-jit" if NUMBA_AVAILABLE else "epochs"
         assert sim.engine == expected
 
     def test_auto_threshold_boundary(self, line):
@@ -233,7 +242,7 @@ class TestEdgeCases:
         msgs = [Message(0, 1, 64, message_id=i) for i in range(k)]
         at = simulate_packets(line, msgs, engine="auto")
         assert at.contended_packets == k
-        expected = "epochs-jit" if NUMBA_AVAILABLE else "epochs-par"
+        expected = "epochs-jit" if NUMBA_AVAILABLE else "epochs"
         assert at.engine == expected
         below = simulate_packets(line, msgs[:-1], engine="auto")
         assert below.contended_packets == k - 1
@@ -255,7 +264,7 @@ class TestEdgeCases:
         rng = np.random.default_rng(13)
         msgs = _random_messages(8, rng, count=150)
         baseline = simulate(line, msgs, engine="events")
-        for engine in ("epochs", "epochs-par", "epochs-jit", "auto"):
+        for engine in ("epochs", "epochs-jit", "auto"):
             assert_engines_identical(
                 baseline, simulate(line, msgs, engine=engine)
             )

@@ -105,7 +105,9 @@ class _Client:
 @pytest.fixture()
 def service(tmp_path):
     svc = start_service(tmp_path / "store", workers=2, lease_ttl_s=30.0)
-    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    # A short poll keeps shutdown() from waiting out the default 0.5 s.
+    thread = threading.Thread(target=svc.serve_forever, daemon=True,
+                              kwargs={"poll_interval": 0.05})
     thread.start()
     host, port = svc.server_address[:2]
     try:
@@ -294,6 +296,19 @@ class TestEndpoints:
         })
         assert status == 400
         assert "grid" in payload["error"]
+
+    def test_bad_override_is_400(self, service):
+        client, _ = service
+        _, before = client.get("/v1/metrics")
+        grid = dict(GRID, overrides=[[["fc_bufer_flits", 16]]])
+        status, payload = client.error("POST", "/v1/sweeps", {"grid": grid})
+        assert status == 400
+        assert "fc_bufer_flits" in payload["error"]
+        # Rejected before a job (and its leases) existed.
+        _, after = client.get("/v1/metrics")
+        submitted = "svc_sweeps_submitted"
+        assert (after["counters"].get(submitted, 0)
+                == before["counters"].get(submitted, 0))
 
     def test_missing_grid_is_400(self, service):
         client, _ = service

@@ -63,6 +63,25 @@ class TestGrid:
         cases = sweep_grid(archs=("siam", "kite"), workloads=("a", "b"))
         assert [c.arch for c in cases] == ["siam", "siam", "kite", "kite"]
 
+    @pytest.mark.parametrize("over, named", [
+        ((("fc_bufer_flits", 16),), "fc_bufer_flits"),
+        ((("sim_engine", "warp"),), "sim_engine='warp'"),
+        (("flit_bytes", 16), "'flit_bytes'"),
+        (((("flit_bytes", 16),),), "flit_bytes"),
+        (((16, "flit_bytes"),), "(16, 'flit_bytes')"),
+    ], ids=["typo", "engine", "flat", "nested", "unnamed"])
+    def test_bad_overrides_rejected_at_grid(self, over, named):
+        # Fails once, up front -- not per case after a lease.
+        with pytest.raises(ValueError) as info:
+            sweep_grid(archs=("siam",), overrides=((), over))
+        assert named in str(info.value)
+
+    def test_valid_overrides_pass(self):
+        cases = sweep_grid(archs=("siam",), overrides=(
+            (), (("fc_buffer_flits", 16), ("sim_engine", "events")),
+        ))
+        assert cases[1].params().sim_engine == "events"
+
 
 class TestSyntheticTraffic:
     @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from repro.net.analytic import (
 )
 from repro.net.vectorized import (
     communication_cost_vec,
-    multicast_step_cost_pergroup,
     multicast_step_cost_steps,
     multicast_step_cost_vec,
     traffic_matrix_cost,
@@ -183,7 +182,7 @@ class TestStepCost:
 
 
 class TestMulticastBatching:
-    """Cross-group batched trees vs the pinned per-group construction."""
+    """Cross-group batched trees vs the scalar per-group construction."""
 
     @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
     @pytest.mark.parametrize("seed", [6, 7, 8])
@@ -192,22 +191,21 @@ class TestMulticastBatching:
         rng = np.random.default_rng(seed)
         groups = _random_groups(topo.num_chiplets, rng, count=80)
         assert_reports_equal(
-            multicast_step_cost_pergroup(topo, groups),
+            multicast_step_cost(topo, groups),
             multicast_step_cost_vec(topo, groups),
         )
 
     def test_overlapping_trees_share_link_load(self, small_floret):
         # Two groups from the same source over the same chain prefix:
-        # the shared links must accumulate both groups' flits in both
-        # constructions (and in the scalar oracle).
+        # the shared links must accumulate both groups' flits in the
+        # batched construction as in the scalar oracle.
         topo = small_floret.topology
         groups = [(0, (1, 2, 3), 640), (0, (2, 3, 4), 320),
                   (5, (6, 7), 128)]
-        scalar = multicast_step_cost(topo, groups)
         assert_reports_equal(
-            scalar, multicast_step_cost_pergroup(topo, groups)
+            multicast_step_cost(topo, groups),
+            multicast_step_cost_vec(topo, groups),
         )
-        assert_reports_equal(scalar, multicast_step_cost_vec(topo, groups))
 
     def test_degenerate_groups_only(self, small_floret):
         topo = small_floret.topology
@@ -221,7 +219,7 @@ class TestMulticastBatching:
     def test_empty_groups_list(self, small_floret):
         topo = small_floret.topology
         assert_reports_equal(
-            multicast_step_cost_pergroup(topo, []),
+            multicast_step_cost(topo, []),
             multicast_step_cost_vec(topo, []),
         )
 
@@ -229,18 +227,17 @@ class TestMulticastBatching:
         rng = np.random.default_rng(9)
         groups = _random_groups(small_mesh.num_chiplets, rng, count=40)
         assert_reports_equal(
-            multicast_step_cost_pergroup(small_mesh, groups),
+            multicast_step_cost(small_mesh, groups),
             multicast_step_cost_vec(small_mesh, groups),
         )
 
 
 class TestMulticastSteps:
-    """Step-segmented batching vs the per-step batched engine.
+    """Step-segmented batching vs the scalar oracle per step.
 
     ``multicast_step_cost_steps`` on the concatenation of many steps'
-    groups must equal ``multicast_step_cost_vec`` applied to each step
-    alone -- exactly on integer fields (same dedup keys, int64 segment
-    sums), 1e-9 on floats.
+    groups must equal the scalar ``multicast_step_cost`` applied to
+    each step alone -- exactly on integer fields, 1e-9 on floats.
     """
 
     @staticmethod
@@ -263,7 +260,7 @@ class TestMulticastSteps:
         for s in range(num_steps):
             per_step = [g for g, st in zip(groups, steps) if st == s]
             assert_reports_equal(
-                multicast_step_cost_vec(topo, per_step), reports[s]
+                multicast_step_cost(topo, per_step), reports[s]
             )
 
     @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
@@ -285,7 +282,7 @@ class TestMulticastSteps:
         for s in (1, 4):
             per_step = [g for g, st in zip(groups, steps) if st == s]
             assert_reports_equal(
-                multicast_step_cost_vec(topo, per_step), reports[s]
+                multicast_step_cost(topo, per_step), reports[s]
             )
 
     def test_no_groups(self, small_floret):
@@ -296,8 +293,6 @@ class TestMulticastSteps:
         assert multicast_step_cost_steps(topo, [], [], 0) == []
 
     def test_scalar_oracle_composition(self, small_floret):
-        from repro.net.analytic import multicast_step_cost
-
         topo = small_floret.topology
         groups = [(0, (1, 2, 3), 640), (0, (2, 3, 4), 320),
                   (5, (6, 7), 128), (8, (9,), 64)]
