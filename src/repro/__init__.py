@@ -63,7 +63,10 @@ from .params import (
 # 1.5.0: the component-parallel tier is gone and engine="auto" resolves
 # to epochs without numba, so cached load-sweep sim_epochs values
 # change.
-__version__ = "1.5.0"
+# 1.6.0: open loop is flow control with infinite buffers -- same-cycle
+# link requests tie-break by packet id on every engine, so cached
+# open-loop completions and latencies change.
+__version__ = "1.6.0"
 
 __all__ = [
     "ContiguousMapper",

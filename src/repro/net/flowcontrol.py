@@ -1,8 +1,10 @@
-"""Closed-loop flow control: finite buffers, credits and link telemetry.
+"""Flow control: finite buffers, credits and link telemetry.
 
-The open-loop simulator engines in :mod:`repro.net.simulator` inject on
-schedule regardless of network state, so past saturation their latency
-curves diverge unboundedly.  This module adds the closed loop:
+Every contended-subset engine lives here (the JIT kernel in
+:mod:`repro.net.grantkernel` aside).  Open loop is not a separate model:
+it is :class:`FlowControlParams` ``()`` -- infinite buffers, no source
+queue -- resolved by the same engines under the same arbitration rule.
+The closed-loop mechanisms are:
 
 * **finite per-link buffers with credit-based backpressure** -- each
   directed link owns a downstream input buffer of
@@ -18,18 +20,20 @@ curves diverge unboundedly.  This module adds the closed loop:
   starts serialising.
 
 Per the repo's oracle pattern the semantics are implemented twice and
-pinned bit-exactly to each other (``tests/test_flowcontrol.py``):
+pinned bit-exactly to each other (``tests/test_flowcontrol.py``,
+``tests/test_fuzz_engines.py``):
 
 * :func:`simulate_fc_events` -- an event-heap oracle.  Credit returns
   are first-class heap events; FIFO per link follows (event cycle,
-  packet id) order, releases processed before requests on ties.  (The
-  open-loop engines break same-cycle ties by event *push* order
-  instead; with flow control inactive the open-loop engines run
-  untouched, so pre-flow-control results are bit-stable.)
+  packet id) order, releases processed before requests on ties.  That
+  one arbitration rule holds for every configuration, open loop
+  included.
 * :func:`simulate_fc_epochs` -- the vectorized epoch-synchronous
-  engine.  Credit counters ride as per-link arrays inside the same
-  segmented-scan grant loop the open-loop epoch engine uses; each
-  epoch finalises the provably-safe prefix of every link's FIFO queue.
+  engine.  With no credits and no source queue it runs a two-tier
+  lockstep loop (:func:`_simulate_open_epochs`); otherwise credit
+  counters ride as per-link arrays inside the same segmented-scan grant
+  loop, and each epoch finalises the provably-safe prefix of every
+  link's FIFO queue.
 
   Safety argument: let ``b_e`` be the FIFO bound of link ``e``'s head
   request (ready vs. link busy time) and ``c_e`` its credit bound under
@@ -84,16 +88,18 @@ class FlowControlParams:
 
     Attributes:
         buffer_flits: Downstream input-buffer capacity of every directed
-            link, in flits.  ``None`` = infinite buffers (open loop,
-            exact backward compatibility).  Must cover the largest
-            packet (``ceil(packet_bytes / flit_bytes)`` flits) or the
-            simulation raises: a packet larger than the buffer could
-            never be forwarded.
+            link, in flits.  ``None`` = infinite buffers.  Must cover
+            the largest packet (``ceil(packet_bytes / flit_bytes)``
+            flits) or the simulation raises: a packet larger than the
+            buffer could never be forwarded.
         source_queue: Maximum packets per source waiting to start their
-            first link; ``None`` = unbounded (open-loop injection).
+            first link; ``None`` = unbounded.
         credit_rtt: Cycles for a freed credit to travel back upstream.
             At least 1 -- a credit cannot act in the cycle it is freed,
             which is also what bounds the epoch engine's safe horizon.
+
+    The default instance (neither limit set) is open loop: injection on
+    schedule into infinite buffers.
     """
 
     buffer_flits: Optional[int] = None
@@ -147,9 +153,9 @@ class FlowControlDeadlockError(RuntimeError):
 class GrantTrace:
     """One row per link grant: the shared telemetry substrate.
 
-    Both flow-control engines (and, with ``telemetry=True``, the
-    open-loop engines and the contention-free fast path) emit one of
-    these; :func:`link_telemetry` reduces it with order-invariant
+    Every contended-subset engine (and, with ``telemetry=True``, the
+    contention-free fast path) emits one of these;
+    :func:`link_telemetry` reduces it with order-invariant
     aggregations, so engine-order differences cannot leak into the
     telemetry counters.
 
@@ -507,6 +513,168 @@ def _credit_ready_times(
     return c
 
 
+def _segmented_cummax(values: np.ndarray, seg_id: np.ndarray) -> np.ndarray:
+    """Inclusive running maximum within each contiguous segment.
+
+    Fast path: lift each segment onto its own disjoint value band
+    (``+ seg_id * span``) so one global ``np.maximum.accumulate`` can
+    never carry a value across a boundary, then project back.  Exact in
+    int64; falls back to a Hillis-Steele doubling scan in the
+    (pathological) case where the banding would overflow.
+    """
+    n = values.shape[0]
+    if n == 0:
+        return values.copy()
+    vmin = int(values.min())
+    vmax = int(values.max())
+    span = vmax - vmin + 1
+    nseg = int(seg_id[-1]) + 1
+    if abs(vmax) + abs(vmin) + span <= (2 ** 62) // nseg:
+        band = seg_id * span
+        return np.maximum.accumulate(values + band) - band
+    out = values.copy()
+    shift = 1
+    while shift < n:
+        carried = np.where(
+            seg_id[shift:] == seg_id[:-shift], out[:-shift], out[shift:]
+        )
+        out[shift:] = np.maximum(out[shift:], carried)
+        shift *= 2
+    return out
+
+
+def _simulate_open_epochs(
+    tables,
+    inject: np.ndarray,
+    flits: np.ndarray,
+    starts: np.ndarray,
+    hops: np.ndarray,
+    contended_ids: np.ndarray,
+    completion: np.ndarray,
+    latencies: np.ndarray,
+    trace: Optional[list],
+) -> int:
+    """:func:`simulate_fc_epochs` without credits or a source queue.
+
+    With nothing to wait for but the link itself, a packet granted a
+    link at cycle ``t`` cannot request its *next* link before
+    ``t + min(flits) + min_hop_delta``, so every pending event within
+    that distance of the earliest one resolves in the same epoch without
+    being overtaken.  Within the window, events sort by ``(cycle,
+    packet id)`` -- the oracle's pop order -- and each link's FIFO queue
+    is granted with one segmented max-plus scan:
+
+        start_k = max(ready_k, start_{k-1} + flits_{k-1})
+                = F_k + cummax_k(ready - F)      (F = exclusive flit sum)
+
+    No credit or safe-prefix bookkeeping, and no scan of every pending
+    request per epoch.  Returns the epoch count; appends per-epoch trace
+    columns to ``trace`` when given.
+    """
+    ids = contended_ids
+    m = int(ids.size)
+    t = inject[ids].astype(np.int64)
+    gid = ids.astype(np.int64)
+    hop = np.zeros(m, dtype=np.int64)
+    nhops = hops[ids].astype(np.int64)
+    pflits = flits[ids].astype(np.int64)
+    pstart = starts[ids].astype(np.int64)
+
+    route_links = tables.route_links
+    queue_index = tables.queue_index()
+    hop_delta = queue_index.hop_delta
+    inject_stage = tables.stage_cycles[tables.link_u]
+    link_free = np.zeros(tables.num_directed_links, dtype=np.int64)
+    lookahead = queue_index.min_hop_delta + int(pflits.min()) - 1
+
+    # Two-tier pending set: per-epoch scans touch only events within
+    # ``far_span`` cycles; events parked deeper in the future (long
+    # FIFO queues) wait in ``far`` and are merged back in O(pending)
+    # only once per ~16 epochs, when the clock catches up.
+    far_span = (lookahead + 1) * 16
+    huge = np.iinfo(np.int64).max
+    near = np.empty(0, dtype=np.int64)
+    far = np.arange(m, dtype=np.int64)
+    far_min = int(t.min())
+    near_limit = -1
+    epochs = 0
+    while near.size or far.size:
+        if near.size:
+            t_act = t[near]
+            tmin = int(t_act.min())
+        else:
+            tmin = huge
+        if min(tmin, far_min) + lookahead >= near_limit:
+            merged = np.concatenate([near, far])
+            t_act = t[merged]
+            base = int(t_act.min())
+            near_limit = base + far_span
+            near_mask = t_act <= near_limit
+            near = merged[near_mask]
+            far = merged[~near_mask]
+            far_min = int(t[far].min()) if far.size else huge
+            t_act = t_act[near_mask]
+            tmin = base
+        epochs += 1
+        in_window = t_act <= tmin + lookahead
+        w = near[in_window]
+        w = w[np.lexsort((gid[w], t[w]))]
+        hop_w = hop[w]
+        done = hop_w >= nhops[w]
+        finished = w[done]
+        if finished.size:
+            done_gid = ids[finished]
+            completion[done_gid] = t[finished]
+            latencies[done_gid] = t[finished] - inject[done_gid]
+        movers = w[~done]
+        if movers.size:
+            hop_m = hop_w[~done]
+            edge = route_links[pstart[movers] + hop_m]
+            ready = t[movers] + np.where(
+                hop_m == 0, inject_stage[edge], 0
+            )
+            # Per-link FIFO queues: a stable sort by link keeps the
+            # (cycle, packet id) order inside each link's queue segment.
+            order = np.argsort(edge, kind="stable")
+            sorted_movers = movers[order]
+            e_s = edge[order]
+            r_s = ready[order]
+            if trace is not None:
+                ready_raw = r_s.copy()
+            f_s = pflits[sorted_movers]
+            head = np.empty(e_s.shape[0], dtype=bool)
+            head[0] = True
+            head[1:] = e_s[1:] != e_s[:-1]
+            # The link's current occupancy folds into the head request.
+            r_s[head] = np.maximum(r_s[head], link_free[e_s[head]])
+            incl = np.cumsum(f_s)
+            seg_id = np.cumsum(head) - 1
+            head_idx = np.flatnonzero(head)[seg_id]
+            excl = (incl - f_s) - (incl[head_idx] - f_s[head_idx])
+            busy = excl + _segmented_cummax(r_s - excl, seg_id) + f_s
+            tail = np.empty(e_s.shape[0], dtype=bool)
+            tail[-1] = True
+            tail[:-1] = head[1:]
+            link_free[e_s[tail]] = busy[tail]
+            if trace is not None:
+                trace.append((
+                    gid[sorted_movers], hop_m[order], e_s, ready_raw,
+                    busy - f_s, f_s,
+                    np.zeros(e_s.shape[0], dtype=np.int64),
+                ))
+            arrival = busy + hop_delta[e_s]
+            t[sorted_movers] = arrival
+            hop[movers] = hop_m + 1
+        near = near[~in_window]
+        if movers.size:
+            soon = arrival <= near_limit
+            near = np.concatenate([near, sorted_movers[soon]])
+            if not soon.all():
+                far = np.concatenate([far, sorted_movers[~soon]])
+                far_min = min(far_min, int(arrival[~soon].min()))
+    return epochs
+
+
 def simulate_fc_epochs(
     tables,
     fc: FlowControlParams,
@@ -520,22 +688,28 @@ def simulate_fc_epochs(
     latencies: np.ndarray,
     collect_trace: bool = False,
 ) -> Tuple[int, Optional[GrantTrace]]:
-    """Vectorized epoch-synchronous closed-loop engine, in place.
+    """Vectorized epoch-synchronous engine, in place.
 
-    Per epoch: sort every pending request by ``(link, cycle, packet)``,
-    grant each link's FIFO queue with one segmented max-plus scan whose
-    per-request lower bound folds in the credit-availability time from
-    the known release schedule, then finalise the provably-safe prefix
-    (see the module docstring for the horizon argument).  Returns the
-    epoch count and, when requested, the grant trace.
+    Open loop (``not fc.is_active``) runs :func:`_simulate_open_epochs`.
+    Otherwise, per epoch: sort every pending request by ``(link, cycle,
+    packet)``, grant each link's FIFO queue with one segmented max-plus
+    scan whose per-request lower bound folds in the credit-availability
+    time from the known release schedule, then finalise the
+    provably-safe prefix (see the module docstring for the horizon
+    argument).  Returns the epoch count and, when requested, the grant
+    trace.
     """
-    from .simulator import _segmented_cummax
-
     ids = contended_ids
     m = int(ids.size)
     trace_chunks: Optional[list] = [] if collect_trace else None
     if m == 0:
         return 0, (GrantTrace.empty() if collect_trace else None)
+    if not fc.is_active:
+        epochs = _simulate_open_epochs(tables, inject, flits, starts, hops,
+                                       ids, completion, latencies,
+                                       trace_chunks)
+        return epochs, (_trace_from_chunks(trace_chunks)
+                        if collect_trace else None)
 
     route_links = tables.route_links
     queue_index = tables.queue_index()

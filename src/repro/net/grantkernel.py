@@ -1,16 +1,16 @@
 """JIT grant kernel: the contended-subset event loop as one compiled pass.
 
-The epoch-synchronous engines in :mod:`repro.net.simulator` /
-:mod:`repro.net.flowcontrol` beat the Python event heap by batching work
-into NumPy array epochs, but every epoch still pays Python-level
-dispatch (lexsorts, masks, bookkeeping).  This module removes that
-constant entirely: the per-link FIFO grant + credit-release loop --
-exactly the algorithm of the event-heap oracles -- implemented over
-flat int64 arrays in a numba-compilable subset of Python.
+The epoch-synchronous engine in :mod:`repro.net.flowcontrol` beats the
+Python event heap by batching work into NumPy array epochs, but every
+epoch still pays Python-level dispatch (lexsorts, masks, bookkeeping).
+This module removes that constant entirely: the per-link FIFO grant +
+credit-release loop -- exactly the algorithm of the event-heap oracle
+-- implemented over flat int64 arrays in a numba-compilable subset of
+Python.
 
-* **numba present** -- the kernels compile with ``@njit(cache=True,
-  nogil=True)`` and the whole contended subset resolves in one
-  compiled call (``engine="epochs-jit"``, preferred by
+* **numba present** -- the kernel functions compile with
+  ``@njit(cache=True, nogil=True)`` and the whole contended subset
+  resolves in one compiled call (``engine="epochs-jit"``, preferred by
   ``engine="auto"``).
 * **numba absent** -- the *same functions* run interpreted.  They are
   then no faster than the oracle, so ``engine="auto"`` never picks the
@@ -19,13 +19,13 @@ flat int64 arrays in a numba-compilable subset of Python.
   not a stub (``NUMBA_AVAILABLE`` tells the dispatcher which case it
   is in).
 
-Bit-exactness is by construction: the open-loop kernel replicates
-``_simulate_contended`` (heap keyed ``(cycle, push-seq)``), the
-closed-loop kernel replicates ``simulate_fc_events`` (heap keyed
-``(cycle, kind, id)``, releases before requests on ties, per-link FIFO
-deques with head-of-line credit checks) -- pinned in
-``tests/test_grantkernel.py`` against both the heap oracles and the
-epoch engines, including FIFO tie-breaking, every ``LinkTelemetry``
+Bit-exactness is by construction: the kernel replicates
+``simulate_fc_events`` (heap keyed ``(cycle, kind, id)``, releases
+before requests on ties, per-link FIFO deques with head-of-line credit
+checks).  Open loop is the zero-length-capacity case (no credits are
+ever checked or released).  Pinned in ``tests/test_grantkernel.py``
+and ``tests/test_fuzz_engines.py`` against the heap oracle and the
+epoch engine, including FIFO tie-breaking, every ``LinkTelemetry``
 counter, and credit-deadlock reports.
 """
 
@@ -68,9 +68,8 @@ def _maybe_njit(fn):
 # ---------------------------------------------------------------------------
 # 4-key binary min-heap over a (cap, 4) int64 array
 #
-# Row layout mirrors the oracles' heap tuples exactly:
-#   open loop:   (cycle, push-seq, packet, hop)
-#   closed loop: (cycle, kind, id, aux)  with REL=0 < REQ=1
+# Row layout mirrors the oracle's heap tuples exactly:
+#   (cycle, kind, id, aux)  with REL=0 < REQ=1
 # Lexicographic comparison over all four columns == tuple comparison.
 
 
@@ -132,64 +131,7 @@ def _heap_pop(heap, size):
 
 
 # ---------------------------------------------------------------------------
-# open-loop kernel (replicates simulator._simulate_contended)
-
-
-@_maybe_njit
-def _open_grant_kernel(inject, flits, rstart, nhops, route_links,
-                       inject_stage, hop_delta, num_links,
-                       completion, latency, tr, collect):
-    """Event loop over the contended subset; per-link FIFO via the heap.
-
-    All packet arrays are local (length ``m``) and indexed by position
-    in the contended subset; local order is ascending global id, so
-    tie-breaking matches the oracle's global packet order.  Fills
-    ``completion``/``latency`` and, when ``collect``, one trace row per
-    grant into ``tr``; returns the row count.
-    """
-    m = inject.shape[0]
-    heap = np.empty((m + 1, 4), dtype=np.int64)
-    size = 0
-    for i in range(m):
-        size = _heap_push(heap, size, inject[i], i, i, 0)
-    counter = m
-    link_free = np.zeros(num_links, dtype=np.int64)
-    rows = 0
-    while size > 0:
-        now = heap[0, 0]
-        pkt = heap[0, 2]
-        hop = heap[0, 3]
-        size = _heap_pop(heap, size)
-        if hop >= nhops[pkt]:
-            completion[pkt] = now
-            latency[pkt] = now - inject[pkt]
-            continue
-        edge = route_links[rstart[pkt] + hop]
-        ready = now
-        if hop == 0:
-            ready += inject_stage[edge]
-        start = ready
-        if link_free[edge] > start:
-            start = link_free[edge]
-        f = flits[pkt]
-        link_free[edge] = start + f
-        if collect:
-            tr[rows, 0] = pkt
-            tr[rows, 1] = hop
-            tr[rows, 2] = edge
-            tr[rows, 3] = ready
-            tr[rows, 4] = start
-            tr[rows, 5] = f
-            tr[rows, 6] = 0
-            rows += 1
-        size = _heap_push(heap, size, start + f + hop_delta[edge],
-                          counter, pkt, hop + 1)
-        counter += 1
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# closed-loop kernel (replicates flowcontrol.simulate_fc_events)
+# grant kernel (replicates flowcontrol.simulate_fc_events)
 
 
 @_maybe_njit
@@ -256,15 +198,16 @@ def _fc_grant_kernel(inject, flits, rstart, nhops, route_links,
                      inject_stage, hop_delta, capacity, rtt,
                      eligible, succ, num_links,
                      completion, latency, tr, collect, waiting):
-    """Closed-loop event loop: credits, FIFO deques, injection gating.
+    """Event loop: credits, FIFO deques, injection gating.
 
     ``capacity`` is the per-link buffer capacity ((L,) flits) or a
-    zero-length array for infinite buffers.  ``eligible`` marks packets
-    injectable at their natural cycle; ``succ[i]`` is the packet whose
-    injection slot packet ``i``'s first-link grant frees (-1 for none).
-    Fills ``completion``/``latency`` for delivered packets, flags links
-    with stranded queued requests in ``waiting``, and returns
-    ``(delivered, trace rows)`` -- the caller raises the deadlock.
+    zero-length array for infinite buffers (open loop).  ``eligible``
+    marks packets injectable at their natural cycle; ``succ[i]`` is the
+    packet whose injection slot packet ``i``'s first-link grant frees
+    (-1 for none).  Fills ``completion``/``latency`` for delivered
+    packets, flags links with stranded queued requests in ``waiting``,
+    and returns ``(delivered, trace rows)`` -- the caller raises the
+    deadlock.
     """
     m = inject.shape[0]
     capacity_finite = capacity.shape[0] > 0
@@ -349,7 +292,7 @@ def _fc_grant_kernel(inject, flits, rstart, nhops, route_links,
 
 def simulate_grant_kernel(
     tables,
-    fc: "FlowControlParams | None",
+    fc: FlowControlParams,
     inject: np.ndarray,
     src: np.ndarray,
     flits: np.ndarray,
@@ -364,8 +307,7 @@ def simulate_grant_kernel(
 
     The ``engine="epochs-jit"`` entry point: same call contract as
     :func:`~repro.net.flowcontrol.simulate_fc_events` (arrays are
-    global, ``contended_ids`` selects the subset), open- or closed-loop
-    depending on ``fc``.  Raises
+    global, ``contended_ids`` selects the subset).  Raises
     :class:`~repro.net.flowcontrol.FlowControlDeadlockError` exactly
     where the oracles do.
     """
@@ -387,39 +329,32 @@ def simulate_grant_kernel(
     comp = np.zeros(m, dtype=np.int64)
     lat = np.zeros(m, dtype=np.int64)
 
-    if fc is None:
-        rows = _open_grant_kernel(
-            p_inject, p_flits, p_start, p_hops, tables.route_links,
-            inject_stage, hop_delta, num_links, comp, lat, tr,
-            collect_trace,
+    capacity = queue_index.buffer_capacity_flits(fc)
+    cap_arr = (capacity if capacity is not None
+               else np.empty(0, dtype=np.int64))
+    eligible = np.ones(m, dtype=np.bool_)
+    succ = np.full(m, -1, dtype=np.int64)
+    if fc.source_queue is not None:
+        initial, successor = _source_groups(
+            inject, src, ids, fc.source_queue
         )
-    else:
-        capacity = queue_index.buffer_capacity_flits(fc)
-        cap_arr = (capacity if capacity is not None
-                   else np.empty(0, dtype=np.int64))
-        eligible = np.ones(m, dtype=np.bool_)
-        succ = np.full(m, -1, dtype=np.int64)
-        if fc.source_queue is not None:
-            initial, successor = _source_groups(
-                inject, src, ids, fc.source_queue
-            )
-            local = {int(g): i for i, g in enumerate(ids.tolist())}
-            eligible[:] = False
-            for g in initial:
-                eligible[local[g]] = True
-            for g, s in successor.items():
-                succ[local[g]] = local[s]
-        waiting = np.zeros(num_links, dtype=np.bool_)
-        delivered, rows = _fc_grant_kernel(
-            p_inject, p_flits, p_start, p_hops, tables.route_links,
-            inject_stage, hop_delta, cap_arr, int(fc.credit_rtt),
-            eligible, succ, num_links, comp, lat, tr, collect_trace,
-            waiting,
+        local = {int(g): i for i, g in enumerate(ids.tolist())}
+        eligible[:] = False
+        for g in initial:
+            eligible[local[g]] = True
+        for g, s in successor.items():
+            succ[local[g]] = local[s]
+    waiting = np.zeros(num_links, dtype=np.bool_)
+    delivered, rows = _fc_grant_kernel(
+        p_inject, p_flits, p_start, p_hops, tables.route_links,
+        inject_stage, hop_delta, cap_arr, int(fc.credit_rtt),
+        eligible, succ, num_links, comp, lat, tr, collect_trace,
+        waiting,
+    )
+    if int(delivered) < m:
+        raise FlowControlDeadlockError(
+            fc, m - int(delivered), np.flatnonzero(waiting)
         )
-        if int(delivered) < m:
-            raise FlowControlDeadlockError(
-                fc, m - int(delivered), np.flatnonzero(waiting)
-            )
 
     completion[ids] = comp
     latencies[ids] = lat
@@ -438,7 +373,7 @@ def simulate_grant_kernel(
 
 
 def warmup_kernels() -> bool:
-    """Force-compile both kernels on a trivial input (bench warm-up).
+    """Force-compile the kernel on a trivial input (bench warm-up).
 
     Returns :data:`NUMBA_AVAILABLE` so callers can gate ratio floors on
     whether the warmed kernels are actually compiled.
@@ -446,9 +381,6 @@ def warmup_kernels() -> bool:
     one = np.zeros(1, dtype=np.int64)
     links = np.zeros(1, dtype=np.int64)
     tr = np.empty((0, 7), dtype=np.int64)
-    _open_grant_kernel(one.copy(), one + 1, one.copy(), one + 1, links,
-                       links.copy(), links + 1, 1, one.copy(), one.copy(),
-                       tr, False)
     _fc_grant_kernel(one.copy(), one + 1, one.copy(), one + 1, links,
                      links.copy(), links + 1, np.empty(0, dtype=np.int64),
                      1, np.ones(1, dtype=np.bool_),

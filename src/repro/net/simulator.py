@@ -8,26 +8,27 @@ ablation bench).  Store-and-forward granularity is the packet (several
 flits); each directed link transmits one packet at a time.
 
 Routes and per-hop constants come from the topology's cached
-:class:`~repro.net.routing.RoutingTables`.  The simulator is layered
-into four tiers that share one packetisation/report substrate
+:class:`~repro.net.routing.RoutingTables`.  Open loop is flow control
+with infinite buffers (``flow_control=None`` resolves to
+``FlowControlParams()``): one set of engines, one arbitration rule --
+each link grants requests in ``(event cycle, packet id)`` FIFO order.
+The tiers share one packetisation/report substrate
 (:class:`PacketSim`):
 
 * **closed-form fast path** -- packets whose routes share no directed
   link with any other packet cannot queue; one link-usage ``bincount``
   detects them and their completion times are array arithmetic.
-* **event-heap oracle** (``engine="events"``) -- the original per-event
-  Python heap.  Slow, obviously correct; every other engine is pinned
-  to it bit-exactly.
-* **epoch-synchronous vectorized engine** (``engine="epochs"``) -- all
-  in-flight packets advance in lockstep array epochs.  Per-link FIFO
-  queues are ``(link, ready-cycle, seq)`` arrays resolved per epoch
-  with ``np.lexsort`` + segmented scans instead of heap pops; the
-  epoch horizon is bounded by the routing tables'
-  :class:`~repro.net.routing.LinkQueueIndex` forward-delay minimum, so
-  no future event can overtake a resolved one and the result is
-  event-loop exact, including FIFO tie-breaking
-  (``tests/test_sim_engines.py``).  Pure NumPy, so always available:
-  the fast path wherever numba is not.
+* **event-heap oracle** (``engine="events"``) --
+  :func:`~repro.net.flowcontrol.simulate_fc_events`, a per-event Python
+  heap.  Slow, obviously correct; every other engine is pinned to it
+  bit-exactly.
+* **epoch-synchronous vectorized engine** (``engine="epochs"``) --
+  :func:`~repro.net.flowcontrol.simulate_fc_epochs`: in-flight packets
+  advance in lockstep array epochs.  Per-link FIFO queues are
+  ``(link, cycle, packet id)`` arrays resolved per epoch with
+  ``np.lexsort`` + segmented scans; a bounded epoch horizon keeps it
+  event-loop exact, FIFO tie-breaks included.  Pure NumPy: the fast
+  path wherever numba is not.
 * **JIT grant kernel** (``engine="epochs-jit"``) -- the whole
   contended subset resolved in one pass of the
   :mod:`~repro.net.grantkernel` event kernel, compiled with numba when
@@ -46,8 +47,6 @@ is the right fidelity for that (DESIGN.md, substitutions table).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -76,13 +75,18 @@ ENGINES = ("auto", "events", "epochs", "epochs-jit")
 
 #: ``flow_control`` default: derive the closed-loop knobs from the
 #: topology's ``NoIParams`` (``fc_buffer_flits`` et al.).  Pass ``None``
-#: or an inactive :class:`~repro.net.flowcontrol.FlowControlParams` to
-#: force the open-loop model regardless of the params.
+#: (or any inactive :class:`~repro.net.flowcontrol.FlowControlParams`)
+#: to force open loop -- infinite buffers, no source queue --
+#: regardless of the params.
 FLOW_CONTROL_FROM_PARAMS = "params"
 
 #: ``engine="auto"``: contended subsets at least this large go through
 #: a vectorized tier (the JIT kernel when numba is importable, the
 #: epoch engine otherwise); below it the heap's constant factor wins.
+#: Measured open loop on mesh/Kite/Floret at 36-64 nodes (Python 3.11,
+#: numpy 2.4, 2 CPUs, best of 7): ``uniform@r:w16+48`` load sweeps
+#: cross over at ~90 contended packets (heap/epoch time 0.8 at 75,
+#: 1.0 at 86-96, 1.5+ from 164); 256 B bursts cross at ~50.
 AUTO_EPOCH_MIN_PACKETS = 96
 
 _GRANTKERNEL = None
@@ -356,7 +360,8 @@ def simulate(
             topology's ``NoIParams`` (``fc_buffer_flits``,
             ``fc_source_queue``, ``fc_credit_rtt``); pass a
             :class:`~repro.net.flowcontrol.FlowControlParams` to
-            override or ``None`` to force the open-loop model.
+            override or ``None`` to force open loop (identical to
+            ``FlowControlParams()``).
         telemetry: Collect the per-link
             :class:`~repro.net.flowcontrol.LinkTelemetry` census
             (``PacketSim.telemetry``); off by default because the grant
@@ -382,8 +387,8 @@ def simulate(
     ).report()
 
 
-def _resolve_flow_control(topology, flow_control) -> "FlowControlParams | None":
-    """Normalise the ``flow_control`` argument; ``None`` = open loop."""
+def _resolve_flow_control(topology, flow_control) -> FlowControlParams:
+    """Normalise ``flow_control``; ``None``/inactive -> open loop."""
     if isinstance(flow_control, str):
         if flow_control != FLOW_CONTROL_FROM_PARAMS:
             raise ValueError(
@@ -392,8 +397,8 @@ def _resolve_flow_control(topology, flow_control) -> "FlowControlParams | None":
                 f"{FLOW_CONTROL_FROM_PARAMS!r}"
             )
         flow_control = topology.params.flow_control()
-    if flow_control is not None and not flow_control.is_active:
-        return None
+    if flow_control is None or not flow_control.is_active:
+        return FlowControlParams()
     return flow_control
 
 
@@ -446,7 +451,7 @@ def simulate_packets(
             phase_timings=timings,
             trace=GrantTrace.empty() if attribution else None,
         )
-    if fc is not None and fc.buffer_flits is not None:
+    if fc.buffer_flits is not None:
         max_flits = int(flits.max())
         if fc.buffer_flits < max_flits:
             raise ValueError(
@@ -468,7 +473,7 @@ def simulate_packets(
     # but per-source injection queues couple same-source packets even
     # on disjoint links, so they force everything through the
     # contended engine.
-    if fc is not None and fc.source_queue is not None:
+    if fc.source_queue is not None:
         contended = np.ones(num_packets, dtype=bool)
     else:
         entry_links = tables.route_links[concat_ranges(starts, hops)]
@@ -514,44 +519,18 @@ def simulate_packets(
                 contended_ids, completion, latencies,
                 collect_trace=collect,
             )
-        elif fc is not None:
-            if resolved == "epochs":
-                epochs, contended_trace = simulate_fc_epochs(
-                    tables, fc, inject, src, flits, starts, hops,
-                    contended_ids, completion, latencies,
-                    collect_trace=collect,
-                )
-            else:
-                contended_trace = simulate_fc_events(
-                    tables, fc, inject, src, flits, starts, hops,
-                    contended_ids, completion, latencies,
-                    collect_trace=collect,
-                )
         elif resolved == "epochs":
-            trace_chunks = [] if collect else None
-            epochs = _simulate_contended_epochs(
-                tables, inject, flits, starts, hops,
+            epochs, contended_trace = simulate_fc_epochs(
+                tables, fc, inject, src, flits, starts, hops,
                 contended_ids, completion, latencies,
-                trace=trace_chunks,
+                collect_trace=collect,
             )
-            if collect:
-                from .flowcontrol import _trace_from_chunks
-
-                contended_trace = _trace_from_chunks(trace_chunks)
         else:
-            trace_rows = [] if collect else None
-            _simulate_contended(
-                tables, params, inject, flits, starts, hops,
+            contended_trace = simulate_fc_events(
+                tables, fc, inject, src, flits, starts, hops,
                 contended_ids, completion, latencies,
-                trace=trace_rows,
+                collect_trace=collect,
             )
-            if collect:
-                from .flowcontrol import _trace_from_chunks
-
-                contended_trace = _trace_from_chunks([
-                    tuple(np.array(col, dtype=np.int64)
-                          for col in zip(*trace_rows))
-                ] if trace_rows else [])
 
     if profile:
         now = clock()
@@ -636,235 +615,6 @@ def _fast_path_trace(
         flits=f,
         credit_wait=np.zeros(total, dtype=np.int64),
     )
-
-
-def _simulate_contended(
-    tables,
-    params: NoIParams,
-    inject: np.ndarray,
-    flits: np.ndarray,
-    starts: np.ndarray,
-    hops: np.ndarray,
-    contended_ids: np.ndarray,
-    completion: np.ndarray,
-    latencies: np.ndarray,
-    trace: "list | None" = None,
-) -> None:
-    """Event-heap simulation of the contended packet subset, in place.
-
-    The exact oracle: every other contended engine is pinned to this
-    one.  Contended packets only ever queue against each other (their
-    links are disjoint from every fast-path packet's by construction),
-    so simulating the subset alone is exact.  FIFO tie-breaking follows
-    packetisation order, matching the full event-loop semantics.
-    """
-    route_links = tables.route_links
-    link_free: Dict[int, int] = {}
-    events: List[Tuple[int, int, int, int]] = []
-    seq = itertools.count()
-    for i in contended_ids.tolist():
-        heapq.heappush(events, (int(inject[i]), next(seq), i, 0))
-    stage = tables.stage_cycles
-    link_u = tables.link_u
-    link_v = tables.link_v
-    wire = tables.link_wire_cycles
-    while events:
-        now, _s, pkt, hop = heapq.heappop(events)
-        if hop >= int(hops[pkt]):
-            completion[pkt] = now
-            latencies[pkt] = now - int(inject[pkt])
-            continue
-        edge = int(route_links[int(starts[pkt]) + hop])
-        # Router pipeline: the source router is charged on injection,
-        # each downstream router on arrival -- the same accounting as
-        # the analytic path_pipeline_cycles model.
-        ready = now
-        if hop == 0:
-            ready += int(stage[link_u[edge]])
-        start = max(ready, link_free.get(edge, 0))
-        serialization = int(flits[pkt])
-        link_free[edge] = start + serialization
-        if trace is not None:
-            trace.append((pkt, hop, edge, ready, start, serialization, 0))
-        arrival = (
-            start + serialization + int(wire[edge]) + int(stage[link_v[edge]])
-        )
-        heapq.heappush(events, (arrival, next(seq), pkt, hop + 1))
-
-
-def _segmented_cummax(values: np.ndarray, seg_id: np.ndarray) -> np.ndarray:
-    """Inclusive running maximum within each contiguous segment.
-
-    Fast path: lift each segment onto its own disjoint value band
-    (``+ seg_id * span``) so one global ``np.maximum.accumulate`` can
-    never carry a value across a boundary, then project back.  Exact in
-    int64; falls back to a Hillis-Steele doubling scan in the
-    (pathological) case where the banding would overflow.
-    """
-    n = values.shape[0]
-    if n == 0:
-        return values.copy()
-    vmin = int(values.min())
-    vmax = int(values.max())
-    span = vmax - vmin + 1
-    nseg = int(seg_id[-1]) + 1
-    if abs(vmax) + abs(vmin) + span <= (2 ** 62) // nseg:
-        band = seg_id * span
-        return np.maximum.accumulate(values + band) - band
-    out = values.copy()
-    shift = 1
-    while shift < n:
-        carried = np.where(
-            seg_id[shift:] == seg_id[:-shift], out[:-shift], out[shift:]
-        )
-        out[shift:] = np.maximum(out[shift:], carried)
-        shift *= 2
-    return out
-
-
-def _simulate_contended_epochs(
-    tables,
-    inject: np.ndarray,
-    flits: np.ndarray,
-    starts: np.ndarray,
-    hops: np.ndarray,
-    contended_ids: np.ndarray,
-    completion: np.ndarray,
-    latencies: np.ndarray,
-    trace: "list | None" = None,
-) -> int:
-    """Epoch-synchronous vectorized simulation of the contended subset.
-
-    All in-flight packets advance in lockstep epochs.  Each epoch
-    resolves every pending event up to a safe horizon: a packet granted
-    a link at cycle ``t`` cannot request its *next* link before
-    ``t + flits + wire + stage >= t + min(flits) + min_hop_delta``, so
-    every event within that distance of the earliest pending one can be
-    resolved together without being overtaken by an event created in
-    the same epoch.  Within the window, events sort by ``(cycle, seq)``
-    -- the heap's pop order -- and each link's FIFO queue is granted
-    with one segmented max-plus scan:
-
-        start_k = max(ready_k, start_{k-1} + flits_{k-1})
-                = F_k + cummax_k(ready - F)      (F = exclusive flit sum)
-
-    New events inherit the heap's push order (``seq`` reassigned in pop
-    order, monotonically across epochs), which pins FIFO tie-breaking
-    bit-exactly to :func:`_simulate_contended`.  Returns the epoch
-    count.
-    """
-    ids = contended_ids
-    m = int(ids.size)
-    t = inject[ids].astype(np.int64)
-    hop = np.zeros(m, dtype=np.int64)
-    seq = np.arange(m, dtype=np.int64)
-    nhops = hops[ids].astype(np.int64)
-    pflits = flits[ids].astype(np.int64)
-    pstart = starts[ids].astype(np.int64)
-
-    route_links = tables.route_links
-    queue_index = tables.queue_index()
-    #: Static per-link arrays hoisted out of the loop: the forwarding
-    #: latency after serialisation, and the upstream router's stage
-    #: (charged once, on injection).
-    hop_delta = queue_index.hop_delta
-    inject_stage = tables.stage_cycles[tables.link_u]
-    link_free = np.zeros(tables.num_directed_links, dtype=np.int64)
-    lookahead = queue_index.min_hop_delta + int(pflits.min()) - 1
-
-    # Two-tier pending set: per-epoch scans touch only events within
-    # ``far_span`` cycles; events parked deeper in the future (long
-    # FIFO queues) wait in ``far`` and are merged back in O(pending)
-    # only once per ~16 epochs, when the clock catches up.
-    far_span = (lookahead + 1) * 16
-    huge = np.iinfo(np.int64).max
-    near = np.empty(0, dtype=np.int64)
-    far = np.arange(m, dtype=np.int64)
-    far_min = int(t.min()) if m else huge
-    near_limit = -1
-    counter = m
-    epochs = 0
-    while near.size or far.size:
-        if near.size:
-            t_act = t[near]
-            tmin = int(t_act.min())
-        else:
-            tmin = huge
-        if min(tmin, far_min) + lookahead >= near_limit:
-            merged = np.concatenate([near, far])
-            t_act = t[merged]
-            base = int(t_act.min())
-            near_limit = base + far_span
-            near_mask = t_act <= near_limit
-            near = merged[near_mask]
-            far = merged[~near_mask]
-            far_min = int(t[far].min()) if far.size else huge
-            t_act = t_act[near_mask]
-            tmin = base
-        epochs += 1
-        in_window = t_act <= tmin + lookahead
-        w = near[in_window]
-        # Oracle pop order within the window: (event cycle, push seq).
-        w = w[np.lexsort((seq[w], t[w]))]
-        # Next events inherit the heap's push order: seqs reassigned in
-        # window pop order, monotonically across epochs.  (Completions
-        # consume slots but push nothing; the gaps keep relative order.)
-        seq[w] = counter + np.arange(w.shape[0], dtype=np.int64)
-        counter += int(w.shape[0])
-        hop_w = hop[w]
-        done = hop_w >= nhops[w]
-        finished = w[done]
-        if finished.size:
-            gids = ids[finished]
-            completion[gids] = t[finished]
-            latencies[gids] = t[finished] - inject[gids]
-        movers = w[~done]
-        if movers.size:
-            hop_m = hop_w[~done]
-            edge = route_links[pstart[movers] + hop_m]
-            ready = t[movers] + np.where(
-                hop_m == 0, inject_stage[edge], 0
-            )
-            # Per-link FIFO queues: a stable sort by link keeps the
-            # (cycle, seq) order inside each link's queue segment.
-            order = np.argsort(edge, kind="stable")
-            sorted_movers = movers[order]
-            e_s = edge[order]
-            r_s = ready[order]
-            if trace is not None:
-                ready_raw = r_s.copy()
-            f_s = pflits[sorted_movers]
-            head = np.empty(e_s.shape[0], dtype=bool)
-            head[0] = True
-            head[1:] = e_s[1:] != e_s[:-1]
-            # The link's current occupancy folds into the head request.
-            r_s[head] = np.maximum(r_s[head], link_free[e_s[head]])
-            incl = np.cumsum(f_s)
-            seg_id = np.cumsum(head) - 1
-            head_idx = np.flatnonzero(head)[seg_id]
-            excl = (incl - f_s) - (incl[head_idx] - f_s[head_idx])
-            busy = excl + _segmented_cummax(r_s - excl, seg_id) + f_s
-            tail = np.empty(e_s.shape[0], dtype=bool)
-            tail[-1] = True
-            tail[:-1] = head[1:]
-            link_free[e_s[tail]] = busy[tail]
-            if trace is not None:
-                trace.append((
-                    ids[sorted_movers], hop_m[order], e_s, ready_raw,
-                    busy - f_s, f_s,
-                    np.zeros(e_s.shape[0], dtype=np.int64),
-                ))
-            arrival = busy + hop_delta[e_s]
-            t[sorted_movers] = arrival
-            hop[movers] = hop_m + 1
-        near = near[~in_window]
-        if movers.size:
-            soon = arrival <= near_limit
-            near = np.concatenate([near, sorted_movers[soon]])
-            if not soon.all():
-                far = np.concatenate([far, sorted_movers[~soon]])
-                far_min = min(far_min, int(arrival[~soon].min()))
-    return epochs
 
 
 def simulate_transfers(

@@ -76,14 +76,15 @@ class NoIParams:
     vertical_energy_pj_per_flit: float = 0.05
 
     #: Closed-loop flow control (packet simulator): downstream
-    #: input-buffer capacity per directed link, in flits.  ``None``
-    #: keeps the open-loop infinite-buffer model -- exact backward
-    #: compatibility with every pre-flow-control result.
+    #: input-buffer capacity per directed link, in flits.  ``None`` =
+    #: infinite buffers; with ``fc_source_queue`` also ``None`` that is
+    #: open loop, which the simulator resolves as flow control with
+    #: infinite buffers (same engines, same packet-id tie rule).
     fc_buffer_flits: "int | None" = None
 
     #: Closed-loop flow control: packets a source may have waiting to
     #: start their first link before the generator defers injection.
-    #: ``None`` = unbounded (open-loop injection).
+    #: ``None`` = unbounded (injection on schedule).
     fc_source_queue: "int | None" = None
 
     #: Cycles for a freed buffer credit to travel back upstream

@@ -42,9 +42,14 @@ from ..obs.metrics import REGISTRY
 __all__ = [
     "EVALUATORS",
     "JobManager",
+    "MAX_FINISHED_JOBS",
     "SweepJob",
     "register_evaluator",
 ]
+
+#: Finished jobs a :class:`JobManager` keeps; each submit evicts older
+#: finished ones beyond this (their ids then answer 404).
+MAX_FINISHED_JOBS = 256
 
 #: name -> module-level evaluator, the only callables the service runs.
 EVALUATORS: Dict[str, Callable] = {}
@@ -233,6 +238,9 @@ class SweepJob:
 class JobManager:
     """Owns the store directory, the job table, and the read path.
 
+    The job table keeps every running job but only the newest
+    :data:`MAX_FINISHED_JOBS` finished ones.
+
     One locked read-only :class:`ResultStore` serves every progress
     check and ``/v1/results`` query -- with the store's (mtime, size)
     refresh guard, a poll over a quiescent store is pure dictionary
@@ -282,6 +290,11 @@ class JobManager:
             deadline_s=self.deadline_s,
         )
         with self._jobs_lock:
+            finished = [key for key, old in self._jobs.items()
+                        if old.finished]
+            excess = max(0, len(finished) - MAX_FINISHED_JOBS)
+            for key in finished[:excess]:
+                del self._jobs[key]
             self._jobs[job_id] = job
         job.start()
         REGISTRY.counter("svc_sweeps_submitted").inc()

@@ -3,7 +3,8 @@
 ``engine="epochs-jit"`` (the flattened grant kernel, numba-compiled
 when available and interpreted otherwise) is pinned bit-exactly to the
 event-heap oracle and the epoch engine -- completions, latencies, FIFO
-tie-breaks and every ``LinkTelemetry`` counter -- open-loop and under
+tie-breaks (same-cycle requests granted in packet-id order) and every
+``LinkTelemetry`` counter -- open loop (infinite buffers) and under
 closed-loop flow control, on mesh (SIAM), Kite, SWAP and Floret; every
 tier detects the identical credit deadlock on the cyclic-route ring.
 """

@@ -5,7 +5,8 @@ is pinned packet-for-packet to the scalar reference, and the
 epoch-synchronous contention engine is pinned bit-exactly to the event
 heap -- completion cycles, latencies and ``message_completion`` --
 across seeded random load sweeps on mesh (SIAM), Kite, SWAP and Floret,
-plus the FIFO/saturation edge cases.
+plus the FIFO/saturation edge cases.  Both engines grant each link's
+requests in ``(event cycle, packet id)`` order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.eval.experiments import load_sweep_traffic, parse_load_workload
+from repro.net.flowcontrol import _segmented_cummax
 from repro.net.routing import build_link_queue_index
 from repro.net.simulator import (
     AUTO_EPOCH_MIN_PACKETS,
@@ -21,7 +23,6 @@ from repro.net.simulator import (
     Message,
     _packetize,
     _packetize_vec,
-    _segmented_cummax,
     message_array,
     simulate,
     simulate_packets,

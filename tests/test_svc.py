@@ -43,6 +43,18 @@ def _arrayful_evaluator(case):
 
 register_evaluator("test_svc_arrays", _arrayful_evaluator)
 
+#: Holds ``_blocking_evaluator`` until a test sets it.
+_RELEASE = threading.Event()
+
+
+def _blocking_evaluator(case):
+    """Registered test evaluator that keeps its job running."""
+    _RELEASE.wait(timeout=30)
+    return {"value": float(case.seed)}
+
+
+register_evaluator("test_svc_blocking", _blocking_evaluator)
+
 
 class _Client:
     def __init__(self, base: str) -> None:
@@ -320,6 +332,41 @@ class TestEndpoints:
         status, payload = client.error("GET", "/v1/sweeps/job-nope")
         assert status == 404
         assert "job" in payload["error"]
+
+    def test_finished_jobs_are_evicted_running_kept(self, service,
+                                                    monkeypatch):
+        from repro.svc import jobs
+
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 2)
+        client, _ = service
+        one_case = dict(GRID, archs=["siam"], workloads=["uniform"],
+                        seeds=[0])
+        _RELEASE.clear()
+        try:
+            _, running = client.post("/v1/sweeps", {
+                "grid": one_case, "evaluator": "test_svc_blocking",
+            })
+            finished = []
+            for seed in range(4):
+                _, job = client.post("/v1/sweeps", {
+                    "grid": dict(one_case, seeds=[seed]),
+                    "evaluator": "test_svc_arrays",
+                })
+                client.wait_done(job["status_url"])
+                finished.append(job)
+            # The fourth submit saw three finished jobs: the oldest
+            # went; the older but still running job stayed.
+            status, payload = client.error("GET",
+                                           finished[0]["status_url"])
+            assert status == 404
+            assert "job" in payload["error"]
+            for job in finished[1:]:
+                assert client.get(job["status_url"])[0] == 200
+            _, progress = client.get(running["status_url"])
+            assert progress["state"] == "running"
+        finally:
+            _RELEASE.set()
+        assert client.wait_done(running["status_url"])["done"] == 1
 
     def test_unknown_route_is_404(self, service):
         client, _ = service
