@@ -27,6 +27,7 @@ from ..noi.mesh import build_mesh
 from ..noi.properties import TopologySummary, summarize
 from ..noi.swap import build_swap
 from ..noi.topology import Topology
+from ..params import NoIParams
 from ..pim.accuracy import AccuracyReport, assess
 from ..pim.chiplet import ChipletSpec
 from ..thermal.hotspot import HotspotReport, analyze_tier
@@ -57,30 +58,62 @@ NUM_PETALS = 6
 # cached system builders
 
 
-@lru_cache(maxsize=8)
-def floret_design(num_chiplets: int = NUM_CHIPLETS,
-                  petals: int = NUM_PETALS) -> FloretDesign:
-    return build_floret(num_chiplets, petals)
+@lru_cache(maxsize=32)
+def _structure(arch: str, num_chiplets: int, chiplet_pitch_mm: float):
+    """Build one NoI structure, once per process.
+
+    Keyed on what the builders read: the architecture, the size and
+    the chiplet pitch that sets link lengths.  Every other
+    :class:`~repro.params.NoIParams` field is applied per case as a
+    :meth:`Topology.with_params` view, which shares this structure's
+    graph and routing tables.  Floret returns its
+    :class:`FloretDesign` (the mapper needs the allocation order).
+    """
+    params = NoIParams(chiplet_pitch_mm=chiplet_pitch_mm)
+    if arch == "floret":
+        return build_floret(num_chiplets, NUM_PETALS, params=params)
+    if arch == "siam":
+        return build_mesh(num_chiplets, params=params)
+    if arch == "kite":
+        return build_kite(num_chiplets, params=params)
+    if arch == "swap":
+        return build_swap(num_chiplets, params=params)
+    raise ValueError(f"unknown architecture {arch!r}")
 
 
-@lru_cache(maxsize=8)
+def floret_design(num_chiplets: int = NUM_CHIPLETS) -> FloretDesign:
+    """The (cached) paper Floret design: :data:`NUM_PETALS` petals."""
+    return _structure("floret", num_chiplets, NoIParams().chiplet_pitch_mm)
+
+
 def baseline_topology(name: str, num_chiplets: int = NUM_CHIPLETS) -> Topology:
-    builders = {
-        "siam": build_mesh,
-        "kite": build_kite,
-        "swap": build_swap,
-    }
-    try:
-        return builders[name](num_chiplets)
-    except KeyError:
-        raise ValueError(f"unknown baseline {name!r}") from None
+    """The (cached) topology of one of :data:`BASELINE_ARCHS`."""
+    if name not in BASELINE_ARCHS:
+        raise ValueError(f"unknown baseline {name!r}")
+    return topology_for(name, num_chiplets)
 
 
-def topology_for(name: str, num_chiplets: int = NUM_CHIPLETS) -> Topology:
-    """Resolve an architecture name to its (cached) topology."""
-    if name == "floret":
-        return floret_design(num_chiplets).topology
-    return baseline_topology(name, num_chiplets)
+def topology_for(name: str, num_chiplets: int = NUM_CHIPLETS,
+                 params: Optional[NoIParams] = None) -> Topology:
+    """Resolve an architecture name to its (cached) topology.
+
+    With ``params``, a view of the cached structure under them (see
+    :func:`_structure`); without, the structure itself.
+    """
+    return _view(name, num_chiplets, params or NoIParams())
+
+
+@lru_cache(maxsize=32)
+def _view(name: str, num_chiplets: int, params: NoIParams) -> Topology:
+    """The structure of ``name`` under ``params``, as a cached view.
+
+    Cases with equal params share one view, so a view whose cost fields
+    differ from the structure's builds its own routing tables once; the
+    bound frees the tables of views that fall out of use.
+    """
+    built = _structure(name, num_chiplets, params.chiplet_pitch_mm)
+    topology = built.topology if name == "floret" else built
+    return topology.with_params(params)
 
 
 def mapper_for(name: str, num_chiplets: int = NUM_CHIPLETS):

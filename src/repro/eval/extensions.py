@@ -14,12 +14,10 @@ import networkx as nx
 
 from ..core.floret import build_floret
 from ..core.hetero import HeteroParams, HeteroReport, compare_systems
-from ..core.mapping import ContiguousMapper, GreedyMapper
 from ..core.scheduler import SystemScheduler
-from ..noi.kite import build_kite
-from ..noi.mesh import build_mesh
 from ..workloads.tasks import mix_by_name
 from ..workloads.transformer import BERT_BASE, BERT_TINY, TransformerConfig
+from .experiments import floret_design, mapper_for, topology_for
 
 
 # ---------------------------------------------------------------------------
@@ -50,17 +48,10 @@ def exp_scaling(
     tasks = mix_by_name(mix_name).tasks()
     rows: List[ScalingRow] = []
     for size in sizes:
-        design = build_floret(size, petals=6)
-        systems = [
-            ("floret", design.topology,
-             ContiguousMapper(design.allocation_order, design.topology)),
-            ("siam", build_mesh(size), None),
-            ("kite", build_kite(size), None),
-        ]
-        for arch, topology, mapper in systems:
-            if mapper is None:
-                mapper = GreedyMapper(topology)
-            result = SystemScheduler(topology, mapper).run(tasks)
+        for arch in ("floret", "siam", "kite"):
+            result = SystemScheduler(
+                topology_for(arch, size), mapper_for(arch, size)
+            ).run(tasks)
             rows.append(
                 ScalingRow(
                     num_chiplets=size,
@@ -111,7 +102,7 @@ def exp_redundancy(num_chiplets: int = 100) -> List[RedundancyRow]:
     designs = [
         ("floret-1sfc", build_floret(
             num_chiplets, curve=single_sfc_curve(cols, rows))),
-        ("floret-6sfc", build_floret(num_chiplets, 6)),
+        ("floret-6sfc", floret_design(num_chiplets)),
     ]
     out: List[RedundancyRow] = []
     for label, design in designs:
@@ -123,7 +114,7 @@ def exp_redundancy(num_chiplets: int = 100) -> List[RedundancyRow]:
                 disconnecting_links=_count_disconnecting_links(graph),
             )
         )
-    mesh = build_mesh(num_chiplets)
+    mesh = topology_for("siam", num_chiplets)
     out.append(
         RedundancyRow(
             label="siam",

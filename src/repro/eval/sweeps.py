@@ -32,7 +32,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from typing import (
     Callable,
@@ -485,28 +485,17 @@ class SweepRunner:
 # built-in case evaluators (module-level: picklable for the pool)
 
 
-@lru_cache(maxsize=32)
-def _case_topology(arch: str, num_chiplets: int,
-                   noi_overrides: Overrides) -> Topology:
-    from ..core.floret import build_floret
-    from ..noi.kite import build_kite
-    from ..noi.mesh import build_mesh
-    from ..noi.swap import build_swap
-
-    params = replace(NoIParams(), **dict(noi_overrides))
-    if arch == "floret":
-        return build_floret(num_chiplets, params=params).topology
-    builders = {"siam": build_mesh, "kite": build_kite, "swap": build_swap}
-    try:
-        builder = builders[arch]
-    except KeyError:
-        raise ValueError(f"unknown architecture {arch!r}") from None
-    return builder(num_chiplets, params=params)
-
-
 def case_topology(case: SweepCase) -> Topology:
-    """The (per-process cached) topology of a sweep case."""
-    return _case_topology(case.arch, case.num_chiplets, case.noi_overrides)
+    """The topology of a sweep case: a view of its cached structure.
+
+    The structure is cached per ``(arch, num_chiplets,
+    chiplet_pitch_mm)`` (:func:`repro.eval.experiments.topology_for`),
+    so cases that differ only in other overrides share one graph build
+    and one routing-table build per process.
+    """
+    from .experiments import topology_for
+
+    return topology_for(case.arch, case.num_chiplets, case.params())
 
 
 def synthetic_traffic(

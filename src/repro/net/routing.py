@@ -14,16 +14,18 @@ matrices plus a CSR link-incidence structure:
                                -- directed link ids of each route, in
                                   route order (CSR over ``s * n + d``).
 
-The tables are built from the *same* deterministic tie-broken Dijkstra
-routes the scalar model uses, and building them populates the
-topology's route cache, so the scalar oracle and the vectorized engine
-are route-for-route identical by construction (see
-``tests/test_routing.py`` and ``tests/test_vectorized.py``).
+The routes come from the *same* deterministic tie-broken Dijkstra trees
+the scalar model's :meth:`Topology.route` uses (networkx, weight
+``1 + 1e-6 * length_mm``), walked as arrays over one predecessor
+matrix, so the scalar oracle and the vectorized engine are
+route-for-route identical (see ``tests/test_routing.py`` and
+``tests/test_vectorized.py``); once a topology has tables,
+:meth:`Topology.route` reads its routes from them.
 
-Tables are cached on the topology object via
-:meth:`Topology.routing_tables`, so every consumer (vectorized analytic
-model, simulator fast path, sweep runner) shares one build per topology
-per process.
+A topology's params views (:meth:`Topology.with_params`) share its
+table object when they agree on the :data:`COST_PARAM_FIELDS` of
+:class:`~repro.params.NoIParams`, so one build per structure per
+process serves every sweep case that changes only other fields.
 """
 
 from __future__ import annotations
@@ -34,8 +36,28 @@ from typing import TYPE_CHECKING, Dict, Tuple
 import networkx as nx
 import numpy as np
 
+from ..obs.metrics import REGISTRY
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..noi.topology import Topology
+    from ..params import NoIParams
+
+#: The :class:`~repro.params.NoIParams` fields :class:`RoutingTables`
+#: read (besides the graph).  Parameter sets that agree on them get
+#: array-equal tables on the same structure.
+COST_PARAM_FIELDS = (
+    "router_pipeline_cycles",
+    "router_extra_stage_ports",
+    "mm_per_cycle",
+    "router_energy_pj_per_flit_port",
+    "link_energy_pj_per_flit_mm",
+    "vertical_energy_pj_per_flit",
+)
+
+
+def cost_key(params: "NoIParams") -> tuple:
+    """``params``' values of :data:`COST_PARAM_FIELDS`."""
+    return tuple(getattr(params, name) for name in COST_PARAM_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -222,7 +244,10 @@ def build_link_queue_index(tables: RoutingTables) -> LinkQueueIndex:
         np.arange(links.shape[0], dtype=np.int64)
         - tables.route_indptr[pair_of_entry]
     )
-    order = np.argsort(links, kind="stable")
+    # numpy's stable sort is a radix sort on 16-bit keys, several
+    # times faster than its merge sort on int64.
+    keys = links.astype(np.uint16) if num_links <= 1 << 16 else links
+    order = np.argsort(keys, kind="stable")
     use_count = np.bincount(links, minlength=num_links)
     link_indptr = np.zeros(num_links + 1, dtype=np.int64)
     np.cumsum(use_count, out=link_indptr[1:])
@@ -266,20 +291,18 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def build_routing_tables(topology: "Topology") -> RoutingTables:
     """Build :class:`RoutingTables` for ``topology``.
 
-    Routes come from per-source Dijkstra trees with the same
+    Routes come from per-source networkx Dijkstra trees with the same
     ``1 + 1e-6 * length_mm`` tie-break weight as
-    :meth:`Topology.route`; pairs the topology has already routed keep
-    their cached path, and every path chosen here is written back into
-    the topology's route cache so scalar and vectorized evaluations can
-    never diverge on route choice.
+    :meth:`Topology.route`; the route CSR is extracted by walking all
+    pairs back to their sources at once over the predecessor matrix.
+    Counted in the ``routing_tables_built`` metric.
     """
+    REGISTRY.counter("routing_tables_built").inc()
     params = topology.params
     graph = topology.graph
     n = topology.num_chiplets
 
-    ports = np.array(
-        [graph.degree[i] for i in range(n)], dtype=np.int64
-    )
+    ports = np.array([graph.degree[i] for i in range(n)], dtype=np.int64)
     stage_cycles = np.array(
         [params.router_stage_cycles(int(p)) for p in ports], dtype=np.int64
     )
@@ -308,51 +331,20 @@ def build_routing_tables(topology: "Topology") -> RoutingTables:
         + params.vertical_energy_pj_per_flit * vertical_arr
     )
 
-    def weight(u: int, v: int, data) -> float:
-        return 1.0 + 1e-6 * data["length_mm"]
-
-    hops = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(hops, 0)
-    counts = np.zeros(n * n, dtype=np.int64)
-    per_pair_links = [()] * (n * n)
-    path_cache = topology._path_cache
-    for s in range(n):
-        _dist, paths = nx.single_source_dijkstra(graph, s, weight=weight)
-        for d in range(n):
-            if d == s:
-                continue
-            path = path_cache.get((s, d))
-            if path is None:
-                found = paths.get(d)
-                if found is None:
-                    continue
-                path = tuple(found)
-                path_cache[(s, d)] = path
-            pair = s * n + d
-            hops[s, d] = len(path) - 1
-            ids = tuple(
-                link_index[(a, b)] for a, b in zip(path, path[1:])
-            )
-            per_pair_links[pair] = ids
-            counts[pair] = len(ids)
-
-    route_indptr = np.zeros(n * n + 1, dtype=np.int64)
-    np.cumsum(counts, out=route_indptr[1:])
-    route_links = np.fromiter(
-        (e for ids in per_pair_links for e in ids),
-        dtype=np.int64,
-        count=int(route_indptr[-1]),
+    hops, route_indptr, route_links = _route_csr(
+        graph, n, link_u_arr, link_v_arr
     )
 
     # Per-route sums via segment reduction over the CSR structure.
-    pair_of_entry = np.repeat(np.arange(n * n, dtype=np.int64), counts)
-    npairs = n * n
+    pair_of_entry = np.repeat(
+        np.arange(n * n, dtype=np.int64), np.diff(route_indptr)
+    )
 
     def route_sum(per_link_values: np.ndarray) -> np.ndarray:
         return np.bincount(
             pair_of_entry,
             weights=per_link_values[route_links],
-            minlength=npairs,
+            minlength=n * n,
         ).reshape(n, n)
 
     reachable = hops > 0
@@ -393,14 +385,55 @@ def build_routing_tables(topology: "Topology") -> RoutingTables:
         route_indptr=route_indptr,
         route_links=route_links,
     )
-    for arr in (
-        tables.ports, tables.stage_cycles, tables.router_energy_pj_per_flit,
-        tables.link_u, tables.link_v, tables.link_wire_cycles,
-        tables.link_length_mm, tables.link_vertical,
-        tables.link_energy_pj_per_flit, tables.hops, tables.pipeline_cycles,
-        tables.route_length_mm, tables.route_router_energy_pj_per_flit,
-        tables.route_link_energy_pj_per_flit, tables.route_indptr,
-        tables.route_links,
-    ):
-        arr.setflags(write=False)
+    for value in vars(tables).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return tables
+
+
+def _route_csr(
+    graph: nx.Graph, n: int, link_u: np.ndarray, link_v: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(hops, route_indptr, route_links)`` of every ordered pair.
+
+    ``parent[s, d]`` is ``d``'s predecessor in the Dijkstra tree of
+    ``s`` (-1 for ``d == s`` and unreachable ``d``).  Every reachable
+    pair then steps from its destination back towards its source in
+    lockstep; step ``j`` yields the route's ``j``-th link from the end.
+    """
+    def weight(u: int, v: int, data) -> float:
+        return 1.0 + 1e-6 * data["length_mm"]
+
+    parent = np.full((n, n), -1, dtype=np.int64)
+    for s in range(n):
+        _dist, paths = nx.single_source_dijkstra(graph, s, weight=weight)
+        del paths[s]
+        parent[s, np.fromiter(paths, np.int64, len(paths))] = np.fromiter(
+            (path[-2] for path in paths.values()), np.int64, len(paths)
+        )
+
+    link_id = np.full((n, n), -1, dtype=np.int64)
+    link_id[link_u, link_v] = np.arange(link_u.shape[0], dtype=np.int64)
+    pair = np.flatnonzero(parent.reshape(-1) >= 0)
+    node = pair % n
+    steps = []
+    while pair.size:
+        src = pair // n
+        prev = parent[src, node]
+        steps.append((pair, link_id[prev, node]))
+        more = prev != src
+        pair, node = pair[more], prev[more]
+
+    counts = np.zeros(n * n, dtype=np.int64)
+    for pairs, _links in steps:
+        counts[pairs] += 1
+    route_indptr = np.zeros(n * n + 1, dtype=np.int64)
+    np.cumsum(counts, out=route_indptr[1:])
+    route_links = np.empty(int(route_indptr[-1]), dtype=np.int64)
+    route_end = route_indptr[1:]
+    for j, (pairs, links) in enumerate(steps):
+        route_links[route_end[pairs] - 1 - j] = links
+
+    hops = np.where(parent >= 0, counts.reshape(n, n), -1)
+    np.fill_diagonal(hops, 0)
+    return hops, route_indptr, route_links

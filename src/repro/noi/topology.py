@@ -11,9 +11,9 @@ the paper's Fig. 2(b) discussion hinges on.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -79,6 +79,8 @@ class Topology:
 
     The routing used by hop/latency queries is minimal-hop shortest path
     (ties broken by physical length), computed lazily and cached.
+    :meth:`with_params` gives the same structure under other hardware
+    constants as a cheap view that shares the graph and the routes.
     """
 
     def __init__(
@@ -121,12 +123,43 @@ class Topology:
             self.graph.add_edge(
                 link.u, link.v, length_mm=link.length_mm, vertical=link.vertical
             )
+        # Route caches depend on the graph only, so params views
+        # (:meth:`with_params`) share these dicts with their base.
         self._hops_cache: Dict[int, Dict[int, int]] = {}
         self._path_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         #: Lazily built all-pairs NumPy route tables (see
         #: :mod:`repro.net.routing`); one build serves every vectorized
         #: consumer because topologies are immutable after construction.
         self._routing_tables = None
+        #: The topology a :meth:`with_params` view was taken of.
+        self._base: Optional["Topology"] = None
+
+    def with_params(self, params: NoIParams) -> "Topology":
+        """This structure under ``params``, as a view.
+
+        The view shares the graph, chiplets, links and route caches.
+        Its routing tables are the base's very object when ``params``
+        agrees with the base's on
+        :data:`repro.net.routing.COST_PARAM_FIELDS`; otherwise the view
+        builds its own on demand and holds them alone, so they are freed
+        with it.  Returns ``self`` for equal params.
+
+        Raises:
+            ValueError: If ``params`` changes ``chiplet_pitch_mm``,
+                which sets link lengths at build time.
+        """
+        if params == self.params:
+            return self
+        if params.chiplet_pitch_mm != self.params.chiplet_pitch_mm:
+            raise ValueError(
+                f"{self.name}: chiplet_pitch_mm sets link lengths; build "
+                f"a new topology for pitch {params.chiplet_pitch_mm}"
+            )
+        view = copy.copy(self)
+        view.params = params
+        view._routing_tables = None
+        view._base = self._base or self
+        return view
 
     # ------------------------------------------------------------------
     # basic shape
@@ -191,14 +224,26 @@ class Topology:
         Returns:
             repro.net.routing.RoutingTables: Dense hop/pipeline/energy
             matrices plus the CSR link incidence of every minimal route.
-            Building the tables also warms :meth:`route`'s cache, so the
-            scalar reference model and the vectorized engine share the
-            exact same routes.
+            A :meth:`with_params` view returns its base's tables when
+            their cost fields agree, so the build runs once per
+            structure.
         """
         if self._routing_tables is None:
-            from ..net.routing import build_routing_tables
+            from ..net.routing import build_routing_tables, cost_key
 
-            self._routing_tables = build_routing_tables(self)
+            base = self._base
+            if base is not None and cost_key(base.params) == cost_key(
+                self.params
+            ):
+                self._routing_tables = base.routing_tables()
+            else:
+                self._routing_tables = build_routing_tables(self)
+        return self._routing_tables
+
+    def _tables_if_built(self):
+        """Routing tables of this graph built so far (own or base's)."""
+        if self._routing_tables is None and self._base is not None:
+            return self._base._routing_tables
         return self._routing_tables
 
     def hops(self, src: int, dst: int) -> int:
@@ -209,8 +254,9 @@ class Topology:
         """
         if src == dst:
             return 0
-        if self._routing_tables is not None:
-            hop = int(self._routing_tables.hops[src, dst])
+        tables = self._tables_if_built()
+        if tables is not None:
+            hop = int(tables.hops[src, dst])
             if hop < 0:
                 raise nx.NetworkXNoPath(f"{self.name}: no path {src}->{dst}")
             return hop
@@ -229,10 +275,20 @@ class Topology:
         """A minimal-hop route as a node sequence (src..dst inclusive).
 
         Among minimal-hop routes, the physically shortest one is chosen,
-        deterministically.
+        deterministically.  Read from the routing tables when they
+        exist; otherwise networkx Dijkstra, the oracle the tables are
+        built to match.
+
+        Raises:
+            nx.NetworkXNoPath: If the chiplets are disconnected.
         """
         if src == dst:
             return (src,)
+        tables = self._tables_if_built()
+        if tables is not None:
+            if tables.hops[src, dst] < 0:
+                raise nx.NetworkXNoPath(f"{self.name}: no path {src}->{dst}")
+            return tables.route_nodes(src, dst)
         key = (src, dst)
         path = self._path_cache.get(key)
         if path is None:

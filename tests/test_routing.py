@@ -1,24 +1,99 @@
 """Property tests: cached routing tables vs the scalar route oracle.
 
-Covers the satellite requirements: tables hold *minimal* routes, hop
-counts are symmetric where the topology is undirected, and every
+Tables hold *minimal* routes identical to networkx Dijkstra for every
+pair, hop counts are symmetric where the topology is undirected, every
 derived matrix (pipeline, energy, length) agrees with the scalar
-per-route computations.
+per-route computations, and a ``Topology.with_params`` view's tables
+equal a fresh build under its params.
 """
 
 from __future__ import annotations
+
+import gc
+import hashlib
+import tracemalloc
+import weakref
+from dataclasses import fields, replace
+from functools import lru_cache
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.core.floret import build_floret
 from repro.net.analytic import (
     path_pipeline_cycles,
     transfer_energy_pj,
     flits_for_bytes,
 )
-from repro.net.routing import build_routing_tables, concat_ranges
+from repro.net.routing import (
+    COST_PARAM_FIELDS,
+    build_routing_tables,
+    concat_ranges,
+)
+from repro.noi.kite import build_kite
+from repro.noi.mesh import build_mesh
+from repro.noi.swap import build_swap
 from repro.noi.topology import Chiplet, Link, Topology
+from repro.params import NoIParams
+
+FRESH_BUILDERS = {
+    "siam": build_mesh,
+    "kite": build_kite,
+    "swap": build_swap,
+    "floret": lambda n, params=None: build_floret(n, params=params).topology,
+}
+
+#: Digests of the route arrays of fresh default-parameter topologies,
+#: as produced by a reference builder that walked networkx Dijkstra
+#: path dicts pair by pair in Python.  The array walk reproduces them.
+BUILDER_DIGESTS = {
+    ("siam", 16): "9c7627807272f48f",
+    ("siam", 64): "e7845d71d8c47f59",
+    ("kite", 16): "420a0826bdd93427",
+    ("kite", 64): "09901e9547702140",
+    ("swap", 16): "a2389b713d2c2ea2",
+    ("swap", 64): "22bd8499742aa1a3",
+    ("floret", 16): "a038ac02b331a206",
+    ("floret", 64): "79dbe0f308aee992",
+}
+DIGESTED = (
+    "hops", "pipeline_cycles", "route_router_energy_pj_per_flit",
+    "route_link_energy_pj_per_flit", "route_length_mm",
+    "route_indptr", "route_links",
+)
+
+
+@lru_cache(maxsize=None)
+def _fresh(arch, n):
+    return FRESH_BUILDERS[arch](n)
+
+
+def _table_digest(tables):
+    h = hashlib.sha256()
+    for name in DIGESTED:
+        arr = np.ascontiguousarray(getattr(tables, name))
+        h.update(f"{name}:{arr.dtype}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _oracle_route(graph, src, dst):
+    if src == dst:
+        return (src,)
+    return tuple(nx.dijkstra_path(
+        graph, src, dst, weight=lambda u, v, e: 1.0 + 1e-6 * e["length_mm"]
+    ))
+
+
+def _assert_tables_equal(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 def _sample_pairs(n, rng, count=60):
@@ -177,3 +252,131 @@ class TestUnreachable:
         assert topo.hops(0, 1) == 1
         with pytest.raises(nx.NetworkXNoPath):
             topo.hops(0, 3)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("arch", sorted(FRESH_BUILDERS))
+class TestRouteOracle:
+    """Every pair against networkx, the arrays against pinned digests."""
+
+    def test_every_route_is_the_dijkstra_path(self, arch, n):
+        topo = _fresh(arch, n)
+        t = topo.routing_tables()
+        for s in range(n):
+            for d in range(n):
+                assert t.route_nodes(s, d) == _oracle_route(topo.graph, s, d)
+
+    def test_arrays_match_previous_builder(self, arch, n):
+        tables = _fresh(arch, n).routing_tables()
+        assert _table_digest(tables) == BUILDER_DIGESTS[(arch, n)]
+
+    def test_topology_route_with_and_without_tables(self, arch, n):
+        built = _fresh(arch, n)
+        bare = Topology(built.name, built.chiplets, built.links, built.params)
+        pairs = [(s, d) for s in range(0, n, max(1, n // 8))
+                 for d in range(n)]
+        oracle = [_oracle_route(bare.graph, s, d) for s, d in pairs]
+        assert [bare.route(s, d) for s, d in pairs] == oracle
+        bare.routing_tables()
+        assert [bare.route(s, d) for s, d in pairs] == oracle
+
+
+#: Changes every cost class: router stage depth, wire delay, link energy.
+COSTLY = NoIParams(router_pipeline_cycles=3, mm_per_cycle=1.5,
+                   link_energy_pj_per_flit_mm=0.6)
+
+
+class TestParamsView:
+    @pytest.mark.parametrize("arch", sorted(FRESH_BUILDERS))
+    def test_view_equals_fresh_build(self, arch):
+        base = FRESH_BUILDERS[arch](16)
+        view = base.with_params(COSTLY)
+        assert view.graph is base.graph
+        fresh = build_routing_tables(FRESH_BUILDERS[arch](16, params=COSTLY))
+        tables = view.routing_tables()
+        _assert_tables_equal(tables, fresh)
+        index, ref = tables.queue_index(), fresh.queue_index()
+        for f in fields(index):
+            assert np.array_equal(getattr(index, f.name),
+                                  getattr(ref, f.name)), f.name
+
+    def test_fc_and_sim_only_view_shares_tables(self, small_kite):
+        tables = small_kite.routing_tables()
+        view = small_kite.with_params(replace(
+            small_kite.params, fc_buffer_flits=8, fc_credit_rtt=3,
+            sim_engine="events", sim_attribution=True, flit_bytes=16,
+            packet_bytes=128,
+        ))
+        assert view is not small_kite
+        assert view.routing_tables() is tables
+        assert view.routing_tables().queue_index() is tables.queue_index()
+
+    def test_cost_views_keep_their_tables_off_the_base(self):
+        """The base holds one table object however many views derive."""
+        base = build_mesh(16)
+        own = base.routing_tables()
+        freed = []
+        for cycles in range(2, 8):
+            view = base.with_params(
+                replace(COSTLY, router_pipeline_cycles=cycles)
+            )
+            tables = view.routing_tables()
+            assert tables is not own
+            freed.append(weakref.ref(tables))
+            del view, tables
+        gc.collect()
+        assert base.routing_tables() is own
+        assert [ref() for ref in freed] == [None] * len(freed)
+
+    def test_equal_params_is_identity(self, small_mesh):
+        assert small_mesh.with_params(NoIParams()) is small_mesh
+
+    def test_pitch_change_rejected(self, small_mesh):
+        with pytest.raises(ValueError, match="chiplet_pitch_mm"):
+            small_mesh.with_params(NoIParams(chiplet_pitch_mm=6.0))
+
+    def test_view_routes_from_base_tables(self):
+        base = build_mesh(16)
+        tables = base.routing_tables()
+        view = base.with_params(replace(COSTLY, fc_buffer_flits=8))
+        # Routes read the graph only: the view needs no tables of its own.
+        assert view.route(0, 15) == tables.route_nodes(0, 15)
+        assert view.hops(0, 15) == tables.hops[0, 15]
+        assert view._routing_tables is None and not view._path_cache
+
+    @pytest.mark.parametrize("name", sorted(
+        f.name for f in fields(NoIParams)
+        if f.name not in COST_PARAM_FIELDS + ("chiplet_pitch_mm",)
+    ))
+    def test_other_fields_leave_tables_unchanged(self, name):
+        """Pins :data:`COST_PARAM_FIELDS` as everything the tables read."""
+        value = getattr(NoIParams(), name)
+        if isinstance(value, bool):
+            changed = not value
+        elif isinstance(value, str):
+            changed = "events"
+        elif value is None:
+            changed = 8
+        else:
+            changed = value * 2 + 1
+        params = replace(NoIParams(), **{name: changed})
+        _assert_tables_equal(
+            build_routing_tables(build_kite(16, params=params)),
+            build_routing_tables(build_kite(16)),
+        )
+
+
+def test_tables_keep_no_per_pair_python_objects():
+    """The tables are arrays: no Python object per (src, dst) pair."""
+    topo = build_kite(144)
+    n = topo.num_chiplets
+    gc.collect()
+    tracemalloc.start()
+    try:
+        topo.routing_tables()
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    live_blocks = sum(s.count for s in snapshot.statistics("filename"))
+    assert live_blocks < n * n // 8

@@ -50,6 +50,72 @@ class TestSweepCase:
         )
 
 
+class TestStructureCache:
+    """One graph and one routing-table build per (arch, n, pitch)."""
+
+    def test_case_topology_is_a_view_of_the_structure(self):
+        from repro.eval.experiments import floret_design, topology_for
+
+        plain = case_topology(SweepCase(arch="kite", num_chiplets=16))
+        fc = case_topology(SweepCase(
+            arch="kite", num_chiplets=16,
+            noi_overrides=(("fc_buffer_flits", 8), ("sim_engine", "events")),
+        ))
+        assert plain is topology_for("kite", 16)
+        assert fc is not plain and fc.graph is plain.graph
+        assert fc.params.fc_buffer_flits == 8
+        assert fc.routing_tables() is plain.routing_tables()
+        floret = case_topology(SweepCase(arch="floret", num_chiplets=16))
+        assert floret is floret_design(16).topology
+
+    def test_cost_override_builds_tables_once_per_value(self):
+        from repro.obs.metrics import REGISTRY
+
+        tables_built = REGISTRY.counter("routing_tables_built")
+        before = tables_built.value
+        cases = [
+            SweepCase(arch="siam", num_chiplets=16, workload=workload,
+                      seed=seed, noi_overrides=(("mm_per_cycle", 1.375),))
+            for workload in ("uniform", "neighbor") for seed in (0, 1)
+        ]
+        views = {id(case_topology(case)) for case in cases}
+        tables = {id(case_topology(case).routing_tables()) for case in cases}
+        assert len(views) == len(tables) == 1
+        assert tables_built.value - before == 1
+
+    def test_one_build_per_structure_across_mix_sweep_and_dse(self):
+        """A mix sweep, then a generation-0 fc DSE on the same structures."""
+        from repro.eval import experiments
+        from repro.eval.dse import FC_OBJECTIVES, dse_search, fc_design_space
+        from repro.eval.sweeps import evaluate_mix_case
+        from repro.obs.metrics import REGISTRY
+
+        experiments._structure.cache_clear()
+        experiments._view.cache_clear()
+        experiments.schedule.cache_clear()
+        tables_built = REGISTRY.counter("routing_tables_built")
+        before = tables_built.value
+        archs = ("swap", "siam")
+        # Every Table II mix holds a 69-chiplet model: 100-node systems.
+        mix = SweepRunner(evaluate_mix_case, workers=1).run(
+            sweep_grid(archs, (100,), ("WL2",))
+        )
+        space = fc_design_space(
+            archs, (100,), workload="uniform@0.02:w16+64",
+            buffer_flits=(16, 32), credit_rtt=(1, 2),
+        )
+        dse = dse_search(
+            space, experiments.evaluate_load_sweep_case,
+            objectives=FC_OBJECTIVES, population_size=space.num_designs,
+            generations=0, workers=1,
+        )
+        assert not mix.failures and dse.failures == 0
+        assert dse.evaluations == space.num_designs == 8
+        info = experiments._structure.cache_info()
+        assert (info.misses, info.currsize) == (len(archs), len(archs))
+        assert tables_built.value - before == len(archs)
+
+
 class TestGrid:
     def test_cartesian_product(self):
         cases = sweep_grid(
