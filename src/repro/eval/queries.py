@@ -9,17 +9,23 @@ equally usable from scripts against any store directory.
 
 Three properties matter for serving queries at scale:
 
-* **No payload I/O.**  Filtering and aggregation walk the store's raw
-  JSONL records (:meth:`~repro.eval.store.ResultStore.iter_records`)
-  -- scalar metrics and case axes only.  Array payloads (npz) are
-  never opened; a row merely reports ``has_arrays`` so a client can
-  fetch the heavy data by key through other means.  Combined with the
-  store's (mtime, size) refresh guard, a repeated query over a
-  quiescent store touches no file contents at all.
-* **Deterministic pagination.**  Matches are ordered by
-  ``(case_id, key)`` before the ``offset``/``limit`` window is cut, so
-  the same query against the same store content always returns the
-  same page -- regardless of which worker wrote which record when.
+* **No payload I/O, no per-record objects.**  Filtering and
+  aggregation walk the store's raw JSONL records
+  (:meth:`~repro.eval.store.ResultStore.iter_records`) -- scalar
+  metrics and case axes only -- and test filters on each record's
+  ``case`` mapping directly; no :class:`~repro.eval.sweeps.SweepCase`
+  or :class:`~repro.eval.sweeps.SweepResult` is built per record, and
+  ``case_id`` is computed only for the returned page.  Array payloads
+  (npz) are never opened; a row merely reports ``has_arrays`` so a
+  client can fetch the heavy data by key through other means.
+  Combined with the store's (mtime, size) refresh guard, a repeated
+  query over a quiescent store touches no file contents at all.
+* **Deterministic pagination.**  Matches come in ``(case_id, key)``
+  order -- the order of the store's record index, kept sorted as
+  records arrive, so a query never sorts -- and the ``offset``/
+  ``limit`` window is cut from that order, so the same query against
+  the same store content always returns the same page -- regardless
+  of which worker wrote which record when.
 * **Server-side aggregates.**  Requested metrics fold through
   :class:`~repro.eval.stream.RunningStats` (Neumaier-compensated, the
   same machinery as the streaming sweeps) over *all* matches -- not
@@ -27,7 +33,8 @@ Three properties matter for serving queries at scale:
   identical store content yields bit-identical aggregates.  An
   optional pivot metric folds a :class:`~repro.eval.stream
   .RunningPivot` (workload rows x arch columns, like
-  ``SweepOutcome.pivot``).
+  ``SweepOutcome.pivot``).  Aggregates and pivot count the same
+  values as ``missing``: absent, non-numeric or non-finite ones.
 """
 
 from __future__ import annotations
@@ -35,11 +42,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .store import ResultStore, case_from_record
+from .store import ResultStore
 from .stream import RunningPivot, RunningStats
-from .sweeps import SweepCase, SweepResult
+from .sweeps import case_id_of
 
 __all__ = [
     "ResultQuery",
@@ -76,23 +84,32 @@ class ResultQuery:
     offset: int = 0
     limit: int = 50
 
-    def matches(self, case: SweepCase) -> bool:
-        if self.archs and case.arch not in self.archs:
+    def matches(self, case: Mapping) -> bool:
+        """Whether a stored record's ``case`` mapping passes the filters."""
+        if self.archs and case["arch"] not in self.archs:
             return False
-        if self.sizes and case.num_chiplets not in self.sizes:
+        if self.sizes and case["num_chiplets"] not in self.sizes:
             return False
-        if self.workloads and case.workload not in self.workloads:
+        if self.workloads and case["workload"] not in self.workloads:
             return False
-        if self.seeds and case.seed not in self.seeds:
+        if self.seeds and case["seed"] not in self.seeds:
             return False
-        if self.tags and case.tag not in self.tags:
+        if self.tags and case.get("tag", "") not in self.tags:
             return False
         if self.overrides:
-            have = dict(case.noi_overrides)
+            have = {str(name): value
+                    for name, value in case["noi_overrides"]}
             for name, value in self.overrides:
                 if name not in have or not _values_equal(have[name], value):
                     return False
         return True
+
+
+def _finite(value: object) -> Optional[float]:
+    """``value`` as a float if it is a finite number, else ``None``."""
+    if isinstance(value, (int, float)) and math.isfinite(value):
+        return float(value)
+    return None
 
 
 def _values_equal(a: object, b: object) -> bool:
@@ -185,9 +202,17 @@ class _MetricFold:
     """One metric's server-side aggregate over the matched results."""
 
     stats: RunningStats
-    #: Matches that lacked the metric (mixed-evaluator stores are
-    #: normal; the count is surfaced instead of raising mid-fold).
+    #: Matches that lacked the metric or held no finite number for it
+    #: (mixed-evaluator stores are normal; the count is surfaced
+    #: instead of raising mid-fold).
     missing: int = 0
+
+    def add(self, value: object) -> None:
+        number = _finite(value)
+        if number is None:
+            self.missing += 1
+        else:
+            self.stats.add(number)
 
     def payload(self) -> Dict[str, object]:
         count = self.stats.count
@@ -201,17 +226,19 @@ class _MetricFold:
         }
 
 
-def _row(key: str, record: Mapping, case: SweepCase) -> Dict[str, object]:
+def _row(key: str, record: Mapping) -> Dict[str, object]:
+    case = record["case"]
     return {
         "key": key,
-        "case_id": case.case_id,
+        "case_id": case_id_of(case),
         "case": {
-            "arch": case.arch,
-            "num_chiplets": case.num_chiplets,
-            "workload": case.workload,
-            "seed": case.seed,
-            "noi_overrides": [list(p) for p in case.noi_overrides],
-            "tag": case.tag,
+            "arch": case["arch"],
+            "num_chiplets": case["num_chiplets"],
+            "workload": case["workload"],
+            "seed": case["seed"],
+            "noi_overrides": [[str(name), value]
+                              for name, value in case["noi_overrides"]],
+            "tag": case.get("tag", ""),
         },
         "metrics": dict(record["metrics"]),
         "elapsed_s": float(record["elapsed_s"]),
@@ -227,45 +254,42 @@ def query_results(store: ResultStore, query: ResultQuery) -> Dict[str, object]:
     deterministic ``(case_id, key)``-ordered page, ``aggregates`` maps
     each requested metric to its fold over all matches, and ``pivot``
     (present only when requested) is the mean table of the pivot
-    metric over workload rows x arch columns.
+    metric over workload rows x arch columns.  One pass over the
+    store's ordered records does all of it.
     """
-    matched: List[Tuple[str, str, Mapping, SweepCase]] = []
-    for key, record in store.iter_records():
-        case = case_from_record(record)
-        if query.matches(case):
-            matched.append((case.case_id, key, record, case))
-    matched.sort(key=lambda item: (item[0], item[1]))
-
     folds = {name: _MetricFold(RunningStats(name)) for name in query.metrics}
-    pivot = RunningPivot(query.pivot) if query.pivot else None
+    pivot = (
+        RunningPivot(query.pivot, row=itemgetter("workload"),
+                     col=itemgetter("arch"))
+        if query.pivot else None
+    )
     pivot_missing = 0
-    for _, key, record, case in matched:
+    limit = max(0, min(query.limit, MAX_PAGE_ROWS))
+    first, stop = query.offset, query.offset + limit
+    page: List[Tuple[str, Mapping]] = []
+    total = 0
+    for key, record in store.iter_records():
+        case = record["case"]
+        if not query.matches(case):
+            continue
+        if first <= total < stop:
+            page.append((key, record))
+        total += 1
         metrics = record["metrics"]
         for name, fold in folds.items():
-            if name in metrics:
-                value = metrics[name]
-                if isinstance(value, (int, float)) and math.isfinite(value):
-                    fold.stats.add(float(value))
-                else:
-                    fold.missing += 1
-            else:
-                fold.missing += 1
+            fold.add(metrics.get(name))
         if pivot is not None:
-            if query.pivot in metrics:
-                pivot.update(SweepResult(
-                    case=case, metrics=dict(metrics), elapsed_s=0.0,
-                ))
-            else:
+            value = _finite(metrics.get(query.pivot))
+            if value is None:
                 pivot_missing += 1
+            else:
+                pivot.add(case, value)
 
-    limit = max(0, min(query.limit, MAX_PAGE_ROWS))
-    page = matched[query.offset:query.offset + limit]
     out: Dict[str, object] = {
-        "total": len(matched),
+        "total": total,
         "offset": query.offset,
         "limit": limit,
-        "results": [_row(key, record, case)
-                    for _, key, record, case in page],
+        "results": [_row(key, record) for key, record in page],
         "aggregates": {
             name: fold.payload() for name, fold in folds.items()
         },

@@ -35,12 +35,12 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..obs.metrics import REGISTRY
-from .sweeps import Overrides, SweepCase, SweepResult
+from .sweeps import Overrides, SweepCase, SweepResult, case_id_of
 
 #: Bump to invalidate every stored result (record format change).
 STORE_SCHEMA_VERSION = 1
@@ -186,6 +186,20 @@ class ResultStore:
         #: it -- repeated queries over a quiescent store do no read
         #: I/O beyond one ``stat`` per consulted shard.
         self._sig: Dict[str, Tuple[int, int]] = {}
+        #: ``(case_id, key)`` of every indexed record, sorted as of the
+        #: last merge; enumeration walks it, so queries never sort.
+        self._order: List[Tuple[str, str]] = []
+        #: Keys indexed since the last merge, not yet in ``_order``.
+        self._pending: List[str] = []
+        #: Set when an indexed record's case changed or a shard was
+        #: rewritten: ``_order`` may hold stale entries and is rebuilt.
+        self._stale = False
+        #: The records in ``_order``, reused by every enumeration until
+        #: a record changes (``None``).  Records, not ``(key, record)``
+        #: pairs: every record carries its key as ``"k"``, and one list
+        #: of existing dicts adds no per-record object for the garbage
+        #: collector to trace.
+        self._ordered: Optional[List[dict]] = None
 
     # -- keys and paths ----------------------------------------------------
 
@@ -226,6 +240,8 @@ class ResultStore:
             prefix = shard.name[len("shard-"):len("shard-") + 2]
             for key in [k for k in self._records if k[:2] == prefix]:
                 del self._records[key]
+            self._stale = True
+            self._ordered = None
             consumed = 0
         if size == consumed:
             self._sig[shard.name] = sig
@@ -251,8 +267,45 @@ class ResultStore:
             except json.JSONDecodeError:
                 continue  # torn or corrupt line: skip, last-wins anyway
             if record.get("v") == STORE_SCHEMA_VERSION and "k" in record:
-                self._records[record["k"]] = record
+                self._index(record["k"], record)
         self._consumed[shard.name] = consumed + end + 1
+
+    def _index(self, key: str, record: dict) -> None:
+        """Make ``record`` the one for ``key`` (last writer wins).
+
+        A new key waits on ``_pending`` for the next :meth:`_merge`; a
+        known key whose case changed (same key, overrides reordered)
+        marks the order stale.  Re-reading a line this instance put
+        itself changes nothing.
+        """
+        old = self._records.get(key)
+        if old is None:
+            self._pending.append(key)
+        elif old.get("case") != record.get("case"):
+            self._stale = True
+        self._records[key] = record
+        self._ordered = None
+
+    def _merge(self) -> None:
+        """Fold pending keys into the ``(case_id, key)`` order.
+
+        Computes ``case_id`` for the pending records only and re-sorts
+        an almost-sorted list (timsort merges the appended run in
+        linear time); a stale order is rebuilt from every record.
+        """
+        if self._stale:
+            self._order = [(case_id_of(record["case"]), key)
+                           for key, record in self._records.items()]
+            self._stale = False
+        elif self._pending:
+            self._order.extend(
+                (case_id_of(self._records[key]["case"]), key)
+                for key in self._pending
+            )
+        else:
+            return
+        self._pending.clear()
+        self._order.sort()
 
     def _refresh_all(self) -> None:
         for shard in sorted(self.root.glob("shard-*.jsonl")):
@@ -348,8 +401,9 @@ class ResultStore:
         """
         return frozenset(key for key in keys if self._peek(key) is None)
 
-    def _complete_items(self) -> list:
-        """All ``(key, record)`` pairs that pass the completeness check.
+    def _complete_items(self) -> Iterator[Tuple[str, dict]]:
+        """All ``(key, record)`` pairs that pass the completeness check,
+        in ``(case_id, key)`` order.
 
         Shared by ``__len__``/``keys``/``iter_results`` so enumeration
         can never disagree with ``has``/``get`` about what the store
@@ -357,15 +411,18 @@ class ResultStore:
         nowhere).
         """
         self._refresh_all()
-        return [
-            (key, record)
-            for key, record in self._records.items()
+        if self._ordered is None:
+            self._merge()
+            records = self._records
+            self._ordered = [records[key] for _, key in self._order]
+        return (
+            (record["k"], record) for record in self._ordered
             if not (record.get("arrays")
-                    and not self._npz_path(key).exists())
-        ]
+                    and not self._npz_path(record["k"]).exists())
+        )
 
     def __len__(self) -> int:
-        return len(self._complete_items())
+        return sum(1 for _ in self._complete_items())
 
     def keys(self) -> Tuple[str, ...]:
         return tuple(key for key, _ in self._complete_items())
@@ -373,13 +430,17 @@ class ResultStore:
     def iter_records(self) -> Iterator[Tuple[str, dict]]:
         """All complete ``(key, record)`` pairs, payloads *not* loaded.
 
-        The record dicts are the raw JSONL lines (scalar metrics, case
-        axes, an ``arrays`` flag) -- what the query layer
-        (:mod:`repro.eval.queries`) filters and aggregates over without
-        paying npz I/O per candidate.  Treat the dicts as read-only.
-        Stats-neutral, like :meth:`iter_results`.
+        Yields in ascending ``(case_id, key)`` order, where ``case_id``
+        is :attr:`SweepCase.case_id` of the record's case -- the order
+        the query layer (:mod:`repro.eval.queries`) pages and folds in,
+        so it never sorts.  Each ``case_id`` is computed once per
+        record, when the record is first indexed.  The record dicts are
+        the raw JSONL lines (scalar metrics, case axes, an ``arrays``
+        flag), filtered and aggregated over without paying npz I/O per
+        candidate.  Treat the dicts as read-only.  Stats-neutral, like
+        :meth:`iter_results`.
         """
-        return iter(self._complete_items())
+        return self._complete_items()
 
     def iter_results(self) -> Iterator[SweepResult]:
         """All stored results, cases reconstructed from the records.
@@ -430,7 +491,7 @@ class ResultStore:
             os.write(fd, line)
         finally:
             os.close(fd)
-        self._records[key] = record
+        self._index(key, record)
         self.stats.puts += 1
         REGISTRY.counter("store_puts").inc()
         return True

@@ -60,6 +60,21 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 Overrides = Tuple[Tuple[str, float], ...]
 
 
+def case_id_of(case: Mapping) -> str:
+    """Display id of a case given as a mapping of its axes.
+
+    Reads ``arch``, ``num_chiplets``, ``workload``, ``seed`` and
+    ``noi_overrides`` -- a :class:`SweepCase`'s own fields or the
+    ``case`` mapping of a stored record -- so the store orders raw
+    records by exactly the id the dataclass reports.
+    """
+    over = ",".join(f"{k}={v}" for k, v in case["noi_overrides"])
+    return (
+        f"{case['arch']}/{case['num_chiplets']}/{case['workload']}"
+        f"/s{case['seed']}" + (f"/{over}" if over else "")
+    )
+
+
 @dataclass(frozen=True)
 class SweepCase:
     """One scenario: an architecture, a workload and parameter overrides.
@@ -87,11 +102,7 @@ class SweepCase:
 
     @property
     def case_id(self) -> str:
-        over = ",".join(f"{k}={v}" for k, v in self.noi_overrides)
-        return (
-            f"{self.arch}/{self.num_chiplets}/{self.workload}/s{self.seed}"
-            + (f"/{over}" if over else "")
-        )
+        return case_id_of(vars(self))
 
     def params(self) -> NoIParams:
         return replace(NoIParams(), **dict(self.noi_overrides))

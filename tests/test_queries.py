@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
+import threading
+import urllib.request
 
 import numpy as np
 import pytest
@@ -204,6 +207,90 @@ class TestAggregates:
         assert rows["uniform"]["siam"] == pytest.approx(4.5)
         assert rows["uniform"]["kite"] == pytest.approx(4.5)
         assert out["pivot"]["missing"] == 0
+
+
+class TestMissingValues:
+    """The pivot and the aggregates agree on which values are missing:
+    absent, non-numeric and non-finite ones."""
+
+    @pytest.fixture()
+    def odd(self, tmp_path):
+        store = ResultStore(tmp_path)
+        values = [1.0, 2, math.nan, math.inf, -math.inf, "x", None]
+        for seed, value in enumerate(values):
+            _put(store, SweepCase(arch="siam", num_chiplets=16, seed=seed),
+                 {"lat": value})
+        _put(store, SweepCase(arch="siam", num_chiplets=16, seed=99), {})
+        return tmp_path
+
+    def test_pivot_counts_what_aggregates_count(self, odd):
+        out = query_results(ResultStore(odd), ResultQuery(
+            metrics=("lat",), pivot="lat", limit=0,
+        ))
+        agg = out["aggregates"]["lat"]
+        assert (agg["count"], agg["missing"]) == (2, 6)
+        assert out["pivot"]["missing"] == agg["missing"]
+        assert out["pivot"]["rows"] == {"uniform": {"siam": 1.5}}
+
+    def test_service_body_is_strict_json(self, odd):
+        from repro.svc import start_service
+
+        service = start_service(odd, workers=1)
+        thread = threading.Thread(target=service.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        host, port = service.server_address[:2]
+        try:
+            url = (f"http://{host}:{port}/v1/results"
+                   "?pivot=lat&metric=lat&limit=0")
+            with urllib.request.urlopen(url, timeout=30) as response:
+                assert response.status == 200
+                body = response.read()
+        finally:
+            service.shutdown()
+            service.server_close()
+
+        def reject(constant):
+            raise ValueError(f"bare {constant} in the response body")
+
+        payload = json.loads(body, parse_constant=reject)
+        assert payload["pivot"]["missing"] == 6
+        assert payload["pivot"]["rows"] == {"uniform": {"siam": 1.5}}
+
+
+class TestParseOnce:
+    """Queries walk the store's ordered raw records: no SweepCase per
+    record, no re-read of a quiescent store, no repeated case_id."""
+
+    def test_quiescent_queries_parse_and_read_nothing(self, filled,
+                                                      monkeypatch):
+        from repro.eval import store as store_module
+
+        store, cases = filled
+        calls = []
+
+        def counting(name):
+            original = getattr(store_module, name)
+
+            def counted(arg):
+                calls.append(name)
+                return original(arg)
+            return counted
+
+        for name in ("case_from_record", "case_id_of"):
+            monkeypatch.setattr(store_module, name, counting(name))
+        query = ResultQuery(metrics=("value",), pivot="value", limit=3)
+        first = query_results(store, query)
+        # The first query indexes each record once; none is rebuilt
+        # into a SweepCase.
+        assert calls == ["case_id_of"] * len(cases)
+        reads = store.stats.shard_reads
+        calls.clear()
+        for _ in range(5):
+            assert query_results(store, query) == first
+        assert calls == []
+        assert store.stats.shard_reads == reads
 
 
 class TestParse:

@@ -13,7 +13,8 @@ from repro.eval.store import (
     case_key,
     evaluator_fingerprint,
 )
-from repro.eval.sweeps import SweepCase, SweepResult
+from repro.eval.queries import ResultQuery, query_results
+from repro.eval.sweeps import SweepCase, SweepResult, case_id_of
 
 
 def _fn_a(case):
@@ -463,10 +464,14 @@ class TestRefreshGuard:
         assert reader.has(k1) and reader.has(k2)
         shard = reader._shard_path(k1)
         first_line = shard.read_bytes().splitlines()[0] + b"\n"
+        assert [r["key"] for r in query_results(
+            reader, ResultQuery())["results"]] == [k1, k2]
         shard.write_bytes(first_line)
         assert reader.has(k1)
         assert not reader.has(k2)
         assert len(reader) == 1
+        assert [r["key"] for r in query_results(
+            reader, ResultQuery())["results"]] == [k1]
 
     def test_iter_records_skips_payload_io(self, tmp_path):
         from repro.eval.store import case_from_record
@@ -486,3 +491,99 @@ class TestRefreshGuard:
         assert reader.stats.hits == 0
         rebuilt = case_from_record(records[key])
         assert rebuilt == case
+
+
+class TestRecordOrder:
+    """``iter_records`` yields in ``(case_id, key)`` order, each
+    ``case_id`` computed once, when its record is first indexed."""
+
+    CASES = [
+        SweepCase(arch="siam", num_chiplets=16, seed=2, tag="β"),
+        SweepCase(arch="kite", num_chiplets=64, workload="uniform@0.1",
+                  seed=0, noi_overrides=(("fc_buffer_flits", 8),)),
+        SweepCase(arch="kite", num_chiplets=64, workload="uniform@0.1",
+                  seed=0, noi_overrides=(("fc_buffer_flits", 8.0),)),
+        SweepCase(arch="floret", num_chiplets=36, seed=1,
+                  noi_overrides=(("fc_credit_rtt", 2),
+                                 ("fc_buffer_flits", 16))),
+        SweepCase(arch="siam", num_chiplets=100, seed=0, tag="中"),
+    ]
+
+    @staticmethod
+    def _count_case_ids(monkeypatch):
+        from repro.eval import store as store_module
+
+        seen = []
+
+        def counted(case):
+            seen.append(case)
+            return case_id_of(case)
+
+        monkeypatch.setattr(store_module, "case_id_of", counted)
+        return seen
+
+    def test_iteration_is_case_id_ordered(self, tmp_path):
+        writer = ResultStore(tmp_path)
+        for case in self.CASES:
+            writer.put(case_key(case, FP), result_for(case))
+        want = sorted((c.case_id, case_key(c, FP)) for c in self.CASES)
+        for store in (writer, ResultStore(tmp_path)):
+            got = [(case_id_of(r["case"]), k)
+                   for k, r in store.iter_records()]
+            assert got == want
+            assert list(store.keys()) == [k for _, k in want]
+
+    def test_helper_equals_sweep_case_id_through_put(self, tmp_path):
+        writer = ResultStore(tmp_path)
+        for case in self.CASES:
+            writer.put(case_key(case, FP), result_for(case))
+        records = dict(ResultStore(tmp_path).iter_records())
+        for case in self.CASES:
+            record = records[case_key(case, FP)]
+            assert case_id_of(record["case"]) == case.case_id
+
+    def test_append_computes_only_the_new_case_id(self, tmp_path,
+                                                  monkeypatch):
+        writer = ResultStore(tmp_path)
+        for case in self.CASES[:-1]:
+            writer.put(case_key(case, FP), result_for(case))
+        reader = ResultStore(tmp_path)
+        seen = self._count_case_ids(monkeypatch)
+        assert len(list(reader.iter_records())) == len(self.CASES) - 1
+        assert len(seen) == len(self.CASES) - 1
+        seen.clear()
+        for _ in range(3):
+            list(reader.iter_records())
+        assert seen == []
+        new = self.CASES[-1]
+        writer.put(case_key(new, FP), result_for(new))
+        keys = [k for k, _ in reader.iter_records()]
+        assert [case_id_of(c) for c in seen] == [new.case_id]
+        assert keys == [k for _, k in sorted(
+            (c.case_id, case_key(c, FP)) for c in self.CASES)]
+
+    def test_reordered_overrides_replace_the_case_id(self, tmp_path):
+        # (a, b) and (b, a) share a key but not a case_id: last
+        # writer wins, for the order as well as for the record, so
+        # the key moves past c (ids: a < c < b).
+        a = SweepCase(arch="siam", num_chiplets=16,
+                      noi_overrides=(("fc_buffer_flits", 16),
+                                     ("fc_credit_rtt", 1)))
+        b = SweepCase(arch="siam", num_chiplets=16,
+                      noi_overrides=(("fc_credit_rtt", 1),
+                                     ("fc_buffer_flits", 16)))
+        c = SweepCase(arch="siam", num_chiplets=16,
+                      noi_overrides=(("fc_buffer_flits", 8),))
+        assert a.case_id < c.case_id < b.case_id
+        key, other = case_key(a, FP), case_key(c, FP)
+        assert key == case_key(b, FP)
+        writer = ResultStore(tmp_path)
+        reader = ResultStore(tmp_path)
+        writer.put(key, result_for(a))
+        writer.put(other, result_for(c))
+        assert [k for k, _ in reader.iter_records()] == [key, other]
+        writer.put(key, result_for(b))
+        for store in (writer, reader, ResultStore(tmp_path)):
+            assert [(k, case_id_of(r["case"]))
+                    for k, r in store.iter_records()] \
+                == [(other, c.case_id), (key, b.case_id)]
