@@ -10,11 +10,15 @@ millions-of-users story says it will be:
    the pool's drain threads).
 2. **Warm swarm**: N concurrent clients mix re-POSTs of the *same*
    grid (pure cache replay) with repeated ``/v1/results`` aggregate
-   queries and progress/metrics reads.  Gates: every warm sweep
-   performs **zero evaluations**, and the warm-query p99 latency stays
-   under ``P99_FLOOR_S`` -- repeated queries over a quiescent store
-   are dictionary reads, not file I/O, and the latency budget is how
-   that shows up externally.
+   queries (aggregates, pivots, axis and override filters) and
+   progress/metrics reads.  Gates: every warm sweep performs **zero
+   evaluations**, the warm-query p99 latency stays under
+   ``P99_FLOOR_S`` -- repeated queries over a quiescent store are
+   column-cache reads, not file I/O, and the latency budget is how
+   that shows up externally -- and every answer the clients got equals
+   ``query_results`` on a freshly opened store, so the service's
+   lazily built column cache never serves a torn or stale view under
+   concurrent clients.
 
 The cold-sweep vs warm-replay wall-clock ratio joins the drift-watched
 ``ratio-history.jsonl`` under ``REPRO_STORE_DIR`` (warn-only, like the
@@ -37,11 +41,19 @@ from pathlib import Path
 
 from _bench_utils import quick_mode, run_once
 
+from urllib.parse import parse_qs, urlsplit
+
 from repro.eval import (
+    ResultStore,
+    SweepRunner,
     append_ratio_history,
+    evaluate_comm_case,
     format_table,
     load_ratio_history,
+    parse_result_query,
+    query_results,
     ratio_drift_warning,
+    sweep_grid,
 )
 from repro.svc import start_service
 
@@ -60,6 +72,8 @@ QUERY_PATHS = (
     "/v1/results?arch=siam&pivot=latency_cycles",
     "/v1/results?workload=uniform&metric=latency_cycles&offset=4&limit=4",
     "/v1/results?seed=0&metric=energy_pj",
+    "/v1/results?override=flit_bytes=64&pivot=energy_pj&metric=energy_pj",
+    "/v1/results?arch=kite&override=flit_bytes=64&metric=total_flits",
 )
 
 
@@ -75,6 +89,21 @@ def _grid() -> dict:
         "workloads": ["uniform", "transpose"], "seeds": [0, 1, 2, 3],
         "tag": "svc-bench",
     }
+
+
+def _put_override_results(root, grid) -> None:
+    """Evaluate the grid's seed-0 cases with a ``flit_bytes`` override
+    straight into the store, for the override-filter queries.  Kept
+    out of the POSTed grid so the cold-vs-replay ratio keeps measuring
+    the same sweep."""
+    cases = sweep_grid(
+        archs=grid["archs"], sizes=grid["sizes"],
+        workloads=grid["workloads"], seeds=[0],
+        overrides=[(("flit_bytes", 64),)], tag=grid["tag"],
+    )
+    outcome = SweepRunner(evaluate_comm_case, workers=1,
+                          store=ResultStore(root)).run(cases)
+    assert not outcome.failures, outcome.failures
 
 
 def _get(base, path):
@@ -107,7 +136,7 @@ def _run_sweep(base, grid):
         time.sleep(0.02)
 
 
-def _warm_client(base, grid, latencies, sweep_walls, evaluated):
+def _warm_client(base, grid, latencies, sweep_walls, evaluated, answers):
     """One warm-phase client: cached sweeps + repeated queries."""
     for _ in range(SWEEPS_PER_CLIENT):
         t0 = time.perf_counter()
@@ -120,6 +149,7 @@ def _warm_client(base, grid, latencies, sweep_walls, evaluated):
         payload = _get(base, path)
         latencies.append(time.perf_counter() - t0)
         assert payload["total"] > 0
+        answers.append((path, payload))
     latencies.append(_timed_get(base, "/v1/metrics"))
     latencies.append(_timed_get(base, "/v1/healthz"))
 
@@ -128,6 +158,18 @@ def _timed_get(base, path):
     t0 = time.perf_counter()
     _get(base, path)
     return time.perf_counter() - t0
+
+
+def _stale_answers(root, answers):
+    """Paths whose swarm answer differs from a fresh store's."""
+    fresh = ResultStore(root)
+    want = {
+        path: json.loads(json.dumps(query_results(
+            fresh, parse_result_query(parse_qs(urlsplit(path).query)))))
+        for path in QUERY_PATHS
+    }
+    return sorted({path for path, payload in answers
+                   if payload != want[path]})
 
 
 def _percentile(samples, q):
@@ -164,14 +206,21 @@ def _run(tmp):
             "(duplicate or missing evaluations)"
         )
 
+        # The service's column cache is built over the grid's results,
+        # then extended by the swarm over the override results.
+        _get(base, QUERY_PATHS[0])
+        _put_override_results(root, grid)
+
         # 2. Warm swarm: concurrent cached sweeps + repeated queries.
         latencies: list = []
         sweep_walls: list = []
         evaluated: list = []
+        answers: list = []
         clients = [
             threading.Thread(
                 target=_warm_client,
-                args=(base, grid, latencies, sweep_walls, evaluated),
+                args=(base, grid, latencies, sweep_walls, evaluated,
+                      answers),
             )
             for _ in range(CLIENTS)
         ]
@@ -184,6 +233,7 @@ def _run(tmp):
     finally:
         service.shutdown()
         service.server_close()
+    stale = _stale_answers(root, answers)
 
     return {
         "total": total,
@@ -193,6 +243,8 @@ def _run(tmp):
         "warm_sweep_mean_s": sum(sweep_walls) / len(sweep_walls),
         "warm_evaluated": sum(evaluated),
         "queries": len(latencies),
+        "answers": len(answers),
+        "stale": stale,
         "p50_s": _percentile(latencies, 0.50),
         "p99_s": _percentile(latencies, 0.99),
         "replay_speedup": cold_s / max(
@@ -245,7 +297,12 @@ def test_service_load(benchmark, tmp_path):
             "unix_time": round(time.time(), 3),
         })
 
-    # Hard gates: cached work is free, and it is fast.
+    # Hard gates: cached work is free, fast, and answers what a fresh
+    # reader of the same store would.
+    assert out["answers"] == CLIENTS * QUERIES_PER_CLIENT
+    assert not out["stale"], (
+        f"warm answers differ from a fresh store's for {out['stale']}"
+    )
     assert out["warm_evaluated"] == 0, (
         f"warm sweeps re-evaluated {out['warm_evaluated']} cases; "
         "cached cases must never be recomputed"

@@ -9,32 +9,41 @@ equally usable from scripts against any store directory.
 
 Three properties matter for serving queries at scale:
 
-* **No payload I/O, no per-record objects.**  Filtering and
-  aggregation walk the store's raw JSONL records
-  (:meth:`~repro.eval.store.ResultStore.iter_records`) -- scalar
-  metrics and case axes only -- and test filters on each record's
-  ``case`` mapping directly; no :class:`~repro.eval.sweeps.SweepCase`
-  or :class:`~repro.eval.sweeps.SweepResult` is built per record, and
-  ``case_id`` is computed only for the returned page.  Array payloads
-  (npz) are never opened; a row merely reports ``has_arrays`` so a
-  client can fetch the heavy data by key through other means.
-  Combined with the store's (mtime, size) refresh guard, a repeated
-  query over a quiescent store touches no file contents at all.
+* **Array-speed filters and folds, no payload I/O.**  A query runs on
+  the store's column cache (:meth:`~repro.eval.store.ResultStore
+  .columns`): interned per-axis codes and float64 metric columns over
+  the raw JSONL records, which sit at stable positions.  Each filter
+  is evaluated once per *distinct* value of its axis and broadcast
+  into a position mask; the matches, in order, are ``perm[mask[perm]]``
+  for the store's ``(case_id, key)`` permutation ``perm``.  No
+  :class:`~repro.eval.sweeps.SweepCase` or
+  :class:`~repro.eval.sweeps.SweepResult` is built, and ``case_id``
+  is computed only for the returned page.  Array payloads (npz) are
+  never opened; only records flagged as having one are checked for
+  its existence, and a row merely reports ``has_arrays`` so a client
+  can fetch the heavy data by key through other means.  Combined with
+  the store's (mtime, size) refresh guard, a repeated query over a
+  quiescent store touches no file contents at all.
 * **Deterministic pagination.**  Matches come in ``(case_id, key)``
   order -- the order of the store's record index, kept sorted as
   records arrive, so a query never sorts -- and the ``offset``/
   ``limit`` window is cut from that order, so the same query against
   the same store content always returns the same page -- regardless
   of which worker wrote which record when.
-* **Server-side aggregates.**  Requested metrics fold through
-  :class:`~repro.eval.stream.RunningStats` (Neumaier-compensated, the
-  same machinery as the streaming sweeps) over *all* matches -- not
-  just the returned page -- in the deterministic order above, so
-  identical store content yields bit-identical aggregates.  An
-  optional pivot metric folds a :class:`~repro.eval.stream
-  .RunningPivot` (workload rows x arch columns, like
-  ``SweepOutcome.pivot``).  Aggregates and pivot count the same
-  values as ``missing``: absent, non-numeric or non-finite ones.
+* **Server-side aggregates.**  Requested metrics fold through one
+  bulk :meth:`~repro.obs.metrics.StreamingStats.extend`
+  (Neumaier-compensated, the same arithmetic as the streaming sweeps)
+  over *all* matches -- not just the returned page -- in the
+  deterministic order above, so identical store content yields
+  bit-identical aggregates.  An optional pivot metric folds each
+  (workload row, arch column) cell the same way, rows and columns in
+  first-appearance order (the table ``SweepOutcome.pivot`` and
+  :class:`~repro.eval.stream.RunningPivot` build).  Aggregates and
+  pivot count the same values as ``missing``: absent, non-numeric,
+  non-finite or too large for a float
+  (:func:`~repro.eval.store.finite_float`).  Page rows echo stored
+  metrics, with NaN and infinities as ``null`` so every response is
+  strict JSON.
 """
 
 from __future__ import annotations
@@ -42,11 +51,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .store import ResultStore
-from .stream import RunningPivot, RunningStats
+import numpy as np
+
+from ..obs.metrics import StreamingStats
+from .store import RecordColumns, ResultStore
 from .sweeps import case_id_of
 
 __all__ = [
@@ -84,38 +94,14 @@ class ResultQuery:
     offset: int = 0
     limit: int = 50
 
-    def matches(self, case: Mapping) -> bool:
-        """Whether a stored record's ``case`` mapping passes the filters."""
-        if self.archs and case["arch"] not in self.archs:
-            return False
-        if self.sizes and case["num_chiplets"] not in self.sizes:
-            return False
-        if self.workloads and case["workload"] not in self.workloads:
-            return False
-        if self.seeds and case["seed"] not in self.seeds:
-            return False
-        if self.tags and case.get("tag", "") not in self.tags:
-            return False
-        if self.overrides:
-            have = {str(name): value
-                    for name, value in case["noi_overrides"]}
-            for name, value in self.overrides:
-                if name not in have or not _values_equal(have[name], value):
-                    return False
-        return True
-
-
-def _finite(value: object) -> Optional[float]:
-    """``value`` as a float if it is a finite number, else ``None``."""
-    if isinstance(value, (int, float)) and math.isfinite(value):
-        return float(value)
-    return None
-
 
 def _values_equal(a: object, b: object) -> bool:
     """Override-value equality: numbers numerically, the rest exactly."""
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return float(a) == float(b)
+        try:
+            return float(a) == float(b)
+        except OverflowError:  # an int too large for a float
+            return a == b
     return a == b
 
 
@@ -197,39 +183,113 @@ def parse_result_query(
     )
 
 
-@dataclass
-class _MetricFold:
-    """One metric's server-side aggregate over the matched results."""
-
-    stats: RunningStats
-    #: Matches that lacked the metric or held no finite number for it
-    #: (mixed-evaluator stores are normal; the count is surfaced
-    #: instead of raising mid-fold).
-    missing: int = 0
-
-    def add(self, value: object) -> None:
-        number = _finite(value)
-        if number is None:
-            self.missing += 1
-        else:
-            self.stats.add(number)
-
-    def payload(self) -> Dict[str, object]:
-        count = self.stats.count
-        return {
-            "count": count,
-            "sum": self.stats.sum if count else 0.0,
-            "mean": self.stats.mean if count else None,
-            "min": self.stats.min if count else None,
-            "max": self.stats.max if count else None,
-            "missing": self.missing,
-        }
+def _member(value: object, wanted: Tuple[object, ...]) -> bool:
+    """Axis filter: the value is one of the wanted ones."""
+    return value in wanted
 
 
-def _row(key: str, record: Mapping) -> Dict[str, object]:
+def _has_overrides(pairs, wanted: Tuple[Tuple[str, object], ...]) -> bool:
+    """Override filter: every wanted ``(name, value)`` pair is present."""
+    have = {str(name): value for name, value in pairs}
+    return all(name in have and _values_equal(have[name], value)
+               for name, value in wanted)
+
+
+def _matches(columns: RecordColumns, query: ResultQuery) -> np.ndarray:
+    """Positions of the matching records, in ``(case_id, key)`` order.
+
+    Each filter runs once per *distinct* value of its axis; the
+    per-value verdicts are broadcast over the records through the
+    axis codes into one position mask.
+    """
+    mask = None
+    for axis, wanted, test in (
+        ("arch", query.archs, _member),
+        ("num_chiplets", query.sizes, _member),
+        ("workload", query.workloads, _member),
+        ("seed", query.seeds, _member),
+        ("tag", query.tags, _member),
+        ("noi_overrides", query.overrides, _has_overrides),
+    ):
+        if not wanted:
+            continue
+        codes, distinct = columns.axis(axis)
+        keep = np.fromiter((test(value, wanted) for value in distinct),
+                           bool, len(distinct))[codes]
+        mask = keep if mask is None else mask & keep
+    perm = columns.perm
+    return columns.complete(perm if mask is None else perm[mask[perm]])
+
+
+def _fold(values: np.ndarray) -> StreamingStats:
+    """Neumaier fold of the finite ``values`` (NaN = missing), in order."""
+    stats = StreamingStats()
+    stats.extend(values[~np.isnan(values)].tolist())
+    return stats
+
+
+def _aggregate(values: np.ndarray) -> Dict[str, object]:
+    """One metric's aggregate over the matches' column values.
+
+    Matches without a finite number for the metric are counted as
+    ``missing`` (mixed-evaluator stores are normal) instead of raising
+    mid-fold.
+    """
+    stats = _fold(values)
+    count = stats.count
+    return {
+        "count": count,
+        "sum": stats.sum if count else 0.0,
+        "mean": stats.mean if count else None,
+        "min": stats.min if count else None,
+        "max": stats.max if count else None,
+        "missing": len(values) - count,
+    }
+
+
+def _pivot(columns: RecordColumns, matches: np.ndarray,
+           metric: str) -> Dict[str, object]:
+    """Mean of ``metric`` per (workload row, arch column) cell.
+
+    Each cell folds its values in match order; rows, and the columns
+    within a row, come out in order of first appearance among the
+    finite values -- the table a per-record
+    :class:`~repro.eval.stream.RunningPivot` fold would build.
+    """
+    values = columns.metric(metric)[matches]
+    finite = ~np.isnan(values)
+    row_codes, rows = columns.axis("workload")
+    col_codes, cols = columns.axis("arch")
+    cell = (row_codes[matches[finite]] * len(cols)
+            + col_codes[matches[finite]])
+    order = np.argsort(cell, kind="stable")
+    cells, first, counts = np.unique(cell, return_index=True,
+                                     return_counts=True)
+    groups = np.split(values[finite][order], np.cumsum(counts)[:-1])
+    table: Dict[object, Dict[object, float]] = {}
+    for _, code, group in sorted(zip(first.tolist(), cells.tolist(),
+                                     groups)):
+        row, col = divmod(code, len(cols))
+        table.setdefault(rows[row], {})[cols[col]] = _fold(group).mean
+    return {
+        "metric": metric,
+        "missing": int(len(values) - finite.sum()),
+        "rows": {str(row): {str(col): mean for col, mean in means.items()}
+                 for row, means in table.items()},
+    }
+
+
+def _json_number(value: object) -> object:
+    """``value`` with NaN/inf floats as ``None`` (strict JSON ``null``)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _row(record: Mapping) -> Dict[str, object]:
     case = record["case"]
     return {
-        "key": key,
+        "key": record["k"],
         "case_id": case_id_of(case),
         "case": {
             "arch": case["arch"],
@@ -240,7 +300,8 @@ def _row(key: str, record: Mapping) -> Dict[str, object]:
                               for name, value in case["noi_overrides"]],
             "tag": case.get("tag", ""),
         },
-        "metrics": dict(record["metrics"]),
+        "metrics": {name: _json_number(value)
+                    for name, value in record["metrics"].items()},
         "elapsed_s": float(record["elapsed_s"]),
         "has_arrays": bool(record.get("arrays")),
     }
@@ -254,53 +315,25 @@ def query_results(store: ResultStore, query: ResultQuery) -> Dict[str, object]:
     deterministic ``(case_id, key)``-ordered page, ``aggregates`` maps
     each requested metric to its fold over all matches, and ``pivot``
     (present only when requested) is the mean table of the pivot
-    metric over workload rows x arch columns.  One pass over the
-    store's ordered records does all of it.
+    metric over workload rows x arch columns.  Filters, folds and the
+    page all work on the store's column cache
+    (:meth:`~repro.eval.store.ResultStore.columns`).
     """
-    folds = {name: _MetricFold(RunningStats(name)) for name in query.metrics}
-    pivot = (
-        RunningPivot(query.pivot, row=itemgetter("workload"),
-                     col=itemgetter("arch"))
-        if query.pivot else None
-    )
-    pivot_missing = 0
+    columns = store.columns()
+    matches = _matches(columns, query)
     limit = max(0, min(query.limit, MAX_PAGE_ROWS))
-    first, stop = query.offset, query.offset + limit
-    page: List[Tuple[str, Mapping]] = []
-    total = 0
-    for key, record in store.iter_records():
-        case = record["case"]
-        if not query.matches(case):
-            continue
-        if first <= total < stop:
-            page.append((key, record))
-        total += 1
-        metrics = record["metrics"]
-        for name, fold in folds.items():
-            fold.add(metrics.get(name))
-        if pivot is not None:
-            value = _finite(metrics.get(query.pivot))
-            if value is None:
-                pivot_missing += 1
-            else:
-                pivot.add(case, value)
-
+    page = matches[query.offset:query.offset + limit].tolist()
+    rows = columns.rows
     out: Dict[str, object] = {
-        "total": total,
+        "total": len(matches),
         "offset": query.offset,
         "limit": limit,
-        "results": [_row(key, record) for key, record in page],
+        "results": [_row(rows[pos]) for pos in page],
         "aggregates": {
-            name: fold.payload() for name, fold in folds.items()
+            name: _aggregate(columns.metric(name)[matches])
+            for name in query.metrics
         },
     }
-    if pivot is not None:
-        out["pivot"] = {
-            "metric": query.pivot,
-            "missing": pivot_missing,
-            "rows": {
-                str(row): {str(col): mean for col, mean in cols.items()}
-                for row, cols in pivot.table().items()
-            },
-        }
+    if query.pivot:
+        out["pivot"] = _pivot(columns, matches, query.pivot)
     return out

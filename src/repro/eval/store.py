@@ -16,7 +16,11 @@ On-disk layout (all under one root directory):
   scalar metrics and the elapsed time.  Appends go through a single
   ``O_APPEND`` ``write`` of one complete line, which POSIX keeps atomic
   for concurrent writer processes; readers tolerate a torn tail line by
-  never consuming bytes past the last newline.
+  never consuming bytes past the last newline.  A reader decodes the
+  complete lines appended since its last look with one ``json.loads``
+  of them joined into a JSON array, and decodes line by line --
+  skipping corrupt lines and values that are not records -- only when
+  that fails.
 * ``arrays/<key>.npz`` -- array-valued payloads (thermal tier maps and
   the like), written to a temp file and ``os.replace``d into place so a
   reader never observes a partial archive.
@@ -31,9 +35,11 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -165,6 +171,11 @@ class ResultStore:
     index per shard and incrementally re-reads only bytes appended by
     other processes since its last look, so ``get`` stays cheap inside
     a streaming loop.
+
+    The index keeps every record at a stable position, the
+    ``(case_id, key)`` order of those positions (enumeration and
+    queries never sort), and a lazily built :class:`RecordColumns`
+    cache for the query layer (:meth:`columns`).
     """
 
     def __init__(self, root) -> None:
@@ -177,8 +188,13 @@ class ResultStore:
         #: directory layout is defined in one place; claim files are
         #: transient coordination state, never results.
         self.claims_root = self.root / "claims"
-        self._records: Dict[str, dict] = {}
-        #: Bytes of each shard already folded into ``_records``.
+        #: Every indexed record at a stable position: appends extend
+        #: the list, a rewritten key keeps its slot, and only a shard
+        #: rewritten shorter compacts it.
+        self._rows: List[dict] = []
+        #: Position of each key's record in ``_rows``.
+        self._pos: Dict[str, int] = {}
+        #: Bytes of each shard already folded into ``_rows``.
         self._consumed: Dict[str, int] = {}
         #: ``(st_mtime_ns, st_size)`` of each shard at its last
         #: refresh: an unchanged signature means no appender has
@@ -186,20 +202,21 @@ class ResultStore:
         #: it -- repeated queries over a quiescent store do no read
         #: I/O beyond one ``stat`` per consulted shard.
         self._sig: Dict[str, Tuple[int, int]] = {}
-        #: ``(case_id, key)`` of every indexed record, sorted as of the
-        #: last merge; enumeration walks it, so queries never sort.
-        self._order: List[Tuple[str, str]] = []
-        #: Keys indexed since the last merge, not yet in ``_order``.
-        self._pending: List[str] = []
+        #: ``(case_id, key, position)`` of every indexed record, sorted
+        #: as of the last merge; enumeration walks it, so queries never
+        #: sort.
+        self._order: List[Tuple[str, str, int]] = []
+        #: Positions indexed since the last merge, not yet in ``_order``.
+        self._pending: List[int] = []
         #: Set when an indexed record's case changed or a shard was
         #: rewritten: ``_order`` may hold stale entries and is rebuilt.
         self._stale = False
-        #: The records in ``_order``, reused by every enumeration until
-        #: a record changes (``None``).  Records, not ``(key, record)``
-        #: pairs: every record carries its key as ``"k"``, and one list
-        #: of existing dicts adds no per-record object for the garbage
-        #: collector to trace.
-        self._ordered: Optional[List[dict]] = None
+        #: The positions of ``_order`` as an int64 permutation, built
+        #: on demand for the column cache (``None`` after a merge).
+        self._perm: Optional[np.ndarray] = None
+        #: Lazily built :class:`RecordColumns`; dropped when a record
+        #: changes in place or positions are compacted.
+        self._columns: Optional[RecordColumns] = None
 
     # -- keys and paths ----------------------------------------------------
 
@@ -238,10 +255,11 @@ class ResultStore:
             # Rewritten shorter: forget everything this shard
             # contributed (keys carry their shard prefix) and rebuild.
             prefix = shard.name[len("shard-"):len("shard-") + 2]
-            for key in [k for k in self._records if k[:2] == prefix]:
-                del self._records[key]
+            self._rows = [r for r in self._rows if r["k"][:2] != prefix]
+            self._pos = {r["k"]: p for p, r in enumerate(self._rows)}
+            self._pending.clear()
             self._stale = True
-            self._ordered = None
+            self._columns = None
             consumed = 0
         if size == consumed:
             self._sig[shard.name] = sig
@@ -259,57 +277,67 @@ class ResultStore:
         if end < 0:
             self._consumed[shard.name] = consumed
             return
-        for line in chunk[: end + 1].splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn or corrupt line: skip, last-wins anyway
-            if record.get("v") == STORE_SCHEMA_VERSION and "k" in record:
+        for record in _decode_lines(chunk[: end + 1]):
+            if (isinstance(record, dict)
+                    and record.get("v") == STORE_SCHEMA_VERSION
+                    and "k" in record):
                 self._index(record["k"], record)
         self._consumed[shard.name] = consumed + end + 1
 
     def _index(self, key: str, record: dict) -> None:
         """Make ``record`` the one for ``key`` (last writer wins).
 
-        A new key waits on ``_pending`` for the next :meth:`_merge`; a
-        known key whose case changed (same key, overrides reordered)
-        marks the order stale.  Re-reading a line this instance put
-        itself changes nothing.
+        A new key takes the next position and waits on ``_pending`` for
+        the next :meth:`_merge`.  A known key keeps its position; if
+        the record encodes differently (JSON, so ``-0.0`` differs from
+        ``0.0`` and ``true`` from ``1``), the column cache is dropped,
+        and if its case changed (same key, overrides reordered) the
+        order is stale.  Re-reading a line this instance put itself
+        changes nothing.
         """
-        old = self._records.get(key)
-        if old is None:
-            self._pending.append(key)
-        elif old.get("case") != record.get("case"):
-            self._stale = True
-        self._records[key] = record
-        self._ordered = None
+        pos = self._pos.get(key)
+        if pos is None:
+            pos = self._pos[key] = len(self._rows)
+            self._rows.append(record)
+            self._pending.append(pos)
+            return
+        old = self._rows[pos]
+        self._rows[pos] = record
+        if (json.dumps(old, sort_keys=True)
+                != json.dumps(record, sort_keys=True)):
+            self._columns = None
+            if old.get("case") != record.get("case"):
+                self._stale = True
 
     def _merge(self) -> None:
-        """Fold pending keys into the ``(case_id, key)`` order.
+        """Fold pending positions into the ``(case_id, key)`` order.
 
         Computes ``case_id`` for the pending records only and re-sorts
         an almost-sorted list (timsort merges the appended run in
         linear time); a stale order is rebuilt from every record.
         """
+        rows = self._rows
         if self._stale:
-            self._order = [(case_id_of(record["case"]), key)
-                           for key, record in self._records.items()]
+            self._order = [(case_id_of(record["case"]), record["k"], pos)
+                           for pos, record in enumerate(rows)]
             self._stale = False
         elif self._pending:
             self._order.extend(
-                (case_id_of(self._records[key]["case"]), key)
-                for key in self._pending
+                (case_id_of(rows[pos]["case"]), rows[pos]["k"], pos)
+                for pos in self._pending
             )
         else:
             return
         self._pending.clear()
         self._order.sort()
+        self._perm = None
 
     def _refresh_all(self) -> None:
-        for shard in sorted(self.root.glob("shard-*.jsonl")):
-            self._refresh_shard(shard)
+        # Names sorted as strings: sorting a glob's Path objects costs
+        # about as much as the per-shard stat calls themselves.
+        for name in sorted(os.listdir(self.root)):
+            if name.startswith("shard-") and name.endswith(".jsonl"):
+                self._refresh_shard(self.root / name)
 
     def _peek(self, key: str) -> Optional[dict]:
         """Complete record for ``key`` or ``None``; never touches stats.
@@ -320,9 +348,10 @@ class ResultStore:
         ``get``.
         """
         self._refresh_shard(self._shard_path(key))
-        record = self._records.get(key)
-        if record is None:
+        pos = self._pos.get(key)
+        if pos is None:
             return None
+        record = self._rows[pos]
         if record.get("arrays") and not self._npz_path(key).exists():
             return None
         return record
@@ -410,16 +439,29 @@ class ResultStore:
         contains (a record whose ``.npz`` payload is gone counts
         nowhere).
         """
+        columns = self.columns()
+        rows = columns.rows
+        return ((rows[pos]["k"], rows[pos])
+                for pos in columns.complete(columns.perm).tolist())
+
+    def columns(self) -> "RecordColumns":
+        """The column cache over every indexed record, refreshed.
+
+        Picks up appends from other writers first, so ``perm`` lists
+        every indexed record in ``(case_id, key)`` order.  Records
+        whose flagged ``.npz`` is gone are still listed;
+        :meth:`RecordColumns.complete` drops them from a set of
+        positions.  Stats-neutral.
+        """
         self._refresh_all()
-        if self._ordered is None:
-            self._merge()
-            records = self._records
-            self._ordered = [records[key] for _, key in self._order]
-        return (
-            (record["k"], record) for record in self._ordered
-            if not (record.get("arrays")
-                    and not self._npz_path(record["k"]).exists())
-        )
+        self._merge()
+        if self._columns is None:
+            self._columns = RecordColumns(self._rows, self._npz_path)
+        if self._perm is None:
+            self._perm = np.fromiter(map(itemgetter(2), self._order),
+                                     np.int64, len(self._order))
+        self._columns.perm = self._perm
+        return self._columns
 
     def __len__(self) -> int:
         return sum(1 for _ in self._complete_items())
@@ -522,6 +564,138 @@ class ResultStore:
                     os.unlink(tmp)
                 except FileNotFoundError:
                     pass
+
+
+def _decode_lines(data: bytes) -> list:
+    """The JSON values of ``data``'s non-blank lines; bad lines dropped.
+
+    One ``json.loads`` over the lines joined into a JSON array decodes
+    a whole chunk at once.  If that raises (a corrupt or blank line)
+    or yields a different number of values than there are lines (a
+    line holding two values), each non-blank line is decoded on its
+    own and the ones that fail are skipped -- torn or corrupt, last
+    writer wins anyway.
+    """
+    lines = data.splitlines()
+    try:
+        values = json.loads(b"[" + b",".join(lines) + b"]")
+    except ValueError:
+        values = None
+    if values is not None and len(values) == len(lines):
+        return values
+    values = []
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            values.append(json.loads(line))
+        except ValueError:
+            continue
+    return values
+
+
+def finite_float(value: object) -> Optional[float]:
+    """``value`` as a float if it is a finite number, else ``None``.
+
+    The one rule for which stored metric values count: booleans count
+    as numbers, while strings, ``None``, NaN, infinities and integers
+    too large for a float are missing.
+    """
+    if isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            return None
+        if math.isfinite(number):
+            return number
+    return None
+
+
+def _frozen(value: object) -> object:
+    """``value``, hashable: JSON lists (override pairs) become tuples."""
+    return tuple(map(_frozen, value)) if type(value) is list else value
+
+
+_CASE = itemgetter("case")
+
+#: How :meth:`RecordColumns.axis` reads each axis from a record's case.
+_AXES = {
+    "arch": itemgetter("arch"),
+    "num_chiplets": itemgetter("num_chiplets"),
+    "workload": itemgetter("workload"),
+    "seed": itemgetter("seed"),
+    "tag": methodcaller("get", "tag", ""),
+    "noi_overrides": lambda case: _frozen(case["noi_overrides"]),
+}
+
+
+class RecordColumns:
+    """Array views over a store's records, indexed by position.
+
+    Built lazily, one column at a time, by :meth:`ResultStore.columns`
+    for the query layer.  An axis column holds one interned code per
+    record plus the list of distinct values, so a filter is evaluated
+    once per distinct value and broadcast as ``keep[codes]``.  A metric
+    column holds the metric as float64, NaN wherever
+    :func:`finite_float` says it is missing.  ``perm`` lists every
+    position in ``(case_id, key)`` order.
+
+    Positions are stable, so a column built over the first ``n``
+    records stays valid while records are appended; the next access
+    extends it over the new ones.  The store drops the whole cache
+    when a record changes in place or positions are compacted.
+    """
+
+    def __init__(self, rows: List[dict], npz_path) -> None:
+        self.rows = rows
+        self.perm = np.empty(0, np.int64)
+        self._npz_path = npz_path
+        self._axes: Dict[str, Tuple[np.ndarray, list, dict]] = {}
+        self._metrics: Dict[str, np.ndarray] = {}
+        self._flags = np.empty(0, bool)
+
+    def axis(self, name: str) -> Tuple[np.ndarray, list]:
+        """``(codes, distinct)``: ``distinct[codes[p]]`` equals record
+        ``p``'s value of axis ``name`` (one of ``_AXES``; JSON lists
+        come back as tuples)."""
+        codes, distinct, index = self._axes.get(
+            name, (np.empty(0, np.intp), [], {}))
+        new = self.rows[len(codes):]
+        if new:
+            values = list(map(_AXES[name], map(_CASE, new)))
+            for value in dict.fromkeys(values):
+                if index.setdefault(value, len(distinct)) == len(distinct):
+                    distinct.append(value)
+            codes = np.concatenate([codes, np.fromiter(
+                map(index.__getitem__, values), np.intp, len(values))])
+            self._axes[name] = (codes, distinct, index)
+        return codes, distinct
+
+    def metric(self, name: str) -> np.ndarray:
+        """Metric ``name`` of every record, NaN where it is missing."""
+        column = self._metrics.get(name, np.empty(0))
+        new = self.rows[len(column):]
+        if new:
+            values = list(map(methodcaller("get", name),
+                              map(itemgetter("metrics"), new)))
+            fresh = np.array(list(map(finite_float, values)), np.float64)
+            column = self._metrics[name] = np.concatenate([column, fresh])
+        return column
+
+    def complete(self, positions: np.ndarray) -> np.ndarray:
+        """``positions`` without records whose flagged ``.npz`` is gone
+        (the same completeness rule as :meth:`ResultStore.has`)."""
+        new = self.rows[len(self._flags):]
+        if new:
+            self._flags = np.concatenate([self._flags, np.fromiter(
+                map(bool, map(methodcaller("get", "arrays"), new)), bool,
+                len(new))])
+        rows = self.rows
+        gone = [pos for pos in positions[self._flags[positions]].tolist()
+                if not self._npz_path(rows[pos]["k"]).exists()]
+        if not gone:
+            return positions
+        return positions[~np.isin(positions, gone)]
 
 
 def _overrides_from_json(pairs) -> Overrides:

@@ -118,17 +118,9 @@ class RunningPivot:
                 f"metric {self.metric!r} absent from "
                 f"{result.case.case_id} (has {sorted(result.metrics)})"
             )
-        self.add(result.case, float(result.metrics[self.metric]))
-
-    def add(self, case, value: float) -> None:
-        """Fold one ``value`` into the cell ``(row(case), col(case))``.
-
-        ``case`` is whatever ``row``/``col`` read: a :class:`SweepCase`
-        for :meth:`update`, a stored record's case mapping for the
-        query layer.
-        """
-        cols = self._cells.setdefault(self._row(case), {})
-        col = self._col(case)
+        value = float(result.metrics[self.metric])
+        cols = self._cells.setdefault(self._row(result.case), {})
+        col = self._col(result.case)
         cell = cols.get(col)
         if cell is None:
             cell = cols[col] = RunningStats(self.metric)

@@ -68,11 +68,12 @@ def case_id_of(case: Mapping) -> str:
     ``case`` mapping of a stored record -- so the store orders raw
     records by exactly the id the dataclass reports.
     """
-    over = ",".join(f"{k}={v}" for k, v in case["noi_overrides"])
-    return (
-        f"{case['arch']}/{case['num_chiplets']}/{case['workload']}"
-        f"/s{case['seed']}" + (f"/{over}" if over else "")
-    )
+    head = (f"{case['arch']}/{case['num_chiplets']}/{case['workload']}"
+            f"/s{case['seed']}")
+    over = case["noi_overrides"]
+    if not over:
+        return head
+    return head + "/" + ",".join([f"{k}={v}" for k, v in over])
 
 
 @dataclass(frozen=True)

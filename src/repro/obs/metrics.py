@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -51,18 +51,32 @@ class StreamingStats:
         self.max = float("-inf")
 
     def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        t = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._compensation += (self._sum - t) + value
-        else:
-            self._compensation += (value - t) + self._sum
-        self._sum = t
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        self.extend((value,))
+
+    def extend(self, values: Iterable[float]) -> None:
+        """Fold ``values`` in order, exactly as repeated :meth:`add` would.
+
+        The one home of the arithmetic: the Neumaier step per value and
+        first-wins extrema (a later value equal to the current min/max,
+        such as ``-0.0`` after ``0.0``, does not replace it).
+        """
+        total, comp, count = self._sum, self._compensation, self.count
+        lo, hi = self.min, self.max
+        for value in values:
+            value = float(value)
+            count += 1
+            t = total + value
+            if abs(total) >= abs(value):
+                comp += (total - t) + value
+            else:
+                comp += (value - t) + total
+            total = t
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+        self._sum, self._compensation, self.count = total, comp, count
+        self.min, self.max = lo, hi
 
     @property
     def sum(self) -> float:

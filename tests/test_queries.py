@@ -233,30 +233,86 @@ class TestMissingValues:
         assert out["pivot"]["rows"] == {"uniform": {"siam": 1.5}}
 
     def test_service_body_is_strict_json(self, odd):
-        from repro.svc import start_service
-
-        service = start_service(odd, workers=1)
-        thread = threading.Thread(target=service.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
-        host, port = service.server_address[:2]
-        try:
-            url = (f"http://{host}:{port}/v1/results"
-                   "?pivot=lat&metric=lat&limit=0")
-            with urllib.request.urlopen(url, timeout=30) as response:
-                assert response.status == 200
-                body = response.read()
-        finally:
-            service.shutdown()
-            service.server_close()
-
-        def reject(constant):
-            raise ValueError(f"bare {constant} in the response body")
-
-        payload = json.loads(body, parse_constant=reject)
+        payload = _strict_json(
+            _served_body(odd, "pivot=lat&metric=lat&limit=0"))
         assert payload["pivot"]["missing"] == 6
         assert payload["pivot"]["rows"] == {"uniform": {"siam": 1.5}}
+
+    def test_page_rows_emit_null_for_nan_and_inf(self, odd):
+        out = query_results(ResultStore(odd), ResultQuery(limit=100))
+        lat = [row["metrics"].get("lat", "absent")
+               for row in sorted(out["results"],
+                                 key=lambda r: r["case"]["seed"])]
+        assert lat == [1.0, 2, None, None, None, "x", None, "absent"]
+        rows = _strict_json(_served_body(odd, "limit=100"))["results"]
+        assert [r["metrics"].get("lat", "absent") for r in rows] == [
+            r["metrics"].get("lat", "absent") for r in out["results"]]
+
+
+def _strict_json(body: bytes):
+    """``body`` parsed, rejecting bare NaN/Infinity (invalid JSON)."""
+    def reject(constant):
+        raise ValueError(f"bare {constant} in the response body")
+
+    return json.loads(body, parse_constant=reject)
+
+
+def _served_body(root, query: str) -> bytes:
+    """The raw ``/v1/results?<query>`` body of a service over ``root``."""
+    from repro.svc import start_service
+
+    service = start_service(root, workers=1)
+    thread = threading.Thread(target=service.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    host, port = service.server_address[:2]
+    try:
+        url = f"http://{host}:{port}/v1/results?{query}"
+        with urllib.request.urlopen(url, timeout=30) as response:
+            assert response.status == 200
+            return response.read()
+    finally:
+        service.shutdown()
+        service.server_close()
+
+
+class TestHugeIntegers:
+    """An integer metric too large for a float is missing, not fatal."""
+
+    @pytest.fixture()
+    def huge(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for seed, value in enumerate([10 ** 400, 3.0, -(10 ** 400), 5]):
+            _put(store, SweepCase(arch="kite", num_chiplets=16, seed=seed),
+                 {"lat": value})
+        return tmp_path
+
+    def test_direct_query_counts_them_missing(self, huge):
+        out = query_results(ResultStore(huge), ResultQuery(
+            metrics=("lat",), pivot="lat", limit=10,
+        ))
+        agg = out["aggregates"]["lat"]
+        assert (agg["count"], agg["missing"]) == (2, 2)
+        assert (agg["sum"], agg["min"], agg["max"]) == (8.0, 3.0, 5.0)
+        assert out["pivot"]["missing"] == 2
+        assert out["pivot"]["rows"] == {"uniform": {"kite": 4.0}}
+        # The page echoes the stored integer exactly.
+        assert out["results"][0]["metrics"]["lat"] == 10 ** 400
+
+    def test_override_filter_on_a_huge_integer(self, huge):
+        store = ResultStore(huge)
+        _put(store, SweepCase(arch="kite", num_chiplets=16, seed=9,
+                              noi_overrides=(("flit_bytes", 10 ** 400),)),
+             {"lat": 1.0})
+        for value, total in ((10 ** 400, 1), (10 ** 400 + 1, 0), (64, 0)):
+            out = query_results(store, ResultQuery(
+                overrides=(("flit_bytes", value),)))
+            assert out["total"] == total
+
+    def test_service_answers_instead_of_dropping(self, huge):
+        payload = json.loads(_served_body(huge, "metric=lat&pivot=lat"))
+        assert payload["aggregates"]["lat"]["missing"] == 2
+        assert payload["pivot"]["rows"] == {"uniform": {"kite": 4.0}}
 
 
 class TestParseOnce:
@@ -291,6 +347,116 @@ class TestParseOnce:
             assert query_results(store, query) == first
         assert calls == []
         assert store.stats.shard_reads == reads
+
+
+class TestColumns:
+    """Filters run once per distinct axis value, never per record."""
+
+    def test_predicates_run_once_per_distinct_value(self, tmp_path,
+                                                    monkeypatch):
+        from repro.eval import queries
+
+        store = ResultStore(tmp_path)
+        for seed in range(30):
+            _put(store, SweepCase(
+                arch=("siam", "kite")[seed % 2], num_chiplets=16,
+                workload=("uniform", "neighbor", "hotspot")[seed % 3],
+                seed=seed, tag=("a", "b")[seed % 2],
+                noi_overrides=((), (("flit_bytes", 64),))[seed % 2],
+            ), {"value": float(seed)})
+        calls = []
+
+        def counting(name):
+            original = getattr(queries, name)
+
+            def counted(value, wanted):
+                calls.append(name)
+                return original(value, wanted)
+            return counted
+
+        for name in ("_member", "_has_overrides"):
+            monkeypatch.setattr(queries, name, counting(name))
+        query = ResultQuery(
+            archs=("kite",), workloads=("uniform", "hotspot"),
+            seeds=tuple(range(0, 30, 3)), tags=("b",),
+            overrides=(("flit_bytes", 64),), metrics=("value",),
+            pivot="value",
+        )
+        first = query_results(store, query)
+        # 2 archs + 3 workloads + 30 seeds + 2 tags, 2 override sets.
+        assert sorted(calls) == ["_has_overrides"] * 2 + ["_member"] * 37
+        calls.clear()
+        assert query_results(store, query) == first
+        assert len(calls) == 39
+        assert first["total"] == 5  # odd seeds divisible by 3
+        # case_id order: "s15" < "s21" < "s27" < "s3" < "s9".
+        assert [r["case"]["seed"] for r in first["results"]] \
+            == [15, 21, 27, 3, 9]
+
+
+class TestSharedColumnCache:
+    def test_concurrent_service_queries_match_a_fresh_store(
+            self, tmp_path):
+        # The service's one read store builds and extends its column
+        # cache lazily under its lock: threads racing to do so must
+        # each get a fresh reader's answer.
+        import sys
+
+        from repro.svc.jobs import JobManager
+
+        writer = ResultStore(tmp_path)
+
+        def put_seeds(seeds):
+            for seed in seeds:
+                _put(writer, SweepCase(
+                    arch=("siam", "kite", "floret")[seed % 3],
+                    num_chiplets=16,
+                    workload=("uniform", "neighbor")[seed % 2], seed=seed,
+                    noi_overrides=((), (("flit_bytes", 64),))[seed % 2],
+                ), {"value": float(seed), "latency": 1.0 / (seed + 1)})
+
+        shapes = [
+            {"metric": ["value,latency"], "limit": ["5"]},
+            {"pivot": ["latency"], "arch": ["kite", "siam"]},
+            {"override": ["flit_bytes=64"], "metric": ["value"]},
+            {"seed": ["1", "2", "301"], "workload": ["neighbor"]},
+        ]
+        put_seeds(range(300))
+        manager = JobManager(tmp_path)
+        first = manager.query(shapes[0])  # builds part of the cache
+        put_seeds(range(300, 600))        # ...which the swarm extends
+        answers, errors = [], []
+        start = threading.Barrier(6)
+
+        def client(offset):
+            try:
+                start.wait(timeout=30)
+                for i in range(12):
+                    params = shapes[(offset + i) % len(shapes)]
+                    answers.append((params, manager.query(params)))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(n,))
+                       for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(answers) == 72
+        fresh = ResultStore(tmp_path)
+        want = {repr(params): query_results(fresh,
+                                            parse_result_query(params))
+                for params in shapes}
+        assert (first["total"], want[repr(shapes[0])]["total"]) == (300, 600)
+        for params, got in answers:
+            assert got == want[repr(params)]
 
 
 class TestParse:

@@ -262,6 +262,21 @@ class TestConcurrencyAndDurability:
         fresh = ResultStore(tmp_path)
         assert fresh.get(key, case) is not None
 
+    def test_non_object_line_is_skipped(self, tmp_path):
+        # Valid JSON that is not a record (a list, a number, null) must
+        # not make the whole store unreadable.
+        store = ResultStore(tmp_path)
+        case = SweepCase(arch="siam")
+        key = case_key(case, FP)
+        store.put(key, result_for(case))
+        shard = tmp_path / f"shard-{key[:2]}.jsonl"
+        with shard.open("ab") as fh:
+            fh.write(b"[1]\n7\nnull\n")
+        for reader in (store, ResultStore(tmp_path)):
+            assert len(reader) == 1
+            assert reader.get(key, case) is not None
+            assert query_results(reader, ResultQuery())["total"] == 1
+
     def test_foreign_schema_version_ignored(self, tmp_path):
         store = ResultStore(tmp_path)
         case = SweepCase(arch="siam")
@@ -491,6 +506,60 @@ class TestRefreshGuard:
         assert reader.stats.hits == 0
         rebuilt = case_from_record(records[key])
         assert rebuilt == case
+
+
+class TestBulkDecode:
+    """A shard chunk decodes in one call; any doubt falls back to
+    per-line decoding, which keeps every good line."""
+
+    CASES = [SweepCase(arch="siam", num_chiplets=16, seed=s)
+             for s in range(3)]
+
+    def _lines(self, tmp_path):
+        writer = ResultStore(tmp_path / "src")
+        lines = []
+        for case in self.CASES:
+            key = "ab" + case_key(case, FP)[2:]
+            writer.put(key, result_for(case, {"value": float(case.seed)}))
+            lines.append(writer._shard_path(key).read_bytes()
+                         .splitlines()[-1])
+        return lines
+
+    def _store(self, tmp_path, data: bytes) -> ResultStore:
+        (tmp_path / "shard-ab.jsonl").write_bytes(data)
+        return ResultStore(tmp_path)
+
+    def _seeds(self, store):
+        return sorted(r["case"]["seed"] for _, r in store.iter_records())
+
+    def test_clean_shard_decodes_whole(self, tmp_path):
+        lines = self._lines(tmp_path)
+        store = self._store(tmp_path, b"\n".join(lines) + b"\n")
+        assert self._seeds(store) == [0, 1, 2]
+
+    def test_corrupt_middle_line_keeps_the_others(self, tmp_path):
+        lines = self._lines(tmp_path)
+        data = b"\n".join([lines[0], b'{"v": 1, "k": "ab', lines[2]])
+        store = self._store(tmp_path, data + b"\n")
+        assert self._seeds(store) == [0, 2]
+
+    def test_line_holding_two_values_is_rejected(self, tmp_path):
+        # Joined into one array the chunk parses, with one value more
+        # than there are lines; the per-line fallback rejects the pair.
+        lines = self._lines(tmp_path)
+        data = b"\n".join([lines[0], lines[1] + b"," + lines[2]])
+        store = self._store(tmp_path, data + b"\n")
+        assert self._seeds(store) == [0]
+
+    def test_blank_lines_and_torn_tail(self, tmp_path):
+        lines = self._lines(tmp_path)
+        data = (b"\n" + lines[0] + b"\n \n\n" + lines[1] + b"\n"
+                + lines[2][:20])
+        store = self._store(tmp_path, data)
+        assert self._seeds(store) == [0, 1]
+        with (tmp_path / "shard-ab.jsonl").open("ab") as fh:
+            fh.write(lines[2][20:] + b"\n")
+        assert self._seeds(store) == [0, 1, 2]
 
 
 class TestRecordOrder:

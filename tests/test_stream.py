@@ -124,6 +124,15 @@ class TestAggregators:
                 cases, [RunningPivot("no_such_metric")]
             )
 
+    def test_non_numeric_metric_leaves_the_pivot_unchanged(self):
+        case = SweepCase(arch="siam", num_chiplets=16)
+        pivot = RunningPivot("m")
+        bad = type("R", (), {"ok": True, "metrics": {"m": "x"},
+                             "case": case})()
+        with pytest.raises(ValueError):
+            pivot.update(bad)
+        assert pivot.table() == {}
+
     def test_kahan_sum_is_exact_for_adversarial_stream(self):
         stats = RunningStats("m")
         case = SweepCase(arch="siam")
