@@ -12,16 +12,18 @@ Three properties matter for serving queries at scale:
 * **Array-speed filters and folds, no payload I/O.**  A query runs on
   the store's column cache (:meth:`~repro.eval.store.ResultStore
   .columns`): interned per-axis codes and float64 metric columns over
-  the raw JSONL records, which sit at stable positions.  Each filter
-  is evaluated once per *distinct* value of its axis and broadcast
-  into a position mask; the matches, in order, are ``perm[mask[perm]]``
-  for the store's ``(case_id, key)`` permutation ``perm``.  No
-  :class:`~repro.eval.sweeps.SweepCase` or
-  :class:`~repro.eval.sweeps.SweepResult` is built, and ``case_id``
-  is computed only for the returned page.  Array payloads (npz) are
-  never opened; only records flagged as having one are checked for
-  its existence, and a row merely reports ``has_arrays`` so a client
-  can fetch the heavy data by key through other means.  Combined with
+  the records, which sit at stable positions in flat lists.  Each
+  filter is evaluated once per *distinct* value of its axis and
+  broadcast into a position mask; the matches, in order, are
+  ``perm[mask[perm]]`` for the store's ``(case_id, key)`` permutation
+  ``perm``.  No :class:`~repro.eval.sweeps.SweepCase` or
+  :class:`~repro.eval.sweeps.SweepResult` is built, no line is
+  decoded, and only the returned page's records are rebuilt from the
+  lists (each ``case_id`` was computed when its record was indexed).
+  Array payloads (npz) are never opened; only records flagged as
+  having one are checked for its existence, and a row merely reports
+  ``has_arrays`` so a client can fetch the heavy data by key through
+  other means.  Combined with
   the store's (mtime, size) refresh guard, a repeated query over a
   quiescent store touches no file contents at all.
 * **Deterministic pagination.**  Matches come in ``(case_id, key)``
@@ -57,7 +59,6 @@ import numpy as np
 
 from ..obs.metrics import StreamingStats
 from .store import RecordColumns, ResultStore
-from .sweeps import case_id_of
 
 __all__ = [
     "ResultQuery",
@@ -286,24 +287,17 @@ def _json_number(value: object) -> object:
     return value
 
 
-def _row(record: Mapping) -> Dict[str, object]:
-    case = record["case"]
+def _row(record: Mapping, case_id: str) -> Dict[str, object]:
+    """Page row of a :meth:`RecordColumns.page_record
+    <repro.eval.store.RecordColumns.page_record>` record."""
     return {
         "key": record["k"],
-        "case_id": case_id_of(case),
-        "case": {
-            "arch": case["arch"],
-            "num_chiplets": case["num_chiplets"],
-            "workload": case["workload"],
-            "seed": case["seed"],
-            "noi_overrides": [[str(name), value]
-                              for name, value in case["noi_overrides"]],
-            "tag": case.get("tag", ""),
-        },
+        "case_id": case_id,
+        "case": record["case"],
         "metrics": {name: _json_number(value)
                     for name, value in record["metrics"].items()},
         "elapsed_s": float(record["elapsed_s"]),
-        "has_arrays": bool(record.get("arrays")),
+        "has_arrays": record["arrays"],
     }
 
 
@@ -323,12 +317,12 @@ def query_results(store: ResultStore, query: ResultQuery) -> Dict[str, object]:
     matches = _matches(columns, query)
     limit = max(0, min(query.limit, MAX_PAGE_ROWS))
     page = matches[query.offset:query.offset + limit].tolist()
-    rows = columns.rows
     out: Dict[str, object] = {
         "total": len(matches),
         "offset": query.offset,
         "limit": limit,
-        "results": [_row(rows[pos]) for pos in page],
+        "results": [_row(columns.page_record(pos), columns.case_id(pos))
+                    for pos in page],
         "aggregates": {
             name: _aggregate(columns.metric(name)[matches])
             for name in query.metrics

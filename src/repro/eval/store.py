@@ -19,8 +19,8 @@ On-disk layout (all under one root directory):
   never consuming bytes past the last newline.  A reader decodes the
   complete lines appended since its last look with one ``json.loads``
   of them joined into a JSON array, and decodes line by line --
-  skipping corrupt lines and values that are not records -- only when
-  that fails.
+  skipping corrupt lines -- only when that fails.  Values that are not
+  well-formed records of this schema version are skipped too.
 * ``arrays/<key>.npz`` -- array-valued payloads (thermal tier maps and
   the like), written to a temp file and ``os.replace``d into place so a
   reader never observes a partial archive.
@@ -28,6 +28,16 @@ On-disk layout (all under one root directory):
 Duplicate keys resolve last-writer-wins.  Failed evaluations are never
 stored: a crashed case must be re-attempted on the next run, not
 replayed from cache.
+
+In memory, a :class:`ResultStore` keeps its records in flat
+per-position lists (:class:`_Positions`): each record's raw line, key,
+``case_id``, metrics dict, elapsed time, arrays flag and case axes,
+with override lists interned into codes.  None of these is a container
+the garbage collector tracks, so a big index costs the collector
+nothing and survives no collection it would not; records are decoded
+from their lines on demand.  The column cache (:class:`RecordColumns`)
+reads the same lists, and nothing refers back to the store, so a
+dropped store is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -172,10 +183,17 @@ class ResultStore:
     other processes since its last look, so ``get`` stays cheap inside
     a streaming loop.
 
-    The index keeps every record at a stable position, the
-    ``(case_id, key)`` order of those positions (enumeration and
-    queries never sort), and a lazily built :class:`RecordColumns`
-    cache for the query layer (:meth:`columns`).
+    The index is flat (:class:`_Positions`): every record sits at a
+    stable position as its raw JSONL line, its key, its ``case_id``,
+    its metrics dict, its elapsed time, its arrays flag, its scalar
+    case axes and one interned code for its overrides -- no
+    per-record container the garbage collector tracks.  :meth:`get`
+    and :meth:`iter_records` decode records from their lines on
+    demand.  On top sit the ``(case_id, key)`` order of the positions
+    (enumeration and queries never sort) and a lazily built
+    :class:`RecordColumns` cache for the query layer
+    (:meth:`columns`).  Nothing the store holds refers back to it, so
+    a dropped store is freed by reference counting alone.
     """
 
     def __init__(self, root) -> None:
@@ -189,12 +207,12 @@ class ResultStore:
         #: transient coordination state, never results.
         self.claims_root = self.root / "claims"
         #: Every indexed record at a stable position: appends extend
-        #: the list, a rewritten key keeps its slot, and only a shard
-        #: rewritten shorter compacts it.
-        self._rows: List[dict] = []
-        #: Position of each key's record in ``_rows``.
+        #: the lists, a rewritten key keeps its slot, and only a shard
+        #: rewritten shorter compacts them.
+        self._positions = _Positions()
+        #: Position of each key's record.
         self._pos: Dict[str, int] = {}
-        #: Bytes of each shard already folded into ``_rows``.
+        #: Bytes of each shard already folded into the index.
         self._consumed: Dict[str, int] = {}
         #: ``(st_mtime_ns, st_size)`` of each shard at its last
         #: refresh: an unchanged signature means no appender has
@@ -208,7 +226,7 @@ class ResultStore:
         self._order: List[Tuple[str, str, int]] = []
         #: Positions indexed since the last merge, not yet in ``_order``.
         self._pending: List[int] = []
-        #: Set when an indexed record's case changed or a shard was
+        #: Set when an indexed record's case_id changed or a shard was
         #: rewritten: ``_order`` may hold stale entries and is rebuilt.
         self._stale = False
         #: The positions of ``_order`` as an int64 permutation, built
@@ -217,6 +235,10 @@ class ResultStore:
         #: Lazily built :class:`RecordColumns`; dropped when a record
         #: changes in place or positions are compacted.
         self._columns: Optional[RecordColumns] = None
+        #: ``(lines, records)`` this instance put and has not
+        #: indexed yet; :meth:`_refresh` indexes them, in one chunk,
+        #: before it reads anything.
+        self._puts: Tuple[list, list] = ([], [])
 
     # -- keys and paths ----------------------------------------------------
 
@@ -224,12 +246,14 @@ class ResultStore:
         return self.root / f"shard-{key[:2]}.jsonl"
 
     def _npz_path(self, key: str) -> Path:
-        return self._arrays_dir / f"{key}.npz"
+        return _npz_file(self._arrays_dir, key)
 
     # -- reading -----------------------------------------------------------
 
-    def _refresh_shard(self, shard: Path) -> None:
-        """Fold lines appended since the last read into the index.
+    def _refresh_shard(self, shard: Path) -> Optional[Tuple[list, list]]:
+        """The lines appended to ``shard`` since the last read, decoded
+        (``(lines, values)``, :func:`_decode_lines`) for the caller to
+        :meth:`_index`; ``None`` when there are none.
 
         Guarded by an ``(st_mtime_ns, st_size)`` signature: a shard
         whose signature matches the last refresh has not been touched
@@ -240,23 +264,27 @@ class ResultStore:
         append changes the signature.  A shard *shorter* than the
         consumed offset was rewritten out from under us (an external
         compaction or restore-from-backup); its indexed records are
-        dropped and the file re-read from the start.
+        dropped and the file re-read from the start.  Only
+        :meth:`_refresh` calls this, after indexing this instance's own
+        puts, which precede every line still unread.
         """
         try:
             stat = shard.stat()
         except FileNotFoundError:
-            return
+            return None
         sig = (stat.st_mtime_ns, stat.st_size)
         if self._sig.get(shard.name) == sig:
-            return
+            return None
         consumed = self._consumed.get(shard.name, 0)
         size = stat.st_size
         if size < consumed:
             # Rewritten shorter: forget everything this shard
             # contributed (keys carry their shard prefix) and rebuild.
             prefix = shard.name[len("shard-"):len("shard-") + 2]
-            self._rows = [r for r in self._rows if r["k"][:2] != prefix]
-            self._pos = {r["k"]: p for p, r in enumerate(self._rows)}
+            keep = [pos for pos, key in enumerate(self._positions.keys)
+                    if key[:2] != prefix]
+            self._positions = self._positions.select(keep)
+            self._pos = dict(zip(self._positions.keys, range(len(keep))))
             self._pending.clear()
             self._stale = True
             self._columns = None
@@ -264,7 +292,7 @@ class ResultStore:
         if size == consumed:
             self._sig[shard.name] = sig
             self._consumed[shard.name] = consumed
-            return
+            return None
         with shard.open("rb") as fh:
             fh.seek(consumed)
             chunk = fh.read(size - consumed)
@@ -276,85 +304,119 @@ class ResultStore:
         end = chunk.rfind(b"\n")
         if end < 0:
             self._consumed[shard.name] = consumed
-            return
-        for record in _decode_lines(chunk[: end + 1]):
-            if (isinstance(record, dict)
-                    and record.get("v") == STORE_SCHEMA_VERSION
-                    and "k" in record):
-                self._index(record["k"], record)
+            return None
         self._consumed[shard.name] = consumed + end + 1
+        return _decode_lines(chunk[: end + 1])
 
-    def _index(self, key: str, record: dict) -> None:
-        """Make ``record`` the one for ``key`` (last writer wins).
+    def _index(self, lines: List[bytes], records: list) -> None:
+        """Make each of ``records`` the one for its key (last writer
+        wins); ``lines`` are their raw JSONL lines.
 
-        A new key takes the next position and waits on ``_pending`` for
-        the next :meth:`_merge`.  A known key keeps its position; if
-        the record encodes differently (JSON, so ``-0.0`` differs from
-        ``0.0`` and ``true`` from ``1``), the column cache is dropped,
-        and if its case changed (same key, overrides reordered) the
-        order is stale.  Re-reading a line this instance put itself
-        changes nothing.
+        Records that are not well formed (:func:`_fields`) are skipped,
+        like corrupt lines.  Each record's ``case_id`` is ``case_id_of``
+        of its own case.  A new key takes the next position and waits on
+        ``_pending`` for the next :meth:`_merge`.  A known key keeps its
+        position; if its line bytes differ (so ``-0.0`` differs from
+        ``0.0`` and ``8`` from ``8.0``) the column cache is dropped, and
+        if its case_id changed (same key, overrides reordered) the order
+        is stale.  Re-reading a line this instance put itself changes
+        nothing.
         """
-        pos = self._pos.get(key)
-        if pos is None:
-            pos = self._pos[key] = len(self._rows)
-            self._rows.append(record)
-            self._pending.append(pos)
+        fields = _fields(records)
+        if fields is None:
+            keep = [i for i, record in enumerate(records)
+                    if _fields([record]) is not None]
+            lines = [lines[i] for i in keep]
+            fields = _fields([records[i] for i in keep])
+        keys, cases, metrics, elapsed, flags, axes, texts, lists = fields
+        case_ids = list(map(case_id_of, cases))
+        table = self._positions
+        axes["noi_overrides"] = table.intern(texts, lists)
+        chunk = (lines, keys, case_ids, metrics, elapsed, flags,
+                 *axes.values())
+        pos = self._pos
+        start = len(table.keys)
+        if len(set(keys)) == len(keys) and pos.keys().isdisjoint(keys):
+            pos.update(zip(keys, range(start, start + len(keys))))
+            self._pending.extend(range(start, start + len(keys)))
+            for column, new in zip(table.columns(), chunk):
+                column.extend(new)
             return
-        old = self._rows[pos]
-        self._rows[pos] = record
-        if (json.dumps(old, sort_keys=True)
-                != json.dumps(record, sort_keys=True)):
-            self._columns = None
-            if old.get("case") != record.get("case"):
-                self._stale = True
+        for i, key in enumerate(keys):
+            slot = pos.get(key)
+            if slot is None:
+                pos[key] = len(table.keys)
+                self._pending.append(len(table.keys))
+                for column, new in zip(table.columns(), chunk):
+                    column.append(new[i])
+            elif table.lines[slot] != lines[i]:
+                self._columns = None
+                self._stale |= table.case_ids[slot] != case_ids[i]
+                for column, new in zip(table.columns(), chunk):
+                    column[slot] = new[i]
 
     def _merge(self) -> None:
         """Fold pending positions into the ``(case_id, key)`` order.
 
-        Computes ``case_id`` for the pending records only and re-sorts
-        an almost-sorted list (timsort merges the appended run in
-        linear time); a stale order is rebuilt from every record.
+        Re-sorts an almost-sorted list (timsort merges the appended run
+        in linear time); a stale or empty order is rebuilt from every
+        position.  ``case_id`` was computed when each record was
+        indexed.
         """
-        rows = self._rows
-        if self._stale:
-            self._order = [(case_id_of(record["case"]), record["k"], pos)
-                           for pos, record in enumerate(rows)]
-            self._stale = False
-        elif self._pending:
-            self._order.extend(
-                (case_id_of(rows[pos]["case"]), rows[pos]["k"], pos)
-                for pos in self._pending
-            )
-        else:
+        if not (self._stale or self._pending):
             return
+        table = self._positions
+        if self._stale or not self._order:
+            self._order = list(zip(table.case_ids, table.keys,
+                                   range(len(table.keys))))
+        else:
+            self._order.extend((table.case_ids[pos], table.keys[pos], pos)
+                               for pos in self._pending)
+        self._stale = False
         self._pending.clear()
         self._order.sort()
         self._perm = None
 
+    def _refresh(self, shards: Iterable[Path]) -> None:
+        """Index the records this instance put, then the new lines of
+        each of ``shards``: every read of the index comes through here.
+
+        A put only writes its line and keeps its record (:meth:`put`),
+        so a handle that only writes never indexes, and one that reads
+        after many puts indexes them in one chunk.
+        """
+        puts = self._puts
+        if puts[0]:
+            self._puts = ([], [])
+            self._index(*puts)
+        for shard in shards:
+            chunk = self._refresh_shard(shard)
+            if chunk is not None:
+                self._index(*chunk)
+
     def _refresh_all(self) -> None:
+        """Index the new lines of every shard."""
         # Names sorted as strings: sorting a glob's Path objects costs
         # about as much as the per-shard stat calls themselves.
-        for name in sorted(os.listdir(self.root)):
-            if name.startswith("shard-") and name.endswith(".jsonl"):
-                self._refresh_shard(self.root / name)
+        names = sorted(os.listdir(self.root))
+        self._refresh(self.root / name for name in names
+                      if name.startswith("shard-") and name.endswith(".jsonl"))
 
-    def _peek(self, key: str) -> Optional[dict]:
-        """Complete record for ``key`` or ``None``; never touches stats.
+    def _peek(self, key: str) -> Optional[int]:
+        """Position of the complete record for ``key`` or ``None``;
+        never touches stats.
 
         "Complete" includes the array payload: a record whose flagged
         ``.npz`` is absent (crash between the two writes) is treated as
         missing, so ``has``/``__contains__`` never disagree with
         ``get``.
         """
-        self._refresh_shard(self._shard_path(key))
+        self._refresh([self._shard_path(key)])
         pos = self._pos.get(key)
-        if pos is None:
+        if pos is None or (self._positions.flags[pos]
+                           and not self._npz_path(key).exists()):
             return None
-        record = self._rows[pos]
-        if record.get("arrays") and not self._npz_path(key).exists():
-            return None
-        return record
+        return pos
 
     def _result_from(
         self, key: str, record: dict, case: SweepCase
@@ -380,10 +442,10 @@ class ResultStore:
         authoritative (its ``tag`` may differ from the stored one, and
         the tag is not part of the key).
         """
-        record = self._peek(key)
+        pos = self._peek(key)
         result = (
-            self._result_from(key, record, case)
-            if record is not None else None
+            self._result_from(key, self._positions.record(pos), case)
+            if pos is not None else None
         )
         if result is None:
             self.stats.misses += 1
@@ -430,19 +492,17 @@ class ResultStore:
         """
         return frozenset(key for key in keys if self._peek(key) is None)
 
-    def _complete_items(self) -> Iterator[Tuple[str, dict]]:
-        """All ``(key, record)`` pairs that pass the completeness check,
-        in ``(case_id, key)`` order.
+    def _complete(self) -> List[int]:
+        """Positions of every record that passes the completeness
+        check, in ``(case_id, key)`` order.
 
-        Shared by ``__len__``/``keys``/``iter_results`` so enumeration
-        can never disagree with ``has``/``get`` about what the store
-        contains (a record whose ``.npz`` payload is gone counts
-        nowhere).
+        Shared by ``__len__``/``keys``/``iter_records``/``iter_results``
+        so enumeration can never disagree with ``has``/``get`` about
+        what the store contains (a record whose ``.npz`` payload is
+        gone counts nowhere).
         """
         columns = self.columns()
-        rows = columns.rows
-        return ((rows[pos]["k"], rows[pos])
-                for pos in columns.complete(columns.perm).tolist())
+        return columns.complete(columns.perm).tolist()
 
     def columns(self) -> "RecordColumns":
         """The column cache over every indexed record, refreshed.
@@ -456,7 +516,7 @@ class ResultStore:
         self._refresh_all()
         self._merge()
         if self._columns is None:
-            self._columns = RecordColumns(self._rows, self._npz_path)
+            self._columns = RecordColumns(self._positions, self._arrays_dir)
         if self._perm is None:
             self._perm = np.fromiter(map(itemgetter(2), self._order),
                                      np.int64, len(self._order))
@@ -464,10 +524,12 @@ class ResultStore:
         return self._columns
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._complete_items())
+        return len(self._complete())
 
     def keys(self) -> Tuple[str, ...]:
-        return tuple(key for key, _ in self._complete_items())
+        complete = self._complete()
+        keys = self._positions.keys
+        return tuple(keys[pos] for pos in complete)
 
     def iter_records(self) -> Iterator[Tuple[str, dict]]:
         """All complete ``(key, record)`` pairs, payloads *not* loaded.
@@ -476,13 +538,15 @@ class ResultStore:
         is :attr:`SweepCase.case_id` of the record's case -- the order
         the query layer (:mod:`repro.eval.queries`) pages and folds in,
         so it never sorts.  Each ``case_id`` is computed once per
-        record, when the record is first indexed.  The record dicts are
-        the raw JSONL lines (scalar metrics, case axes, an ``arrays``
-        flag), filtered and aggregated over without paying npz I/O per
-        candidate.  Treat the dicts as read-only.  Stats-neutral, like
+        record, when the record is first indexed.  Each record is
+        decoded from its stored JSONL line as it is yielded (scalar
+        metrics, case axes, an ``arrays`` flag), a fresh dict the
+        caller may keep or change.  Stats-neutral, like
         :meth:`iter_results`.
         """
-        return self._complete_items()
+        complete = self._complete()
+        table = self._positions
+        return ((table.keys[pos], table.record(pos)) for pos in complete)
 
     def iter_results(self) -> Iterator[SweepResult]:
         """All stored results, cases reconstructed from the records.
@@ -490,7 +554,7 @@ class ResultStore:
         Stats-neutral: enumerating the store for a report must not
         inflate the hit counters that describe sweep behaviour.
         """
-        for key, record in self._complete_items():
+        for key, record in self.iter_records():
             result = self._result_from(key, record, case_from_record(record))
             if result is not None:
                 yield result
@@ -515,25 +579,33 @@ class ResultStore:
                 ],
                 "tag": result.case.tag,
             },
-            "metrics": result.metrics,
+            # A copy: the index keeps this dict, and the caller's may
+            # change after the put.
+            "metrics": dict(result.metrics),
             "elapsed_s": result.elapsed_s,
             "arrays": bool(result.arrays),
         }
         if result.arrays:
             self._write_npz(key, result.arrays)
-        line = (json.dumps(record, separators=(",", ":")) + "\n").encode(
-            "utf-8"
-        )
-        fd = os.open(
-            self._shard_path(key),
-            os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-            0o644,
-        )
+        line = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        shard = self._shard_path(key)
+        fd = os.open(shard, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, line)
+            written = os.write(fd, line + b"\n")
+            end = os.lseek(fd, 0, os.SEEK_CUR)
         finally:
             os.close(fd)
-        self._index(key, record)
+        lines, records = self._puts
+        lines.append(line)
+        records.append(record)
+        # If the whole line directly follows what this instance has read
+        # of the shard, it counts as read and is never decoded.
+        # Otherwise the next read meets it again after the lines before
+        # it, which keeps last-writer-wins in file order.
+        name = shard.name
+        if (written == len(line) + 1
+                and end - written == self._consumed.get(name, 0)):
+            self._consumed[name] = end
         self.stats.puts += 1
         REGISTRY.counter("store_puts").inc()
         return True
@@ -566,8 +638,12 @@ class ResultStore:
                     pass
 
 
-def _decode_lines(data: bytes) -> list:
-    """The JSON values of ``data``'s non-blank lines; bad lines dropped.
+def _npz_file(arrays_dir: Path, key: str) -> Path:
+    return arrays_dir / f"{key}.npz"
+
+
+def _decode_lines(data: bytes) -> Tuple[List[bytes], list]:
+    """``data``'s non-blank lines that decode, and their JSON values.
 
     One ``json.loads`` over the lines joined into a JSON array decodes
     a whole chunk at once.  If that raises (a corrupt or blank line)
@@ -582,8 +658,8 @@ def _decode_lines(data: bytes) -> list:
     except ValueError:
         values = None
     if values is not None and len(values) == len(lines):
-        return values
-    values = []
+        return lines, values
+    kept, values = [], []
     for line in lines:
         if not line.strip():
             continue
@@ -591,7 +667,8 @@ def _decode_lines(data: bytes) -> list:
             values.append(json.loads(line))
         except ValueError:
             continue
-    return values
+        kept.append(line)
+    return kept, values
 
 
 def finite_float(value: object) -> Optional[float]:
@@ -616,29 +693,154 @@ def _frozen(value: object) -> object:
     return tuple(map(_frozen, value)) if type(value) is list else value
 
 
-_CASE = itemgetter("case")
-
-#: How :meth:`RecordColumns.axis` reads each axis from a record's case.
+#: How each case axis is read from a record's case, in the order a
+#: record's case lists them.
 _AXES = {
     "arch": itemgetter("arch"),
     "num_chiplets": itemgetter("num_chiplets"),
     "workload": itemgetter("workload"),
     "seed": itemgetter("seed"),
+    "noi_overrides": itemgetter("noi_overrides"),
     "tag": methodcaller("get", "tag", ""),
-    "noi_overrides": lambda case: _frozen(case["noi_overrides"]),
 }
+#: JSON scalars: what a case axis and an override value may be.
+_SCALARS = (str, int, float, type(None))
+
+
+def _only(values: list, classes) -> bool:
+    """Whether every one of ``values`` is an instance of ``classes``
+    (checked once per distinct type)."""
+    return all(map(issubclass, set(map(type, values)), repeat(classes)))
+
+
+def _pairs_ok(pairs: list) -> bool:
+    """Whether ``pairs`` is a list of ``[name, scalar]`` override pairs."""
+    return type(pairs) is list and all(
+        type(pair) is list and len(pair) == 2 and isinstance(pair[0], str)
+        and isinstance(pair[1], _SCALARS) for pair in pairs)
+
+
+def _fields(records: list):
+    """``records`` split into per-field lists, or ``None`` if any of
+    them is not a well-formed record of this schema version.
+
+    Well formed means: a dict with ``"v"`` equal to
+    :data:`STORE_SCHEMA_VERSION`, a ``str`` key ``k``, a ``case`` dict
+    whose axes are JSON scalars (``tag`` may be absent) and whose
+    ``noi_overrides`` is a list of ``[str, scalar]`` pairs, a
+    ``metrics`` dict and a numeric ``elapsed_s`` that fits a float --
+    everything enumeration, queries and :func:`case_from_record` read.
+    A record without ``"v"`` is as foreign as one of another version.
+    Each check runs over a whole field at once (once per distinct type,
+    once per distinct override list), so a clean chunk costs a few
+    passes of C loops; reading a key of a value that is not a dict
+    raises, which rejects the chunk too.  Returns ``(keys, cases,
+    metrics, elapsed, flags, axes, texts, lists)``: ``axes`` maps each
+    of ``_AXES`` to its values, ``texts`` holds each override list's
+    interning key -- its ``repr``, which keys ``8``, ``8.0`` and
+    ``true`` (or ``0.0`` and ``-0.0``) apart -- and ``lists`` maps each
+    distinct key to one of its lists.
+    """
+    try:
+        if not set(map(itemgetter("v"), records)) <= {STORE_SCHEMA_VERSION}:
+            return None
+        keys = list(map(itemgetter("k"), records))
+        cases = list(map(itemgetter("case"), records))
+        metrics = list(map(itemgetter("metrics"), records))
+        elapsed = list(map(itemgetter("elapsed_s"), records))
+        if not (_only(keys, str) and _only(metrics, dict)
+                and _only(elapsed, (int, float))):
+            return None
+        list(map(float, elapsed))  # OverflowError: an int past float
+        axes = {name: list(map(read, cases)) for name, read in _AXES.items()}
+        texts = list(map(repr, axes["noi_overrides"]))
+        lists = dict(zip(texts, axes["noi_overrides"]))
+        if not (all(_only(axes[name], _SCALARS) for name in _AXES
+                    if name != "noi_overrides")
+                and all(map(_pairs_ok, lists.values()))):
+            return None
+    except (KeyError, TypeError, AttributeError, OverflowError):
+        return None
+    flags = list(map(bool, map(methodcaller("get", "arrays"), records)))
+    return keys, cases, metrics, elapsed, flags, axes, texts, lists
+
+
+class _Positions:
+    """The flat lists a store's index is made of, one entry per position.
+
+    Position ``p`` holds one record: ``lines[p]`` its raw JSONL line
+    (decoded again only on demand, :meth:`record`), ``keys[p]``,
+    ``case_ids[p]``, ``metrics[p]`` (the decoded metrics dict),
+    ``elapsed[p]``, ``flags[p]`` (whether it has an array payload) and,
+    per case axis, ``axes[axis][p]``: the scalar value, or for
+    ``noi_overrides`` a code into ``overrides``, the distinct override
+    lists as tuples of pairs.  Bytes, strings, numbers and a dict of
+    numbers are all untracked by the garbage collector, so an index of
+    any size adds only a few dozen tracked objects, and nothing here
+    refers to the store.
+    """
+
+    __slots__ = ("lines", "keys", "case_ids", "metrics", "elapsed", "flags",
+                 "axes", "overrides", "_codes")
+
+    def __init__(self) -> None:
+        self.lines: List[bytes] = []
+        self.keys: List[str] = []
+        self.case_ids: List[str] = []
+        self.metrics: List[dict] = []
+        self.elapsed: List[float] = []
+        self.flags: List[bool] = []
+        self.axes: Dict[str, list] = {name: [] for name in _AXES}
+        self.overrides: List[tuple] = []
+        #: Code of each distinct override list, by its ``repr``:
+        #: unlike the lists themselves, the keys tell ``8`` from ``8.0``.
+        self._codes: Dict[object, int] = {}
+
+    def columns(self) -> List[list]:
+        """Every per-position list, in :meth:`ResultStore._index`'s
+        chunk order."""
+        return [self.lines, self.keys, self.case_ids, self.metrics,
+                self.elapsed, self.flags, *self.axes.values()]
+
+    def intern(self, texts: list, lists: dict) -> List[int]:
+        """The override codes of ``texts``, interning keys of override
+        lists; ``lists`` maps each distinct key to its list, which
+        becomes a distinct value the first time its key is seen."""
+        codes = self._codes
+        for text, pairs in lists.items():
+            if text not in codes:
+                codes[text] = len(self.overrides)
+                self.overrides.append(_frozen(pairs))
+        return list(map(codes.__getitem__, texts))
+
+    def select(self, keep: List[int]) -> "_Positions":
+        """A copy holding only positions ``keep``, renumbered in order;
+        the interned override lists are shared."""
+        out = _Positions()
+        out.overrides, out._codes = self.overrides, self._codes
+        for mine, theirs in zip(self.columns(), out.columns()):
+            theirs.extend(mine[pos] for pos in keep)
+        return out
+
+    def record(self, pos: int) -> dict:
+        """The record at ``pos``, decoded from its line."""
+        return json.loads(self.lines[pos])
 
 
 class RecordColumns:
     """Array views over a store's records, indexed by position.
 
     Built lazily, one column at a time, by :meth:`ResultStore.columns`
-    for the query layer.  An axis column holds one interned code per
-    record plus the list of distinct values, so a filter is evaluated
-    once per distinct value and broadcast as ``keep[codes]``.  A metric
-    column holds the metric as float64, NaN wherever
-    :func:`finite_float` says it is missing.  ``perm`` lists every
-    position in ``(case_id, key)`` order.
+    for the query layer, from the store's flat position lists
+    (:class:`_Positions`) and its arrays directory -- never from the
+    store itself, so the cache forms no reference cycle.  An axis
+    column holds one interned code per record, next to the list of
+    distinct values, so a filter is evaluated once per distinct value
+    and broadcast as ``keep[codes]``.  A metric column holds the metric
+    as float64, NaN wherever :func:`finite_float` says it is missing.
+    ``perm`` lists every position in ``(case_id, key)`` order;
+    :meth:`page_record` and :meth:`case_id` give what a page row shows
+    of one record, without decoding its line.
 
     Positions are stable, so a column built over the first ``n``
     records stays valid while records are appended; the next access
@@ -646,56 +848,75 @@ class RecordColumns:
     when a record changes in place or positions are compacted.
     """
 
-    def __init__(self, rows: List[dict], npz_path) -> None:
-        self.rows = rows
+    def __init__(self, positions: _Positions, arrays_dir: Path) -> None:
         self.perm = np.empty(0, np.int64)
-        self._npz_path = npz_path
+        self._positions = positions
+        self._arrays_dir = arrays_dir
         self._axes: Dict[str, Tuple[np.ndarray, list, dict]] = {}
         self._metrics: Dict[str, np.ndarray] = {}
         self._flags = np.empty(0, bool)
 
     def axis(self, name: str) -> Tuple[np.ndarray, list]:
         """``(codes, distinct)``: ``distinct[codes[p]]`` equals record
-        ``p``'s value of axis ``name`` (one of ``_AXES``; JSON lists
-        come back as tuples)."""
+        ``p``'s value of axis ``name`` (one of ``_AXES``; override
+        lists come back as tuples of pairs)."""
         codes, distinct, index = self._axes.get(
             name, (np.empty(0, np.intp), [], {}))
-        new = self.rows[len(codes):]
-        if new:
-            values = list(map(_AXES[name], map(_CASE, new)))
-            for value in dict.fromkeys(values):
+        new = self._positions.axes[name][len(codes):]
+        if name == "noi_overrides":  # interned as records are indexed
+            distinct = self._positions.overrides
+        elif new:
+            for value in dict.fromkeys(new):
                 if index.setdefault(value, len(distinct)) == len(distinct):
                     distinct.append(value)
-            codes = np.concatenate([codes, np.fromiter(
-                map(index.__getitem__, values), np.intp, len(values))])
+            new = list(map(index.__getitem__, new))
+        if new:
+            codes = np.concatenate([codes, np.array(new, np.intp)])
             self._axes[name] = (codes, distinct, index)
         return codes, distinct
 
     def metric(self, name: str) -> np.ndarray:
         """Metric ``name`` of every record, NaN where it is missing."""
         column = self._metrics.get(name, np.empty(0))
-        new = self.rows[len(column):]
+        new = self._positions.metrics[len(column):]
         if new:
-            values = list(map(methodcaller("get", name),
-                              map(itemgetter("metrics"), new)))
-            fresh = np.array(list(map(finite_float, values)), np.float64)
+            fresh = np.array(list(map(finite_float, map(
+                methodcaller("get", name), new))), np.float64)
             column = self._metrics[name] = np.concatenate([column, fresh])
         return column
 
     def complete(self, positions: np.ndarray) -> np.ndarray:
         """``positions`` without records whose flagged ``.npz`` is gone
         (the same completeness rule as :meth:`ResultStore.has`)."""
-        new = self.rows[len(self._flags):]
-        if new:
-            self._flags = np.concatenate([self._flags, np.fromiter(
-                map(bool, map(methodcaller("get", "arrays"), new)), bool,
-                len(new))])
-        rows = self.rows
+        flags = self._positions.flags
+        if len(flags) > len(self._flags):
+            self._flags = np.concatenate([self._flags, np.array(
+                flags[len(self._flags):], bool)])
+        keys = self._positions.keys
         gone = [pos for pos in positions[self._flags[positions]].tolist()
-                if not self._npz_path(rows[pos]["k"]).exists()]
+                if not _npz_file(self._arrays_dir, keys[pos]).exists()]
         if not gone:
             return positions
         return positions[~np.isin(positions, gone)]
+
+    def page_record(self, pos: int) -> dict:
+        """The record at ``pos``, rebuilt from the position lists
+        without decoding its line: equal to the decoded line wherever
+        the stored values survive a JSON round trip, as every value a
+        reader decoded does.  Its metrics dict is the stored one; treat
+        it as read-only."""
+        table = self._positions
+        axes = table.axes
+        case = {name: axes[name][pos] for name in _AXES}
+        case["noi_overrides"] = [
+            list(pair) for pair in table.overrides[case["noi_overrides"]]]
+        return {"k": table.keys[pos], "case": case,
+                "metrics": table.metrics[pos],
+                "elapsed_s": table.elapsed[pos], "arrays": table.flags[pos]}
+
+    def case_id(self, pos: int) -> str:
+        """``case_id`` of the record at ``pos``."""
+        return self._positions.case_ids[pos]
 
 
 def _overrides_from_json(pairs) -> Overrides:

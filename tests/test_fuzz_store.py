@@ -13,7 +13,11 @@ long-lived reader and on a fresh reader must equal, byte for byte as
 JSON, a brute-force recount: every shard line parsed (last writer
 wins, records with a missing npz dropped), ``case_from_record`` ->
 ``SweepCase.case_id``, ``sorted``, a per-record filter, then a
-per-value Neumaier loop with builtin ``min``/``max``.
+per-value Neumaier loop with builtin ``min``/``max``.  The writer
+and the long-lived reader must also serve the same ``iter_records``
+records, ``get`` results and page rows as a fresh reader, byte for
+byte as JSON: records are decoded from stored lines, page rows are
+rebuilt from the index, and the two must never drift apart.
 
 The suite is derandomised with a fixed example budget, so tier-1 runs
 the same examples every time.  Counterexamples the fuzzer shrinks are
@@ -246,6 +250,21 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
+def _views(store: ResultStore) -> str:
+    """What a handle serves per record -- ``iter_records``, ``get`` and
+    every page row -- as JSON."""
+    records = list(store.iter_records())
+    results = [store.get(key, case_from_record(record))
+               for key, record in records]
+    rows = query_results(store, ResultQuery(limit=MAX_PAGE_ROWS))
+    return json.dumps([
+        records,
+        [[r.case.case_id, r.metrics, r.elapsed_s, sorted(r.arrays or ())]
+         for r in results],
+        rows["results"],
+    ])
+
+
 def _layout(payload: dict) -> list:
     rows = payload.get("pivot", {}).get("rows", {})
     return [(row, list(cols)) for row, cols in rows.items()]
@@ -291,14 +310,19 @@ class Harness:
     def check(self, query: ResultQuery) -> None:
         expected = recount(self.root, query)
         want = _dumps(expected)
+        fresh = ResultStore(self.root)
         for name, store in (("writer", self.writer),
                             ("reader", self.reader),
-                            ("fresh", ResultStore(self.root))):
+                            ("fresh", fresh)):
             got = query_results(store, query)
             assert _dumps(got) == want, f"{name} disagrees with the recount"
             # sort_keys hides dict order: pivot rows, and the columns
             # within a row, come in order of first appearance.
             assert _layout(got) == _layout(expected), f"{name} pivot order"
+        views = _views(fresh)
+        for name, store in (("writer", self.writer),
+                            ("reader", self.reader)):
+            assert _views(store) == views, f"{name} serves other records"
 
     def rewrite_shorter(self, pick: int) -> None:
         """Drop the tail half of one shard, as a compaction would."""
@@ -412,4 +436,22 @@ class TestRegressions:
              ("reput", 0, {"lat": -0.0}),
              ("query", query)],
             [query], 0, [],
+        )
+
+    def test_eight_and_eight_point_zero_stay_apart(self):
+        # 8 == 8.0 as override values, and they share a filter verdict,
+        # but not a key, a case_id or their JSON: every view keeps them
+        # apart, also after both are rewritten.
+        a = SweepCase("kite", 16, "uniform", 0, OVERRIDES[1])
+        b = SweepCase("kite", 16, "uniform", 0, OVERRIDES[2])
+        query = ResultQuery(metrics=("lat",), limit=5,
+                            overrides=(("fc_buffer_flits", 8.0),))
+        _round_trip(
+            [("put", a, {"lat": 0.0}, False),
+             ("put", b, {"lat": -0.0}, False),
+             ("query", query),
+             ("reput", 0, {"lat": -0.0}),
+             ("reput", 1, {"lat": 8}),
+             ("query", query)],
+            [query], 0, [("put", a, {"lat": 8.0}, False)],
         )

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 import threading
+import urllib.parse
 import urllib.request
 
 import numpy as np
 import pytest
+from helpers import MALFORMED_RECORDS, malformed_store
 
 from repro.eval.queries import (
     MAX_PAGE_ROWS,
@@ -274,6 +276,19 @@ def _served_body(root, query: str) -> bytes:
     finally:
         service.shutdown()
         service.server_close()
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_RECORDS))
+def test_malformed_record_is_skipped_directly_and_over_http(tmp_path,
+                                                            shape):
+    malformed_store(tmp_path, shape, FP)
+    query = "arch=kite&override=flit_bytes=64&metric=value&pivot=value"
+    direct = query_results(ResultStore(tmp_path), parse_result_query(
+        urllib.parse.parse_qs(query)))
+    assert direct["total"] == 2
+    assert direct["aggregates"]["value"]["sum"] == 2.0
+    assert json.loads(_served_body(tmp_path, query)) \
+        == json.loads(json.dumps(direct))
 
 
 class TestHugeIntegers:

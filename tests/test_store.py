@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
+from helpers import MALFORMED_RECORDS, malformed_store
 
 from repro.eval.store import (
     STORE_SCHEMA_VERSION,
@@ -238,6 +241,23 @@ class TestConcurrencyAndDurability:
         assert reader.get(key, case) is None
         writer.put(key, result_for(case))
         assert reader.get(key, case) is not None
+
+    def test_interleaved_puts_resolve_in_file_order(self, tmp_path):
+        # A put right after what a handle has read is never re-read; a
+        # put behind another writer's line is, so that line is not
+        # skipped and the file order wins.
+        first, second = (SweepCase(arch="siam", seed=s) for s in (0, 1))
+        k1, k2 = ("ab" + case_key(c, FP)[2:] for c in (first, second))
+        a, b = ResultStore(tmp_path), ResultStore(tmp_path)
+        a.put(k1, result_for(first, {"value": 1.0}))
+        assert a.get(k1, first).metrics == {"value": 1.0}
+        b.put(k2, result_for(second, {"value": 2.0}))
+        b.put(k1, result_for(first, {"value": 3.0}))
+        a.put(k1, result_for(first, {"value": 4.0}))
+        for store in (a, b, ResultStore(tmp_path)):
+            assert store.get(k1, first).metrics == {"value": 4.0}
+            assert store.get(k2, second).metrics == {"value": 2.0}
+            assert len(store) == 2
 
     def test_torn_tail_line_is_tolerated(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -656,3 +676,65 @@ class TestRecordOrder:
             assert [(k, case_id_of(r["case"]))
                     for k, r in store.iter_records()] \
                 == [(other, c.case_id), (key, b.case_id)]
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_RECORDS))
+def test_malformed_record_counts_as_missing(tmp_path, shape):
+    # Valid JSON of this schema version, but not a record every view
+    # can read: skipped like a corrupt line, so its case re-runs.
+    good, keys, bad = malformed_store(tmp_path, shape, FP)
+    store = ResultStore(tmp_path)
+    assert len(store) == 2
+    assert sorted(store.keys()) == sorted(keys)
+    assert sorted(k for k, _ in store.iter_records()) == sorted(keys)
+    assert {r.case for r in store.iter_results()} == set(good)
+    assert not store.has(bad)
+    assert store.missing(keys + [bad]) == {bad}
+    assert store.get(keys[0], good[0]).metrics == {"value": 0.0}
+
+
+class TestMemory:
+    """The index holds no per-record container the garbage collector
+    tracks, and nothing in it refers back to the store."""
+
+    def test_dropped_store_is_freed_by_refcount(self, tmp_path):
+        case = SweepCase(arch="siam", noi_overrides=(("flit_bytes", 64),))
+        ResultStore(tmp_path).put(case_key(case, FP), result_for(case))
+        gc.disable()
+        try:
+            store = ResultStore(tmp_path)
+            store.columns().axis("noi_overrides")
+            ref = weakref.ref(store)
+            del store
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_open_and_query_add_almost_no_tracked_objects(self, tmp_path):
+        overrides = ((), (("fc_buffer_flits", 8),),
+                     (("fc_buffer_flits", 16), ("fc_credit_rtt", 1)))
+        cases = [SweepCase(arch=("siam", "kite")[i % 2], num_chiplets=16,
+                           seed=i, noi_overrides=overrides[i % 3])
+                 for i in range(2000)]
+        writer = ResultStore(tmp_path)
+        for case in cases:
+            writer.put(case_key(case, FP),
+                       result_for(case, {"value": float(case.seed)}))
+        writer.put(case_key(cases[2], FP), result_for(cases[2]))  # rewrite
+        del writer
+        extra = SweepCase(arch="floret", noi_overrides=overrides[2])
+        query = ResultQuery(overrides=(("fc_buffer_flits", 16),),
+                            metrics=("value",), limit=5)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects(2))
+            store = ResultStore(tmp_path)
+            assert query_results(store, query)["total"] == 666
+            store.put(case_key(extra, FP), result_for(extra))
+            assert query_results(store, query)["total"] == 667
+            gc.collect(1)
+            grown = len(gc.get_objects(2)) - before
+        finally:
+            gc.enable()
+        assert grown <= 0.05 * len(cases)
