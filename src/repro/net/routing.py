@@ -14,11 +14,19 @@ matrices plus a CSR link-incidence structure:
                                -- directed link ids of each route, in
                                   route order (CSR over ``s * n + d``).
 
-The routes come from the *same* deterministic tie-broken Dijkstra trees
-the scalar model's :meth:`Topology.route` uses (networkx, weight
-``1 + 1e-6 * length_mm``), walked as arrays over one predecessor
-matrix, so the scalar oracle and the vectorized engine are
-route-for-route identical (see ``tests/test_routing.py`` and
+The routes are the *same* deterministic tie-broken Dijkstra trees the
+scalar model's :meth:`Topology.route` takes from networkx (weight
+``1 + 1e-6 * length_mm``), computed without networkx:
+:func:`_dijkstra_levels` replays networkx's heap order for all sources
+at once, one hop level at a time, and keeps networkx's predecessor on
+every equal-cost tie (the first-popped neighbour; fuzzed against
+``nx.single_source_dijkstra`` in ``tests/test_routing.py::
+TestDijkstraReplay`` and pinned at 256 nodes by
+``test_benchmark_scale_matches_networkx``).
+The route CSR and the per-route sums are then filled level by level,
+each route extending its predecessor's by one link.  The scalar oracle
+and the vectorized engine are therefore route-for-route identical
+(``tests/test_routing.py::TestRouteOracle``,
 ``tests/test_vectorized.py``); once a topology has tables,
 :meth:`Topology.route` reads its routes from them.
 
@@ -31,7 +39,7 @@ process serves every sweep case that changes only other fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Tuple
 
 import networkx as nx
 import numpy as np
@@ -291,10 +299,14 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def build_routing_tables(topology: "Topology") -> RoutingTables:
     """Build :class:`RoutingTables` for ``topology``.
 
-    Routes come from per-source networkx Dijkstra trees with the same
-    ``1 + 1e-6 * length_mm`` tie-break weight as
-    :meth:`Topology.route`; the route CSR is extracted by walking all
-    pairs back to their sources at once over the predecessor matrix.
+    Routes are networkx's per-source Dijkstra trees under the
+    ``1 + 1e-6 * length_mm`` weight of :meth:`Topology.route`, replayed
+    as arrays by :func:`_dijkstra_levels` (no networkx call; see
+    ``tests/test_routing.py::test_tables_build_without_networkx_search``).
+    Among equal-cost routes the tie goes to networkx's choice, the
+    predecessor networkx pops first.  Raises :class:`ValueError` when
+    link lengths are long enough that a minimum-weight route could
+    take an extra hop.
     Counted in the ``routing_tables_built`` metric.
     """
     REGISTRY.counter("routing_tables_built").inc()
@@ -331,25 +343,21 @@ def build_routing_tables(topology: "Topology") -> RoutingTables:
         + params.vertical_energy_pj_per_flit * vertical_arr
     )
 
-    hops, route_indptr, route_links = _route_csr(
-        graph, n, link_u_arr, link_v_arr
+    # Per-route sums, one column per per-link value.
+    hops, route_indptr, route_links, sums = _route_csr(
+        graph, n, link_u_arr, link_v_arr,
+        np.column_stack((
+            wire_arr.astype(np.float64),
+            stage_cycles[link_v_arr].astype(np.float64),
+            router_energy[link_v_arr],
+            link_energy,
+            length_arr,
+        )),
     )
-
-    # Per-route sums via segment reduction over the CSR structure.
-    pair_of_entry = np.repeat(
-        np.arange(n * n, dtype=np.int64), np.diff(route_indptr)
+    wire_sum, dst_stage_sum, router_sum, link_e_sum, len_sum = (
+        sums.T.reshape(-1, n, n)
     )
-
-    def route_sum(per_link_values: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            pair_of_entry,
-            weights=per_link_values[route_links],
-            minlength=n * n,
-        ).reshape(n, n)
-
     reachable = hops > 0
-    wire_sum = route_sum(wire_arr.astype(np.float64))
-    dst_stage_sum = route_sum(stage_cycles[link_v_arr].astype(np.float64))
     pipeline = np.where(
         reachable,
         stage_cycles[:, None] + np.rint(wire_sum + dst_stage_sum).astype(
@@ -358,12 +366,10 @@ def build_routing_tables(topology: "Topology") -> RoutingTables:
         0,
     )
     route_router = np.where(
-        reachable,
-        router_energy[:, None] + route_sum(router_energy[link_v_arr]),
-        0.0,
+        reachable, router_energy[:, None] + router_sum, 0.0
     )
-    route_link_e = np.where(reachable, route_sum(link_energy), 0.0)
-    route_len = np.where(reachable, route_sum(length_arr), 0.0)
+    route_link_e = np.where(reachable, link_e_sum, 0.0)
+    route_len = np.where(reachable, len_sum, 0.0)
 
     tables = RoutingTables(
         num_nodes=n,
@@ -393,47 +399,116 @@ def build_routing_tables(topology: "Topology") -> RoutingTables:
 
 def _route_csr(
     graph: nx.Graph, n: int, link_u: np.ndarray, link_v: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(hops, route_indptr, route_links)`` of every ordered pair.
+    link_values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(hops, route_indptr, route_links, sums)`` of every ordered pair.
 
-    ``parent[s, d]`` is ``d``'s predecessor in the Dijkstra tree of
-    ``s`` (-1 for ``d == s`` and unreachable ``d``).  Every reachable
-    pair then steps from its destination back towards its source in
-    lockstep; step ``j`` yields the route's ``j``-th link from the end.
+    Collects the hop levels of :func:`_dijkstra_levels`, whose hop
+    counts fix the CSR offsets, then fills them in order: a pair at hop
+    ``h`` extends its predecessor's route by one link, so level ``h``'s
+    routes are level ``h - 1``'s rows plus a column.  ``sums[s * n + d]`` adds ``link_values``
+    (``(L, k)``) over the route the same way, first link first -- the
+    float order of a left-to-right ``np.bincount`` over the CSR.
     """
-    def weight(u: int, v: int, data) -> float:
-        return 1.0 + 1e-6 * data["length_mm"]
-
-    parent = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        _dist, paths = nx.single_source_dijkstra(graph, s, weight=weight)
-        del paths[s]
-        parent[s, np.fromiter(paths, np.int64, len(paths))] = np.fromiter(
-            (path[-2] for path in paths.values()), np.int64, len(paths)
-        )
-
     link_id = np.full((n, n), -1, dtype=np.int64)
     link_id[link_u, link_v] = np.arange(link_u.shape[0], dtype=np.int64)
-    pair = np.flatnonzero(parent.reshape(-1) >= 0)
-    node = pair % n
-    steps = []
-    while pair.size:
-        src = pair // n
-        prev = parent[src, node]
-        steps.append((pair, link_id[prev, node]))
-        more = prev != src
-        pair, node = pair[more], prev[more]
-
-    counts = np.zeros(n * n, dtype=np.int64)
-    for pairs, _links in steps:
-        counts[pairs] += 1
+    levels = list(_dijkstra_levels(graph, n))
+    hops = np.full(n * n, -1, dtype=np.int64)
+    hops[::n + 1] = 0
+    for h, (pair, _prev, _row) in enumerate(levels, 1):
+        hops[pair] = h
     route_indptr = np.zeros(n * n + 1, dtype=np.int64)
-    np.cumsum(counts, out=route_indptr[1:])
+    np.cumsum(np.maximum(hops, 0), out=route_indptr[1:])
     route_links = np.empty(int(route_indptr[-1]), dtype=np.int64)
-    route_end = route_indptr[1:]
-    for j, (pairs, links) in enumerate(steps):
-        route_links[route_end[pairs] - 1 - j] = links
+    sums = np.zeros((n * n, link_values.shape[1]))
 
-    hops = np.where(parent >= 0, counts.reshape(n, n), -1)
-    np.fill_diagonal(hops, 0)
-    return hops, route_indptr, route_links
+    routes = np.empty((n, 0), dtype=np.int64)
+    acc = np.zeros((n, link_values.shape[1]))
+    for h, (pair, prev, row) in enumerate(levels, 1):
+        link = link_id[prev, pair % n]
+        routes = np.column_stack((routes[row], link))
+        acc = acc[row] + link_values[link]
+        route_links[route_indptr[pair][:, None] + np.arange(h)] = routes
+        sums[pair] = acc
+    return hops.reshape(n, n), route_indptr, route_links, sums
+
+
+def _dijkstra_levels(
+    graph: nx.Graph, n: int,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """networkx's per-source Dijkstra trees, one hop level at a time.
+
+    Replays ``nx.single_source_dijkstra(graph, s, weight=1 + 1e-6 *
+    length_mm)`` for every source ``s`` at once and yields, for hop
+    ``h = 1, 2, ...``, ``(pair, prev, row)``: the pairs ``s * n + d``
+    at hop ``h`` in networkx's pop order within each source, each
+    ``d``'s predecessor (bit for bit networkx's), and the predecessor
+    pair's index in the previous level (level 0 is the sources).
+    networkx pops ``(distance, push counter)`` from a heap and keeps,
+    for each node, the first popped neighbour that reaches its final
+    distance.  Three facts make that order replayable as arrays:
+
+    * Minimum-weight routes are minimum-hop routes while the
+      ``1e-6 * length_mm`` excess summed over any route stays below one
+      hop (checked here), so every node at hop ``h`` is popped before
+      any node at hop ``h + 1``.
+    * A node's candidate distance is ``dist[s, v] + w(v, u)`` over its
+      hop-``h`` neighbours ``v`` -- the float addition networkx does.
+      The predecessor is the minimum; among exact float ties, the tied
+      ``v`` popped first.
+    * A node's final heap entry is pushed while its predecessor is
+      expanded, walking neighbours in ``graph.adj`` order, so within a
+      source the new level pops in ``(distance, predecessor's pop rank,
+      adjacency position)`` order.
+
+    The frontier is kept in ``(source, pop rank)`` order and expanded in
+    adjacency order, so candidate positions already encode the last two
+    keys and every tie is settled by a stable sort.
+    ``tests/test_routing.py::TestDijkstraReplay`` fuzzes this against
+    networkx.
+    """
+    adj = graph.adj
+    degree = np.fromiter((len(adj[v]) for v in range(n)), np.int64, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    num_edges = int(indptr[-1])
+    head = np.fromiter(
+        (u for v in range(n) for u in adj[v]), np.int64, num_edges
+    )
+    weight = 1.0 + 1e-6 * np.fromiter(
+        (data["length_mm"] for v in range(n) for data in adj[v].values()),
+        np.float64, num_edges,
+    )
+    # A simple route crosses each undirected link at most once, so its
+    # excess is at most half this sum; the other half is float headroom.
+    if not np.sum(weight - 1.0) < 1.0:
+        raise ValueError(
+            "link lengths too long for minimum-hop routing: "
+            "1e-6 * total length_mm must stay below half a hop"
+        )
+
+    seen = np.zeros(n * n, dtype=bool)
+    src = node = np.arange(n, dtype=np.int64)
+    dist = np.zeros(n)
+    seen[src * (n + 1)] = True
+    while src.size:
+        deg = degree[node]
+        edge = concat_ranges(indptr[node], deg)
+        row = np.repeat(np.arange(src.shape[0], dtype=np.int64), deg)
+        pair = src[row] * n + head[edge]
+        new = ~seen[pair]
+        edge, row, pair = edge[new], row[new], pair[new]
+        cand_dist = dist[row] + weight[edge]
+        # Per pair, the lowest distance, then the first-popped neighbour.
+        order = np.lexsort((cand_dist, pair))
+        ordered = pair[order]
+        first = np.ones(ordered.shape[0], dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        best = np.sort(order[first])
+        best = best[np.lexsort((cand_dist[best], src[row[best]]))]
+        row, pair, dist = row[best], pair[best], cand_dist[best]
+        prev = node[row]
+        src = src[row]
+        node = pair - src * n
+        seen[pair] = True
+        yield pair, prev, row

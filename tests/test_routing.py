@@ -1,10 +1,12 @@
 """Property tests: cached routing tables vs the scalar route oracle.
 
 Tables hold *minimal* routes identical to networkx Dijkstra for every
-pair, hop counts are symmetric where the topology is undirected, every
-derived matrix (pipeline, energy, length) agrees with the scalar
-per-route computations, and a ``Topology.with_params`` view's tables
-equal a fresh build under its params.
+pair (the array replay that builds them is fuzzed against per-source
+networkx and searches no graph through networkx), hop counts are
+symmetric where the topology is undirected, every derived matrix
+(pipeline, energy, length) agrees with the scalar per-route
+computations, and a ``Topology.with_params`` view's tables equal a
+fresh build under its params.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.net.analytic import (
 )
 from repro.net.routing import (
     COST_PARAM_FIELDS,
+    _dijkstra_levels,
     build_routing_tables,
     concat_ranges,
 )
@@ -57,6 +60,14 @@ BUILDER_DIGESTS = {
     ("floret", 16): "a038ac02b331a206",
     ("floret", 64): "79dbe0f308aee992",
 }
+#: The same digests at benchmark scale, where equal-cost ties are most
+#: common, from the per-source networkx table builder.
+BENCHMARK_DIGESTS = {
+    ("siam", 256): "114dfd85671ab557",
+    ("kite", 256): "3f94bd9a51251ed2",
+    ("floret", 256): "2178dd9432057d42",
+    ("swap", 100): "5fb579ec67dddb09",
+}
 DIGESTED = (
     "hops", "pipeline_cycles", "route_router_energy_pj_per_flit",
     "route_link_energy_pj_per_flit", "route_length_mm",
@@ -84,6 +95,42 @@ def _oracle_route(graph, src, dst):
     return tuple(nx.dijkstra_path(
         graph, src, dst, weight=lambda u, v, e: 1.0 + 1e-6 * e["length_mm"]
     ))
+
+
+def _weight(u, v, data):
+    return 1.0 + 1e-6 * data["length_mm"]
+
+
+def _networkx_parents(graph, n):
+    """Per-source networkx Dijkstra: the oracle of the table replay.
+
+    ``(parent, hops, dist)`` over (source, node): the node's
+    predecessor in the source's tree (-1 for the source itself), its
+    hop count and its distance; -1 parent and hops and ``inf``
+    distance where the node is unreachable.
+    """
+    parent = np.full((n, n), -1, dtype=np.int64)
+    hops = np.full((n, n), -1, dtype=np.int64)
+    dist = np.full((n, n), np.inf)
+    for s in range(n):
+        lengths, paths = nx.single_source_dijkstra(graph, s, weight=_weight)
+        for d, path in paths.items():
+            hops[s, d] = len(path) - 1
+            dist[s, d] = lengths[d]
+            if d != s:
+                parent[s, d] = path[-2]
+    return parent, hops, dist
+
+
+def _replay_parents(graph, n):
+    """``(parent, hops)`` of :func:`_dijkstra_levels`, as the oracle's."""
+    parent = np.full(n * n, -1, dtype=np.int64)
+    hops = np.full(n * n, -1, dtype=np.int64)
+    hops[::n + 1] = 0
+    for h, (pair, prev, _row) in enumerate(_dijkstra_levels(graph, n), 1):
+        parent[pair] = prev
+        hops[pair] = h
+    return parent.reshape(n, n), hops.reshape(n, n)
 
 
 def _assert_tables_equal(a, b):
@@ -279,6 +326,106 @@ class TestRouteOracle:
         assert [bare.route(s, d) for s, d in pairs] == oracle
         bare.routing_tables()
         assert [bare.route(s, d) for s, d in pairs] == oracle
+
+
+#: Length sets for the replay fuzz.  Equal lengths tie exactly; decimal
+#: lengths also tie *inexactly* (``w(0.1) + w(0.2)`` vs ``w(0.3) +
+#: w(0.0)``, or the same links summed in another order), where only the
+#: exact float comparison networkx makes picks the predecessor.
+FUZZ_LENGTHS = (
+    (1.0,),
+    (0.0, 0.5, 1.0),
+    (0.0, 0.1, 0.2, 0.3),
+    (0.1, 0.2, 0.3, 0.4, 0.7, 1.1),
+    None,  # uniform random: few ties
+)
+
+
+def _fuzz_graph(seed):
+    """A random graph with shuffled node and edge insertion order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 41)) if seed % 10 else 1 + seed % 3
+    lengths = FUZZ_LENGTHS[seed % len(FUZZ_LENGTHS)]
+    edges = set()
+    for _ in range(int(rng.integers(0, 3 * n + 1)) if n > 1 else 0):
+        u, v = map(int, rng.choice(n, 2, replace=False))
+        edges.add((min(u, v), max(u, v)))
+    # Adjacency order is part of networkx's tie rule: shuffle it.
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in sorted(edges)]
+    rng.shuffle(edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(rng.permutation(n).tolist())
+    for u, v in edges:
+        length = (float(rng.uniform(0.0, 5.0)) if lengths is None
+                  else float(rng.choice(lengths)))
+        graph.add_edge(u, v, length_mm=length)
+    return graph, n
+
+
+class TestDijkstraReplay:
+    """:func:`_dijkstra_levels` against per-source networkx Dijkstra."""
+
+    def test_differential_fuzz(self):
+        seen = dict(single=0, disconnected=0, exact_ties=0, inexact_ties=0)
+        for seed in range(320):
+            graph, n = _fuzz_graph(seed)
+            parent, hops, dist = _networkx_parents(graph, n)
+            got_parent, got_hops = _replay_parents(graph, n)
+            assert np.array_equal(got_parent, parent), seed
+            assert np.array_equal(got_hops, hops), seed
+            # Coverage: what made this graph a hard case.
+            seen["single"] += n == 1
+            seen["disconnected"] += bool((hops < 0).any())
+            if graph.number_of_edges():
+                tail, head, data = zip(*graph.edges(data=True))
+                tail, head = tail + head, head + tail
+                w = np.array([_weight(0, 0, d) for d in data] * 2)
+                with np.errstate(invalid="ignore"):
+                    slack = dist[:, tail] + w - dist[:, head]
+                tight = (slack == 0).astype(np.int64)
+                per_pair = np.zeros((n, n), dtype=np.int64)
+                np.add.at(per_pair, (slice(None), list(head)), tight)
+                seen["exact_ties"] += int((per_pair > 1).sum())
+                seen["inexact_ties"] += int(
+                    ((slack != 0) & (np.abs(slack) < 1e-12)).sum()
+                )
+        assert seen["single"] >= 10 and seen["disconnected"] >= 100, seen
+        assert seen["exact_ties"] >= 5000 and seen["inexact_ties"] >= 500, seen
+
+    def test_long_links_rejected(self):
+        graph = nx.path_graph(3)
+        nx.set_edge_attributes(graph, 3e5, "length_mm")
+        with pytest.raises(ValueError, match="minimum-hop"):
+            list(_dijkstra_levels(graph, 3))
+
+
+@pytest.mark.parametrize("arch,n", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_scale_matches_networkx(arch, n):
+    """Full parent matrix and table digest at the sizes perfbench runs."""
+    topo = FRESH_BUILDERS[arch](n)
+    parent, hops, _dist = _networkx_parents(topo.graph, n)
+    got_parent, got_hops = _replay_parents(topo.graph, n)
+    assert np.array_equal(got_parent, parent)
+    assert np.array_equal(got_hops, hops)
+    assert _table_digest(build_routing_tables(topo)) == \
+        BENCHMARK_DIGESTS[(arch, n)]
+
+
+def test_tables_build_without_networkx_search(monkeypatch):
+    """Tables, and the routes and hops read from them, search no graph."""
+    fresh = {arch: build(16) for arch, build in FRESH_BUILDERS.items()}
+
+    def searched(*args, **kwargs):
+        raise AssertionError("networkx search on the table path")
+
+    for name in ("single_source_dijkstra", "dijkstra_path",
+                 "single_source_shortest_path_length"):
+        monkeypatch.setattr(nx, name, searched)
+    for arch, topo in fresh.items():
+        assert _table_digest(build_routing_tables(topo)) == \
+            BUILDER_DIGESTS[(arch, 16)]
+        topo.routing_tables()
+        assert len(topo.route(0, 15)) == topo.hops(0, 15) + 1
 
 
 #: Changes every cost class: router stage depth, wire delay, link energy.
