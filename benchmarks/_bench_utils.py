@@ -13,12 +13,30 @@ comparison is visible in the benchmark log.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Time ``fn`` with one warm round and return its result."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
+
+
+def fresh_interpreter_floats(command: str):
+    """Run ``command`` in a fresh interpreter on this checkout's ``src``;
+    return the floats it prints."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", command], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    return [float(v) for v in out.split()]
 
 
 def quick_mode() -> bool:

@@ -16,13 +16,12 @@ a wall-clock ratio on a shared runner flakes.
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 import time
 import warnings
 from pathlib import Path
 from statistics import median
 
+from _bench_utils import fresh_interpreter_floats
 from repro.eval import (
     append_ratio_history,
     format_table,
@@ -45,22 +44,8 @@ print(ms(16), ms(32))
 """
 
 
-def _cold_warm_ms():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, env.get("PYTHONPATH")))
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", COMMAND], env=env, check=True,
-        capture_output=True, text=True,
-    ).stdout
-    cold, warm = map(float, out.split())
-    return cold, warm
-
-
 def test_kite256_cold_over_warm():
-    runs = [_cold_warm_ms() for _ in range(RUNS)]
+    runs = [fresh_interpreter_floats(COMMAND) for _ in range(RUNS)]
     ratio = median(cold / warm for cold, warm in runs)
     print()
     print(format_table(

@@ -17,7 +17,10 @@ Two mappers reproduce the paper's comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Protocol, Sequence, Tuple
+
+import networkx as nx
+import numpy as np
 
 from ..noi.topology import Topology
 from ..pim.allocation import AllocationPlan
@@ -236,23 +239,29 @@ class GreedyMapper:
             return None
         if need == 0:
             return TaskPlacement(task_id, model.name, plan, ())
-        available: Set[int] = set(free)
         start = self._start_chiplet(free)
+        # Each step takes the first minimum of the previous chiplet's
+        # hop row over the still-free chiplets: fewest hops, then lowest
+        # id.  An unreachable free chiplet (-1) would win the minimum,
+        # so it surfaces as NetworkXNoPath, as a hop query raises.
+        hops = self.topology.routing_tables().hops
+        available = np.zeros(hops.shape[0], dtype=bool)
+        available[list(free)] = True
+        available[start] = False
+        unavailable = np.iinfo(hops.dtype).max
         chosen = [start]
-        available.discard(start)
         prev = start
         for _ in range(need - 1):
-            best = min(
-                sorted(available),
-                key=lambda c: (self.topology.hops(prev, c), c),
-            )
-            if (
-                self.max_hops is not None
-                and self.topology.hops(prev, best) > self.max_hops
-            ):
+            row = np.where(available, hops[prev], unavailable)
+            best = int(row.argmin())
+            if row[best] < 0:
+                raise nx.NetworkXNoPath(
+                    f"{self.topology.name}: no path {prev}->{best}"
+                )
+            if self.max_hops is not None and row[best] > self.max_hops:
                 return None
             chosen.append(best)
-            available.discard(best)
+            available[best] = False
             prev = best
         return TaskPlacement(
             task_id=task_id,

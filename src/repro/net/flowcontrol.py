@@ -468,48 +468,71 @@ def simulate_fc_events(
 # epoch-synchronous vectorized engine
 
 
+def _link_time_order(link: np.ndarray, time: np.ndarray, num_links: int,
+                     tie: Optional[np.ndarray] = None,
+                     tie_span: int = 1) -> np.ndarray:
+    """Indices that sort rows by ``(link, time[, tie])``.
+
+    One ``np.argsort`` on the int64 key ``(link * tspan + time - t0) *
+    tie_span + tie``, where ``tie`` (if given) lies in ``[0, tie_span)``.
+    Rows equal on every column may come out in any order.  Falls back to
+    ``np.lexsort`` when the key would leave the int64 range.
+    """
+    t0 = int(time.min())
+    tspan = int(time.max()) - t0 + 1
+    if num_links * tspan * tie_span >= 2 ** 63:
+        return np.lexsort((time, link) if tie is None else (tie, time, link))
+    # In-place int64 arithmetic wraps modulo 2**64, so only the final
+    # key, not each partial sum, has to fit.
+    key = np.multiply(link, tspan, dtype=np.int64)
+    key += time
+    key -= t0
+    if tie is not None:
+        key *= tie_span
+        key += tie
+    return np.argsort(key)
+
+
 def _credit_ready_times(
     e_s: np.ndarray,
     deficit: np.ndarray,
     rel_link: np.ndarray,
     rel_time: np.ndarray,
     rel_amt: np.ndarray,
+    num_links: int,
 ) -> np.ndarray:
     """Earliest cycle the known release schedule covers each deficit.
 
     ``_NEG`` where no credits are needed (deficit <= 0), ``_INF`` where
     no known release ever covers the deficit.  Releases are consulted
-    per link in time order; amounts accumulate.
+    per link in time order; amounts accumulate.  Only releases on links
+    with a needy request are looked at.
     """
-    c = np.full(e_s.shape[0], _NEG, dtype=np.int64)
     needy = deficit > 0
-    if not needy.any():
+    c = np.where(needy, _INF, _NEG)
+    if rel_time.size == 0 or not needy.any():
         return c
-    c[needy] = _INF
-    if rel_time.size == 0:
+    need_link = e_s[needy]
+    wanted = np.zeros(num_links, dtype=bool)
+    wanted[need_link] = True
+    keep = wanted[rel_link]
+    if not keep.any():
         return c
-    # Releases sorted by (link, time); within-link cumulative amounts
-    # lifted onto disjoint per-link key bands so one global searchsorted
-    # answers "first release where this link's cumulative covers the
-    # deficit" for every request at once.  A deficit beyond the band
-    # (or landing in another link's band) is uncovered -> _INF.
-    order = np.lexsort((rel_time, rel_link))
-    rl, rt, ra = rel_link[order], rel_time[order], rel_amt[order]
-    head = np.empty(rl.shape[0], dtype=bool)
-    head[0] = True
-    head[1:] = rl[1:] != rl[:-1]
-    cum = np.cumsum(ra)
-    block_first = np.flatnonzero(head)[np.cumsum(head) - 1]
-    cum_in = cum - (cum[block_first] - ra[block_first])
-    band = int(cum_in.max()) + 1
-    keys = rl * band + cum_in
-    query = e_s[needy] * band + deficit[needy]
-    pos = np.searchsorted(keys, query, side="left")
-    covered = pos < keys.shape[0]
-    covered[covered] &= rl[pos[covered]] == e_s[needy][covered]
-    times = np.full(query.shape[0], _INF, dtype=np.int64)
-    times[covered] = rt[pos[covered]]
-    c[needy] = times
+    rl, rt, ra = rel_link[keep], rel_time[keep], rel_amt[keep]
+    # Sorted by (link, time), link e's releases are the run [lo, hi) and
+    # the running amount ``cum`` (exclusive: cum[i] sums rows < i) is
+    # strictly increasing (every release returns >= 1 flit), so the first release covering deficit d is
+    # the first row p with cum[p + 1] >= cum[lo] + d; p >= hi means
+    # none does.  Releases tied on (link, time) may sort in any order:
+    # the covering row still falls among them, so its time is the same.
+    order = _link_time_order(rl, rt, num_links)
+    rl, rt = rl[order], rt[order]
+    cum = np.zeros(rl.shape[0] + 1, dtype=np.int64)
+    np.cumsum(ra[order], out=cum[1:])
+    lo = np.searchsorted(rl, need_link, side="left")
+    hi = np.searchsorted(rl, need_link, side="right")
+    pos = np.searchsorted(cum[1:], cum[lo] + deficit[needy], side="left")
+    c[needy] = np.where(pos < hi, rt.take(pos, mode="clip"), _INF)
     return c
 
 
@@ -697,7 +720,9 @@ def simulate_fc_epochs(
     time from the known release schedule, then finalise the
     provably-safe prefix (see the module docstring for the horizon
     argument).  Returns the epoch count and, when requested, the grant
-    trace.
+    trace.  ``contended_ids`` must ascend (as
+    :func:`~repro.net.simulator.simulate_packets` passes them): the
+    sort breaks ties by position, which is then packet-id order.
     """
     ids = contended_ids
     m = int(ids.size)
@@ -721,6 +746,8 @@ def simulate_fc_epochs(
     source_queue = fc.source_queue
     num_links = tables.num_directed_links
 
+    if m > 1 and not (ids[1:] > ids[:-1]).all():
+        raise ValueError("contended_ids must be strictly ascending")
     gid = ids.astype(np.int64)
     inj = inject[ids].astype(np.int64)
     t = inj.copy()
@@ -779,6 +806,16 @@ def simulate_fc_epochs(
             )
         t_pend = t[pend_idx]
         base = int(t_pend.min())
+        if finite and rel_time.size:
+            # Releases at or before the earliest pending request can
+            # never bind again: fold them into the per-link base.
+            fold = rel_time <= base
+            if fold.any():
+                np.add.at(base_rel, rel_link[fold], rel_amt[fold])
+                keep = ~fold
+                rel_time = rel_time[keep]
+                rel_link = rel_link[keep]
+                rel_amt = rel_amt[keep]
         truncated = False
         act = pend_idx
         if pend_idx.size > 64:
@@ -789,10 +826,13 @@ def simulate_fc_epochs(
         epochs += 1
         hop_a = hop[act]
         link_a = route_links[pstart[act] + hop_a]
-        order = np.lexsort((gid[act], t[act], link_a))
+        # (link, cycle, packet id) order: ids ascend, so slot order is
+        # packet-id order.
+        t_a = t[act]
+        order = _link_time_order(link_a, t_a, num_links, act, m)
         slot = act[order]
         e_s = link_a[order]
-        t_s = t[act][order]
+        t_s = t_a[order]
         h_s = hop_a[order]
         f_s = pflits[slot]
         n = int(slot.size)
@@ -803,41 +843,43 @@ def simulate_fc_epochs(
         head_pos = np.flatnonzero(head)
         seg_id = np.cumsum(head) - 1
         seg_first = head_pos[seg_id]
+        # The link's current occupancy folds into each queue's head.
+        head_bound = np.maximum(ready[head_pos], link_free[e_s[head_pos]])
         clamped = ready.copy()
-        clamped[head] = np.maximum(clamped[head], link_free[e_s[head]])
+        clamped[head_pos] = head_bound
         incl_global = np.cumsum(f_s)
         incl = incl_global - (incl_global[seg_first] - f_s[seg_first])
         excl = incl - f_s
         if finite:
             deficit = consumed[e_s] + incl - capacity[e_s] - base_rel[e_s]
             c = _credit_ready_times(e_s, deficit, rel_link, rel_time,
-                                    rel_amt)
-        else:
-            c = np.full(n, _NEG, dtype=np.int64)
+                                    rel_amt, num_links)
+            head_bound = np.maximum(head_bound, c[head_pos])
 
         # Safe horizon: every future grant starts at or after T, so
         # unknown releases land at T + rtt or later and unknown request
         # events at T + guard or later (see module docstring).
-        T = int(np.maximum(clamped[head], c[head]).min())
+        T = int(head_bound.min())
         if truncated:
             T = min(T, base + span + 1)
         if T >= int(_INF) // 2:
             links = np.unique(e_s)
             raise FlowControlDeadlockError(fc, remaining, links)
 
-        c_scan = np.minimum(c, T + rtt + 1)
-        grant_floor = np.maximum(clamped, c_scan)
+        grant_floor = clamped
+        if finite:
+            grant_floor = np.maximum(clamped, np.minimum(c, T + rtt + 1))
         s = excl + _segmented_cummax(grant_floor - excl, seg_id)
-        fifo_bound = clamped.copy()
-        nonhead = np.flatnonzero(~head)
-        if nonhead.size:
-            fifo_bound[nonhead] = np.maximum(
-                clamped[nonhead], s[nonhead - 1] + f_s[nonhead - 1]
-            )
+        # FIFO bound: the request's clamped ready time, and behind a
+        # queue head also the end of its predecessor's grant.
+        prev_end = np.empty(n, dtype=np.int64)
+        np.add(s[:-1], f_s[:-1], out=prev_end[1:])
+        prev_end[head_pos] = _NEG
+        fifo_bound = np.maximum(clamped, prev_end)
         guard = 1 if withheld else guard_hop
         ok = t_s < T + guard
         if finite:
-            ok &= (c <= fifo_bound) | (c <= T + rtt)
+            ok &= c <= np.maximum(fifo_bound, T + rtt)
         pos_in_seg = np.arange(n) - seg_first
         first_bad = np.minimum.reduceat(
             np.where(ok, n + 1, pos_in_seg), head_pos
@@ -865,10 +907,11 @@ def simulate_fc_epochs(
                 gid[fin_slot], fin_h, fin_e, ready[fin], fin_s, fin_f,
                 fin_s - fifo_bound[fin],
             ))
-        seg_len = np.diff(np.append(head_pos, n))
-        n_fin = np.minimum(first_bad, seg_len)
-        with_grants = np.flatnonzero(n_fin > 0)
-        tail = head_pos[with_grants] + n_fin[with_grants] - 1
+        # Each link's last grant: finalised, and the next row is not a
+        # finalised row of the same queue.
+        runs_on = np.zeros(n, dtype=bool)
+        np.greater(fin[1:], head[1:], out=runs_on[:-1])
+        tail = np.flatnonzero(fin > runs_on)
         link_free[e_s[tail]] = s[tail] + f_s[tail]
         if finite:
             consumed[e_s[tail]] += incl[tail]
@@ -904,16 +947,6 @@ def simulate_fc_epochs(
                 t[spawned] = np.maximum(inj[spawned], opener + 1)
                 pending[spawned] = True
                 withheld -= int(spawned.size)
-
-        if finite and rel_time.size and remaining:
-            if pending.any():
-                fold = rel_time <= int(t[pending].min())
-                if fold.any():
-                    np.add.at(base_rel, rel_link[fold], rel_amt[fold])
-                    keep = ~fold
-                    rel_time = rel_time[keep]
-                    rel_link = rel_link[keep]
-                    rel_amt = rel_amt[keep]
 
     if trace_chunks is None:
         return epochs, None

@@ -72,38 +72,59 @@ def design_time_traffic(
     return traffic
 
 
+def _pair_hops(adjacency, src: int, dst: int, unreachable: int) -> int:
+    """Hop distance ``src -> dst`` by bidirectional BFS.
+
+    Grows the smaller frontier one whole level at a time.  The first
+    node one side reaches that the other side has already seen closes a
+    shortest path: with no earlier meeting the distance exceeds the sum
+    of the levels expanded so far, and this path is one hop longer.
+    """
+    if src == dst:
+        return 0
+    seen = [{src: 0}, {dst: 0}]
+    fronts = [[src], [dst]]
+    levels = [0, 0]
+    while fronts[0] and fronts[1]:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        mine, other = seen[side], seen[1 - side]
+        levels[side] += 1
+        level = levels[side]
+        nxt: List[int] = []
+        for u in fronts[side]:
+            for v in adjacency[u]:
+                if v in mine:
+                    continue
+                if v in other:
+                    return level + other[v]
+                mine[v] = level
+                nxt.append(v)
+        fronts[side] = nxt
+    return unreachable
+
+
 def _traffic_cost(
     graph: nx.Graph, traffic: Sequence[Tuple[int, int, float]]
 ) -> float:
     """Total traffic-weighted hop count (the SA objective).
 
-    Uses a hand-rolled early-exit BFS per source: traffic sources need
-    only a handful of nearby destinations, so stopping as soon as all of
-    a source's destinations are found keeps each SA iteration cheap.
+    One bidirectional BFS per (source, destination) pair: design-time
+    traffic joins nearby chiplets, so two small balls meet long before
+    one source-rooted BFS has covered all of its destinations.  Terms
+    are summed source by source (in first-appearance order), each
+    source's destinations in traffic order; an unreachable pair costs
+    ``2 * n`` hops.
     """
-    adjacency = {node: list(graph.adj[node]) for node in graph}
+    adjacency = dict(graph.adjacency())
+    unreachable = len(adjacency) * 2
     by_src: Dict[int, List[Tuple[int, float]]] = {}
     for src, dst, volume in traffic:
         by_src.setdefault(src, []).append((dst, volume))
 
     cost = 0.0
     for src, wants in by_src.items():
-        pending = {dst for dst, _ in wants}
-        dist = {src: 0}
-        frontier = [src]
-        pending.discard(src)
-        while frontier and pending:
-            nxt: List[int] = []
-            for u in frontier:
-                du = dist[u]
-                for v in adjacency[u]:
-                    if v not in dist:
-                        dist[v] = du + 1
-                        pending.discard(v)
-                        nxt.append(v)
-            frontier = nxt
         for dst, volume in wants:
-            cost += volume * dist.get(dst, len(adjacency) * 2)
+            cost += volume * _pair_hops(adjacency, src, dst, unreachable)
     return cost
 
 

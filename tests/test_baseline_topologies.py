@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+from typing import Dict, List
+
+import networkx as nx
 import pytest
 
 from repro.noi.kite import (
@@ -16,9 +21,56 @@ from repro.noi.swap import (
     MAX_LINK_SPAN_PITCHES,
     MAX_PORTS,
     SwapSynthesisConfig,
+    _traffic_cost,
     build_swap,
     design_time_traffic,
 )
+
+#: Link digests of ``build_swap`` recorded from the per-source BFS
+#: objective that preceded the bidirectional per-pair search; the anneal
+#: accepts moves by comparing float costs, so any drift in the objective
+#: would move links.
+SWAP_LINK_DIGESTS = {
+    16: "00d6df36d1beafbd",
+    36: "a323aecdfab91d45",
+    64: "981bf5606d60ba4d",
+    100: "f216ed7626ef88a9",
+}
+SWAP_CONFIG = SwapSynthesisConfig(chord_budget_fraction=0.4, iterations=300,
+                                  initial_temperature=2.0, cooling=0.99,
+                                  seed=11)
+SWAP_CONFIG_DIGEST = "8b7c5dc408e18205"  # build_swap(49, config=SWAP_CONFIG)
+
+
+def _link_digest(topology) -> str:
+    links = [(l.u, l.v, l.length_mm) for l in topology.links]
+    return hashlib.sha256(repr(links).encode()).hexdigest()[:16]
+
+
+def _source_bfs_traffic_cost(graph, traffic) -> float:
+    """The SA objective as one early-exit BFS per source.  The oracle."""
+    adjacency = {node: list(graph.adj[node]) for node in graph}
+    by_src: Dict[int, List] = {}
+    for src, dst, volume in traffic:
+        by_src.setdefault(src, []).append((dst, volume))
+    cost = 0.0
+    for src, wants in by_src.items():
+        pending = {dst for dst, _ in wants}
+        dist = {src: 0}
+        frontier = [src]
+        pending.discard(src)
+        while frontier and pending:
+            nxt = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        pending.discard(v)
+                        nxt.append(v)
+            frontier = nxt
+        for dst, volume in wants:
+            cost += volume * dist.get(dst, len(adjacency) * 2)
+    return cost
 
 
 class TestMesh:
@@ -115,6 +167,37 @@ class TestSwap:
             _traffic_cost(long.graph, traffic)
             <= _traffic_cost(short.graph, traffic)
         )
+
+    @pytest.mark.parametrize("n", sorted(SWAP_LINK_DIGESTS))
+    def test_links_match_recorded_digests(self, n):
+        assert _link_digest(build_swap(n)) == SWAP_LINK_DIGESTS[n]
+
+    def test_custom_config_matches_recorded_digest(self):
+        assert (_link_digest(build_swap(49, config=SWAP_CONFIG))
+                == SWAP_CONFIG_DIGEST)
+
+    def test_traffic_cost_matches_source_bfs(self):
+        rng = random.Random(5)
+        for trial in range(60):
+            n = rng.randint(1, 30)
+            p = rng.choice([0.03, 0.08, 0.2])
+            graph = nx.gnp_random_graph(n, p, seed=trial)
+            traffic = [(rng.randrange(n), rng.randrange(n),
+                        rng.choice([1.0, 0.35, 0.1]))
+                       for _ in range(rng.randint(0, 40))]
+            # Pairs with src == dst, repeated pairs and unreachable pairs
+            # (sparse graphs are disconnected) all occur.
+            traffic += [(0, 0, 0.7), (n - 1, 0, 0.3), (n - 1, 0, 0.3)]
+            assert (_traffic_cost(graph, traffic)
+                    == _source_bfs_traffic_cost(graph, traffic))
+
+    def test_traffic_cost_edge_cases(self):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(4))
+        graph.add_edges_from([(0, 1), (1, 2)])
+        assert _traffic_cost(graph, [(2, 2, 5.0)]) == 0.0
+        assert _traffic_cost(graph, [(0, 2, 0.5)]) == 1.0
+        assert _traffic_cost(graph, [(0, 3, 1.0)]) == 8.0  # 2 * n
 
     def test_design_time_traffic_chain_backbone(self):
         traffic = design_time_traffic(10, seed=1)

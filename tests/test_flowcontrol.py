@@ -17,10 +17,15 @@ import pytest
 
 from repro.eval.experiments import load_sweep_traffic, parse_load_workload
 from repro.net.flowcontrol import (
+    _INF,
+    _NEG,
     FlowControlDeadlockError,
     FlowControlParams,
     GrantTrace,
+    _credit_ready_times,
+    _link_time_order,
     link_telemetry,
+    simulate_fc_epochs,
 )
 from repro.net.simulator import Message, simulate, simulate_packets
 from repro.noi.topology import Chiplet, Link, Topology
@@ -488,3 +493,154 @@ class TestTelemetry:
         assert trace.sorted().packet.tolist() == [1, 2]
         census = link_telemetry(trace, 6, 10)
         assert census.accepted_packets.sum() == 2
+
+
+def _lexsort_credit_ready_times(e_s, deficit, rel_link, rel_time, rel_amt):
+    """The credit search before needy-link filtering: a lexsort of the
+    whole release schedule per call.  Kept as the oracle."""
+    c = np.full(e_s.shape[0], _NEG, dtype=np.int64)
+    needy = deficit > 0
+    if not needy.any():
+        return c
+    c[needy] = _INF
+    if rel_time.size == 0:
+        return c
+    order = np.lexsort((rel_time, rel_link))
+    rl, rt, ra = rel_link[order], rel_time[order], rel_amt[order]
+    head = np.empty(rl.shape[0], dtype=bool)
+    head[0] = True
+    head[1:] = rl[1:] != rl[:-1]
+    cum = np.cumsum(ra)
+    block_first = np.flatnonzero(head)[np.cumsum(head) - 1]
+    cum_in = cum - (cum[block_first] - ra[block_first])
+    band = int(cum_in.max()) + 1
+    keys = rl * band + cum_in
+    query = e_s[needy] * band + deficit[needy]
+    pos = np.searchsorted(keys, query, side="left")
+    covered = pos < keys.shape[0]
+    covered[covered] &= rl[pos[covered]] == e_s[needy][covered]
+    times = np.full(query.shape[0], _INF, dtype=np.int64)
+    times[covered] = rt[pos[covered]]
+    c[needy] = times
+    return c
+
+
+class TestCreditSearch:
+    """``_credit_ready_times`` against the whole-schedule lexsort oracle."""
+
+    @staticmethod
+    def _check(e_s, deficit, rel_link, rel_time, rel_amt, num_links):
+        args = [np.asarray(a, dtype=np.int64)
+                for a in (e_s, deficit, rel_link, rel_time, rel_amt)]
+        got = _credit_ready_times(*args, num_links)
+        want = _lexsort_credit_ready_times(*args)
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_seeded_random_schedules(self):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            num_links = int(rng.integers(1, 10))
+            r = int(rng.integers(0, 40))
+            rel_link = rng.integers(0, num_links, r)
+            # Few distinct cycles, so (link, time) duplicates are common.
+            rel_time = rng.integers(0, 6, r) + int(rng.integers(0, 1000))
+            rel_amt = rng.integers(1, 9, r)
+            n = int(rng.integers(1, 30))
+            e_s = np.sort(rng.integers(0, num_links, n))
+            totals = np.bincount(rel_link, weights=rel_amt,
+                                 minlength=num_links).astype(np.int64)
+            deficit = rng.integers(-3, totals[e_s] + 4)
+            self._check(e_s, deficit, rel_link, rel_time, rel_amt,
+                        num_links)
+
+    def test_empty_schedule(self):
+        got = self._check([0, 1, 1], [2, 0, -1], [], [], [], 2)
+        assert got.tolist() == [_INF, _NEG, _NEG]
+
+    def test_no_needy_request(self):
+        got = self._check([0, 1], [0, -4], [0, 1], [5, 6], [4, 4], 2)
+        assert got.tolist() == [_NEG, _NEG]
+
+    def test_needy_link_without_releases(self):
+        # Link 2 needs credits, but only links 0 and 1 release any.
+        got = self._check([0, 2], [1, 1], [0, 1, 1], [3, 4, 5], [2, 2, 2],
+                          3)
+        assert got.tolist() == [3, _INF]
+
+    def test_duplicate_link_time_releases(self):
+        rel_link = [1, 1, 1, 1, 0]
+        rel_time = [7, 7, 7, 9, 7]
+        rel_amt = [2, 3, 1, 4, 5]
+        got = self._check([1] * 8, [1, 2, 3, 5, 6, 7, 10, 11],
+                          rel_link, rel_time, rel_amt, 2)
+        assert got.tolist() == [7, 7, 7, 7, 7, 9, 9, _INF]
+
+    def test_deficits_at_cumulative_boundaries(self):
+        rel_link = [0, 0, 0, 1, 1]
+        rel_time = [4, 2, 8, 3, 3]
+        rel_amt = [3, 2, 4, 1, 1]
+        # Link 0 in time order: cumulative 2 @2, 5 @4, 9 @8.
+        deficit = [2, 3, 5, 6, 9, 10, 2, 3]
+        e_s = [0, 0, 0, 0, 0, 0, 1, 1]
+        got = self._check(e_s, deficit, rel_link, rel_time, rel_amt, 2)
+        assert got.tolist() == [2, 4, 4, 8, 8, _INF, 3, _INF]
+
+    def test_key_overflow_falls_back_to_lexsort(self):
+        # Release cycles 2**61 apart: link * span would leave int64.
+        rel_link = [1, 0, 1, 0]
+        rel_time = [2 ** 61, 5, 3, 2 ** 61 + 1]
+        rel_amt = [1, 2, 3, 4]
+        got = self._check([0, 0, 1, 1], [2, 3, 3, 4], rel_link, rel_time,
+                          rel_amt, 4)
+        assert got.tolist() == [5, 2 ** 61 + 1, 3, 2 ** 61]
+
+
+class TestLinkTimeOrder:
+    def _lexsorted(self, link, time, tie):
+        return np.lexsort((tie, time, link))
+
+    def test_composite_key_matches_lexsort(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            m = int(rng.integers(1, 60))
+            link = rng.integers(0, 7, m)
+            time = rng.integers(-5, 40, m) + 1000
+            tie = rng.permutation(m)
+            order = _link_time_order(link, time, 7, tie, m)
+            np.testing.assert_array_equal(order,
+                                          self._lexsorted(link, time, tie))
+
+    def test_overflow_guard(self):
+        link = np.array([2, 0, 2, 1, 0])
+        time = np.array([2 ** 60, 0, 7, -(2 ** 60), 0])
+        tie = np.array([4, 1, 0, 3, 2])
+        # 3 links x 2**61 cycles x 5 ties leaves int64: lexsort path.
+        order = _link_time_order(link, time, 3, tie, 5)
+        np.testing.assert_array_equal(order,
+                                      self._lexsorted(link, time, tie))
+        # Without a tie column the key fits; rows equal on (link, time)
+        # may come out in either order.
+        order = _link_time_order(link, time, 3)
+        assert order.tolist() in ([1, 4, 3, 2, 0], [4, 1, 3, 2, 0])
+
+    def test_key_near_int64_top(self):
+        # A narrow span of huge cycles: link * span + time passes 2**63
+        # on the way, the final key does not, so no fallback is needed.
+        rng = np.random.default_rng(8)
+        link = rng.integers(0, 1000, 200)
+        time = (2 ** 63 - 40) + rng.integers(0, 30, 200)
+        tie = rng.permutation(200)
+        np.testing.assert_array_equal(
+            _link_time_order(link, time, 1000, tie, 200),
+            self._lexsorted(link, time, tie),
+        )
+
+    def test_epoch_engine_requires_ascending_ids(self, line):
+        table = line.routing_tables()
+        ids = np.array([1, 0])
+        z = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="ascending"):
+            simulate_fc_epochs(table, FlowControlParams(buffer_flits=8),
+                               z, z, z + 1, z, z + 1, ids, z.copy(),
+                               z.copy())

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
+import networkx as nx
 import pytest
 
 from repro.core.mapping import ContiguousMapper, GreedyMapper, TaskPlacement
+from repro.core.scheduler import SystemScheduler
+from repro.eval.experiments import ALL_ARCHS, topology_for
+from repro.noi.topology import Link, Topology, grid_chiplets
 from repro.pim.allocation import plan_allocation
+from repro.workloads.tasks import mix_by_name
 from repro.pim.chiplet import ChipletSpec
 
 from helpers import make_toy_model
@@ -145,3 +153,108 @@ class TestGreedyMapper:
         placement = mapper.map_task("t", toy, toy_plan, free)
         assert placement is not None
         assert set(placement.chiplet_ids) <= set(free)
+
+
+def _set_greedy_map_task(mapper, task_id, model, plan, free):
+    """``GreedyMapper.map_task`` before the hop-row argmin: a per-step
+    ``min`` over the sorted free set keyed on (hops, id).  The oracle."""
+    need = plan.num_chiplets
+    if need > len(free):
+        return None
+    if need == 0:
+        return TaskPlacement(task_id, model.name, plan, ())
+    available = set(free)
+    start = mapper._start_chiplet(free)
+    chosen = [start]
+    available.discard(start)
+    prev = start
+    for _ in range(need - 1):
+        best = min(
+            sorted(available),
+            key=lambda c: (mapper.topology.hops(prev, c), c),
+        )
+        if (
+            mapper.max_hops is not None
+            and mapper.topology.hops(prev, best) > mapper.max_hops
+        ):
+            return None
+        chosen.append(best)
+        available.discard(best)
+        prev = best
+    return TaskPlacement(task_id, model.name, plan, tuple(chosen))
+
+
+class _CheckedGreedyMapper(GreedyMapper):
+    """Answers with the array mapper after checking it against the oracle."""
+
+    calls = 0
+
+    def map_task(self, task_id, model, plan, free):
+        got = super().map_task(task_id, model, plan, free)
+        want = _set_greedy_map_task(self, task_id, model, plan, free)
+        assert got == want, (task_id, sorted(free))
+        type(self).calls += 1
+        return got
+
+
+def _stub(need):
+    return (SimpleNamespace(name="stub"),
+            SimpleNamespace(num_chiplets=need))
+
+
+class TestGreedyMatchesOracle:
+    """The hop-row argmin places exactly as the per-step set minimum."""
+
+    @pytest.mark.parametrize("mix", ["WL1", "WL2", "WL3", "WL4", "WL5"])
+    @pytest.mark.parametrize("arch", ALL_ARCHS)
+    def test_table2_mixes_at_100(self, arch, mix):
+        topo = topology_for(arch, 100)
+        before = _CheckedGreedyMapper.calls
+        SystemScheduler(topo, _CheckedGreedyMapper(topo)).run(
+            mix_by_name(mix).tasks()
+        )
+        assert _CheckedGreedyMapper.calls > before
+
+    @pytest.mark.parametrize("arch", ALL_ARCHS)
+    def test_seeded_random_free_sets(self, arch):
+        topo = topology_for(arch, 100)
+        mapper = GreedyMapper(topo)
+        rng = random.Random(arch)
+        for _ in range(25):
+            free = frozenset(rng.sample(range(100), rng.randint(1, 100)))
+            model, plan = _stub(rng.randint(0, len(free)))
+            assert (mapper.map_task("t", model, plan, free)
+                    == _set_greedy_map_task(mapper, "t", model, plan, free))
+
+    @pytest.mark.parametrize("max_hops", [1, 2, 3])
+    def test_strict_budget_on_swap(self, max_hops):
+        topo = topology_for("swap", 100)
+        mapper = GreedyMapper(topo, max_hops=max_hops)
+        rng = random.Random(max_hops)
+        outcomes = set()
+        for _ in range(40):
+            free = frozenset(rng.sample(range(100), rng.randint(2, 60)))
+            model, plan = _stub(rng.randint(2, len(free)))
+            got = mapper.map_task("t", model, plan, free)
+            assert got == _set_greedy_map_task(mapper, "t", model, plan,
+                                                free)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_disconnected_topology_raises(self):
+        chiplets = grid_chiplets(8)
+        links = [Link(a, b, 1.0) for a, b in
+                 [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]]
+        topo = Topology("split", chiplets, links)
+        model, plan = _stub(6)
+        with pytest.raises(nx.NetworkXNoPath):
+            _set_greedy_map_task(GreedyMapper(topo), "t", model, plan,
+                                 frozenset(range(8)))
+        with pytest.raises(nx.NetworkXNoPath):
+            GreedyMapper(topo).map_task("t", model, plan,
+                                        frozenset(range(8)))
+        # Within one component the placement still succeeds.
+        placed = GreedyMapper(topo).map_task("t", *_stub(4),
+                                             frozenset(range(4)))
+        assert placed is not None
+        assert sorted(placed.chiplet_ids) == [0, 1, 2, 3]
