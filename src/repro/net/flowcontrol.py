@@ -29,11 +29,12 @@ pinned bit-exactly to each other (``tests/test_flowcontrol.py``,
   one arbitration rule holds for every configuration, open loop
   included.
 * :func:`simulate_fc_epochs` -- the vectorized epoch-synchronous
-  engine.  With no credits and no source queue it runs a two-tier
-  lockstep loop (:func:`_simulate_open_epochs`); otherwise credit
-  counters ride as per-link arrays inside the same segmented-scan grant
-  loop, and each epoch finalises the provably-safe prefix of every
-  link's FIFO queue.
+  engine, one loop for every configuration.  Credit counters ride as
+  per-link arrays inside a segmented-scan grant loop, and each epoch
+  finalises the provably-safe prefix of every link's FIFO queue.  In
+  open loop nothing waits on credits, so each epoch takes only the
+  requests less than ``guard_hop`` (below) cycles after the earliest
+  one and finalises all of them.
 
   Safety argument: let ``b_e`` be the FIFO bound of link ``e``'s head
   request (ready vs. link busy time) and ``c_e`` its credit bound under
@@ -42,9 +43,11 @@ pinned bit-exactly to each other (``tests/test_flowcontrol.py``,
   point of ``T = min_e max(b_e, min(c_e, T + credit_rtt))``), so every
   not-yet-scheduled credit release lands at or after ``T + credit_rtt``
   and every not-yet-generated request event at or after ``T + guard``
-  (``guard >= 1``).  A queue-prefix grant whose event cycle and credit
-  bound fall below those horizons can never be invalidated, which makes
-  the epoch engine event-loop exact, including FIFO tie-breaks.
+  (``guard = 1`` while a source queue withholds packets, else
+  ``guard_hop = min flits + min hop delta``).  A queue-prefix grant
+  whose event cycle and credit bound fall below those horizons can
+  never be invalidated, which makes the epoch engine event-loop exact,
+  including FIFO tie-breaks.
   ``T`` diverging to infinity means every head waits on credits no
   possible release covers: a genuine credit deadlock, raised as
   :class:`FlowControlDeadlockError` by both engines (store-and-forward
@@ -566,138 +569,6 @@ def _segmented_cummax(values: np.ndarray, seg_id: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simulate_open_epochs(
-    tables,
-    inject: np.ndarray,
-    flits: np.ndarray,
-    starts: np.ndarray,
-    hops: np.ndarray,
-    contended_ids: np.ndarray,
-    completion: np.ndarray,
-    latencies: np.ndarray,
-    trace: Optional[list],
-) -> int:
-    """:func:`simulate_fc_epochs` without credits or a source queue.
-
-    With nothing to wait for but the link itself, a packet granted a
-    link at cycle ``t`` cannot request its *next* link before
-    ``t + min(flits) + min_hop_delta``, so every pending event within
-    that distance of the earliest one resolves in the same epoch without
-    being overtaken.  Within the window, events sort by ``(cycle,
-    packet id)`` -- the oracle's pop order -- and each link's FIFO queue
-    is granted with one segmented max-plus scan:
-
-        start_k = max(ready_k, start_{k-1} + flits_{k-1})
-                = F_k + cummax_k(ready - F)      (F = exclusive flit sum)
-
-    No credit or safe-prefix bookkeeping, and no scan of every pending
-    request per epoch.  Returns the epoch count; appends per-epoch trace
-    columns to ``trace`` when given.
-    """
-    ids = contended_ids
-    m = int(ids.size)
-    t = inject[ids].astype(np.int64)
-    gid = ids.astype(np.int64)
-    hop = np.zeros(m, dtype=np.int64)
-    nhops = hops[ids].astype(np.int64)
-    pflits = flits[ids].astype(np.int64)
-    pstart = starts[ids].astype(np.int64)
-
-    route_links = tables.route_links
-    queue_index = tables.queue_index()
-    hop_delta = queue_index.hop_delta
-    inject_stage = tables.stage_cycles[tables.link_u]
-    link_free = np.zeros(tables.num_directed_links, dtype=np.int64)
-    lookahead = queue_index.min_hop_delta + int(pflits.min()) - 1
-
-    # Two-tier pending set: per-epoch scans touch only events within
-    # ``far_span`` cycles; events parked deeper in the future (long
-    # FIFO queues) wait in ``far`` and are merged back in O(pending)
-    # only once per ~16 epochs, when the clock catches up.
-    far_span = (lookahead + 1) * 16
-    huge = np.iinfo(np.int64).max
-    near = np.empty(0, dtype=np.int64)
-    far = np.arange(m, dtype=np.int64)
-    far_min = int(t.min())
-    near_limit = -1
-    epochs = 0
-    while near.size or far.size:
-        if near.size:
-            t_act = t[near]
-            tmin = int(t_act.min())
-        else:
-            tmin = huge
-        if min(tmin, far_min) + lookahead >= near_limit:
-            merged = np.concatenate([near, far])
-            t_act = t[merged]
-            base = int(t_act.min())
-            near_limit = base + far_span
-            near_mask = t_act <= near_limit
-            near = merged[near_mask]
-            far = merged[~near_mask]
-            far_min = int(t[far].min()) if far.size else huge
-            t_act = t_act[near_mask]
-            tmin = base
-        epochs += 1
-        in_window = t_act <= tmin + lookahead
-        w = near[in_window]
-        w = w[np.lexsort((gid[w], t[w]))]
-        hop_w = hop[w]
-        done = hop_w >= nhops[w]
-        finished = w[done]
-        if finished.size:
-            done_gid = ids[finished]
-            completion[done_gid] = t[finished]
-            latencies[done_gid] = t[finished] - inject[done_gid]
-        movers = w[~done]
-        if movers.size:
-            hop_m = hop_w[~done]
-            edge = route_links[pstart[movers] + hop_m]
-            ready = t[movers] + np.where(
-                hop_m == 0, inject_stage[edge], 0
-            )
-            # Per-link FIFO queues: a stable sort by link keeps the
-            # (cycle, packet id) order inside each link's queue segment.
-            order = np.argsort(edge, kind="stable")
-            sorted_movers = movers[order]
-            e_s = edge[order]
-            r_s = ready[order]
-            if trace is not None:
-                ready_raw = r_s.copy()
-            f_s = pflits[sorted_movers]
-            head = np.empty(e_s.shape[0], dtype=bool)
-            head[0] = True
-            head[1:] = e_s[1:] != e_s[:-1]
-            # The link's current occupancy folds into the head request.
-            r_s[head] = np.maximum(r_s[head], link_free[e_s[head]])
-            incl = np.cumsum(f_s)
-            seg_id = np.cumsum(head) - 1
-            head_idx = np.flatnonzero(head)[seg_id]
-            excl = (incl - f_s) - (incl[head_idx] - f_s[head_idx])
-            busy = excl + _segmented_cummax(r_s - excl, seg_id) + f_s
-            tail = np.empty(e_s.shape[0], dtype=bool)
-            tail[-1] = True
-            tail[:-1] = head[1:]
-            link_free[e_s[tail]] = busy[tail]
-            if trace is not None:
-                trace.append((
-                    gid[sorted_movers], hop_m[order], e_s, ready_raw,
-                    busy - f_s, f_s,
-                    np.zeros(e_s.shape[0], dtype=np.int64),
-                ))
-            arrival = busy + hop_delta[e_s]
-            t[sorted_movers] = arrival
-            hop[movers] = hop_m + 1
-        near = near[~in_window]
-        if movers.size:
-            soon = arrival <= near_limit
-            near = np.concatenate([near, sorted_movers[soon]])
-            if not soon.all():
-                far = np.concatenate([far, sorted_movers[~soon]])
-                far_min = min(far_min, int(arrival[~soon].min()))
-    return epochs
-
-
 def simulate_fc_epochs(
     tables,
     fc: FlowControlParams,
@@ -713,28 +584,30 @@ def simulate_fc_epochs(
 ) -> Tuple[int, Optional[GrantTrace]]:
     """Vectorized epoch-synchronous engine, in place.
 
-    Open loop (``not fc.is_active``) runs :func:`_simulate_open_epochs`.
-    Otherwise, per epoch: sort every pending request by ``(link, cycle,
-    packet)``, grant each link's FIFO queue with one segmented max-plus
-    scan whose per-request lower bound folds in the credit-availability
-    time from the known release schedule, then finalise the
-    provably-safe prefix (see the module docstring for the horizon
-    argument).  Returns the epoch count and, when requested, the grant
-    trace.  ``contended_ids`` must ascend (as
-    :func:`~repro.net.simulator.simulate_packets` passes them): the
-    sort breaks ties by position, which is then packet-id order.
+    Per epoch: sort the pending requests near the earliest one by
+    ``(link, cycle, packet)``, grant each link's FIFO queue with one
+    segmented max-plus scan
+
+        start_k = max(ready_k, start_{k-1} + flits_{k-1})
+                = F_k + cummax_k(ready - F)      (F = exclusive flit sum)
+
+    whose per-request lower bound folds in the credit-availability time
+    from the known release schedule, then finalise the provably-safe
+    prefix (see the module docstring for the horizon argument).  Open
+    loop (``not fc.is_active``) skips the horizon: the window of
+    requests before ``base + guard_hop`` is final as soon as it is
+    granted.  Returns the epoch count and, when requested, the grant
+    trace.  The epoch count is an engine diagnostic (completion events
+    cost no epoch), not a simulated quantity.  ``contended_ids`` must
+    ascend (as :func:`~repro.net.simulator.simulate_packets` passes
+    them): the sort breaks ties by position, which is then packet-id
+    order.
     """
     ids = contended_ids
     m = int(ids.size)
     trace_chunks: Optional[list] = [] if collect_trace else None
     if m == 0:
         return 0, (GrantTrace.empty() if collect_trace else None)
-    if not fc.is_active:
-        epochs = _simulate_open_epochs(tables, inject, flits, starts, hops,
-                                       ids, completion, latencies,
-                                       trace_chunks)
-        return epochs, (_trace_from_chunks(trace_chunks)
-                        if collect_trace else None)
 
     route_links = tables.route_links
     queue_index = tables.queue_index()
@@ -742,6 +615,7 @@ def simulate_fc_epochs(
     inject_stage = tables.stage_cycles[tables.link_u]
     capacity = queue_index.buffer_capacity_flits(fc)
     finite = capacity is not None
+    open_loop = not fc.is_active
     rtt = int(fc.credit_rtt)
     source_queue = fc.source_queue
     num_links = tables.num_directed_links
@@ -793,8 +667,12 @@ def simulate_fc_epochs(
     # the candidate ``base + span + 1`` -- strictly more conservative,
     # so exactness is untouched; the span doubles whenever an epoch
     # cannot finalise anything (the binding head was outside) and
-    # resets after progress.
-    span_floor = 16 * (guard_hop + rtt)
+    # resets after progress.  Open loop has no horizon to wait for: a
+    # request granted at ``s >= base`` asks for its next link at
+    # ``s + flits + hop_delta >= base + guard_hop`` or later, so the
+    # window ``[base, base + guard_hop)`` is final as soon as it is
+    # granted and bounds the working set every epoch.
+    span_floor = guard_hop - 1 if open_loop else 16 * (guard_hop + rtt)
     span = span_floor
 
     while remaining:
@@ -818,7 +696,7 @@ def simulate_fc_epochs(
                 rel_amt = rel_amt[keep]
         truncated = False
         act = pend_idx
-        if pend_idx.size > 64:
+        if open_loop or pend_idx.size > 64:
             near = t_pend <= base + span
             if not near.all():
                 act = pend_idx[near]
@@ -856,46 +734,60 @@ def simulate_fc_epochs(
                                     rel_amt, num_links)
             head_bound = np.maximum(head_bound, c[head_pos])
 
-        # Safe horizon: every future grant starts at or after T, so
-        # unknown releases land at T + rtt or later and unknown request
-        # events at T + guard or later (see module docstring).
-        T = int(head_bound.min())
-        if truncated:
-            T = min(T, base + span + 1)
-        if T >= int(_INF) // 2:
-            links = np.unique(e_s)
-            raise FlowControlDeadlockError(fc, remaining, links)
-
-        grant_floor = clamped
-        if finite:
-            grant_floor = np.maximum(clamped, np.minimum(c, T + rtt + 1))
-        s = excl + _segmented_cummax(grant_floor - excl, seg_id)
-        # FIFO bound: the request's clamped ready time, and behind a
-        # queue head also the end of its predecessor's grant.
-        prev_end = np.empty(n, dtype=np.int64)
-        np.add(s[:-1], f_s[:-1], out=prev_end[1:])
-        prev_end[head_pos] = _NEG
-        fifo_bound = np.maximum(clamped, prev_end)
-        guard = 1 if withheld else guard_hop
-        ok = t_s < T + guard
-        if finite:
-            ok &= c <= np.maximum(fifo_bound, T + rtt)
-        pos_in_seg = np.arange(n) - seg_first
-        first_bad = np.minimum.reduceat(
-            np.where(ok, n + 1, pos_in_seg), head_pos
-        )
-        fin = pos_in_seg < first_bad[seg_id]
-        if not fin.any():
+        if open_loop:
+            # The whole window is final: every grant starts at its FIFO
+            # bound, and each queue's tail is its segment end.
+            s = excl + _segmented_cummax(clamped - excl, seg_id)
+            fifo_bound = s
+            fin = slice(None)
+            tail = np.append(head_pos[1:], n) - 1
+        else:
+            # Safe horizon: every future grant starts at or after T, so
+            # unknown releases land at T + rtt or later and unknown
+            # request events at T + guard or later (see module docstring).
+            T = int(head_bound.min())
             if truncated:
-                span *= 2
-                continue
+                T = min(T, base + span + 1)
+            if T >= int(_INF) // 2:
+                links = np.unique(e_s)
+                raise FlowControlDeadlockError(fc, remaining, links)
+
+            grant_floor = clamped
             if finite:
-                raise FlowControlDeadlockError(fc, remaining,
-                                               np.unique(e_s))
-            raise RuntimeError(
-                "flow-control epoch engine made no progress"
+                grant_floor = np.maximum(clamped, np.minimum(c, T + rtt + 1))
+            s = excl + _segmented_cummax(grant_floor - excl, seg_id)
+            # FIFO bound: the request's clamped ready time, and behind a
+            # queue head also the end of its predecessor's grant.
+            prev_end = np.empty(n, dtype=np.int64)
+            np.add(s[:-1], f_s[:-1], out=prev_end[1:])
+            prev_end[head_pos] = _NEG
+            fifo_bound = np.maximum(clamped, prev_end)
+            guard = 1 if withheld else guard_hop
+            ok = t_s < T + guard
+            if finite:
+                ok &= c <= np.maximum(fifo_bound, T + rtt)
+            pos_in_seg = np.arange(n) - seg_first
+            first_bad = np.minimum.reduceat(
+                np.where(ok, n + 1, pos_in_seg), head_pos
             )
-        span = span_floor
+            fin = pos_in_seg < first_bad[seg_id]
+            if not fin.any():
+                if truncated:
+                    span *= 2
+                    continue
+                if finite:
+                    raise FlowControlDeadlockError(fc, remaining,
+                                                   np.unique(e_s))
+                raise RuntimeError(
+                    "flow-control epoch engine made no progress"
+                )
+            span = span_floor
+
+            # Each link's last grant: finalised, and the next row is not a
+            # finalised row of the same queue.
+            runs_on = np.zeros(n, dtype=bool)
+            np.greater(fin[1:], head[1:], out=runs_on[:-1])
+            tail = np.flatnonzero(fin > runs_on)
 
         fin_slot = slot[fin]
         fin_s = s[fin]
@@ -907,11 +799,6 @@ def simulate_fc_epochs(
                 gid[fin_slot], fin_h, fin_e, ready[fin], fin_s, fin_f,
                 fin_s - fifo_bound[fin],
             ))
-        # Each link's last grant: finalised, and the next row is not a
-        # finalised row of the same queue.
-        runs_on = np.zeros(n, dtype=bool)
-        np.greater(fin[1:], head[1:], out=runs_on[:-1])
-        tail = np.flatnonzero(fin > runs_on)
         link_free[e_s[tail]] = s[tail] + f_s[tail]
         if finite:
             consumed[e_s[tail]] += incl[tail]

@@ -25,10 +25,12 @@ The tiers share one packetisation/report substrate
 * **epoch-synchronous vectorized engine** (``engine="epochs"``) --
   :func:`~repro.net.flowcontrol.simulate_fc_epochs`: in-flight packets
   advance in lockstep array epochs.  Per-link FIFO queues are
-  ``(link, cycle, packet id)`` arrays resolved per epoch with
-  ``np.lexsort`` + segmented scans; a bounded epoch horizon keeps it
-  event-loop exact, FIFO tie-breaks included.  Pure NumPy: the fast
-  path wherever numba is not.
+  ``(link, cycle, packet id)`` arrays resolved per epoch with one
+  composite-key ``np.argsort`` + segmented scans; a bounded epoch
+  horizon keeps it event-loop exact, FIFO tie-breaks included.  One
+  loop serves open and closed loop alike (open loop finalises a whole
+  lookahead window per epoch).  Pure NumPy: the fast path wherever
+  numba is not.
 * **JIT grant kernel** (``engine="epochs-jit"``) -- the whole
   contended subset resolved in one pass of the
   :mod:`~repro.net.grantkernel` event kernel, compiled with numba when

@@ -134,43 +134,13 @@ def unicast_step_cost_vec(
 ) -> CommReport:
     """Batched unicast step cost (bandwidth-bound latency composition).
 
-    Matches the scalar ``_unicast_step_cost``: the step's latency is the
-    most loaded link's flit count plus the deepest pipeline.
+    One step of :func:`_unicast_step_cost_steps`; matches the scalar
+    ``_unicast_step_cost``: the step's latency is the most loaded link's
+    flit count plus the deepest pipeline.
     """
     src, dst, payload = transfers_to_arrays(transfers)
-    if src.size == 0:
-        return _EMPTY_REPORT
-    t = topology.routing_tables()
-    t.check_reachable(src, dst, topology.name)
-    params = topology.params
-
-    flits = _flits(payload, params.flit_bytes)
-    pair = src * t.num_nodes + dst
-    counts = t.route_indptr[pair + 1] - t.route_indptr[pair]
-    link_ids = t.route_links[concat_ranges(t.route_indptr[pair], counts)]
-    link_load = np.zeros(t.num_directed_links, dtype=np.int64)
-    np.add.at(link_load, link_ids, np.repeat(flits, counts))
-
-    pipeline = t.pipeline_cycles[src, dst]
-    energy = float((flits * t.energy_pj_per_flit(src, dst)).sum())
-    hops = t.hops[src, dst]
-    volume = int(payload.sum())
-    packets = _packets(payload, params.packet_bytes)
-    max_load = int(link_load.max()) if link_load.size else 0
-    return CommReport(
-        latency_cycles=max_load + int(pipeline.max()),
-        serial_latency_cycles=int((pipeline + flits).sum()),
-        energy_pj=energy,
-        total_flits=int(flits.sum()),
-        weighted_hops=(
-            float((hops * payload).sum()) / volume if volume else 0.0
-        ),
-        packet_count=int(packets.sum()),
-        packet_latency_sum=int(
-            (packets * (pipeline + params.flits_per_packet)).sum()
-        ),
-        payload_volume=volume,
-    )
+    step = np.zeros(src.shape[0], dtype=np.int64)
+    return _unicast_step_cost_steps(topology, src, dst, payload, step, 1)[0]
 
 
 def _groups_to_arrays(
@@ -278,7 +248,12 @@ def _unicast_step_cost_steps(
     step: np.ndarray,
     num_steps: int,
 ) -> List[CommReport]:
-    """Steps variant of :func:`unicast_step_cost_vec` (filtered arrays)."""
+    """Per-step unicast step costs of filtered transfer arrays.
+
+    ``step[i]`` assigns transfer ``i`` to a step in ``range(num_steps)``;
+    each step's report is the scalar ``_unicast_step_cost`` of that
+    step's transfers alone.
+    """
     t = topology.routing_tables()
     t.check_reachable(src, dst, topology.name)
     params = topology.params

@@ -20,14 +20,15 @@ sink, which the coarse FD model captures (DESIGN.md, substitutions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix, lil_matrix
-from scipy.sparse.linalg import splu
 
 from ..noc3d.grid3d import Grid3D
 from ..params import ThermalParams
+
+if TYPE_CHECKING:  # scipy loads on first use, not on import
+    from scipy.sparse import lil_matrix
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,14 @@ class ThermalModel:
     def __init__(self, grid: Grid3D, params: Optional[ThermalParams] = None):
         self.grid = grid
         self.params = params or ThermalParams()
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
         self._lu = splu(csc_matrix(self._conductance_matrix()))
 
     def _conductance_matrix(self) -> lil_matrix:
+        from scipy.sparse import lil_matrix
+
         grid = self.grid
         p = self.params
         n = grid.num_pes

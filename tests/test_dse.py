@@ -196,6 +196,21 @@ class TestStoreBackedSearch:
             p.objectives for p in first.pareto_front
         )
 
+    def test_generations_tag_their_cases(self, tmp_path):
+        # The store doubles as a per-generation archive: every stored
+        # case carries "<space tag>@g<generation>".
+        dse_search(
+            SPACE, _synthetic_evaluate,
+            objectives=("latency_cycles", "energy_pj"),
+            population_size=4, generations=3, seed=2, workers=1,
+            store=ResultStore(tmp_path),
+        )
+        tags = {record["case"]["tag"]
+                for _key, record in ResultStore(tmp_path).iter_records()}
+        assert f"{SPACE.tag}@g0" in tags
+        assert all(tag.startswith(f"{SPACE.tag}@g")
+                   and tag.rsplit("@g", 1)[1].isdigit() for tag in tags)
+
     def test_failed_candidates_warn_and_are_excluded(self):
         def exploding(case):
             if case.num_chiplets == 36:

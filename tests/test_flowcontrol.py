@@ -282,6 +282,29 @@ class TestOpenLoopArbitration:
             assert open_loop.completion.tolist() == [12, 14], engine
             assert closed.completion.tolist() == [12, 14], engine
 
+    def test_window_boundary_tie(self, line):
+        # The open-loop epoch window is [base, base + guard) with guard =
+        # min flits + min hop delta = 2 + 3: a request granted at base
+        # asks for its next link at base + guard at the earliest, so
+        # nothing inside the window can be overtaken.  Packet 0 (0 -> 3)
+        # is granted link 1->2 at its request cycle 7 = base and requests
+        # link 2->3 at 7 + 5 = 12, exactly one cycle past the window.
+        # Packet 1 (2 -> 4, inject 12) requests link 2->3 at 12 too and
+        # loses the tie by id: packet 0 starts 12, done 17; packet 1
+        # starts at its ready cycle 14, then 3->4 at 19, done 24.  A
+        # window one cycle wider would grant packet 1 first.
+        index = line.routing_tables().queue_index()
+        assert index.min_hop_delta + 2 == 5
+        msgs = [Message(0, 3, 64, inject_cycle=0, message_id=0),
+                Message(2, 4, 64, inject_cycle=12, message_id=1)]
+        events = simulate_packets(line, msgs, engine="events",
+                                  flow_control=None, telemetry=True)
+        assert events.completion.tolist() == [17, 24]
+        epochs = simulate_packets(line, msgs, engine="epochs",
+                                  flow_control=None, telemetry=True)
+        assert epochs.engine == "epochs"
+        assert_fc_identical(events, epochs)
+
     def test_seeded_equality(self):
         from repro.noi.mesh import build_mesh
 

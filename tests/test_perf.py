@@ -234,6 +234,43 @@ class TestBatchedEngineEquivalence:
             evaluate_task_perlayer(topo, model, plan,
                                    placement.chiplet_ids[:-1], spec=spec)
 
+    def test_two_batched_calls(self, setup, monkeypatch):
+        # One multicast_step_cost_steps and one layer_compute_vec call
+        # per task, whatever the layer count.
+        import repro.net.perf as perf
+
+        topo, model, plan, placement, spec = setup
+        assert len(model.weight_layers()) > 1
+        calls = []
+        for name in ("multicast_step_cost_steps", "layer_compute_vec"):
+            def counted(*args, _real=getattr(perf, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(perf, name, counted)
+        evaluate_task(topo, model, plan, placement.chiplet_ids, spec=spec)
+        assert sorted(calls) == ["layer_compute_vec",
+                                 "multicast_step_cost_steps"]
+
+    def test_plan_derivations_memoized(self, setup, monkeypatch):
+        # A plan's multicast groups and crossbar shares are computed
+        # once: a repeat evaluation never re-derives them.
+        import repro.pim.allocation as allocation
+        import repro.pim.reram as reram
+
+        topo, model, plan, placement, spec = setup
+        first = evaluate_task(topo, model, plan, placement.chiplet_ids,
+                              spec=spec)
+        assert "weighted_site_edges" in model.__dict__  # cached_property
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("plan derivation recomputed")
+
+        monkeypatch.setattr(allocation, "interlayer_traffic", recomputed)
+        monkeypatch.setattr(reram, "mvms_for_layer", recomputed)
+        assert evaluate_task(topo, model, plan, placement.chiplet_ids,
+                             spec=spec) == first
+
 
 class TestWeightedHopsRecombination:
     """Regression for the hop-weight recombination fix.

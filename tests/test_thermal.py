@@ -158,3 +158,24 @@ class TestStreamingPower:
         ids = list(range(plan.num_chiplets))
         fractions = weight_fractions_per_pe(64, plan, ids)
         assert sum(fractions) == pytest.approx(1.0)
+
+
+def test_eval_import_does_not_load_scipy():
+    # scipy is an optional dependency of the thermal solver only; it
+    # loads when the first ThermalModel is built, not on import.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.eval; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

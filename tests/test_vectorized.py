@@ -13,6 +13,7 @@ import pytest
 
 from repro.net.analytic import (
     CommReport,
+    _unicast_step_cost,
     communication_cost,
     multicast_step_cost,
 )
@@ -150,6 +151,26 @@ class TestStepCost:
             multicast_step_cost(topo, groups),
             multicast_step_cost_vec(topo, groups),
         )
+
+    @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_unicast_step_vec_matches_scalar(self, fixture, seed, request):
+        # Random transfers include self-transfers, which both skip.
+        topo = _topology(request, fixture)
+        rng = np.random.default_rng(seed)
+        transfers = _random_transfers(topo.num_chiplets, rng)
+        assert_reports_equal(
+            _unicast_step_cost(topo, transfers),
+            unicast_step_cost_vec(topo, transfers),
+        )
+
+    def test_unicast_step_vec_empty(self, small_kite):
+        transfers = [(2, 2, 512), (3, 4, 0)]
+        for case in ([], transfers):
+            assert_reports_equal(
+                _unicast_step_cost(small_kite, case),
+                unicast_step_cost_vec(small_kite, case),
+            )
 
     def test_floret_uses_tree_semantics(self, small_floret):
         topo = small_floret.topology
