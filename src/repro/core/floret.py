@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
-from ..noi.topology import Chiplet, Link, Topology
+from ..noi.topology import Chiplet, Link, Topology, reachable
 from ..params import NoIParams
 from .sfc import Cell, FloretCurve, build_floret_curve, manhattan
 
@@ -144,12 +142,12 @@ def build_floret(
 
     # Connectivity fallback: bridge components via nearest tail->head.
     fallback: List[Tuple[int, int]] = []
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_chiplets))
-    graph.add_edges_from((l.u, l.v) for l in links)
-    while not nx.is_connected(graph):
-        components = list(nx.connected_components(graph))
-        main = components[0]
+    adjacency: List[List[int]] = [[] for _ in range(num_chiplets)]
+    for l in links:
+        adjacency[l.u].append(l.v)
+        adjacency[l.v].append(l.u)
+    main = reachable(adjacency, 0)
+    while len(main) < num_chiplets:
         best: Optional[Tuple[int, int, int]] = None
         for si in segments:
             ti = cell_to_index[si.tail]
@@ -165,7 +163,9 @@ def build_floret(
         dist, u, v = best
         add_link(u, v, dist)
         fallback.append((u, v))
-        graph.add_edge(u, v)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+        main = reachable(adjacency, 0)
 
     topology = Topology(
         "floret", chiplets, links, params=params, multicast_capable=True

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Protocol, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
-from ..noi.topology import Topology
+from ..noi.topology import NoPathError, Topology
 from ..pim.allocation import AllocationPlan
 from ..workloads.dnn import DNNModel
 
@@ -221,7 +220,7 @@ class GreedyMapper:
 
         def free_neighbours(c: int) -> int:
             return sum(
-                1 for n in self.topology.graph.adj[c] if n in free
+                1 for n in self.topology.adj[c] if n in free
             )
 
         return max(sorted(free), key=free_neighbours)
@@ -243,7 +242,7 @@ class GreedyMapper:
         # Each step takes the first minimum of the previous chiplet's
         # hop row over the still-free chiplets: fewest hops, then lowest
         # id.  An unreachable free chiplet (-1) would win the minimum,
-        # so it surfaces as NetworkXNoPath, as a hop query raises.
+        # so it surfaces as NoPathError, as a hop query raises.
         hops = self.topology.routing_tables().hops
         available = np.zeros(hops.shape[0], dtype=bool)
         available[list(free)] = True
@@ -255,7 +254,7 @@ class GreedyMapper:
             row = np.where(available, hops[prev], unavailable)
             best = int(row.argmin())
             if row[best] < 0:
-                raise nx.NetworkXNoPath(
+                raise NoPathError(
                     f"{self.topology.name}: no path {prev}->{best}"
                 )
             if self.max_hops is not None and row[best] > self.max_hops:

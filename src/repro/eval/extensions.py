@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..core.floret import build_floret
 from ..core.hetero import HeteroParams, HeteroReport, compare_systems
 from ..core.scheduler import SystemScheduler
+from ..noi.topology import Link, Topology, reachable
 from ..workloads.tasks import mix_by_name
 from ..workloads.transformer import BERT_BASE, BERT_TINY, TransformerConfig
 from .experiments import floret_design, mapper_for, topology_for
@@ -84,9 +83,14 @@ class RedundancyRow:
         return 1.0 - self.disconnecting_links / self.num_links
 
 
-def _count_disconnecting_links(graph: nx.Graph) -> int:
+def _count_disconnecting_links(topology: Topology) -> int:
     """Number of bridges (links whose loss disconnects the graph)."""
-    return sum(1 for _ in nx.bridges(graph))
+    def without(cut: Link) -> List[List[int]]:
+        return [[v for v, link in nbrs.items() if link is not cut]
+                for nbrs in topology.adj]
+
+    return sum(link.v not in reachable(without(link), link.u)
+               for link in topology.links)
 
 
 def exp_redundancy(num_chiplets: int = 100) -> List[RedundancyRow]:
@@ -106,12 +110,12 @@ def exp_redundancy(num_chiplets: int = 100) -> List[RedundancyRow]:
     ]
     out: List[RedundancyRow] = []
     for label, design in designs:
-        graph = design.topology.graph
+        topology = design.topology
         out.append(
             RedundancyRow(
                 label=label,
-                num_links=design.topology.num_links,
-                disconnecting_links=_count_disconnecting_links(graph),
+                num_links=topology.num_links,
+                disconnecting_links=_count_disconnecting_links(topology),
             )
         )
     mesh = topology_for("siam", num_chiplets)
@@ -119,7 +123,7 @@ def exp_redundancy(num_chiplets: int = 100) -> List[RedundancyRow]:
         RedundancyRow(
             label="siam",
             num_links=mesh.num_links,
-            disconnecting_links=_count_disconnecting_links(mesh.graph),
+            disconnecting_links=_count_disconnecting_links(mesh),
         )
     )
     return out

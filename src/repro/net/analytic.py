@@ -46,9 +46,7 @@ def path_pipeline_cycles(topology: Topology, src: int, dst: int) -> int:
         return 0
     cycles = params.router_stage_cycles(topology.router_ports(route[0]))
     for u, v in zip(route, route[1:]):
-        cycles += params.link_delay_cycles(
-            topology.graph.edges[u, v]["length_mm"]
-        )
+        cycles += params.link_delay_cycles(topology.adj[u][v].length_mm)
         cycles += params.router_stage_cycles(topology.router_ports(v))
     return cycles
 
@@ -94,15 +92,12 @@ def transfer_energy_pj(
         params.router_energy_pj_per_flit_port * topology.router_ports(node)
         for node in route
     )
+    links = [topology.adj[u][v] for u, v in zip(route, route[1:])]
     link_energy = sum(
-        params.link_energy_pj_per_flit_mm
-        * topology.graph.edges[u, v]["length_mm"]
-        for u, v in zip(route, route[1:])
+        params.link_energy_pj_per_flit_mm * link.length_mm for link in links
     )
     vertical_energy = sum(
-        params.vertical_energy_pj_per_flit
-        for u, v in zip(route, route[1:])
-        if topology.graph.edges[u, v].get("vertical", False)
+        params.vertical_energy_pj_per_flit for link in links if link.vertical
     )
     return flits * (router_energy + link_energy + vertical_energy)
 
@@ -160,9 +155,9 @@ def multicast_energy_pj(
     )
     link_energy = 0.0
     for u, v in edges:
-        data = topology.graph.edges[u, v]
-        link_energy += params.link_energy_pj_per_flit_mm * data["length_mm"]
-        if data.get("vertical", False):
+        link = topology.adj[u][v]
+        link_energy += params.link_energy_pj_per_flit_mm * link.length_mm
+        if link.vertical:
             link_energy += params.vertical_energy_pj_per_flit
     return flits * (router_energy + link_energy)
 

@@ -14,21 +14,19 @@ matrices plus a CSR link-incidence structure:
                                -- directed link ids of each route, in
                                   route order (CSR over ``s * n + d``).
 
-The routes are the *same* deterministic tie-broken Dijkstra trees the
-scalar model's :meth:`Topology.route` takes from networkx (weight
-``1 + 1e-6 * length_mm``), computed without networkx:
-:func:`_dijkstra_levels` replays networkx's heap order for all sources
-at once, one hop level at a time, and keeps networkx's predecessor on
-every equal-cost tie (the first-popped neighbour; fuzzed against
-``nx.single_source_dijkstra`` in ``tests/test_routing.py::
-TestDijkstraReplay`` and pinned at 256 nodes by
-``test_benchmark_scale_matches_networkx``).
+The routes are per-source Dijkstra trees under the weight
+``1 + 1e-6 * length_mm`` (fewest hops, then the shortest wires), and
+exact ties go to the neighbour first in :attr:`Topology.adj` order.
+:func:`_dijkstra_levels` builds them for all sources at once, one hop
+level at a time; networkx's Dijkstra over the same links in order is
+its test oracle (``tests/test_routing.py::TestDijkstraReplay``, and
+``test_benchmark_scale_matches_networkx`` at 256 nodes).
 The route CSR and the per-route sums are then filled level by level,
-each route extending its predecessor's by one link.  The scalar oracle
-and the vectorized engine are therefore route-for-route identical
-(``tests/test_routing.py::TestRouteOracle``,
-``tests/test_vectorized.py``); once a topology has tables,
-:meth:`Topology.route` reads its routes from them.
+each route extending its predecessor's by one link.  Every route query
+of a :class:`Topology` reads these tables, so the scalar models of
+:mod:`repro.net.analytic` and the vectorized engine are route-for-route
+identical (``tests/test_routing.py::TestRouteOracle``,
+``tests/test_vectorized.py``).
 
 A topology's params views (:meth:`Topology.with_params`) share its
 table object when they agree on the :data:`COST_PARAM_FIELDS` of
@@ -39,15 +37,15 @@ process serves every sweep case that changes only other fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
+from ..noi.topology import NoPathError
 from ..obs.metrics import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..noi.topology import Topology
+    from ..noi.topology import Link, Topology
     from ..params import NoIParams
 
 #: The :class:`~repro.params.NoIParams` fields :class:`RoutingTables`
@@ -147,11 +145,11 @@ class RoutingTables:
 
     def check_reachable(self, src: np.ndarray, dst: np.ndarray,
                         name: str = "topology") -> None:
-        """Raise :class:`networkx.NetworkXNoPath` on unreachable pairs."""
+        """Raise :class:`~repro.noi.NoPathError` on unreachable pairs."""
         bad = self.hops[src, dst] < 0
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise nx.NetworkXNoPath(
+            raise NoPathError(
                 f"{name}: no path {int(np.asarray(src).reshape(-1)[i])}"
                 f"->{int(np.asarray(dst).reshape(-1)[i])}"
             )
@@ -299,22 +297,20 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def build_routing_tables(topology: "Topology") -> RoutingTables:
     """Build :class:`RoutingTables` for ``topology``.
 
-    Routes are networkx's per-source Dijkstra trees under the
-    ``1 + 1e-6 * length_mm`` weight of :meth:`Topology.route`, replayed
-    as arrays by :func:`_dijkstra_levels` (no networkx call; see
-    ``tests/test_routing.py::test_tables_build_without_networkx_search``).
-    Among equal-cost routes the tie goes to networkx's choice, the
-    predecessor networkx pops first.  Raises :class:`ValueError` when
+    Routes are per-source Dijkstra trees under the ``1 + 1e-6 *
+    length_mm`` weight, built as arrays by :func:`_dijkstra_levels`;
+    equal-cost ties go to the predecessor first in :attr:`Topology.adj`
+    order.  Raises :class:`ValueError` when
     link lengths are long enough that a minimum-weight route could
     take an extra hop.
     Counted in the ``routing_tables_built`` metric.
     """
     REGISTRY.counter("routing_tables_built").inc()
     params = topology.params
-    graph = topology.graph
-    n = topology.num_chiplets
+    adj = topology.adj
+    n = len(adj)
 
-    ports = np.array([graph.degree[i] for i in range(n)], dtype=np.int64)
+    ports = np.array([len(a) for a in adj], dtype=np.int64)
     stage_cycles = np.array(
         [params.router_stage_cycles(int(p)) for p in ports], dtype=np.int64
     )
@@ -325,14 +321,16 @@ def build_routing_tables(topology: "Topology") -> RoutingTables:
     link_index: Dict[Tuple[int, int], int] = {}
     link_u, link_v = [], []
     wire_cycles, length_mm, vertical = [], [], []
-    for u, v, data in graph.edges(data=True):
+    # Link k, its two directions 2k and 2k + 1: u ascending, then adj[u].
+    for u, v, link in [(u, v, link) for u in range(n)
+                       for v, link in adj[u].items() if v > u]:
         for a, b in ((u, v), (v, u)):
             link_index[(a, b)] = len(link_u)
             link_u.append(a)
             link_v.append(b)
-            wire_cycles.append(params.link_delay_cycles(data["length_mm"]))
-            length_mm.append(data["length_mm"])
-            vertical.append(bool(data.get("vertical", False)))
+            wire_cycles.append(params.link_delay_cycles(link.length_mm))
+            length_mm.append(link.length_mm)
+            vertical.append(link.vertical)
     link_u_arr = np.array(link_u, dtype=np.int64)
     link_v_arr = np.array(link_v, dtype=np.int64)
     wire_arr = np.array(wire_cycles, dtype=np.int64)
@@ -345,7 +343,7 @@ def build_routing_tables(topology: "Topology") -> RoutingTables:
 
     # Per-route sums, one column per per-link value.
     hops, route_indptr, route_links, sums = _route_csr(
-        graph, n, link_u_arr, link_v_arr,
+        adj, link_u_arr, link_v_arr,
         np.column_stack((
             wire_arr.astype(np.float64),
             stage_cycles[link_v_arr].astype(np.float64),
@@ -398,8 +396,8 @@ def build_routing_tables(topology: "Topology") -> RoutingTables:
 
 
 def _route_csr(
-    graph: nx.Graph, n: int, link_u: np.ndarray, link_v: np.ndarray,
-    link_values: np.ndarray,
+    adj: Sequence[Mapping[int, Link]], link_u: np.ndarray,
+    link_v: np.ndarray, link_values: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(hops, route_indptr, route_links, sums)`` of every ordered pair.
 
@@ -410,9 +408,10 @@ def _route_csr(
     (``(L, k)``) over the route the same way, first link first -- the
     float order of a left-to-right ``np.bincount`` over the CSR.
     """
+    n = len(adj)
     link_id = np.full((n, n), -1, dtype=np.int64)
     link_id[link_u, link_v] = np.arange(link_u.shape[0], dtype=np.int64)
-    levels = list(_dijkstra_levels(graph, n))
+    levels = list(_dijkstra_levels(adj))
     hops = np.full(n * n, -1, dtype=np.int64)
     hops[::n + 1] = 0
     for h, (pair, _prev, _row) in enumerate(levels, 1):
@@ -434,30 +433,32 @@ def _route_csr(
 
 
 def _dijkstra_levels(
-    graph: nx.Graph, n: int,
+    adj: Sequence[Mapping[int, Link]],
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """networkx's per-source Dijkstra trees, one hop level at a time.
+    """Per-source Dijkstra trees over ``adj``, one hop level at a time.
 
-    Replays ``nx.single_source_dijkstra(graph, s, weight=1 + 1e-6 *
-    length_mm)`` for every source ``s`` at once and yields, for hop
+    Runs Dijkstra under the weight ``1 + 1e-6 * length_mm`` from every
+    node of ``adj`` (:attr:`Topology.adj`) at once and yields, for hop
     ``h = 1, 2, ...``, ``(pair, prev, row)``: the pairs ``s * n + d``
-    at hop ``h`` in networkx's pop order within each source, each
-    ``d``'s predecessor (bit for bit networkx's), and the predecessor
-    pair's index in the previous level (level 0 is the sources).
-    networkx pops ``(distance, push counter)`` from a heap and keeps,
-    for each node, the first popped neighbour that reaches its final
-    distance.  Three facts make that order replayable as arrays:
+    at hop ``h`` in pop order within each source, each ``d``'s
+    predecessor, and the predecessor pair's index in the previous level
+    (level 0 is the sources).  The order is a heap Dijkstra's (networkx's,
+    the test oracle): it pops ``(distance, push counter)``, pushes
+    neighbours in ``adj`` order, and keeps for each node the first popped
+    neighbour that reaches its final distance.  Three facts make that
+    order replayable as arrays:
 
     * Minimum-weight routes are minimum-hop routes while the
       ``1e-6 * length_mm`` excess summed over any route stays below one
       hop (checked here), so every node at hop ``h`` is popped before
       any node at hop ``h + 1``.
     * A node's candidate distance is ``dist[s, v] + w(v, u)`` over its
-      hop-``h`` neighbours ``v`` -- the float addition networkx does.
+      hop-``h`` neighbours ``v`` -- the float addition a heap Dijkstra
+      does.
       The predecessor is the minimum; among exact float ties, the tied
       ``v`` popped first.
     * A node's final heap entry is pushed while its predecessor is
-      expanded, walking neighbours in ``graph.adj`` order, so within a
+      expanded, walking neighbours in ``adj`` order, so within a
       source the new level pops in ``(distance, predecessor's pop rank,
       adjacency position)`` order.
 
@@ -467,7 +468,7 @@ def _dijkstra_levels(
     ``tests/test_routing.py::TestDijkstraReplay`` fuzzes this against
     networkx.
     """
-    adj = graph.adj
+    n = len(adj)
     degree = np.fromiter((len(adj[v]) for v in range(n)), np.int64, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=indptr[1:])
@@ -476,7 +477,7 @@ def _dijkstra_levels(
         (u for v in range(n) for u in adj[v]), np.int64, num_edges
     )
     weight = 1.0 + 1e-6 * np.fromiter(
-        (data["length_mm"] for v in range(n) for data in adj[v].values()),
+        (link.length_mm for v in range(n) for link in adj[v].values()),
         np.float64, num_edges,
     )
     # A simple route crosses each undirected link at most once, so its

@@ -7,6 +7,7 @@ from .swap import SwapSynthesisConfig, build_swap, design_time_traffic
 from .topology import (
     Chiplet,
     Link,
+    NoPathError,
     Topology,
     grid_chiplets,
     grid_dimensions,
@@ -15,6 +16,7 @@ from .topology import (
 __all__ = [
     "Chiplet",
     "Link",
+    "NoPathError",
     "SwapSynthesisConfig",
     "Topology",
     "TopologySummary",

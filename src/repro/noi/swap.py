@@ -22,9 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..params import NoIParams
 from .topology import Chiplet, Link, Topology, grid_chiplets
@@ -104,18 +102,18 @@ def _pair_hops(adjacency, src: int, dst: int, unreachable: int) -> int:
 
 
 def _traffic_cost(
-    graph: nx.Graph, traffic: Sequence[Tuple[int, int, float]]
+    adjacency, traffic: Sequence[Tuple[int, int, float]]
 ) -> float:
     """Total traffic-weighted hop count (the SA objective).
 
-    One bidirectional BFS per (source, destination) pair: design-time
+    ``adjacency[u]`` iterates ``u``'s neighbours, in any order.  One
+    bidirectional BFS per (source, destination) pair: design-time
     traffic joins nearby chiplets, so two small balls meet long before
     one source-rooted BFS has covered all of its destinations.  Terms
     are summed source by source (in first-appearance order), each
     source's destinations in traffic order; an unreachable pair costs
     ``2 * n`` hops.
     """
-    adjacency = dict(graph.adjacency())
     unreachable = len(adjacency) * 2
     by_src: Dict[int, List[Tuple[int, float]]] = {}
     for src, dst, volume in traffic:
@@ -173,9 +171,18 @@ def build_swap(
         (min(a, b), max(a, b)) for a, b in zip(walk, walk[1:])
     }
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_chiplets))
-    graph.add_edges_from(backbone)
+    adjacency: List[Set[int]] = [set() for _ in range(num_chiplets)]
+
+    def connect(u: int, v: int) -> None:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+
+    def disconnect(u: int, v: int) -> None:
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+
+    for key in backbone:
+        connect(*key)
 
     def candidate_chord() -> Optional[Tuple[int, int]]:
         for _ in range(64):
@@ -184,11 +191,11 @@ def build_swap(
             if u == v:
                 continue
             key = (min(u, v), max(u, v))
-            if key in backbone or graph.has_edge(*key):
+            if key in backbone or v in adjacency[u]:
                 continue
             if span(*key) > MAX_LINK_SPAN_PITCHES:
                 continue
-            if graph.degree[u] >= MAX_PORTS or graph.degree[v] >= MAX_PORTS:
+            if max(len(adjacency[u]), len(adjacency[v])) >= MAX_PORTS:
                 continue
             return key
         return None
@@ -199,10 +206,10 @@ def build_swap(
         chord = candidate_chord()
         if chord is None:
             break
-        graph.add_edge(*chord)
+        connect(*chord)
         chords.append(chord)
 
-    cost = _traffic_cost(graph, traffic)
+    cost = _traffic_cost(adjacency, traffic)
     temperature = config.initial_temperature * cost / max(1, num_chiplets)
     for _ in range(config.iterations):
         if not chords:
@@ -210,24 +217,24 @@ def build_swap(
         # Move: rewire one chord.
         victim = rng.randrange(len(chords))
         old = chords[victim]
-        graph.remove_edge(*old)
+        disconnect(*old)
         new = candidate_chord()
         if new is None:
-            graph.add_edge(*old)
+            connect(*old)
             continue
-        graph.add_edge(*new)
-        new_cost = _traffic_cost(graph, traffic)
+        connect(*new)
+        new_cost = _traffic_cost(adjacency, traffic)
         delta = new_cost - cost
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
             chords[victim] = new
             cost = new_cost
         else:
-            graph.remove_edge(*new)
-            graph.add_edge(*old)
+            disconnect(*new)
+            connect(*old)
         temperature *= config.cooling
 
     links = [
         Link(u, v, length_mm=pitch * span(u, v))
-        for u, v in sorted(graph.edges())
+        for u, v in sorted(backbone.union(chords))
     ]
     return Topology("swap", chiplets, links, params=params)

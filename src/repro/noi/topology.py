@@ -14,11 +14,13 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..params import NoIParams
+
+
+class NoPathError(Exception):
+    """A route query met chiplets that no chain of links joins."""
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,10 @@ class Topology:
         links: Undirected links (duplicates rejected).
         params: Hardware constants used for delay/area derivations.
 
-    The routing used by hop/latency queries is minimal-hop shortest path
-    (ties broken by physical length), computed lazily and cached.
+    Hop and route queries read minimal-hop routes (ties broken by
+    physical length) from the routing tables, built once per structure.
     :meth:`with_params` gives the same structure under other hardware
-    constants as a cheap view that shares the graph and the routes.
+    constants as a cheap view that shares the adjacency and the routes.
     """
 
     def __init__(
@@ -107,26 +109,20 @@ class Topology:
         if clash:
             raise ValueError(f"{name}: multiple chiplets at {clash[:3]}")
 
-        self.graph = nx.Graph()
-        for c in self.chiplets:
-            self.graph.add_node(c.index, chiplet=c)
         self.links: Tuple[Link, ...] = tuple(links)
-        seen = set()
+        #: ``adj[u][v]`` is the :class:`Link` joining ``u`` and ``v``.
+        #: Each node's neighbours are in ``links`` order, which is the
+        #: routing tables' tie rule among equal-cost routes.
+        self.adj: Tuple[Dict[int, Link], ...] = tuple({} for _ in indices)
         for link in self.links:
             if not (0 <= link.u < len(self.chiplets)
                     and 0 <= link.v < len(self.chiplets)):
                 raise ValueError(f"{name}: link {link} references unknown chiplet")
-            key = (min(link.u, link.v), max(link.u, link.v))
-            if key in seen:
+            if link.v in self.adj[link.u]:
+                key = (min(link.u, link.v), max(link.u, link.v))
                 raise ValueError(f"{name}: duplicate link {key}")
-            seen.add(key)
-            self.graph.add_edge(
-                link.u, link.v, length_mm=link.length_mm, vertical=link.vertical
-            )
-        # Route caches depend on the graph only, so params views
-        # (:meth:`with_params`) share these dicts with their base.
-        self._hops_cache: Dict[int, Dict[int, int]] = {}
-        self._path_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+            self.adj[link.u][link.v] = link
+            self.adj[link.v][link.u] = link
         #: Lazily built all-pairs NumPy route tables (see
         #: :mod:`repro.net.routing`); one build serves every vectorized
         #: consumer because topologies are immutable after construction.
@@ -137,9 +133,9 @@ class Topology:
     def with_params(self, params: NoIParams) -> "Topology":
         """This structure under ``params``, as a view.
 
-        The view shares the graph, chiplets, links and route caches.
-        Its routing tables are the base's very object when ``params``
-        agrees with the base's on
+        The view shares the adjacency, chiplets and links, and reads its
+        routes from the base's tables.  Its routing tables are the
+        base's very object when ``params`` agrees with the base's on
         :data:`repro.net.routing.COST_PARAM_FIELDS`; otherwise the view
         builds its own on demand and holds them alone, so they are freed
         with it.  Returns ``self`` for equal params.
@@ -177,7 +173,7 @@ class Topology:
 
     def is_connected(self) -> bool:
         """Whether every chiplet can reach every other chiplet."""
-        return nx.is_connected(self.graph)
+        return bool((self._route_tables().hops >= 0).all())
 
     # ------------------------------------------------------------------
     # router structure (paper Fig. 2a)
@@ -189,7 +185,7 @@ class Topology:
         as 2-port routers, so the local chiplet-injection port is not
         included in the count.
         """
-        return int(self.graph.degree[index])
+        return len(self.adj[index])
 
     def port_histogram(self) -> Dict[int, int]:
         """Router-port-count histogram: {ports: number of routers}."""
@@ -240,84 +236,66 @@ class Topology:
                 self._routing_tables = build_routing_tables(self)
         return self._routing_tables
 
-    def _tables_if_built(self):
-        """Routing tables of this graph built so far (own or base's)."""
-        if self._routing_tables is None and self._base is not None:
-            return self._base._routing_tables
-        return self._routing_tables
+    def _route_tables(self):
+        """The view's own tables, else its base's: routes depend on the
+        graph only, so a view builds no tables to answer route queries."""
+        if self._routing_tables is not None:
+            return self._routing_tables
+        return (self._base or self).routing_tables()
+
+    def _pair_tables(self, src: int, dst: int):
+        """The route tables, once ``src -> dst`` is known to have a route."""
+        n = self.num_chiplets
+        if not (0 <= src < n and 0 <= dst < n):
+            raise IndexError(f"{self.name}: no chiplet pair ({src}, {dst})")
+        tables = self._route_tables()
+        if tables.hops[src, dst] < 0:
+            raise NoPathError(f"{self.name}: no path {src}->{dst}")
+        return tables
 
     def hops(self, src: int, dst: int) -> int:
         """Minimal router-to-router hop count between two chiplets.
 
         Raises:
-            nx.NetworkXNoPath: If the chiplets are disconnected.
+            NoPathError: If the chiplets are disconnected.
         """
-        if src == dst:
-            return 0
-        tables = self._tables_if_built()
-        if tables is not None:
-            hop = int(tables.hops[src, dst])
-            if hop < 0:
-                raise nx.NetworkXNoPath(f"{self.name}: no path {src}->{dst}")
-            return hop
-        cached = self._hops_cache.get(src)
-        if cached is None:
-            cached = nx.single_source_shortest_path_length(self.graph, src)
-            self._hops_cache[src] = cached
-        try:
-            return cached[dst]
-        except KeyError:
-            raise nx.NetworkXNoPath(
-                f"{self.name}: no path {src}->{dst}"
-            ) from None
+        return int(self._pair_tables(src, dst).hops[src, dst])
 
     def route(self, src: int, dst: int) -> Tuple[int, ...]:
         """A minimal-hop route as a node sequence (src..dst inclusive).
 
         Among minimal-hop routes, the physically shortest one is chosen,
-        deterministically.  Read from the routing tables when they
-        exist; otherwise networkx Dijkstra, the oracle the tables are
-        built to match.
+        deterministically (see :mod:`repro.net.routing`).
 
         Raises:
-            nx.NetworkXNoPath: If the chiplets are disconnected.
+            NoPathError: If the chiplets are disconnected.
         """
-        if src == dst:
-            return (src,)
-        tables = self._tables_if_built()
-        if tables is not None:
-            if tables.hops[src, dst] < 0:
-                raise nx.NetworkXNoPath(f"{self.name}: no path {src}->{dst}")
-            return tables.route_nodes(src, dst)
-        key = (src, dst)
-        path = self._path_cache.get(key)
-        if path is None:
-            # Weight = 1 + tiny * length biases ties toward short wires
-            # while preserving minimal hop count.
-            def weight(u: int, v: int, data: Mapping) -> float:
-                return 1.0 + 1e-6 * data["length_mm"]
-
-            path = tuple(
-                nx.dijkstra_path(self.graph, src, dst, weight=weight)
-            )
-            self._path_cache[key] = path
-        return path
+        return self._pair_tables(src, dst).route_nodes(src, dst)
 
     def path_length_mm(self, src: int, dst: int) -> float:
         """Total wire length along the chosen route."""
         route = self.route(src, dst)
         return sum(
-            self.graph.edges[u, v]["length_mm"]
-            for u, v in zip(route, route[1:])
+            self.adj[u][v].length_mm for u, v in zip(route, route[1:])
         )
 
+    def _all_pairs_hops(self):
+        if not self.is_connected():
+            raise NoPathError(f"{self.name}: topology is not connected")
+        return self._route_tables().hops
+
     def diameter_hops(self) -> int:
-        """Maximum over all pairs of the minimal hop count."""
-        return int(nx.diameter(self.graph))
+        """Maximum over all pairs of the minimal hop count.
+
+        Raises :class:`NoPathError` if some pair is unreachable."""
+        return int(self._all_pairs_hops().max())
 
     def average_hops(self) -> float:
-        """Mean minimal hop count over all distinct pairs."""
-        return float(nx.average_shortest_path_length(self.graph))
+        """Mean minimal hop count over all distinct pairs.
+
+        Raises :class:`NoPathError` if some pair is unreachable."""
+        n = self.num_chiplets
+        return int(self._all_pairs_hops().sum()) / max(1, n * (n - 1))
 
     # ------------------------------------------------------------------
     # global metrics
@@ -350,6 +328,19 @@ class Topology:
             f"Topology({self.name!r}, chiplets={self.num_chiplets}, "
             f"links={self.num_links})"
         )
+
+
+def reachable(adjacency, start: int) -> Set[int]:
+    """Nodes reachable from ``start``; ``adjacency[u]`` iterates ``u``'s
+    neighbours."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def grid_dimensions(num_chiplets: int) -> Tuple[int, int]:

@@ -12,10 +12,27 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import networkx as nx
+
 from repro.eval.store import ResultStore, case_key
 from repro.eval.sweeps import SweepCase, SweepResult
 from repro.workloads.dnn import DNNModel
 from repro.workloads.layers import LayerGraphBuilder
+
+
+def nx_graph(topology) -> nx.Graph:
+    """``topology`` as a networkx graph: the oracle of its routes.
+
+    Nodes ``0..n-1``, then ``topology.links`` in order, so every node's
+    neighbour order equals ``topology.adj``'s -- the tie rule networkx's
+    Dijkstra and the routing tables share.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from(range(topology.num_chiplets))
+    for link in topology.links:
+        graph.add_edge(link.u, link.v, length_mm=link.length_mm,
+                       vertical=link.vertical)
+    return graph
 
 
 def make_toy_model(name: str = "toy", blocks: int = 2) -> DNNModel:

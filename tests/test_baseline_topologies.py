@@ -164,8 +164,8 @@ class TestSwap:
             25, config=SwapSynthesisConfig(iterations=400, seed=3)
         )
         assert (
-            _traffic_cost(long.graph, traffic)
-            <= _traffic_cost(short.graph, traffic)
+            _traffic_cost(long.adj, traffic)
+            <= _traffic_cost(short.adj, traffic)
         )
 
     @pytest.mark.parametrize("n", sorted(SWAP_LINK_DIGESTS))

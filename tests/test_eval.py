@@ -7,6 +7,9 @@ experiments on reduced configurations.
 
 from __future__ import annotations
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.eval import (
@@ -22,7 +25,14 @@ from repro.eval import (
     mapper_for,
     topology_for,
 )
-from repro.eval.extensions import exp_hetero_transformer, exp_redundancy
+from repro.eval.extensions import (
+    _count_disconnecting_links,
+    exp_hetero_transformer,
+    exp_redundancy,
+)
+from repro.noi.topology import Link, Topology, grid_chiplets
+
+from helpers import nx_graph
 
 
 class TestBuilders:
@@ -96,6 +106,21 @@ class TestExtensions:
             by_label["floret-6sfc"].survival_fraction
             > by_label["floret-1sfc"].survival_fraction
         )
+
+    def test_bridge_count_matches_networkx(self):
+        rng = random.Random(3)
+        for trial in range(60):
+            n = rng.randint(1, 40)
+            graph = nx.gnp_random_graph(n, rng.choice([0.03, 0.08, 0.2]),
+                                        seed=trial)
+            topo = Topology("random", grid_chiplets(n),
+                            [Link(u, v, 1.0) for u, v in graph.edges()])
+            assert _count_disconnecting_links(topo) == sum(
+                1 for _ in nx.bridges(graph)), trial
+        for arch in ("floret", "siam", "swap"):
+            topo = topology_for(arch, 100)
+            assert _count_disconnecting_links(topo) == sum(
+                1 for _ in nx.bridges(nx_graph(topo))), arch
 
     def test_hetero_rows(self):
         rows = exp_hetero_transformer()

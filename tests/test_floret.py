@@ -2,10 +2,37 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.floret import build_floret
 from repro.core.sfc import single_sfc_curve
+
+
+#: Digests of ``(links, top_level_links, fallback_links)`` per
+#: ``(num_chiplets, petals, top_level_max_hops)``, recorded when the
+#: connectivity repair still ran on networkx's ``connected_components``.
+#: All but the defaults need repair links.
+FLORET_LINK_DIGESTS = {
+    (16, 8, 1): "30be1b5ec1b5a3ec",
+    (36, 8, 1): "6788a461cc277139",
+    (100, 4, 1): "aee773954dacab73",
+    (256, 4, 1): "1b6ac26f8c06bc5f",
+    (100, 6, 3): "68c09ddae7b22a0c",
+    (256, 6, 3): "40e43a413878d2f7",
+}
+
+
+@pytest.mark.parametrize("n,petals,hops", sorted(FLORET_LINK_DIGESTS))
+def test_links_match_recorded_digests(n, petals, hops):
+    design = build_floret(n, petals, top_level_max_hops=hops)
+    links = [(l.u, l.v, l.length_mm, l.vertical)
+             for l in design.topology.links]
+    digest = hashlib.sha256(repr(
+        (links, design.top_level_links, design.fallback_links)
+    ).encode()).hexdigest()[:16]
+    assert digest == FLORET_LINK_DIGESTS[(n, petals, hops)]
 
 
 class TestFloretDesign:

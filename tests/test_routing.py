@@ -37,8 +37,10 @@ from repro.net.routing import (
 from repro.noi.kite import build_kite
 from repro.noi.mesh import build_mesh
 from repro.noi.swap import build_swap
-from repro.noi.topology import Chiplet, Link, Topology
+from repro.noi.topology import Chiplet, Link, NoPathError, Topology
 from repro.params import NoIParams
+
+from helpers import nx_graph
 
 FRESH_BUILDERS = {
     "siam": build_mesh,
@@ -122,12 +124,22 @@ def _networkx_parents(graph, n):
     return parent, hops, dist
 
 
-def _replay_parents(graph, n):
+def _link_adjacency(graph):
+    """A networkx graph's adjacency as ``Topology.adj``: ``adj[u][v]`` is
+    a :class:`Link`, neighbours in the graph's order."""
+    return {
+        u: {v: Link(u, v, data["length_mm"]) for v, data in nbrs.items()}
+        for u, nbrs in graph.adj.items()
+    }
+
+
+def _replay_parents(adj):
     """``(parent, hops)`` of :func:`_dijkstra_levels`, as the oracle's."""
+    n = len(adj)
     parent = np.full(n * n, -1, dtype=np.int64)
     hops = np.full(n * n, -1, dtype=np.int64)
     hops[::n + 1] = 0
-    for h, (pair, prev, _row) in enumerate(_dijkstra_levels(graph, n), 1):
+    for h, (pair, prev, _row) in enumerate(_dijkstra_levels(adj), 1):
         parent[pair] = prev
         hops[pair] = h
     return parent.reshape(n, n), hops.reshape(n, n)
@@ -181,7 +193,7 @@ class TestMinimalRoutes:
     def test_hops_are_graph_minimal(self, fixture, request):
         topo = request.getfixturevalue(fixture)
         t = topo.routing_tables()
-        truth = dict(nx.all_pairs_shortest_path_length(topo.graph))
+        truth = dict(nx.all_pairs_shortest_path_length(nx_graph(topo)))
         n = topo.num_chiplets
         for s in range(0, n, 7):
             for d in range(n):
@@ -190,7 +202,7 @@ class TestMinimalRoutes:
     def test_floret_hops_minimal(self, small_floret):
         topo = small_floret.topology
         t = topo.routing_tables()
-        truth = dict(nx.all_pairs_shortest_path_length(topo.graph))
+        truth = dict(nx.all_pairs_shortest_path_length(nx_graph(topo)))
         for s in range(0, topo.num_chiplets, 5):
             for d in range(topo.num_chiplets):
                 assert t.hops[s, d] == truth[s][d]
@@ -288,7 +300,7 @@ class TestUnreachable:
         topo = Topology("split", chiplets, links)
         t = topo.routing_tables()
         assert t.hops[0, 2] == -1
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPathError):
             t.check_reachable(np.array([0]), np.array([2]), "split")
 
     def test_topology_hops_uses_tables(self):
@@ -297,7 +309,7 @@ class TestUnreachable:
         topo = Topology("split", chiplets, links)
         topo.routing_tables()
         assert topo.hops(0, 1) == 1
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPathError):
             topo.hops(0, 3)
 
 
@@ -309,9 +321,10 @@ class TestRouteOracle:
     def test_every_route_is_the_dijkstra_path(self, arch, n):
         topo = _fresh(arch, n)
         t = topo.routing_tables()
+        graph = nx_graph(topo)
         for s in range(n):
             for d in range(n):
-                assert t.route_nodes(s, d) == _oracle_route(topo.graph, s, d)
+                assert t.route_nodes(s, d) == _oracle_route(graph, s, d)
 
     def test_arrays_match_previous_builder(self, arch, n):
         tables = _fresh(arch, n).routing_tables()
@@ -322,7 +335,8 @@ class TestRouteOracle:
         bare = Topology(built.name, built.chiplets, built.links, built.params)
         pairs = [(s, d) for s in range(0, n, max(1, n // 8))
                  for d in range(n)]
-        oracle = [_oracle_route(bare.graph, s, d) for s, d in pairs]
+        graph = nx_graph(bare)
+        oracle = [_oracle_route(graph, s, d) for s, d in pairs]
         assert [bare.route(s, d) for s, d in pairs] == oracle
         bare.routing_tables()
         assert [bare.route(s, d) for s, d in pairs] == oracle
@@ -370,7 +384,7 @@ class TestDijkstraReplay:
         for seed in range(320):
             graph, n = _fuzz_graph(seed)
             parent, hops, dist = _networkx_parents(graph, n)
-            got_parent, got_hops = _replay_parents(graph, n)
+            got_parent, got_hops = _replay_parents(_link_adjacency(graph))
             assert np.array_equal(got_parent, parent), seed
             assert np.array_equal(got_hops, hops), seed
             # Coverage: what made this graph a hard case.
@@ -396,15 +410,15 @@ class TestDijkstraReplay:
         graph = nx.path_graph(3)
         nx.set_edge_attributes(graph, 3e5, "length_mm")
         with pytest.raises(ValueError, match="minimum-hop"):
-            list(_dijkstra_levels(graph, 3))
+            list(_dijkstra_levels(_link_adjacency(graph)))
 
 
 @pytest.mark.parametrize("arch,n", sorted(BENCHMARK_DIGESTS))
 def test_benchmark_scale_matches_networkx(arch, n):
     """Full parent matrix and table digest at the sizes perfbench runs."""
     topo = FRESH_BUILDERS[arch](n)
-    parent, hops, _dist = _networkx_parents(topo.graph, n)
-    got_parent, got_hops = _replay_parents(topo.graph, n)
+    parent, hops, _dist = _networkx_parents(nx_graph(topo), n)
+    got_parent, got_hops = _replay_parents(topo.adj)
     assert np.array_equal(got_parent, parent)
     assert np.array_equal(got_hops, hops)
     assert _table_digest(build_routing_tables(topo)) == \
@@ -438,7 +452,7 @@ class TestParamsView:
     def test_view_equals_fresh_build(self, arch):
         base = FRESH_BUILDERS[arch](16)
         view = base.with_params(COSTLY)
-        assert view.graph is base.graph
+        assert view.adj is base.adj
         fresh = build_routing_tables(FRESH_BUILDERS[arch](16, params=COSTLY))
         tables = view.routing_tables()
         _assert_tables_equal(tables, fresh)
@@ -484,12 +498,15 @@ class TestParamsView:
 
     def test_view_routes_from_base_tables(self):
         base = build_mesh(16)
-        tables = base.routing_tables()
         view = base.with_params(replace(COSTLY, fc_buffer_flits=8))
-        # Routes read the graph only: the view needs no tables of its own.
-        assert view.route(0, 15) == tables.route_nodes(0, 15)
+        # Routes read the graph only: the view needs no tables of its
+        # own, even when it asks before its base has built any.
+        route = view.route(0, 15)
+        tables = base._routing_tables
+        assert route == tables.route_nodes(0, 15)
         assert view.hops(0, 15) == tables.hops[0, 15]
-        assert view._routing_tables is None and not view._path_cache
+        assert view.is_connected() and view.diameter_hops() == 6
+        assert view._routing_tables is None
 
     @pytest.mark.parametrize("name", sorted(
         f.name for f in fields(NoIParams)

@@ -62,7 +62,7 @@ class TestStructureCache:
             noi_overrides=(("fc_buffer_flits", 8), ("sim_engine", "events")),
         ))
         assert plain is topology_for("kite", 16)
-        assert fc is not plain and fc.graph is plain.graph
+        assert fc is not plain and fc.adj is plain.adj
         assert fc.params.fc_buffer_flits == 8
         assert fc.routing_tables() is plain.routing_tables()
         floret = case_topology(SweepCase(arch="floret", num_chiplets=16))
@@ -314,6 +314,18 @@ class TestPoolDegradation:
         inline = SweepRunner(evaluate_comm_case, workers=1).run(self.CASES)
         for degraded, reference in zip(outcome.results, inline.results):
             assert degraded.metrics == reference.metrics
+
+    @pytest.mark.parametrize("exc,pool_level", [
+        (AttributeError("Can't pickle local object 'f.<locals>.g'"), True),
+        (TypeError("cannot pickle '_thread.lock' object"), True),
+        (AttributeError("'SweepCase' object has no attribute 'x'"), False),
+        (TypeError("unsupported operand type(s)"), False),
+        (ValueError("cannot pickle"), False),
+    ])
+    def test_pickle_failures_by_message(self, exc, pool_level):
+        from repro.eval.sweeps import is_pool_failure
+
+        assert is_pool_failure(exc) is pool_level
 
     def test_unknown_pool_failures_propagate(self, monkeypatch):
         import repro.eval.sweeps as sweeps_mod
