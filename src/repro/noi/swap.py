@@ -15,6 +15,15 @@ budget of chord links, then anneal chord placement to minimise
 traffic-weighted path length, with a router-port cap and a physical
 link-length cap of five pitches (paper: SWAP has "some longer links,
 with four or five hops").
+
+The anneal never recomputes its objective from scratch.  For every
+design-traffic pair it keeps the hop count and the edges of one
+shortest path, the pair's *witness* (:class:`_DesignPairs`).  A move
+swaps one chord for another; only pairs whose witness used the removed
+chord are searched again, and every other pair can only get shorter,
+through the added chord.  Costs are summed in the same order as the
+from-scratch :func:`_traffic_cost`, so every move's cost is the same
+float, and the links are those a from-scratch anneal would produce.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..params import NoIParams
 from .topology import Chiplet, Link, Topology, grid_chiplets
@@ -32,6 +41,9 @@ MAX_LINK_SPAN_PITCHES = 5
 
 #: Router port cap during synthesis (SWAP uses mostly 2-3 port routers).
 MAX_PORTS = 3
+
+#: An undirected link as ``(min endpoint, max endpoint)``.
+Edge = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -70,41 +82,175 @@ def design_time_traffic(
     return traffic
 
 
-def _pair_hops(adjacency, src: int, dst: int, unreachable: int) -> int:
-    """Hop distance ``src -> dst`` by bidirectional BFS.
+def _edge(u: int, v: int) -> Edge:
+    return (u, v) if u < v else (v, u)
+
+
+def _climb(parent: Dict[int, Optional[int]], node: int,
+           edges: List[Edge]) -> None:
+    """Append the edges from ``node`` up to its search tree's root."""
+    up = parent[node]
+    while up is not None:
+        edges.append(_edge(node, up))
+        node, up = up, parent[up]
+
+
+def _pair_path(
+    adjacency, src: int, dst: int, unreachable: int
+) -> Tuple[int, FrozenSet[Edge]]:
+    """Hop distance ``src -> dst`` by bidirectional BFS, with the edges
+    of one shortest path (empty when ``src == dst`` or unreachable).
 
     Grows the smaller frontier one whole level at a time.  The first
     node one side reaches that the other side has already seen closes a
     shortest path: with no earlier meeting the distance exceeds the sum
-    of the levels expanded so far, and this path is one hop longer.
+    of the levels expanded so far, and this path is one hop longer.  The
+    path is read back through the parents each side records.
     """
     if src == dst:
-        return 0
-    seen = [{src: 0}, {dst: 0}]
+        return 0, frozenset()
+    # Each side maps the nodes it has seen to their BFS parent.
+    seen: List[Dict[int, Optional[int]]] = [{src: None}, {dst: None}]
     fronts = [[src], [dst]]
-    levels = [0, 0]
     while fronts[0] and fronts[1]:
         side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
         mine, other = seen[side], seen[1 - side]
-        levels[side] += 1
-        level = levels[side]
         nxt: List[int] = []
         for u in fronts[side]:
             for v in adjacency[u]:
                 if v in mine:
                     continue
                 if v in other:
-                    return level + other[v]
-                mine[v] = level
+                    edges = [_edge(u, v)]
+                    _climb(mine, u, edges)
+                    _climb(other, v, edges)
+                    return len(edges), frozenset(edges)
+                mine[v] = u
                 nxt.append(v)
         fronts[side] = nxt
-    return unreachable
+    return unreachable, frozenset()
+
+
+def _bfs_tree(
+    adjacency, root: int, max_depth: int
+) -> Tuple[Dict[int, int], Dict[int, Optional[int]]]:
+    """Depths and parents of a BFS from ``root``, ``max_depth`` levels
+    deep."""
+    depth = {root: 0}
+    parent: Dict[int, Optional[int]] = {root: None}
+    frontier = [root]
+    for level in range(1, max_depth + 1):
+        nxt: List[int] = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if v not in depth:
+                    depth[v] = level
+                    parent[v] = u
+                    nxt.append(v)
+        if not nxt:
+            break
+        frontier = nxt
+    return depth, parent
+
+
+class _DesignPairs:
+    """The SA objective's state: every design-traffic pair's hop count
+    and the edge set of one shortest path (its *witness*).
+
+    Pairs are kept in :func:`_traffic_cost`'s summation order (source
+    by source in first-appearance order, each source's destinations in
+    traffic order), and ``cost`` sums ``volume * hops`` over them left
+    to right, so it is the very float :func:`_traffic_cost` returns on
+    the committed graph.  Invariant: ``hops[i]`` is pair ``i``'s hop
+    distance in the committed graph (``2 * n`` when unreachable) and
+    ``witnesses[i]`` is a shortest path realising it (empty when
+    ``src == dst`` or unreachable).
+    """
+
+    def __init__(self, adjacency, traffic: Sequence[Tuple[int, int, float]]):
+        by_src: Dict[int, List[Tuple[int, float]]] = {}
+        for src, dst, volume in traffic:
+            by_src.setdefault(src, []).append((dst, volume))
+        self.pairs = [
+            (src, dst, volume)
+            for src, wants in by_src.items() for dst, volume in wants
+        ]
+        self.unreachable = len(adjacency) * 2
+        found = [_pair_path(adjacency, src, dst, self.unreachable)
+                 for src, dst, _ in self.pairs]
+        self.hops = [hops for hops, _ in found]
+        self.witnesses = [witness for _, witness in found]
+        self.cost = self._sum(self.hops)
+        self._staged: Optional[Tuple[List[int], List[FrozenSet[Edge]],
+                                     float]] = None
+
+    def _sum(self, hops: List[int]) -> float:
+        cost = 0.0
+        for (_, _, volume), h in zip(self.pairs, hops):
+            cost += volume * h
+        return cost
+
+    def move_cost(self, adjacency, old: Edge, new: Edge) -> float:
+        """Objective after ``adjacency`` swapped chord ``old`` for ``new``.
+
+        Exact, without a from-scratch search: a pair whose witness
+        contains ``old`` is searched again on the new graph.  Any other
+        pair keeps its distance through the removal (its witness
+        survives, and removing an edge never shortens a path), and the
+        added chord ``(a, b)`` can only shorten it, to
+        ``min(h, d(s,a) + 1 + d(b,t), d(s,b) + 1 + d(a,t))``.  Those
+        distances come from two BFS trees rooted at ``a`` and ``b``,
+        at most ``max(h) - 2`` deep: a shorter route through the chord
+        has both legs at most ``h - 2`` long.  A shortened pair's new
+        witness is spliced from the trees.  The result is staged;
+        :meth:`commit` makes it the state.
+        """
+        hops = list(self.hops)
+        witnesses = list(self.witnesses)
+        kept: List[int] = []
+        for i, witness in enumerate(witnesses):
+            if old in witness:
+                src, dst, _ = self.pairs[i]
+                hops[i], witnesses[i] = _pair_path(adjacency, src, dst,
+                                                   self.unreachable)
+            elif hops[i] >= 2:
+                kept.append(i)
+        if kept:
+            reach = max(hops[i] for i in kept) - 2
+            a, b = new
+            depth_a, parent_a = _bfs_tree(adjacency, a, reach)
+            depth_b, parent_b = _bfs_tree(adjacency, b, reach)
+            # A node beyond the trees is more than ``reach`` away.
+            far = reach + 1
+            for i in kept:
+                src, dst, _ = self.pairs[i]
+                via_a = depth_a.get(src, far) + 1 + depth_b.get(dst, far)
+                via_b = depth_b.get(src, far) + 1 + depth_a.get(dst, far)
+                if via_a >= hops[i] and via_b >= hops[i]:
+                    continue
+                edges = [new]
+                if via_a <= via_b:
+                    hops[i] = via_a
+                    _climb(parent_a, src, edges)
+                    _climb(parent_b, dst, edges)
+                else:
+                    hops[i] = via_b
+                    _climb(parent_b, src, edges)
+                    _climb(parent_a, dst, edges)
+                witnesses[i] = frozenset(edges)
+        cost = self._sum(hops)
+        self._staged = (hops, witnesses, cost)
+        return cost
+
+    def commit(self) -> None:
+        """Make the last :meth:`move_cost` the state (an accepted move)."""
+        self.hops, self.witnesses, self.cost = self._staged
 
 
 def _traffic_cost(
     adjacency, traffic: Sequence[Tuple[int, int, float]]
 ) -> float:
-    """Total traffic-weighted hop count (the SA objective).
+    """Total traffic-weighted hop count (the SA objective), from scratch.
 
     ``adjacency[u]`` iterates ``u``'s neighbours, in any order.  One
     bidirectional BFS per (source, destination) pair: design-time
@@ -112,18 +258,12 @@ def _traffic_cost(
     one source-rooted BFS has covered all of its destinations.  Terms
     are summed source by source (in first-appearance order), each
     source's destinations in traffic order; an unreachable pair costs
-    ``2 * n`` hops.
+    ``2 * n`` hops.  The anneal starts from this same computation
+    (:class:`_DesignPairs`) and then updates it move by move
+    (:meth:`_DesignPairs.move_cost`); the tests check each update
+    against this function.
     """
-    unreachable = len(adjacency) * 2
-    by_src: Dict[int, List[Tuple[int, float]]] = {}
-    for src, dst, volume in traffic:
-        by_src.setdefault(src, []).append((dst, volume))
-
-    cost = 0.0
-    for src, wants in by_src.items():
-        for dst, volume in wants:
-            cost += volume * _pair_hops(adjacency, src, dst, unreachable)
-    return cost
+    return _DesignPairs(adjacency, traffic).cost
 
 
 def build_swap(
@@ -135,18 +275,35 @@ def build_swap(
 ) -> Topology:
     """Synthesise a SWAP-style small-world NoI.
 
+    The anneal scores each move incrementally
+    (:meth:`_DesignPairs.move_cost`) while keeping the witness
+    invariant: every design-traffic pair's hop count and one shortest
+    path are those of the current graph, updated only when a move is
+    accepted.  The update is exact, so the links equal those of an
+    anneal that scores every move with :func:`_traffic_cost`.
+
     Args:
         num_chiplets: Chiplet count (100 in the paper's evaluation).
         params: Hardware constants.
         config: Annealing knobs; defaults are deterministic (fixed seed).
         traffic: Design-time traffic; defaults to
             :func:`design_time_traffic`.
+
+    Raises:
+        ValueError: a traffic pair has an endpoint outside
+            ``[0, num_chiplets)`` (checked before any synthesis).
     """
     params = params or NoIParams()
     config = config or SwapSynthesisConfig()
     traffic = list(traffic) if traffic is not None else design_time_traffic(
         num_chiplets
     )
+    for src, dst, _ in traffic:
+        if not (0 <= src < num_chiplets and 0 <= dst < num_chiplets):
+            raise ValueError(
+                f"design traffic pair ({src}, {dst}) has an endpoint "
+                f"outside [0, {num_chiplets})"
+            )
     rng = random.Random(config.seed)
     pitch = params.chiplet_pitch_mm
     chiplets = grid_chiplets(num_chiplets)
@@ -209,8 +366,9 @@ def build_swap(
         connect(*chord)
         chords.append(chord)
 
-    cost = _traffic_cost(adjacency, traffic)
-    temperature = config.initial_temperature * cost / max(1, num_chiplets)
+    design = _DesignPairs(adjacency, traffic)
+    temperature = (config.initial_temperature * design.cost
+                   / max(1, num_chiplets))
     for _ in range(config.iterations):
         if not chords:
             break
@@ -223,11 +381,10 @@ def build_swap(
             connect(*old)
             continue
         connect(*new)
-        new_cost = _traffic_cost(adjacency, traffic)
-        delta = new_cost - cost
+        delta = design.move_cost(adjacency, old, new) - design.cost
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
             chords[victim] = new
-            cost = new_cost
+            design.commit()
         else:
             disconnect(*new)
             connect(*old)

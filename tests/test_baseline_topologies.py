@@ -9,6 +9,7 @@ from typing import Dict, List
 import networkx as nx
 import pytest
 
+from repro.noi import swap
 from repro.noi.kite import (
     _folded_position,
     build_butter_donut,
@@ -41,6 +42,19 @@ SWAP_CONFIG = SwapSynthesisConfig(chord_budget_fraction=0.4, iterations=300,
                                   seed=11)
 SWAP_CONFIG_DIGEST = "8b7c5dc408e18205"  # build_swap(49, config=SWAP_CONFIG)
 
+#: Link digests recorded from the anneal that recomputed the whole
+#: objective after every move, before the incremental witness update.
+SWAP_LARGE_LINK_DIGESTS = {
+    144: "cef57ad4c3ea609c",
+    256: "d7d16d0edaf11eac",
+}
+#: Custom design traffic: sources out of order, a self pair, a repeated
+#: pair and its reverse.
+SWAP_TRAFFIC = ([(i, (7 * i + 3) % 40, 1.0 if i % 3 else 0.35)
+                 for i in range(39, -1, -2)]
+                + [(3, 3, 0.5), (5, 9, 1.0), (5, 9, 1.0), (9, 5, 0.2)])
+SWAP_TRAFFIC_DIGEST = "1cce4cee8d30ea0a"  # build_swap(40, traffic=...)
+
 
 def _link_digest(topology) -> str:
     links = [(l.u, l.v, l.length_mm) for l in topology.links]
@@ -71,6 +85,38 @@ def _source_bfs_traffic_cost(graph, traffic) -> float:
         for dst, volume in wants:
             cost += volume * dist.get(dst, len(adjacency) * 2)
     return cost
+
+
+def _bfs_hops(adjacency, src: int) -> Dict[int, int]:
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def _is_shortest_path(adjacency, src, dst, hops, witness) -> bool:
+    """Whether ``witness`` is ``hops`` edges of ``adjacency`` joining
+    ``src`` to ``dst``: with ``hops`` the distance, a set of that many
+    edges whose degrees are those of a path has no room for a cycle."""
+    if len(witness) != hops:
+        return False
+    degree: Dict[int, int] = {}
+    for u, v in witness:
+        if not u < v or v not in adjacency[u]:
+            return False
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    if not witness:
+        return True
+    ends = {node for node, d in degree.items() if d == 1}
+    return ends == {src, dst} and set(degree.values()) <= {1, 2}
 
 
 class TestMesh:
@@ -135,9 +181,11 @@ class TestSwap:
         assert small_swap.is_connected()
 
     def test_port_cap_respected(self, small_swap):
-        # Backbone gives up to 2; chords may add up to MAX_PORTS + 1
-        # transiently never beyond MAX_PORTS + backbone share.
-        assert max(small_swap.port_histogram()) <= MAX_PORTS + 1
+        # The ring backbone gives each router at most 2 ports, and a
+        # chord only joins two routers that both have fewer than
+        # MAX_PORTS, so no router ever exceeds MAX_PORTS.
+        for topology in (small_swap, build_swap(100)):
+            assert max(topology.port_histogram()) <= MAX_PORTS
 
     def test_link_span_cap(self, small_swap):
         assert max(small_swap.link_length_histogram()) <= MAX_LINK_SPAN_PITCHES
@@ -175,6 +223,91 @@ class TestSwap:
     def test_custom_config_matches_recorded_digest(self):
         assert (_link_digest(build_swap(49, config=SWAP_CONFIG))
                 == SWAP_CONFIG_DIGEST)
+
+    @pytest.mark.parametrize("n", sorted(SWAP_LARGE_LINK_DIGESTS))
+    def test_large_links_match_recorded_digests(self, n):
+        assert _link_digest(build_swap(n)) == SWAP_LARGE_LINK_DIGESTS[n]
+
+    def test_custom_traffic_matches_recorded_digest(self):
+        assert (_link_digest(build_swap(40, traffic=SWAP_TRAFFIC))
+                == SWAP_TRAFFIC_DIGEST)
+
+    def test_out_of_range_traffic_rejected(self, monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis started")
+
+        monkeypatch.setattr(swap, "grid_chiplets", no_synthesis)
+        traffic = [(1, 2, 1.0), (0, 50, 1.0), (-1, 3, 1.0)]
+        with pytest.raises(ValueError, match=r"\(0, 50\).*\[0, 10\)"):
+            build_swap(10, traffic=traffic)
+        with pytest.raises(ValueError, match=r"\(-1, 3\)"):
+            build_swap(10, traffic=traffic[2:])
+        with pytest.raises(ValueError, match=r"\(4, 10\)"):
+            build_swap(10, traffic=[(4, 10, 1.0)])
+
+    def test_empty_traffic_builds(self):
+        topology = build_swap(20, traffic=[])
+        assert topology.is_connected()
+        assert _traffic_cost(topology.adj, []) == 0.0
+
+    def test_incremental_cost_matches_from_scratch(self, monkeypatch):
+        """Every move's incremental cost equals ``_traffic_cost`` on that
+        move's graph; every staged hop count is the pair's distance and
+        every staged witness one shortest path realising it."""
+        counts = {"moves": 0, "researched": 0, "shortened": 0}
+        current = {}
+        move_cost = swap._DesignPairs.move_cost
+
+        def checked(design, adjacency, old, new):
+            before = list(design.hops)
+            stale = [old in witness for witness in design.witnesses]
+            cost = move_cost(design, adjacency, old, new)
+            assert cost == _traffic_cost(adjacency, current["traffic"])
+            hops, witnesses, staged_cost = design._staged
+            assert staged_cost == cost
+            dist = {}
+            for (src, dst, _), h, witness in zip(design.pairs, hops,
+                                                 witnesses):
+                if src not in dist:
+                    dist[src] = _bfs_hops(adjacency, src)
+                assert h == dist[src].get(dst, 2 * len(adjacency))
+                if h < 2 * len(adjacency):
+                    assert _is_shortest_path(adjacency, src, dst, h,
+                                             witness)
+            counts["moves"] += 1
+            counts["researched"] += any(stale)
+            counts["shortened"] += any(
+                h < b and not s for h, b, s in zip(hops, before, stale)
+            )
+            return cost
+
+        monkeypatch.setattr(swap._DesignPairs, "move_cost", checked)
+        rng = random.Random(24)
+        for trial in range(48):
+            n = trial + 1 if trial < 3 else rng.randint(1, 64)
+            config = SwapSynthesisConfig(
+                chord_budget_fraction=rng.choice([0.05, 0.25, 0.5, 0.9]),
+                iterations=rng.randint(0, 60),
+                initial_temperature=rng.choice([0.0, 0.5, 1.0, 4.0]),
+                cooling=rng.choice([0.9, 0.99, 1.0]),
+                seed=trial,
+            )
+            kind = trial % 4
+            if kind == 0:
+                traffic = design_time_traffic(n, seed=trial)
+            elif kind == 3:
+                traffic = []
+            else:
+                traffic = [(rng.randrange(n), rng.randrange(n),
+                            rng.choice([1.0, 0.35, 0.1]))
+                           for _ in range(rng.randint(1, 50))]
+                # A self pair and a repeated pair in every custom set.
+                traffic += [(n - 1, n - 1, 0.7), traffic[0]]
+            current["traffic"] = traffic
+            build_swap(n, config=config, traffic=traffic)
+        assert counts["moves"] >= 900
+        assert counts["researched"] >= 500
+        assert counts["shortened"] >= 300
 
     def test_traffic_cost_matches_source_bfs(self):
         rng = random.Random(5)
