@@ -468,10 +468,8 @@ class ResultStore:
 
         Counts a **miss** when absent; counts nothing when present,
         because the planner's later :meth:`get` at emission records the
-        hit.  This keeps ``stats`` consistent across the gather runner
-        (one ``get`` per case) and the streaming runner (``probe`` all,
-        ``get`` hits only): both report the same hit/miss totals for
-        the same sweep.
+        hit.  So a sweep (``probe`` every case, ``get`` the hits only)
+        reports the same hit/miss totals as one ``get`` per case.
         """
         if self._peek(key) is None:
             self.stats.misses += 1

@@ -10,14 +10,18 @@ their scenario fan-out through :class:`SweepRunner`.
 
 Design notes:
 
+* One case-execution loop: :meth:`SweepRunner.stream` checks the
+  store, evaluates the misses and puts each result as it is emitted;
+  :meth:`SweepRunner.run` is a fold of that stream into a
+  :class:`SweepOutcome`.
 * Cases and results are small picklable dataclasses; evaluation
   functions must be module-level callables so the process pool can ship
   them (the built-ins below cover communication sweeps, full mix
   schedules and structural topology censuses).
 * ``workers <= 1`` runs inline -- deterministic, dependency-free, and
-  what the unit tests use.  Pool construction failures (restricted
-  sandboxes without POSIX semaphores, for instance) degrade to the
-  inline path instead of erroring, so a sweep always completes.
+  what the unit tests use.  Pool failures (restricted sandboxes without
+  POSIX semaphores, for instance) degrade to the inline path with one
+  ``RuntimeWarning`` instead of erroring, so a sweep always completes.
 * Per-process caches (topology builders, routing tables) are warmed
   lazily inside the workers; a chunked submission order keeps cases of
   the same topology together to maximise cache reuse.
@@ -29,15 +33,15 @@ import os
 import pickle
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from itertools import product
 from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -328,8 +332,86 @@ def _evaluate_one(
     ))
 
 
+def _evaluate_chunk(evaluate, chunk: List[SweepCase]) -> List[SweepResult]:
+    """Worker-side: evaluate one chunk of cases (amortises IPC)."""
+    return [_evaluate_one(evaluate, case) for case in chunk]
+
+
+class _OrderedPoolDrain:
+    """Iterator of chunk results in submission order, eagerly primed.
+
+    The first window of chunks is submitted at *construction* -- not on
+    first ``next`` -- so workers start evaluating while the consumer is
+    still replaying a store-hit prefix.  Chunks retire through
+    ``wait(FIRST_COMPLETED)`` (the ``as_completed`` primitive); a
+    reorder buffer restores submission order, and the window bounds
+    pending AND completed-but-unemitted chunks, so one slow head chunk
+    stalls submission instead of letting the buffer absorb the grid.
+
+    The owner must call :meth:`close` when done or abandoning the
+    iterator (cancels queued futures, releases the pool).
+    """
+
+    def __init__(self, evaluate, chunks: List[List[SweepCase]],
+                 workers: int, window: int) -> None:
+        self._evaluate = evaluate
+        self._chunks = chunks
+        self._window = window
+        self._pending: Dict[object, int] = {}
+        self._buffered: Dict[int, List[SweepResult]] = {}
+        self._next_submit = 0
+        self._next_emit = 0
+        self._pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            self._submit_more()
+        except BaseException:
+            self.close()
+            raise
+
+    def _submit_more(self) -> None:
+        while (self._next_submit < len(self._chunks)
+               and len(self._pending) + len(self._buffered) < self._window):
+            future = self._pool.submit(
+                _evaluate_chunk, self._evaluate,
+                self._chunks[self._next_submit],
+            )
+            self._pending[future] = self._next_submit
+            self._next_submit += 1
+
+    def __iter__(self) -> "_OrderedPoolDrain":
+        return self
+
+    def __next__(self) -> List[SweepResult]:
+        if self._next_emit >= len(self._chunks):
+            raise StopIteration
+        while self._next_emit not in self._buffered:
+            done, _ = wait(self._pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                self._buffered[self._pending.pop(future)] = future.result()
+        out = self._buffered.pop(self._next_emit)
+        self._next_emit += 1
+        self._submit_more()
+        return out
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _warn_degrade(exc: BaseException, remaining: int) -> None:
+    warnings.warn(
+        f"streaming sweep pool failed ({exc!r}); re-running remaining "
+        f"{remaining} cases inline",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
 class SweepRunner:
     """Fan a list of :class:`SweepCase` over worker processes.
+
+    :meth:`stream` is the one case-execution loop: it yields results in
+    submission order and checkpoints each to the store as it is
+    emitted.  :meth:`run` folds that stream into a :class:`SweepOutcome`.
 
     Args:
         evaluate: Module-level callable mapping a case to a metric dict
@@ -341,14 +423,15 @@ class SweepRunner:
             keep same-topology cases on one worker's warm caches.
         store: Optional :class:`~repro.eval.store.ResultStore`.  When
             set, cached cases are answered without dispatch and fresh
-            results are appended as they land, so a completed sweep
-            replays with zero evaluations.
+            results are appended as they are emitted, so a completed
+            sweep replays with zero evaluations and an interrupted one
+            resumes from the last persisted case.
         shard: Optional :class:`~repro.eval.shard.ShardSpec`.  When
-            set, :meth:`run` silently restricts any grid to this
-            worker's deterministic slice of it -- the partition-only
-            half of distributed execution, for fleets whose shards
-            share a ``store`` directory.  Lease-based claiming and
-            work stealing (crash recovery) live in
+            set, :meth:`run` and :meth:`stream` silently restrict any
+            grid to this worker's deterministic slice of it -- the
+            partition-only half of distributed execution, for fleets
+            whose shards share a ``store`` directory.  Lease-based
+            claiming and work stealing (crash recovery) live in
             :func:`repro.eval.shard.drain_cases`; a bare ``shard=``
             runner never evaluates outside its slice.
         trace: Optional tracing target -- a
@@ -357,6 +440,10 @@ class SweepRunner:
             variable (the default, which is a no-op tracer when the
             variable is unset).
     """
+
+    #: Maximum chunks in flight in the pool at once (backpressure and
+    #: reorder-buffer bound); ``None`` means ``2 * workers``.
+    window: Optional[int] = None
 
     def __init__(
         self,
@@ -375,6 +462,10 @@ class SweepRunner:
         self.shard = shard
         self.trace = trace
         self._trace_tracer = None
+        #: Workers the most recent stream actually used (1 after
+        #: inline degradation) and the cases it replayed from the store.
+        self.last_workers = 1
+        self.last_store_hits = 0
         if shard is not None and store is None:
             raise ValueError(
                 "shard= without store= would evaluate a slice and "
@@ -411,86 +502,167 @@ class SweepRunner:
     def _resolve_workers(self, num_cases: int) -> int:
         env = os.environ.get(WORKERS_ENV)
         if env is not None:
-            return max(1, int(env))
+            try:
+                workers = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"{WORKERS_ENV}={env!r} is not an integer worker count"
+                ) from None
+            return max(1, workers)
         if self.workers is not None:
             return max(1, self.workers)
         return max(1, min(os.cpu_count() or 1, num_cases))
 
     def run(self, cases: Iterable[SweepCase]) -> SweepOutcome:
-        cases = self._shard_slice(list(cases))
+        """Every result of :meth:`stream`, gathered in sweep order."""
         tracer = self._tracer()
         watch = Stopwatch()
-        with tracer.span("sweep_run", cases=len(cases)) as sweep_span:
-            results: List[Optional[SweepResult]] = [None] * len(cases)
-            keys: Optional[List[str]] = None
-            pending: List[int] = list(range(len(cases)))
-            if self.store is not None:
-                keys = self.case_keys(cases)
-                pending = []
-                for i, case in enumerate(cases):
-                    hit = self.store.get(keys[i], case)
-                    if hit is not None:
-                        results[i] = hit
-                    else:
-                        pending.append(i)
-            store_hits = len(cases) - len(pending)
-            if store_hits:
-                REGISTRY.counter("cases_cached").inc(store_hits)
-            workers = self._resolve_workers(len(pending))
-            evaluated: Optional[List[SweepResult]] = None
-            pending_cases = [cases[i] for i in pending]
-            if workers > 1 and len(pending) > 1:
-                evaluated = self._run_pool(pending_cases, workers)
-            if evaluated is None:
-                workers = 1
-                evaluated = [_evaluate_one(self.evaluate, c)
-                             for c in pending_cases]
-            for i, result in zip(pending, evaluated):
-                results[i] = result
-                if self.store is not None and keys is not None:
-                    self.store.put(keys[i], result)
+        with tracer.span("sweep_run") as sweep_span:
+            results = tuple(self.stream(cases))
             sweep_span.add(
-                store_hits=store_hits,
-                evaluated=len(pending),
-                workers=workers,
+                cases=len(results),
+                store_hits=self.last_store_hits,
+                evaluated=len(results) - self.last_store_hits,
+                workers=self.last_workers,
             )
         tracer.flush()
         return SweepOutcome(
-            results=tuple(r for r in results if r is not None),
-            elapsed_s=watch.elapsed_s,
-            workers=workers,
-            store_hits=store_hits,
+            results,
+            watch.elapsed_s,
+            workers=self.last_workers,
+            store_hits=self.last_store_hits,
         )
 
-    def _run_pool(
-        self, cases: List[SweepCase], workers: int
-    ) -> Optional[List[SweepResult]]:
-        """Pool execution; ``None`` signals fall-back to inline."""
+    def stream(self, cases: Iterable[SweepCase]) -> Iterator[SweepResult]:
+        """Yield one :class:`SweepResult` per case, in submission order.
+
+        Store-cached cases are emitted without touching the pool; fresh
+        results are appended to the store the moment they are emitted,
+        so abandoning this generator mid-flight leaves a resumable
+        checkpoint: a later call with the same store re-evaluates only
+        the cases that never completed.
+        """
+        cases = self._shard_slice(list(cases))
+        tracer = self._tracer()
+        keys: Optional[List[str]] = None
+        hit_indices: set = set()
+        if self.store is not None:
+            keys = self.case_keys(cases)
+            # Membership probes only (misses counted, payloads not
+            # loaded): hits are loaded lazily at emission so a warm
+            # replay of a huge grid never materialises all payloads at
+            # once.
+            hit_indices = {
+                i for i in range(len(cases)) if self.store.probe(keys[i])
+            }
+        self.last_store_hits = len(hit_indices)
+        miss_indices = [i for i in range(len(cases))
+                        if i not in hit_indices]
+        workers = self._resolve_workers(len(miss_indices))
+        self.last_workers = workers if len(miss_indices) > 1 else 1
+        # Built (and pool-primed) eagerly: workers start on the misses
+        # while the cached prefix below replays.
+        fresh, close_fresh = self._stream_evaluate(
+            [cases[i] for i in miss_indices], workers
+        )
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(
-                        partial(_evaluate_one, self.evaluate),
-                        cases,
-                        chunksize=self.chunksize,
-                    )
-                )
+            for i, case in enumerate(cases):
+                if i in hit_indices:
+                    replay = Stopwatch()
+                    hit = self.store.get(keys[i], case)
+                    if hit is None:
+                        # Payload vanished between probe and emission
+                        # (a concurrent cleanup, a lost npz): evaluate
+                        # inline rather than dropping the case.
+                        hit = _evaluate_one(self.evaluate, case)
+                        self.store.put(keys[i], hit)
+                        self.last_store_hits -= 1
+                    else:
+                        REGISTRY.counter("cases_cached").inc()
+                        if tracer.enabled:
+                            from ..obs.clock import wall
+
+                            tracer.record_span(
+                                "replay_case",
+                                wall() - replay.elapsed_s,
+                                replay.elapsed_s,
+                                case=case.case_id,
+                            )
+                    yield hit
+                    continue
+                result = next(fresh)
+                if keys is not None:
+                    self.store.put(keys[i], result)
+                yield result
+        finally:
+            # Runs on abandonment too (GeneratorExit): queued futures
+            # are cancelled even if no miss was ever consumed.
+            close_fresh()
+            tracer.flush()
+
+    def _stream_evaluate(
+        self, cases: List[SweepCase], workers: int
+    ) -> Tuple[Iterator[SweepResult], Callable[[], None]]:
+        """Per-case result iterator plus its cleanup callable.
+
+        Not a generator itself: pool construction and the first window
+        of submissions happen HERE, at call time, so callers that emit
+        a store-hit prefix before consuming a miss still overlap replay
+        with evaluation.  The cleanup must be invoked by the caller
+        (also on abandonment) -- closing an unstarted generator would
+        never reach a ``finally`` inside it.
+
+        Known pool-level failures (:func:`is_pool_failure`: restricted
+        sandboxes without POSIX semaphores, crashed workers, an
+        unpicklable ``evaluate``) degrade to inline evaluation of the
+        cases the pool has not emitted, with one ``RuntimeWarning``, so
+        a sweep always completes; anything else (``KeyboardInterrupt``
+        included) propagates.
+        """
+        if workers <= 1 or len(cases) <= 1:
+            return (
+                (_evaluate_one(self.evaluate, case) for case in cases),
+                lambda: None,
+            )
+        chunks = [
+            cases[i: i + self.chunksize]
+            for i in range(0, len(cases), self.chunksize)
+        ]
+        window = self.window if self.window is not None else 2 * workers
+        try:
+            drain = _OrderedPoolDrain(self.evaluate, chunks, workers,
+                                      max(1, window))
         except Exception as exc:
-            # Known pool-level failures -- restricted sandboxes without
-            # /dev/shm semaphores, crashed workers, unpicklable
-            # evaluate -- degrade to inline so the sweep still
-            # completes, but loudly: silent serial re-runs read as an
-            # unexplained performance cliff.  Anything else (a bug in
-            # aggregation, KeyboardInterrupt) propagates.
             if not is_pool_failure(exc):
                 raise
-            warnings.warn(
-                f"sweep process pool failed ({exc!r}); "
-                f"re-running {len(cases)} cases inline",
-                RuntimeWarning,
-                stacklevel=3,
+            _warn_degrade(exc, len(cases))
+            self.last_workers = 1
+            return (
+                (_evaluate_one(self.evaluate, case) for case in cases),
+                lambda: None,
             )
-            return None
+        return self._drain_results(drain, cases), drain.close
+
+    def _drain_results(
+        self, drain: _OrderedPoolDrain, cases: List[SweepCase]
+    ) -> Iterator[SweepResult]:
+        emitted = 0
+        try:
+            for chunk_results in drain:
+                for result in chunk_results:
+                    emitted += 1
+                    yield result
+        except Exception as exc:
+            # The stream picks up exactly where the pool stopped
+            # emitting (the reorder buffer guarantees `emitted` is a
+            # clean submission-order prefix).
+            if not is_pool_failure(exc):
+                raise
+            _warn_degrade(exc, len(cases) - emitted)
+            self.last_workers = 1
+            drain.close()
+            for case in cases[emitted:]:
+                yield _evaluate_one(self.evaluate, case)
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,23 @@ def design_time_traffic(
     (chain) traffic plus a minority of skip transfers a few chiplets
     ahead -- the characteristic PIM-inference pattern the SWAP authors
     optimise for.  Volumes are normalised.
+
+    Raises:
+        ValueError: ``skip_fraction`` asks for at least one skip but
+            ``num_chiplets <= 3`` leaves no chiplet a skip can start at.
     """
+    num_skips = int(skip_fraction * num_chiplets)
+    if num_skips >= 1 and num_chiplets <= 3:
+        raise ValueError(
+            f"skip_fraction={skip_fraction} asks for {num_skips} skip "
+            f"transfers, but num_chiplets={num_chiplets} leaves no skip "
+            "source (sources are drawn from [0, num_chiplets - 3)); "
+            "skips need num_chiplets >= 4"
+        )
     rng = random.Random(seed)
     traffic: List[Tuple[int, int, float]] = []
     for i in range(num_chiplets - 1):
         traffic.append((i, i + 1, 1.0))
-    num_skips = int(skip_fraction * num_chiplets)
     for _ in range(num_skips):
         src = rng.randrange(0, num_chiplets - 3)
         dst = min(num_chiplets - 1, src + rng.randint(2, 6))

@@ -337,6 +337,15 @@ class TestSwap:
         chain = [(s, d) for s, d, v in traffic if v == 1.0]
         assert chain == [(i, i + 1) for i in range(9)]
 
+    def test_design_time_traffic_rejects_skips_without_room(self):
+        with pytest.raises(ValueError,
+                           match=r"skip_fraction=1\.0.*num_chiplets=3"):
+            design_time_traffic(3, skip_fraction=1.0)
+        # No skip asked for (or room for one): plain chain, no error.
+        assert design_time_traffic(3, skip_fraction=0.2) == [
+            (0, 1, 1.0), (1, 2, 1.0)]
+        assert len(design_time_traffic(4, skip_fraction=1.0)) == 3 + 4
+
 
 class TestProperties:
     def test_summarize_fields(self, small_mesh):

@@ -214,7 +214,8 @@ class TestSweepTracing:
         assert span["total"] == len(_grid())
         assert span["failures"] == 0
 
-    def test_store_replay_traces_replay_spans(self, tmp_path):
+    @pytest.mark.parametrize("method", ["run", "run_stream"])
+    def test_store_replay_traces_replay_spans(self, tmp_path, method):
         store = ResultStore(tmp_path / "store")
         trace_dir = tmp_path / "traces"
         cases = _grid()
@@ -224,7 +225,7 @@ class TestSweepTracing:
         runner = StreamingSweepRunner(
             _eval_ok, workers=1, store=store, trace=trace_dir
         )
-        outcome = runner.run_stream(cases, [])
+        outcome = getattr(runner, method)(cases)
         assert outcome.store_hits == len(cases)
         replays = _spans(merge_traces(trace_dir), "replay_case")
         assert len(replays) == len(cases)

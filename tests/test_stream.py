@@ -264,7 +264,7 @@ class TestStoreBackedStreaming:
 
 class TestDegradation:
     def test_pool_failure_degrades_inline_with_warning(self, monkeypatch):
-        import repro.eval.stream as stream_mod
+        import repro.eval.sweeps as sweeps_mod
         from concurrent.futures.process import BrokenProcessPool
 
         class ExplodingPool:
@@ -283,7 +283,7 @@ class TestDegradation:
             def shutdown(self, *args, **kwargs):
                 pass
 
-        monkeypatch.setattr(stream_mod, "ProcessPoolExecutor",
+        monkeypatch.setattr(sweeps_mod, "ProcessPoolExecutor",
                             ExplodingPool)
         runner = StreamingSweepRunner(evaluate_comm_case, workers=2)
         with pytest.warns(RuntimeWarning, match="streaming sweep pool"):

@@ -26,6 +26,18 @@ def _boom_evaluate(case: SweepCase):
     return {"value": float(case.num_chiplets)}
 
 
+#: The seed whose case ``_interruptible_evaluate`` stops the sweep on,
+#: and the seeds it evaluated (set per test with ``monkeypatch``).
+_INTERRUPT = {"seed": None, "evaluated": []}
+
+
+def _interruptible_evaluate(case: SweepCase):
+    if case.seed == _INTERRUPT["seed"]:
+        raise KeyboardInterrupt
+    _INTERRUPT["evaluated"].append(case.seed)
+    return {"value": float(case.seed)}
+
+
 class TestSweepCase:
     def test_case_id_includes_overrides(self):
         case = SweepCase(
@@ -271,6 +283,12 @@ class TestWorkerOverride:
         monkeypatch.delenv(WORKERS_ENV, raising=False)
         assert SweepRunner(evaluate_comm_case)._resolve_workers(1) == 1
 
+    def test_non_integer_env_is_named(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "two")
+        runner = SweepRunner(evaluate_comm_case)
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV}='two'"):
+            runner.run([SweepCase(arch="siam", num_chiplets=16)])
+
 
 class TestPoolDegradation:
     """Pool-level failures degrade to inline evaluation -- loudly."""
@@ -291,6 +309,12 @@ class TestPoolDegradation:
 
             def map(self, *args, **kwargs):
                 raise exc
+
+            def submit(self, *args, **kwargs):
+                raise exc
+
+            def shutdown(self, *args, **kwargs):
+                pass
 
         return BrokenPool
 
@@ -368,6 +392,35 @@ class TestStoreIntegration:
             assert a.case == b.case
             assert a.metrics == b.metrics
         assert warm.pivot("energy_pj") == cold.pivot("energy_pj")
+
+    def test_interrupted_run_leaves_resumable_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        # run() puts each result as it is emitted, so the k results
+        # before an interrupt survive it and a re-run evaluates only
+        # the rest.
+        from repro.eval.store import ResultStore
+
+        cases = sweep_grid(archs=("siam",), sizes=(16,),
+                           seeds=tuple(range(5)))
+        k = 3
+        monkeypatch.setitem(_INTERRUPT, "seed", k)
+        monkeypatch.setitem(_INTERRUPT, "evaluated", [])
+        with pytest.raises(KeyboardInterrupt):
+            SweepRunner(_interruptible_evaluate, workers=1,
+                        store=ResultStore(tmp_path)).run(cases)
+        assert len(ResultStore(tmp_path)) == k
+
+        monkeypatch.setitem(_INTERRUPT, "seed", None)
+        monkeypatch.setitem(_INTERRUPT, "evaluated", [])
+        resumed = SweepRunner(_interruptible_evaluate, workers=1,
+                              store=ResultStore(tmp_path)).run(cases)
+        assert resumed.store_hits == k
+        assert resumed.evaluated == len(cases) - k
+        assert _INTERRUPT["evaluated"] == list(range(k, len(cases)))
+        assert [r.metrics["value"] for r in resumed.results] == [
+            float(s) for s in range(len(cases))
+        ]
 
     def test_case_keys_track_evaluator(self):
         cases = [SweepCase(arch="siam", num_chiplets=16)]
