@@ -178,14 +178,16 @@ class SystemScheduler:
         Raises:
             ValueError: If a task needs more chiplets than the system has.
         """
-        plans: Dict[str, AllocationPlan] = {}
+        # Keyed on the model object: two models may share a name (one
+        # network on two datasets) but not a plan.
+        plans: Dict[int, AllocationPlan] = {}
         queue: Deque[DNNTask] = deque(tasks)
         n = self.topology.num_chiplets
         for task in queue:
-            plan = plans.get(task.model.name)
+            plan = plans.get(id(task.model))
             if plan is None:
                 plan = plan_allocation(task.model, self.spec)
-                plans[task.model.name] = plan
+                plans[id(task.model)] = plan
             if plan.num_chiplets > n:
                 raise ValueError(
                     f"task {task.task_id} needs {plan.num_chiplets} chiplets; "
@@ -207,7 +209,7 @@ class SystemScheduler:
             while queue and progressed:
                 progressed = False
                 task = queue[0]
-                plan = plans[task.model.name]
+                plan = plans[id(task.model)]
                 placement = self.mapper.map_task(
                     task.task_id, task.model, plan, frozenset(free)
                 )

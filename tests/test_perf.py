@@ -304,3 +304,146 @@ class TestWeightedHopsRecombination:
         for engine in (evaluate_task, evaluate_task_perlayer):
             perf = engine(topo, model, plan, ids, spec=spec)
             assert perf.weighted_hops == pytest.approx(expected, rel=1e-9)
+
+
+#: Architectures the differential fuzz draws from at 100 chiplets (the
+#: paper's size), next to the 36-chiplet fixtures.
+FUZZ_ARCHS = ("floret", "kite", "siam", "swap")
+FUZZ_DATASETS = ("imagenet", "cifar10")
+
+
+@pytest.fixture(scope="module")
+def fuzz_topologies(request):
+    """(name, topology) of every fuzzed NoI: 36-chiplet fixtures first,
+    then each architecture at 100 chiplets (siam is the mesh)."""
+    from repro.eval.experiments import topology_for
+
+    out = []
+    for fixture in TOPOLOGY_FIXTURES:
+        obj = request.getfixturevalue(fixture)
+        out.append((fixture, getattr(obj, "topology", obj)))
+    for arch in FUZZ_ARCHS:
+        out.append((f"{arch}/100", topology_for(arch, 100)))
+    return out
+
+
+def _fuzz_draws(topologies, seed, count):
+    """Seeded ``(topology, model, plan, ids, bytes_per_element)`` draws.
+
+    Models come from the zoo (both datasets) or the toy model.  Each
+    placement is either a permutation of distinct chiplets or a draw
+    with replacement, so co-located plan positions (whose traffic stays
+    on-chip) occur; a task larger than the system only draws the
+    latter.
+    """
+    import numpy as np
+
+    from repro.workloads.zoo import available_models, build_model
+
+    rng = np.random.default_rng(seed)
+    spec = ChipletSpec.from_params()
+    names = available_models()
+    toy = make_toy_model()
+    for _ in range(count):
+        _name, topo = topologies[int(rng.integers(len(topologies)))]
+        pick = int(rng.integers(len(names) + 1))
+        model = toy if pick == len(names) else build_model(
+            names[pick], FUZZ_DATASETS[int(rng.integers(2))]
+        )
+        plan = plan_allocation(model, spec)
+        n, k = topo.num_chiplets, plan.num_chiplets
+        if k <= n and rng.random() < 0.5:
+            ids = rng.permutation(n)[:k]
+        else:
+            ids = rng.integers(0, max(1, min(n, k // 2 + 2)), k)
+            ids = rng.permutation(n)[ids]
+        yield topo, model, plan, tuple(int(i) for i in ids), int(
+            rng.integers(1, 3)
+        )
+
+
+class TestDifferentialFuzz:
+    """evaluate_task / attribute_task vs the per-layer oracle on random
+    placements, and the memoising scheduler vs cold evaluation."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_matches_perlayer(self, fuzz_topologies, seed):
+        from repro.net.perf import attribute_task
+
+        spec = ChipletSpec.from_params()
+        for topo, model, plan, ids, bpe in _fuzz_draws(
+            fuzz_topologies, seed, 30
+        ):
+            kwargs = dict(task_id="f", spec=spec, bytes_per_element=bpe)
+            batched = evaluate_task(topo, model, plan, ids, **kwargs)
+            assert_taskperf_equal(
+                batched,
+                evaluate_task_perlayer(topo, model, plan, ids, **kwargs),
+            )
+            perf, attribution = attribute_task(
+                topo, model, plan, ids, **kwargs
+            )
+            assert perf == batched
+            assert int(attribution.comm_cycles.sum()) == (
+                batched.noi_latency_cycles
+            )
+            assert int(attribution.compute_cycles.sum()) == (
+                batched.compute_latency_cycles
+            )
+            assert int(attribution.critical_cycles.sum()) == (
+                batched.latency_cycles
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_memoised_scheduler_matches_cold(self, seed):
+        import numpy as np
+
+        from repro.core.scheduler import SystemScheduler
+        from repro.eval.experiments import mapper_for, topology_for
+        from repro.workloads.tasks import DNNTask
+        from repro.workloads.zoo import TABLE1_SPEC
+
+        rng = np.random.default_rng(seed)
+        spec = ChipletSpec.from_params()
+        fitting = [
+            row[0] for row in TABLE1_SPEC
+            if plan_allocation(table1_model(row[0]), spec).num_chiplets
+            <= 40
+        ]
+        for arch in FUZZ_ARCHS:
+            pool = rng.choice(fitting, size=3, replace=False)
+            tasks = [
+                DNNTask(f"q{i:02d}", str(dnn), table1_model(str(dnn)))
+                for i, dnn in enumerate(
+                    rng.choice(pool, size=int(rng.integers(6, 13)))
+                )
+            ]
+            topo = topology_for(arch, 100)
+            results = [
+                SystemScheduler(
+                    topo, mapper_for(arch, 100), memoize=memoize
+                ).run(tasks)
+                for memoize in (True, False)
+            ]
+            assert results[0] == results[1]
+
+
+#: sha256 prefix of the ``TaskPerf`` reprs of
+#: :func:`_digest_placements`, recorded from the per-placement engine
+#: before task templates: ``repr`` prints every float's shortest
+#: round-trip form, so this pins the batched engine bit for bit.
+TASKPERF_DIGEST = "488ba800072e41d9"
+
+
+def _digest_placements(topologies):
+    spec = ChipletSpec.from_params()
+    for topo, model, plan, ids, bpe in _fuzz_draws(topologies, 2024, 160):
+        yield evaluate_task(topo, model, plan, ids, task_id="d",
+                            spec=spec, bytes_per_element=bpe)
+
+
+def test_taskperf_digest_pinned(fuzz_topologies):
+    import hashlib
+
+    text = "\n".join(repr(p) for p in _digest_placements(fuzz_topologies))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == TASKPERF_DIGEST
