@@ -217,13 +217,15 @@ class GreedyMapper:
 
     def _start_chiplet(self, free: FrozenSet[int]) -> int:
         """Free chiplet with the most free neighbours (ties: lowest id)."""
-
-        def free_neighbours(c: int) -> int:
-            return sum(
-                1 for n in self.topology.adj[c] if n in free
-            )
-
-        return max(sorted(free), key=free_neighbours)
+        t = self.topology.routing_tables()
+        is_free = np.zeros(t.num_nodes, dtype=bool)
+        is_free[list(free)] = True
+        # Each directed link u -> v into a free v is one free neighbour
+        # of u; argmax takes the first (lowest) id among equal counts.
+        free_neighbours = np.bincount(
+            t.link_u[is_free[t.link_v]], minlength=t.num_nodes
+        )
+        return int(np.where(is_free, free_neighbours, -1).argmax())
 
     def map_task(
         self,

@@ -178,16 +178,10 @@ class SystemScheduler:
         Raises:
             ValueError: If a task needs more chiplets than the system has.
         """
-        # Keyed on the model object: two models may share a name (one
-        # network on two datasets) but not a plan.
-        plans: Dict[int, AllocationPlan] = {}
         queue: Deque[DNNTask] = deque(tasks)
         n = self.topology.num_chiplets
         for task in queue:
-            plan = plans.get(id(task.model))
-            if plan is None:
-                plan = plan_allocation(task.model, self.spec)
-                plans[id(task.model)] = plan
+            plan = plan_allocation(task.model, self.spec)
             if plan.num_chiplets > n:
                 raise ValueError(
                     f"task {task.task_id} needs {plan.num_chiplets} chiplets; "
@@ -209,7 +203,7 @@ class SystemScheduler:
             while queue and progressed:
                 progressed = False
                 task = queue[0]
-                plan = plans[id(task.model)]
+                plan = plan_allocation(task.model, self.spec)
                 placement = self.mapper.map_task(
                     task.task_id, task.model, plan, frozenset(free)
                 )

@@ -9,32 +9,47 @@ sum over layers.  The NoI-only components (what the paper's Figs. 3 and
 
 Two engines, per the repo's oracle convention:
 
-* :func:`evaluate_task` -- the production path.  All layers'
-  communication steps go through one
-  :func:`~repro.net.vectorized.multicast_step_cost_steps` call and all
-  layers' compute through one
-  :func:`~repro.pim.chiplet.layer_compute_vec` call; no per-layer
-  Python iteration.
+* :func:`evaluate_task` -- the production path, in two parts.  The
+  :class:`TaskTemplate` holds everything that does not depend on where
+  the task sits: the weighted layers, their compute
+  (:func:`~repro.pim.chiplet.layer_compute_vec`, one call) and the
+  multicast group table as plan-position arrays.  It is built once per
+  ``(plan, model, spec, bytes_per_element)`` and cached on the plan;
+  :func:`~repro.pim.allocation.plan_allocation` shares plans within a
+  process, so every task of a model shares one template.  Per placement
+  the table's positions become chiplet ids by two gathers, co-located
+  destinations are masked out, and one
+  :func:`~repro.net.vectorized.multicast_step_cost_arrays` call costs
+  every layer's communication step; the :class:`TaskPerf` is folded
+  from its per-step arrays.
 * :func:`evaluate_task_perlayer` -- the pinned reference: the original
-  per-layer loop.  ``tests/test_perf.py`` asserts the batched path
-  matches it bit-exactly on integer fields and to 1e-9 on floats.
+  per-layer loop over tuple groups.  ``tests/test_perf.py`` asserts the
+  batched path matches it bit-exactly on integer fields and to 1e-9 on
+  floats, on fixtures and on a differential fuzz
+  (``TestDifferentialFuzz``), and pins the batched reprs to a digest
+  recorded before templates (``test_taskperf_digest_pinned``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..noi.topology import Topology
 from ..obs.metrics import REGISTRY
-from ..pim.allocation import AllocationPlan
-from ..pim.chiplet import ChipletSpec, layer_compute, layer_compute_vec
+from ..pim.allocation import AllocationPlan, layer_crossbar_allocation
+from ..pim.chiplet import (
+    ChipletSpec, LayerComputeBatch, layer_compute, layer_compute_vec,
+)
 from ..workloads.dnn import DNNModel
 from ..workloads.layers import Layer
 from .analytic import CommReport
-from .vectorized import multicast_step_cost_steps, multicast_step_cost_vec
+from .vectorized import (
+    StepCosts, multicast_step_cost_arrays, multicast_step_cost_vec,
+)
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,7 @@ def _incoming_groups(
 
     Destinations co-located with the source chiplet are dropped (no NoI
     traffic); groups whose destinations all vanish are dropped entirely.
+    Only :func:`evaluate_task_perlayer` reads groups this way.
     """
     incoming: Dict[int, List[Tuple[int, Tuple[int, ...], int]]] = {}
     for group in plan.multicast_groups(model, bytes_per_element):
@@ -198,36 +214,50 @@ class TaskAttribution:
         )
 
 
-def _task_batch(
-    topology: Topology,
+@dataclass(frozen=True, eq=False)
+class TaskTemplate:
+    """The placement-independent part of evaluating one task.
+
+    Built by :func:`task_template`.  The group table lists the plan's
+    multicast groups whose consumer is a weighted layer, stable-sorted
+    by that layer's step, so its rows come in the order the per-layer
+    engine visits them.  Every array is read-only.
+
+    Attributes:
+        layers: Weighted layers in step order.
+        compute: Their compute, placement-independent.
+        src_pos: ``(G,)`` plan position of each group's source.
+        payload: ``(G,)`` bytes each destination of a group receives.
+        step: ``(G,)`` step (consumer layer position) of each group.
+        dst_group: ``(D,)`` group of each flattened destination.
+        dst_pos: ``(D,)`` plan position of each flattened destination.
+    """
+
+    layers: Tuple[Layer, ...]
+    compute: LayerComputeBatch
+    src_pos: np.ndarray
+    payload: np.ndarray
+    step: np.ndarray
+    dst_group: np.ndarray
+    dst_pos: np.ndarray
+
+
+def _build_template(
     model: DNNModel,
     plan: AllocationPlan,
-    chiplet_ids: Sequence[int],
     spec: ChipletSpec,
     bytes_per_element: int,
-):
-    """The two batched calls shared by the task evaluators.
-
-    Returns ``(layers, reports, compute, comm_latency)``: the weighted
-    layers in step order, one :class:`CommReport` per layer, the
-    :class:`~repro.pim.chiplet.LayerComputeBatch`, and the per-layer
-    communication latency as an int64 array.
-    """
-    incoming = _incoming_groups(model, plan, chiplet_ids, bytes_per_element)
-
-    from ..pim.allocation import layer_crossbar_allocation
-
-    layers: List[Layer] = list(model.weight_layers())
-    groups: List[Tuple[int, Tuple[int, ...], int]] = []
-    step_ids: List[int] = []
-    for step, layer in enumerate(layers):
-        layer_groups = incoming.get(layer.index, ())
-        groups.extend(layer_groups)
-        step_ids.extend([step] * len(layer_groups))
-    reports = multicast_step_cost_steps(
-        topology, groups, step_ids, len(layers)
+) -> TaskTemplate:
+    layers = tuple(model.weight_layers())
+    step_of = {layer.index: s for s, layer in enumerate(layers)}
+    groups = sorted(
+        (
+            g for g in plan.multicast_groups(model, bytes_per_element)
+            if g.dst_layer in step_of
+        ),
+        key=lambda g: step_of[g.dst_layer],
     )
-
+    counts = [len(g.dsts) for g in groups]
     crossbar_shares = layer_crossbar_allocation(model, plan, spec)
     compute = layer_compute_vec(
         layers,
@@ -240,22 +270,85 @@ def _task_batch(
             crossbar_shares.get(layer.index) for layer in layers
         ],
     )
-    comm_latency = np.fromiter(
-        (r.latency_cycles for r in reports), dtype=np.int64,
-        count=len(layers),
+    template = TaskTemplate(
+        layers=layers,
+        compute=compute,
+        src_pos=np.array([g.src for g in groups], dtype=np.int64),
+        payload=np.array(
+            [g.payload_bytes for g in groups], dtype=np.int64
+        ),
+        step=np.array(
+            [step_of[g.dst_layer] for g in groups], dtype=np.int64
+        ),
+        dst_group=np.repeat(np.arange(len(groups), dtype=np.int64), counts),
+        dst_pos=np.fromiter(
+            chain.from_iterable(g.dsts for g in groups), dtype=np.int64,
+            count=sum(counts),
+        ),
     )
-    return layers, reports, compute, comm_latency
+    for array in (
+        template.src_pos, template.payload, template.step,
+        template.dst_group, template.dst_pos, compute.chiplets_used,
+        compute.crossbars_used, compute.mvm_count, compute.latency_cycles,
+        compute.energy_pj,
+    ):
+        array.flags.writeable = False
+    return template
+
+
+def task_template(
+    plan: AllocationPlan,
+    model: DNNModel,
+    spec: ChipletSpec,
+    bytes_per_element: int = 1,
+) -> TaskTemplate:
+    """The :class:`TaskTemplate` of ``model`` under ``plan``.
+
+    Built once per ``(plan, model, spec, bytes_per_element)`` and cached
+    on the plan instance, identity-keyed on ``model`` (the entry keeps
+    the model alive, so its id cannot be recycled).
+
+    Raises:
+        ValueError: If ``model`` does not match the plan.
+    """
+    cache = plan.__dict__.setdefault("_templates", {})
+    key = (id(model), spec, bytes_per_element)
+    hit = cache.get(key)
+    if hit is not None and hit[0] is model:
+        return hit[1]
+    template = _build_template(model, plan, spec, bytes_per_element)
+    cache[key] = (model, template)
+    return template
+
+
+def _task_costs(
+    topology: Topology,
+    template: TaskTemplate,
+    chiplet_ids: Sequence[int],
+) -> StepCosts:
+    """Per-layer communication costs of the template at one placement."""
+    ids = np.asarray(chiplet_ids, dtype=np.int64)
+    src = ids[template.src_pos]
+    dst = ids[template.dst_pos]
+    keep = dst != src[template.dst_group]
+    return multicast_step_cost_arrays(
+        topology, src, template.payload, template.dst_group[keep],
+        dst[keep], template.step, len(template.layers),
+    )
 
 
 def _fold_task_perf(
     model: DNNModel,
     plan: AllocationPlan,
     task_id: str,
-    reports,
-    compute,
-    comm_latency: np.ndarray,
+    costs: StepCosts,
+    compute: LayerComputeBatch,
 ) -> TaskPerf:
-    """Reduce the batched per-layer arrays into one :class:`TaskPerf`.
+    """Reduce the per-layer arrays into one :class:`TaskPerf`.
+
+    The float fields repeat the per-layer engine's operations in its
+    order: each step's ``weighted_hops * payload_volume`` and energy,
+    summed left to right as Python floats.
 
     Also feeds the critical-path fleet counters: how many layers each
     resource bounded and how many cycles it contributed to the task's
@@ -263,8 +356,14 @@ def _fold_task_perf(
     reads these, so every traced ``evaluate_task`` run is attributed
     for free.
     """
-    hop_weight = sum(r.weighted_hops * r.payload_volume for r in reports)
-    volume_total = sum(r.payload_volume for r in reports)
+    volume = costs.volume
+    step_hops = np.divide(
+        costs.hop_weight, volume, out=np.zeros(volume.shape[0]),
+        where=volume > 0,
+    ) * volume
+    hop_weight = sum(step_hops.tolist())
+    volume_total = int(volume.sum())
+    comm_latency = costs.latency
     comm_bound = comm_latency >= compute.latency_cycles
     critical = np.maximum(compute.latency_cycles, comm_latency)
     REGISTRY.counter("task_eval_batched").inc()
@@ -284,12 +383,12 @@ def _fold_task_perf(
         latency_cycles=int(critical.sum()),
         noi_latency_cycles=int(comm_latency.sum()),
         compute_latency_cycles=int(compute.latency_cycles.sum()),
-        noi_energy_pj=float(sum(r.energy_pj for r in reports)),
+        noi_energy_pj=float(sum(costs.energy.tolist())),
         compute_energy_pj=float(compute.energy_pj.sum()),
         weighted_hops=(hop_weight / volume_total) if volume_total else 0.0,
         num_chiplets=plan.num_chiplets,
-        packet_count=sum(r.packet_count for r in reports),
-        packet_latency_sum=sum(r.packet_latency_sum for r in reports),
+        packet_count=int(costs.packets.sum()),
+        packet_latency_sum=int(costs.packet_latency.sum()),
     )
 
 
@@ -305,11 +404,12 @@ def evaluate_task(
 ) -> TaskPerf:
     """Evaluate one mapped task (cross-layer batched engine).
 
-    The whole task is two batched calls: every layer's incoming
-    multicast groups, tagged with the consumer layer's step id, go
-    through :func:`multicast_step_cost_steps` at once, and every
-    layer's compute through :func:`layer_compute_vec`; the per-layer
-    ``max(comm, compute)`` composition then reduces over arrays.
+    The model's :class:`TaskTemplate` (built on first use, then read
+    from the plan) supplies the compute and the group table; at this
+    placement every layer's incoming multicasts, tagged with the
+    consumer layer's step, go through one
+    :func:`multicast_step_cost_arrays` call, and the per-layer
+    ``max(comm, compute)`` composition reduces over arrays.
     :func:`evaluate_task_perlayer` is the pinned per-layer reference;
     :func:`attribute_task` additionally returns the per-layer
     critical-path table.
@@ -329,11 +429,10 @@ def evaluate_task(
     """
     _validate_placement(plan, chiplet_ids)
     spec = spec or ChipletSpec.from_params()
-    _, reports, compute, comm_latency = _task_batch(
-        topology, model, plan, chiplet_ids, spec, bytes_per_element
-    )
+    template = task_template(plan, model, spec, bytes_per_element)
     return _fold_task_perf(
-        model, plan, task_id, reports, compute, comm_latency
+        model, plan, task_id, _task_costs(topology, template, chiplet_ids),
+        template.compute,
     )
 
 
@@ -356,18 +455,15 @@ def attribute_task(
     """
     _validate_placement(plan, chiplet_ids)
     spec = spec or ChipletSpec.from_params()
-    layers, reports, compute, comm_latency = _task_batch(
-        topology, model, plan, chiplet_ids, spec, bytes_per_element
-    )
-    perf = _fold_task_perf(
-        model, plan, task_id, reports, compute, comm_latency
-    )
+    template = task_template(plan, model, spec, bytes_per_element)
+    costs = _task_costs(topology, template, chiplet_ids)
+    perf = _fold_task_perf(model, plan, task_id, costs, template.compute)
     attribution = TaskAttribution(
         task_id=task_id or model.name,
         model_name=model.name,
-        layer_names=tuple(layer.name for layer in layers),
-        comm_cycles=comm_latency,
-        compute_cycles=compute.latency_cycles.astype(np.int64, copy=False),
+        layer_names=template.compute.layer_names,
+        comm_cycles=costs.latency,
+        compute_cycles=template.compute.latency_cycles.astype(np.int64),
     )
     return perf, attribution
 
@@ -391,9 +487,6 @@ def evaluate_task_perlayer(
     _validate_placement(plan, chiplet_ids)
     spec = spec or ChipletSpec.from_params()
     incoming = _incoming_groups(model, plan, chiplet_ids, bytes_per_element)
-
-    from ..pim.allocation import layer_crossbar_allocation
-
     crossbar_shares = layer_crossbar_allocation(model, plan, spec)
     total = noi_total = compute_total = 0
     noi_energy = compute_energy = 0.0

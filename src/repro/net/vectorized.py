@@ -16,7 +16,7 @@ accumulation order differs from the scalar loop, hence the tolerance.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -134,13 +134,15 @@ def unicast_step_cost_vec(
 ) -> CommReport:
     """Batched unicast step cost (bandwidth-bound latency composition).
 
-    One step of :func:`_unicast_step_cost_steps`; matches the scalar
+    One step of :func:`_unicast_step_costs`; matches the scalar
     ``_unicast_step_cost``: the step's latency is the most loaded link's
     flit count plus the deepest pipeline.
     """
     src, dst, payload = transfers_to_arrays(transfers)
     step = np.zeros(src.shape[0], dtype=np.int64)
-    return _unicast_step_cost_steps(topology, src, dst, payload, step, 1)[0]
+    return _step_reports(
+        _unicast_step_costs(topology, src, dst, payload, step, 1)
+    )[0]
 
 
 def _groups_to_arrays(
@@ -171,6 +173,35 @@ def _groups_to_arrays(
     pg = np.repeat(np.arange(num, dtype=np.int64), counts)
     keep = (pdst != src[pg]) & (payload[pg] > 0)
     return src, payload, pg[keep], pdst[keep]
+
+
+class StepCosts(NamedTuple):
+    """Per-step cost arrays of one batched evaluation (``(num_steps,)``).
+
+    Entry ``s`` of each array is the matching :class:`CommReport` field
+    of step ``s`` before division: ``hop_weight`` is the payload-weighted
+    hop sum, so ``weighted_hops == hop_weight / volume``.  A step with
+    no effective traffic has ``has`` False and zeros everywhere.
+    """
+
+    has: np.ndarray
+    latency: np.ndarray
+    serial: np.ndarray
+    energy: np.ndarray
+    flits: np.ndarray
+    hop_weight: np.ndarray
+    volume: np.ndarray
+    packets: np.ndarray
+    packet_latency: np.ndarray
+
+
+def _no_costs(num_steps: int) -> StepCosts:
+    zeros = np.zeros(num_steps, dtype=np.int64)
+    fzeros = np.zeros(num_steps, dtype=np.float64)
+    return StepCosts(
+        np.zeros(num_steps, dtype=bool), zeros, zeros, fzeros, zeros,
+        fzeros, zeros, zeros, zeros,
+    )
 
 
 def multicast_step_cost_vec(
@@ -208,46 +239,35 @@ def _segment_max_link_load(
     return out
 
 
-def _step_reports(
-    num_steps: int,
-    has: np.ndarray,
-    latency: np.ndarray,
-    serial: np.ndarray,
-    energy: np.ndarray,
-    flits: np.ndarray,
-    hop_weight: np.ndarray,
-    volume: np.ndarray,
-    packets: np.ndarray,
-    packet_latency: np.ndarray,
-) -> List[CommReport]:
+def _step_reports(costs: StepCosts) -> List[CommReport]:
     """Assemble per-step ``CommReport``s from segment-reduced arrays."""
     reports: List[CommReport] = []
-    for s in range(num_steps):
-        if not has[s]:
+    for s in range(costs.has.shape[0]):
+        if not costs.has[s]:
             reports.append(_EMPTY_REPORT)
             continue
-        vol = int(volume[s])
+        vol = int(costs.volume[s])
         reports.append(CommReport(
-            latency_cycles=int(latency[s]),
-            serial_latency_cycles=int(serial[s]),
-            energy_pj=float(energy[s]),
-            total_flits=int(flits[s]),
-            weighted_hops=(float(hop_weight[s]) / vol) if vol else 0.0,
-            packet_count=int(packets[s]),
-            packet_latency_sum=int(packet_latency[s]),
+            latency_cycles=int(costs.latency[s]),
+            serial_latency_cycles=int(costs.serial[s]),
+            energy_pj=float(costs.energy[s]),
+            total_flits=int(costs.flits[s]),
+            weighted_hops=(float(costs.hop_weight[s]) / vol) if vol else 0.0,
+            packet_count=int(costs.packets[s]),
+            packet_latency_sum=int(costs.packet_latency[s]),
             payload_volume=vol,
         ))
     return reports
 
 
-def _unicast_step_cost_steps(
+def _unicast_step_costs(
     topology: Topology,
     src: np.ndarray,
     dst: np.ndarray,
     payload: np.ndarray,
     step: np.ndarray,
     num_steps: int,
-) -> List[CommReport]:
+) -> StepCosts:
     """Per-step unicast step costs of filtered transfer arrays.
 
     ``step[i]`` assigns transfer ``i`` to a step in ``range(num_steps)``;
@@ -296,10 +316,10 @@ def _unicast_step_cost_steps(
         step, weights=(t.hops[src, dst] * payload).astype(np.float64),
         minlength=num_steps,
     )
-    return _step_reports(
-        num_steps, has, max_load + step_pipeline, step_serial,
-        step_energy, step_flits, step_hop_weight, step_volume,
-        step_packets, step_packet_latency,
+    return StepCosts(
+        has, max_load + step_pipeline, step_serial, step_energy,
+        step_flits, step_hop_weight, step_volume, step_packets,
+        step_packet_latency,
     )
 
 
@@ -321,12 +341,13 @@ def multicast_step_cost_steps(
     with the per-layer Python loop replaced by step-segmented
     reductions: the cross-group ``group * L + link`` tree-dedup keys
     already carry the step through the group id, so link loads, tree
-    energies and pipeline depths all fall out of one ``np.unique`` /
+    energies and pipeline depths all fall out of one sorted dedup /
     ``np.add.at`` / ``np.maximum.at`` pass over the whole task.
 
     Steps with no effective traffic (no groups, or only self-destination
     / zero-payload groups) get the zero report, matching the per-step
-    engines on an empty group list.
+    engines on an empty group list.  This is :func:`_groups_to_arrays`
+    followed by :func:`multicast_step_cost_arrays`.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
@@ -342,10 +363,33 @@ def multicast_step_cost_steps(
             f"[{int(step.min())}, {int(step.max())}]"
         )
     src, payload, pg, pdst = _groups_to_arrays(groups)
+    return _step_reports(multicast_step_cost_arrays(
+        topology, src, payload, pg, pdst, step, num_steps
+    ))
+
+
+def multicast_step_cost_arrays(
+    topology: Topology,
+    src: np.ndarray,
+    payload: np.ndarray,
+    pg: np.ndarray,
+    pdst: np.ndarray,
+    step: np.ndarray,
+    num_steps: int,
+) -> StepCosts:
+    """Array core of :func:`multicast_step_cost_steps`.
+
+    Groups come as arrays: ``src``, ``payload`` and ``step`` per group
+    (``payload > 0``), and the flattened ``(pg[i], pdst[i])`` pairs of
+    group id and destination with self-destinations already removed.
+    A group with no pair is inactive and costs nothing.  Callers that
+    hold their groups as arrays (:func:`repro.net.perf.evaluate_task`)
+    enter here directly, with no tuple round trip.
+    """
     if pg.shape[0] == 0:
-        return [_EMPTY_REPORT] * num_steps
+        return _no_costs(num_steps)
     if not topology.multicast_capable:
-        return _unicast_step_cost_steps(
+        return _unicast_step_costs(
             topology, src[pg], pdst, payload[pg], step[pg], num_steps
         )
 
@@ -356,14 +400,21 @@ def multicast_step_cost_steps(
     num_links = t.num_directed_links
 
     # Cross-group tree dedup: every (group, dst) route's links are
-    # gathered together and deduplicated per group with one np.unique
-    # over combined ``group * L + link`` keys.  The group id also keeps
+    # gathered together and deduplicated per group in one pass over
+    # combined ``group * L + link`` keys.  The group id also keeps
     # groups of different steps apart, so every step's trees are built
     # at once.
     pair = src[pg] * t.num_nodes + pdst
     counts = t.route_indptr[pair + 1] - t.route_indptr[pair]
     entries = t.route_links[concat_ranges(t.route_indptr[pair], counts)]
-    key = np.unique(np.repeat(pg, counts) * num_links + entries)
+    # A sort plus an adjacent-difference mask is ``np.unique`` without
+    # its first-call import of ``numpy.ma``.
+    key = np.repeat(pg, counts) * num_links + entries
+    key.sort()
+    first = np.empty(key.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    key = key[first]
     tree_group = key // num_links
     tree_link = key % num_links
 
@@ -422,8 +473,8 @@ def multicast_step_cost_steps(
         weights=(t.hops[src[pg], pdst] * payload[pg]).astype(np.float64),
         minlength=num_steps,
     )
-    return _step_reports(
-        num_steps, has, max_load + step_deepest, step_serial,
-        step_energy, step_flits, step_hop_weight, step_volume,
-        step_packets, step_packet_latency,
+    return StepCosts(
+        has, max_load + step_deepest, step_serial, step_energy,
+        step_flits, step_hop_weight, step_volume, step_packets,
+        step_packet_latency,
     )

@@ -10,7 +10,8 @@ along the SFC, and the greedy mapper scatters over a mesh/torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..workloads.dnn import DNNModel
@@ -98,10 +99,8 @@ class AllocationPlan:
         is the network input (boundary injection is identical for every
         NoI and cancels in comparisons).
 
-        The group list is a pure function of the (frozen) plan and
-        model, and every task evaluation needs it, so it is memoized on
-        the plan instance (identity-keyed on ``model``; the cache entry
-        keeps the model alive so ids cannot be recycled).
+        Task evaluation reads these groups once per model, through the
+        :class:`~repro.net.perf.TaskTemplate` cached on the plan.
 
         Raises:
             ValueError: If ``model`` does not match the plan.
@@ -110,11 +109,6 @@ class AllocationPlan:
             raise ValueError(
                 f"plan is for {self.model_name!r}, got model {model.name!r}"
             )
-        cache = self.__dict__.setdefault("_derived", {})
-        key = ("groups", id(model), bytes_per_element)
-        hit = cache.get(key)
-        if hit is not None and hit[0] is model:
-            return list(hit[1])
         out: List[MulticastGroup] = []
         for src_layer, dst_layer, volume in interlayer_traffic(
             model, bytes_per_element
@@ -137,7 +131,6 @@ class AllocationPlan:
                             dst_layer=dst_layer,
                         )
                     )
-        cache[key] = (model, tuple(out))
         return out
 
     def chiplet_traffic(
@@ -159,7 +152,7 @@ class AllocationPlan:
 def layer_crossbar_allocation(
     model: DNNModel,
     plan: AllocationPlan,
-    spec: Optional["ChipletSpec"] = None,
+    spec: Optional[ChipletSpec] = None,
 ) -> Dict[int, int]:
     """Demand-proportional crossbar shares per layer.
 
@@ -168,20 +161,10 @@ def layer_crossbar_allocation(
     replication: activation-heavy layers receive the chiplet's idle
     crossbars so the inference pipeline stays balanced.  Returns
     layer index -> crossbars available to that layer (>= 1).
-
-    Memoized on the plan instance like
-    :meth:`AllocationPlan.multicast_groups` (pure function of frozen
-    inputs, needed by every task evaluation).
     """
-    from .chiplet import ChipletSpec as _Spec
     from .reram import mvms_for_layer
 
-    spec = spec or _Spec.from_params()
-    cache = plan.__dict__.setdefault("_derived", {})
-    key = ("xbars", id(model), spec)
-    hit = cache.get(key)
-    if hit is not None and hit[0] is model:
-        return dict(hit[1])
+    spec = spec or ChipletSpec.from_params()
     layers = {layer.index: layer for layer in model.layers}
     shares: Dict[int, float] = {}
     for load in plan.loads:
@@ -195,9 +178,13 @@ def layer_crossbar_allocation(
             shares[layer_index] = shares.get(layer_index, 0.0) + (
                 spec.crossbars * demand / total
             )
-    out = {k: max(1, int(v)) for k, v in shares.items()}
-    cache[key] = (model, out)
-    return dict(out)
+    return {k: max(1, int(v)) for k, v in shares.items()}
+
+
+#: Most plans :func:`plan_allocation` keeps; the oldest goes first.
+_PLAN_CACHE_SIZE = 64
+#: ``(id(model), spec, pack_layers)`` -> ``(model, plan)``, oldest first.
+_plans: "OrderedDict[tuple, Tuple[DNNModel, AllocationPlan]]" = OrderedDict()
 
 
 def plan_allocation(
@@ -212,8 +199,28 @@ def plan_allocation(
     accepting (slices of) consecutive layers until full.  With
     ``pack_layers=False`` every layer starts on a fresh chiplet (one
     knob of the packing ablation).
+
+    The plan is a pure function of its arguments, so a process shares
+    one plan per ``(model, spec, pack_layers)``, and with it the task
+    templates cached on the plan.  The cache is identity-keyed on
+    ``model`` (an entry keeps its model alive, so ids cannot be
+    recycled) and holds at most ``_PLAN_CACHE_SIZE`` plans.
     """
     spec = spec or ChipletSpec.from_params()
+    key = (id(model), spec, pack_layers)
+    hit = _plans.get(key)
+    if hit is not None and hit[0] is model:
+        return hit[1]
+    plan = _pack(model, spec, pack_layers)
+    _plans[key] = (model, plan)
+    while len(_plans) > _PLAN_CACHE_SIZE:
+        _plans.popitem(last=False)
+    return plan
+
+
+def _pack(
+    model: DNNModel, spec: ChipletSpec, pack_layers: bool
+) -> AllocationPlan:
     capacity = spec.weight_capacity
     loads: List[List[LayerSlice]] = [[]]
     remaining = capacity

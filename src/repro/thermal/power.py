@@ -16,10 +16,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..net.perf import TaskPerf, evaluate_task
+from ..net.perf import TaskPerf, evaluate_task, task_template
 from ..noi.topology import Topology
 from ..pim.allocation import AllocationPlan
-from ..pim.chiplet import ChipletSpec, layer_compute
+from ..pim.chiplet import ChipletSpec
 from ..workloads.dnn import DNNModel
 
 
@@ -64,20 +64,16 @@ def streaming_power(
         topology, model, plan, chiplet_ids, spec=spec
     )
     # Bottleneck interval: the slowest per-layer step bounds streaming
-    # throughput.
-    from ..pim.allocation import layer_crossbar_allocation
-
-    crossbar_shares = layer_crossbar_allocation(model, plan, spec)
-    bottleneck = 1
-    layer_energies: Dict[int, float] = {}
-    for layer in model.weight_layers():
-        places = plan.layer_chiplets.get(layer.index, ())
-        compute = layer_compute(
-            layer, max(1, len(places)), spec,
-            crossbars_available=crossbar_shares.get(layer.index),
+    # throughput.  The compute is the one evaluate_task just read.
+    template = task_template(plan, model, spec)
+    compute = template.compute
+    bottleneck = max([1] + compute.latency_cycles.tolist())
+    layer_energies: Dict[int, float] = {
+        layer.index: energy_pj
+        for layer, energy_pj in zip(
+            template.layers, compute.energy_pj.tolist()
         )
-        bottleneck = max(bottleneck, compute.latency_cycles)
-        layer_energies[layer.index] = compute.energy_pj
+    }
 
     n = topology.num_chiplets
     power = np.zeros(n)

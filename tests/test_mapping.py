@@ -154,6 +154,16 @@ class TestGreedyMapper:
         assert set(placement.chiplet_ids) <= set(free)
 
 
+def _set_start_chiplet(topology, free):
+    """``GreedyMapper._start_chiplet`` before the link bincount: the
+    sorted free set's maximum by free-neighbour count.  The oracle."""
+
+    def free_neighbours(c):
+        return sum(1 for n in topology.adj[c] if n in free)
+
+    return max(sorted(free), key=free_neighbours)
+
+
 def _set_greedy_map_task(mapper, task_id, model, plan, free):
     """``GreedyMapper.map_task`` before the hop-row argmin: a per-step
     ``min`` over the sorted free set keyed on (hops, id).  The oracle."""
@@ -163,7 +173,7 @@ def _set_greedy_map_task(mapper, task_id, model, plan, free):
     if need == 0:
         return TaskPlacement(task_id, model.name, plan, ())
     available = set(free)
-    start = mapper._start_chiplet(free)
+    start = _set_start_chiplet(mapper.topology, free)
     chosen = [start]
     available.discard(start)
     prev = start
@@ -224,6 +234,17 @@ class TestGreedyMatchesOracle:
             model, plan = _stub(rng.randint(0, len(free)))
             assert (mapper.map_task("t", model, plan, free)
                     == _set_greedy_map_task(mapper, "t", model, plan, free))
+
+    @pytest.mark.parametrize("arch", ALL_ARCHS + ("mesh/36",))
+    def test_start_chiplet_random_free_sets(self, arch, small_mesh):
+        topo = small_mesh if arch == "mesh/36" else topology_for(arch, 100)
+        mapper = GreedyMapper(topo)
+        rng = random.Random(arch)
+        n = topo.num_chiplets
+        for _ in range(60):
+            free = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            assert (mapper._start_chiplet(free)
+                    == _set_start_chiplet(topo, free))
 
     @pytest.mark.parametrize("max_hops", [1, 2, 3])
     def test_strict_budget_on_swap(self, max_hops):

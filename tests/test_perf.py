@@ -234,15 +234,18 @@ class TestBatchedEngineEquivalence:
             evaluate_task_perlayer(topo, model, plan,
                                    placement.chiplet_ids[:-1], spec=spec)
 
-    def test_two_batched_calls(self, setup, monkeypatch):
-        # One multicast_step_cost_steps and one layer_compute_vec call
-        # per task, whatever the layer count.
+    def test_warm_task_one_multicast_call(self, setup, monkeypatch):
+        # A task whose template is built costs one array-core multicast
+        # call and no compute call, whatever the layer count; building
+        # the template makes the one layer_compute_vec call.
         import repro.net.perf as perf
 
-        topo, model, plan, placement, spec = setup
+        topo, _model, _plan, placement, spec = setup
+        model = make_toy_model()  # a fresh object: no template yet
+        plan = plan_allocation(model, spec)
         assert len(model.weight_layers()) > 1
         calls = []
-        for name in ("multicast_step_cost_steps", "layer_compute_vec"):
+        for name in ("multicast_step_cost_arrays", "layer_compute_vec"):
             def counted(*args, _real=getattr(perf, name), _name=name,
                         **kwargs):
                 calls.append(_name)
@@ -250,17 +253,42 @@ class TestBatchedEngineEquivalence:
             monkeypatch.setattr(perf, name, counted)
         evaluate_task(topo, model, plan, placement.chiplet_ids, spec=spec)
         assert sorted(calls) == ["layer_compute_vec",
-                                 "multicast_step_cost_steps"]
+                                 "multicast_step_cost_arrays"]
+        del calls[:]
+        evaluate_task(topo, model, plan, placement.chiplet_ids[::-1],
+                      spec=spec)
+        assert calls == ["multicast_step_cost_arrays"]
 
     def test_plan_derivations_memoized(self, setup, monkeypatch):
-        # A plan's multicast groups and crossbar shares are computed
-        # once: a repeat evaluation never re-derives them.
+        # One template per (plan, model, spec, bytes_per_element): a
+        # repeat evaluation never re-derives the groups, the crossbar
+        # shares or the compute, and plan_allocation hands back the
+        # plan that holds the template.
+        import dataclasses
+
+        import repro.net.perf as perf
         import repro.pim.allocation as allocation
         import repro.pim.reram as reram
 
-        topo, model, plan, placement, spec = setup
-        first = evaluate_task(topo, model, plan, placement.chiplet_ids,
-                              spec=spec)
+        topo, _model, _plan, placement, spec = setup
+        ids = placement.chiplet_ids
+        model = make_toy_model()
+        plan = plan_allocation(model, spec)
+        wide = dataclasses.replace(spec, crossbars=2 * spec.crossbars)
+        builds = []
+
+        def counted(*args, _real=perf._build_template):
+            builds.append(args[2:])
+            return _real(*args)
+
+        monkeypatch.setattr(perf, "_build_template", counted)
+        keys = [(spec, 1), (spec, 2), (wide, 1)]
+        first = [
+            evaluate_task(topo, model, plan, ids, spec=s,
+                          bytes_per_element=bpe)
+            for s, bpe in keys
+        ]
+        assert builds == keys
         assert "weighted_site_edges" in model.__dict__  # cached_property
 
         def recomputed(*args, **kwargs):
@@ -268,8 +296,13 @@ class TestBatchedEngineEquivalence:
 
         monkeypatch.setattr(allocation, "interlayer_traffic", recomputed)
         monkeypatch.setattr(reram, "mvms_for_layer", recomputed)
-        assert evaluate_task(topo, model, plan, placement.chiplet_ids,
-                             spec=spec) == first
+        assert plan_allocation(model, spec) is plan
+        assert [
+            evaluate_task(topo, model, plan_allocation(model, spec), ids,
+                          spec=s, bytes_per_element=bpe)
+            for s, bpe in keys
+        ] == first
+        assert builds == keys
 
 
 class TestWeightedHopsRecombination:
@@ -447,3 +480,28 @@ def test_taskperf_digest_pinned(fuzz_topologies):
 
     text = "\n".join(repr(p) for p in _digest_placements(fuzz_topologies))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == TASKPERF_DIGEST
+
+
+def test_mix_case_does_not_import_numpy_ma():
+    # numpy's plain ``np.unique`` imports numpy.ma on its first call
+    # (~17 ms per fresh interpreter); the task-evaluation path dedups
+    # by sort instead, so a cold mix case never pays that import.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from repro.eval import SweepCase, evaluate_mix_case; "
+         "[evaluate_mix_case(SweepCase(a, 100, 'WL1', 0)) "
+         "for a in ('floret', 'kite')]; "
+         "print('numpy.ma' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -154,6 +154,28 @@ class TestAllocationPlan:
         assert loose.num_chiplets >= packed.num_chiplets
         assert loose.num_chiplets >= len(model.weight_layers())
 
+    def test_plans_shared_and_cache_bounded(self, spec):
+        # One plan per (model, spec, pack_layers) while it is cached;
+        # a stream of distinct models evicts the oldest plans, and an
+        # evicted model is no longer kept alive by the cache.
+        import gc
+        import weakref
+
+        import repro.pim.allocation as allocation
+
+        model = make_toy_model("shared")
+        plan = plan_allocation(model, spec)
+        assert plan_allocation(model, spec) is plan
+        assert plan_allocation(model, spec, pack_layers=False) is not plan
+        first = weakref.ref(model)
+        del model, plan
+        bound = allocation._PLAN_CACHE_SIZE
+        for i in range(bound + 8):
+            plan_allocation(make_toy_model(f"stream{i}", blocks=1), spec)
+            assert len(allocation._plans) <= bound
+        gc.collect()
+        assert first() is None
+
     def test_multicast_groups_skip_input_edges(self, spec, toy_model):
         plan = plan_allocation(toy_model, spec)
         for group in plan.multicast_groups(toy_model):
