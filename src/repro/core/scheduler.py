@@ -178,10 +178,11 @@ class SystemScheduler:
         Raises:
             ValueError: If a task needs more chiplets than the system has.
         """
-        queue: Deque[DNNTask] = deque(tasks)
+        queue: Deque[Tuple[DNNTask, AllocationPlan]] = deque(
+            (task, plan_allocation(task.model, self.spec)) for task in tasks
+        )
         n = self.topology.num_chiplets
-        for task in queue:
-            plan = plan_allocation(task.model, self.spec)
+        for task, plan in queue:
             if plan.num_chiplets > n:
                 raise ValueError(
                     f"task {task.task_id} needs {plan.num_chiplets} chiplets; "
@@ -202,8 +203,7 @@ class SystemScheduler:
             progressed = True
             while queue and progressed:
                 progressed = False
-                task = queue[0]
-                plan = plan_allocation(task.model, self.spec)
+                task, plan = queue[0]
                 placement = self.mapper.map_task(
                     task.task_id, task.model, plan, frozenset(free)
                 )

@@ -176,6 +176,44 @@ class TestAllocationPlan:
         gc.collect()
         assert first() is None
 
+    def test_plan_cache_under_threads(self, spec):
+        # Service threads plan concurrently: with more threads than
+        # cores, a fast switch interval and more models than the cache
+        # holds, every plan still equals a fresh packing, and the cache
+        # is back within its bound once the threads are done.
+        import sys
+        import threading
+
+        import repro.pim.allocation as allocation
+
+        models = [make_toy_model(f"thread{i}", blocks=1)
+                  for i in range(allocation._PLAN_CACHE_SIZE + 16)]
+        want = [allocation._pack(m, spec, True) for m in models]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(len(models)):
+                    j = (i + offset) % len(models)
+                    assert plan_allocation(models[j], spec) == want[j]
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * k,))
+                       for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(allocation._plans) <= allocation._PLAN_CACHE_SIZE
+
     def test_multicast_groups_skip_input_edges(self, spec, toy_model):
         plan = plan_allocation(toy_model, spec)
         for group in plan.multicast_groups(toy_model):
