@@ -12,6 +12,8 @@ detect the same credit deadlock on a crafted cyclic-route workload.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -667,3 +669,100 @@ class TestLinkTimeOrder:
             simulate_fc_epochs(table, FlowControlParams(buffer_flits=8),
                                z, z, z + 1, z, z + 1, ids, z.copy(),
                                z.copy())
+
+
+#: Benchmark-scale epoch runs: (arch, size, workload, overrides).  Seed 1
+#: traffic; the swap/100 designs are two of ``cold_sweep``'s fc DSE.
+PINNED_RUNS = {
+    "kite256-b16": ("kite", 256, "uniform@0.05",
+                    (("fc_buffer_flits", 16),)),
+    "swap100-b16-rtt1": ("swap", 100, "uniform@0.05:w64+256",
+                         (("fc_buffer_flits", 16), ("fc_credit_rtt", 1))),
+    "swap100-b48-rtt4": ("swap", 100, "uniform@0.05:w64+256",
+                         (("fc_buffer_flits", 48), ("fc_credit_rtt", 4))),
+    "floret100-open": ("floret", 100, "neighbor@0.1", ()),
+    "swap100-b16-q2-rtt2": ("swap", 100, "uniform@0.05:w64+256",
+                            (("fc_buffer_flits", 16),
+                             ("fc_source_queue", 2),
+                             ("fc_credit_rtt", 2))),
+}
+
+#: (epochs, sha256 prefix of completion, latency and the sorted grant
+#: trace), recorded from the epoch engine before its pending set became
+#: one masked time array.
+PINNED_EPOCHS = {
+    "kite256-b16": (230, "03f1ef532bec4bf2"),
+    "swap100-b16-rtt1": (296, "e4c19cef3153aee4"),
+    "swap100-b48-rtt4": (107, "33490121d4cc683d"),
+    "floret100-open": (272, "69490b04bdf1fc6b"),
+    "swap100-b16-q2-rtt2": (464, "938aed4ffc1dbd89"),
+}
+
+
+def _pinned_run(name, engine, monkeypatch=None):
+    """Simulate one :data:`PINNED_RUNS` entry with its grant trace.
+
+    With ``monkeypatch``, also returns how many epochs finalised
+    anything (each one hands a chunk to ``_trace_from_chunks``).
+    """
+    import repro.net.flowcontrol as flowcontrol
+    from repro.eval import SweepCase
+    from repro.eval.sweeps import case_topology
+
+    arch, n, workload, overrides = PINNED_RUNS[name]
+    topo = case_topology(SweepCase(arch, n, workload, 1, overrides))
+    table = load_sweep_traffic(parse_load_workload(workload), n, 1)
+    chunks = []
+    if monkeypatch is not None:
+        real = flowcontrol._trace_from_chunks
+
+        def spy(parts):
+            chunks.append(len(parts))
+            return real(parts)
+
+        monkeypatch.setattr(flowcontrol, "_trace_from_chunks", spy)
+    sim = simulate_packets(topo, table, engine=engine, attribution=True)
+    return sim, (chunks[0] if chunks else None)
+
+
+def _sim_digest(sim):
+    h = hashlib.sha256(sim.completion.tobytes())
+    h.update(sim.latency.tobytes())
+    trace = sim.trace.sorted()
+    for field in ("packet", "hop", "link", "ready", "start", "flits",
+                  "credit_wait"):
+        h.update(getattr(trace, field).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedEpochs:
+    """The epoch engine at benchmark scale: epoch counts and outputs.
+
+    perfbench's ``outputs`` digests cover ``sim_epochs`` only through
+    whole runs; these pin each engine run on its own, and check the
+    working-set paths the small fuzz rarely reaches against the oracle.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_epochs_and_outputs_pinned(self, name):
+        sim, _ = _pinned_run(name, "epochs")
+        assert sim.engine == "epochs"
+        assert (sim.epochs, _sim_digest(sim)) == PINNED_EPOCHS[name]
+
+    @pytest.mark.parametrize("name", ["swap100-b16-rtt1",
+                                      "swap100-b16-q2-rtt2"])
+    def test_truncated_working_set_matches_events(self, name,
+                                                  monkeypatch):
+        epochs, progress = _pinned_run(name, "epochs", monkeypatch)
+        # Epochs that finalised nothing: the binding head lay outside
+        # the working set, so the span doubled (needs > 64 pending).
+        assert progress < epochs.epochs
+        assert epochs.contended_packets > 64
+        queue = dict(PINNED_RUNS[name][3]).get("fc_source_queue")
+        if queue is not None:
+            # Sources with more packets than queue slots withhold some,
+            # and each withheld packet spawns when a slot frees.
+            assert np.bincount(epochs.src).max() > queue
+        events, _ = _pinned_run(name, "events")
+        assert_fc_identical(events, epochs)
+        assert _sim_digest(events) == _sim_digest(epochs)
