@@ -473,15 +473,18 @@ def simulate_fc_events(
 
 def _link_time_order(link: np.ndarray, time: np.ndarray, num_links: int,
                      tie: Optional[np.ndarray] = None,
-                     tie_span: int = 1) -> np.ndarray:
+                     tie_span: int = 1,
+                     t0: Optional[int] = None) -> np.ndarray:
     """Indices that sort rows by ``(link, time[, tie])``.
 
     One ``np.argsort`` on the int64 key ``(link * tspan + time - t0) *
-    tie_span + tie``, where ``tie`` (if given) lies in ``[0, tie_span)``.
+    tie_span + tie``, where ``tie`` (if given) lies in ``[0, tie_span)``
+    and ``t0`` is ``time.min()`` unless the caller already knows it.
     Rows equal on every column may come out in any order.  Falls back to
     ``np.lexsort`` when the key would leave the int64 range.
     """
-    t0 = int(time.min())
+    if t0 is None:
+        t0 = int(time.min())
     tspan = int(time.max()) - t0 + 1
     if num_links * tspan * tie_span >= 2 ** 63:
         return np.lexsort((time, link) if tie is None else (tie, time, link))
@@ -584,8 +587,11 @@ def simulate_fc_epochs(
 ) -> Tuple[int, Optional[GrantTrace]]:
     """Vectorized epoch-synchronous engine, in place.
 
-    Per epoch: sort the pending requests near the earliest one by
-    ``(link, cycle, packet)``, grant each link's FIFO queue with one
+    Each unfinished packet has one pending request, the cycle it asks
+    for its next link, kept in one time array ``tq`` (``_INF`` once the
+    packet is done or while its source queue withholds it).  Per epoch:
+    sort the requests within the working-set span of the earliest one
+    by ``(link, cycle, packet)``, grant each link's FIFO queue with one
     segmented max-plus scan
 
         start_k = max(ready_k, start_{k-1} + flits_{k-1})
@@ -601,7 +607,9 @@ def simulate_fc_epochs(
     cost no epoch), not a simulated quantity.  ``contended_ids`` must
     ascend (as :func:`~repro.net.simulator.simulate_packets` passes
     them): the sort breaks ties by position, which is then packet-id
-    order.
+    order.  ``completion`` and ``latencies`` are written once, after the
+    last epoch: a run that raises :class:`FlowControlDeadlockError`
+    leaves them as they were.
     """
     ids = contended_ids
     m = int(ids.size)
@@ -624,13 +632,13 @@ def simulate_fc_epochs(
         raise ValueError("contended_ids must be strictly ascending")
     gid = ids.astype(np.int64)
     inj = inject[ids].astype(np.int64)
-    t = inj.copy()
+    tq = inj.copy()
     hop = np.zeros(m, dtype=np.int64)
+    finish = np.empty(m, dtype=np.int64)
     nhops = hops[ids].astype(np.int64)
     pflits = flits[ids].astype(np.int64)
     pstart = starts[ids].astype(np.int64)
 
-    pending = np.ones(m, dtype=bool)
     succ = np.full(m, -1, dtype=np.int64)
     withheld = 0
     if source_queue is not None:
@@ -647,67 +655,66 @@ def simulate_fc_epochs(
         seg_start = np.flatnonzero(newseg)
         pos = np.arange(m) - seg_start[np.cumsum(newseg) - 1]
         held = order[pos >= source_queue]
-        pending[held] = False
+        tq[held] = _INF
         withheld = int(held.size)
 
     link_free = np.zeros(num_links, dtype=np.int64)
-    consumed = np.zeros(num_links, dtype=np.int64)
-    base_rel = np.zeros(num_links, dtype=np.int64)
+    # Credits each link's queue still owes against its buffer: flits
+    # granted onto it, less its capacity and the releases folded in.
+    debt = -capacity if finite else None
     rel_time = np.empty(0, dtype=np.int64)
     rel_link = np.empty(0, dtype=np.int64)
     rel_amt = np.empty(0, dtype=np.int64)
 
     guard_hop = int(pflits.min()) + int(queue_index.min_hop_delta)
     remaining = m
+    n_pend = m - withheld
     epochs = 0
 
     # Working-set horizon: each epoch touches only requests within
     # ``span`` cycles of the earliest pending one (the sort is the
     # per-epoch cost).  Excluded requests fold into the safety bound as
     # the candidate ``base + span + 1`` -- strictly more conservative,
-    # so exactness is untouched; the span doubles whenever an epoch
-    # cannot finalise anything (the binding head was outside) and
-    # resets after progress.  Open loop has no horizon to wait for: a
-    # request granted at ``s >= base`` asks for its next link at
-    # ``s + flits + hop_delta >= base + guard_hop`` or later, so the
-    # window ``[base, base + guard_hop)`` is final as soon as it is
-    # granted and bounds the working set every epoch.
-    span_floor = guard_hop - 1 if open_loop else 16 * (guard_hop + rtt)
-    span = span_floor
+    # so exactness is untouched whatever the span.  The span doubles
+    # whenever an epoch cannot finalise anything (the binding head was
+    # outside); after progress it follows the safe horizon, twice
+    # ``T - base`` plus two hop-and-credit round trips, capped at
+    # ``span_cap``.  While at most 64 requests are pending, a closed-loop
+    # epoch takes them all.  Open loop has no horizon to wait for: a
+    # request granted at ``s >= base`` asks for its next link at ``s +
+    # flits + hop_delta >= base + guard_hop`` or later, so the window
+    # ``[base, base + guard_hop)`` is final as soon as it is granted and
+    # bounds the working set every epoch.
+    span_cap = 16 * (guard_hop + rtt)
+    span = guard_hop - 1 if open_loop else span_cap
 
     while remaining:
-        pend_idx = np.flatnonzero(pending)
-        if pend_idx.size == 0:
+        if not n_pend:
             raise RuntimeError(
                 f"flow-control epoch engine: no pending requests with "
                 f"{remaining} packets unfinished"
             )
-        t_pend = t[pend_idx]
-        base = int(t_pend.min())
+        base = int(tq.min())
         if finite and rel_time.size:
             # Releases at or before the earliest pending request can
-            # never bind again: fold them into the per-link base.
+            # never bind again: fold them into the per-link debt.
             fold = rel_time <= base
             if fold.any():
-                np.add.at(base_rel, rel_link[fold], rel_amt[fold])
+                np.subtract.at(debt, rel_link[fold], rel_amt[fold])
                 keep = ~fold
                 rel_time = rel_time[keep]
                 rel_link = rel_link[keep]
                 rel_amt = rel_amt[keep]
-        truncated = False
-        act = pend_idx
-        if open_loop or pend_idx.size > 64:
-            near = t_pend <= base + span
-            if not near.all():
-                act = pend_idx[near]
-                truncated = True
+        horizon = base + span if open_loop or n_pend > 64 else _INF - 1
+        act = np.flatnonzero(tq <= horizon)
+        truncated = act.size < n_pend
         epochs += 1
         hop_a = hop[act]
         link_a = route_links[pstart[act] + hop_a]
         # (link, cycle, packet id) order: ids ascend, so slot order is
         # packet-id order.
-        t_a = t[act]
-        order = _link_time_order(link_a, t_a, num_links, act, m)
+        t_a = tq[act]
+        order = _link_time_order(link_a, t_a, num_links, act, m, base)
         slot = act[order]
         e_s = link_a[order]
         t_s = t_a[order]
@@ -722,30 +729,32 @@ def simulate_fc_epochs(
         seg_id = np.cumsum(head) - 1
         seg_first = head_pos[seg_id]
         # The link's current occupancy folds into each queue's head.
-        head_bound = np.maximum(ready[head_pos], link_free[e_s[head_pos]])
-        clamped = ready.copy()
-        clamped[head_pos] = head_bound
-        incl_global = np.cumsum(f_s)
-        incl = incl_global - (incl_global[seg_first] - f_s[seg_first])
-        excl = incl - f_s
+        clamped = np.where(head, np.maximum(ready, link_free[e_s]), ready)
+        cum = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(f_s, out=cum[1:])
+        seg_base = cum[seg_first]
+        excl = cum[:-1] - seg_base
         if finite:
-            deficit = consumed[e_s] + incl - capacity[e_s] - base_rel[e_s]
-            c = _credit_ready_times(e_s, deficit, rel_link, rel_time,
-                                    rel_amt, num_links)
-            head_bound = np.maximum(head_bound, c[head_pos])
+            incl = cum[1:] - seg_base
+            c = _credit_ready_times(e_s, debt[e_s] + incl, rel_link,
+                                    rel_time, rel_amt, num_links)
 
         if open_loop:
             # The whole window is final: every grant starts at its FIFO
-            # bound, and each queue's tail is its segment end.
+            # bound, and each queue's last grant ends latest.
             s = excl + _segmented_cummax(clamped - excl, seg_id)
+            end = s + f_s
             fifo_bound = s
             fin = slice(None)
-            tail = np.append(head_pos[1:], n) - 1
+            link_free[e_s[head_pos]] = np.maximum.reduceat(end, head_pos)
         else:
             # Safe horizon: every future grant starts at or after T, so
             # unknown releases land at T + rtt or later and unknown
             # request events at T + guard or later (see module docstring).
-            T = int(head_bound.min())
+            head_bound = clamped[head_pos]
+            if finite:
+                head_bound = np.maximum(head_bound, c[head_pos])
+            T = bound = int(head_bound.min())
             if truncated:
                 T = min(T, base + span + 1)
             if T >= int(_INF) // 2:
@@ -756,21 +765,21 @@ def simulate_fc_epochs(
             if finite:
                 grant_floor = np.maximum(clamped, np.minimum(c, T + rtt + 1))
             s = excl + _segmented_cummax(grant_floor - excl, seg_id)
+            end = s + f_s
             # FIFO bound: the request's clamped ready time, and behind a
             # queue head also the end of its predecessor's grant.
             prev_end = np.empty(n, dtype=np.int64)
-            np.add(s[:-1], f_s[:-1], out=prev_end[1:])
+            prev_end[1:] = end[:-1]
             prev_end[head_pos] = _NEG
             fifo_bound = np.maximum(clamped, prev_end)
             guard = 1 if withheld else guard_hop
             ok = t_s < T + guard
             if finite:
                 ok &= c <= np.maximum(fifo_bound, T + rtt)
-            pos_in_seg = np.arange(n) - seg_first
-            first_bad = np.minimum.reduceat(
-                np.where(ok, n + 1, pos_in_seg), head_pos
-            )
-            fin = pos_in_seg < first_bad[seg_id]
+            # Final: every row from the queue head up to this one is ok.
+            bad = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(~ok, out=bad[1:])
+            fin = bad[1:] == bad[seg_first]
             if not fin.any():
                 if truncated:
                     span *= 2
@@ -781,13 +790,16 @@ def simulate_fc_epochs(
                 raise RuntimeError(
                     "flow-control epoch engine made no progress"
                 )
-            span = span_floor
+            span = min(span_cap, 2 * (bound - base + guard_hop + rtt))
 
             # Each link's last grant: finalised, and the next row is not a
             # finalised row of the same queue.
             runs_on = np.zeros(n, dtype=bool)
             np.greater(fin[1:], head[1:], out=runs_on[:-1])
             tail = np.flatnonzero(fin > runs_on)
+            link_free[e_s[tail]] = end[tail]
+            if finite:
+                debt[e_s[tail]] += incl[tail]
 
         fin_slot = slot[fin]
         fin_s = s[fin]
@@ -799,22 +811,16 @@ def simulate_fc_epochs(
                 gid[fin_slot], fin_h, fin_e, ready[fin], fin_s, fin_f,
                 fin_s - fifo_bound[fin],
             ))
-        link_free[e_s[tail]] = s[tail] + f_s[tail]
-        if finite:
-            consumed[e_s[tail]] += incl[tail]
-
-        arrival = fin_s + fin_f + hop_delta[fin_e]
+        arrival = end[fin] + hop_delta[fin_e]
         last = fin_h + 1 == nhops[fin_slot]
-        done_slot = fin_slot[last]
-        if done_slot.size:
-            done_gid = ids[done_slot]
-            completion[done_gid] = arrival[last]
-            latencies[done_gid] = arrival[last] - inject[done_gid]
-            pending[done_slot] = False
-            remaining -= int(done_slot.size)
-        move = fin_slot[~last]
-        t[move] = arrival[~last]
-        hop[move] = fin_h[~last] + 1
+        done = int(np.count_nonzero(last))
+        remaining -= done
+        n_pend -= done
+        # A packet's hops finalise in order, so its last write here is
+        # its completion.
+        finish[fin_slot] = arrival
+        tq[fin_slot] = np.where(last, _INF, arrival)
+        hop[fin_slot] = fin_h + 1
 
         if finite:
             up = fin_h >= 1
@@ -831,10 +837,12 @@ def simulate_fc_epochs(
             spawned = gates[gates >= 0]
             if spawned.size:
                 opener = fin_s[fin_h == 0][gates >= 0]
-                t[spawned] = np.maximum(inj[spawned], opener + 1)
-                pending[spawned] = True
+                tq[spawned] = np.maximum(inj[spawned], opener + 1)
+                n_pend += int(spawned.size)
                 withheld -= int(spawned.size)
 
+    completion[ids] = finish
+    latencies[ids] = finish - inj
     if trace_chunks is None:
         return epochs, None
     return epochs, _trace_from_chunks(trace_chunks)
