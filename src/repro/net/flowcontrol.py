@@ -667,7 +667,6 @@ def simulate_fc_epochs(
     rel_amt = np.empty(0, dtype=np.int64)
 
     guard_hop = int(pflits.min()) + int(queue_index.min_hop_delta)
-    remaining = m
     n_pend = m - withheld
     epochs = 0
 
@@ -688,11 +687,11 @@ def simulate_fc_epochs(
     span_cap = 16 * (guard_hop + rtt)
     span = guard_hop - 1 if open_loop else span_cap
 
-    while remaining:
+    while n_pend + withheld:
         if not n_pend:
             raise RuntimeError(
                 f"flow-control epoch engine: no pending requests with "
-                f"{remaining} packets unfinished"
+                f"{withheld} packets unfinished"
             )
         base = int(tq.min())
         if finite and rel_time.size:
@@ -758,8 +757,8 @@ def simulate_fc_epochs(
             if truncated:
                 T = min(T, base + span + 1)
             if T >= int(_INF) // 2:
-                links = np.unique(e_s)
-                raise FlowControlDeadlockError(fc, remaining, links)
+                raise FlowControlDeadlockError(fc, n_pend + withheld,
+                                               np.unique(e_s))
 
             grant_floor = clamped
             if finite:
@@ -785,7 +784,7 @@ def simulate_fc_epochs(
                     span *= 2
                     continue
                 if finite:
-                    raise FlowControlDeadlockError(fc, remaining,
+                    raise FlowControlDeadlockError(fc, n_pend + withheld,
                                                    np.unique(e_s))
                 raise RuntimeError(
                     "flow-control epoch engine made no progress"
@@ -813,9 +812,7 @@ def simulate_fc_epochs(
             ))
         arrival = end[fin] + hop_delta[fin_e]
         last = fin_h + 1 == nhops[fin_slot]
-        done = int(np.count_nonzero(last))
-        remaining -= done
-        n_pend -= done
+        n_pend -= int(np.count_nonzero(last))
         # A packet's hops finalise in order, so its last write here is
         # its completion.
         finish[fin_slot] = arrival
