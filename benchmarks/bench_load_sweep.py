@@ -16,19 +16,11 @@ Two acceptance gates for the epoch-synchronous contention engine:
    persistent directory (CI uploads it with the sweep-results
    artifact).
 
-A third gate covers the JIT tier (``epochs-jit``): it must reproduce
-the epoch engine bit-exactly on every gate case and beat ``epochs`` by
-at least 1.5x -- but only when numba is importable.  Without numba the
-JIT kernel runs interpreted (orders of magnitude slower -- that is the
-supported fallback, not a regression), so the tier ratio is recorded
-and printed but the floor stays disarmed; the run doubles as the
-no-numba fallback proof.
+``REPRO_SWEEP_QUICK=1`` shrinks both grids and relaxes the ratio gate
+to 2x (small grids amortise less of the vectorized engine's fixed
+per-epoch cost).
 
-``REPRO_SWEEP_QUICK=1`` shrinks both grids and relaxes the ratio gates
-(2x heap-vs-epochs, 1.2x tier-vs-epochs; small grids amortise less of
-the vectorized engine's fixed per-epoch cost).
-
-Every run also appends its measured speedup ratios to
+Every run also appends its measured speedup ratio to
 ``ratio-history.jsonl`` inside ``REPRO_STORE_DIR`` (uploaded with the
 sweep-results artifact) and *warns* -- never fails -- when a ratio
 drifts more than 20% below the trailing median: the hard floor catches
@@ -56,10 +48,7 @@ from repro.eval import (
 )
 from repro.eval.experiments import load_sweep_traffic, parse_load_workload
 from repro.eval.sweeps import SweepCase, case_topology
-from repro.net.grantkernel import NUMBA_AVAILABLE, warmup_kernels
 from repro.net.simulator import simulate
-
-NEW_TIERS = ("epochs-jit",)
 
 #: (arch, num_chiplets, workload) cases for the timed speedup gate --
 #: large systems near saturation, where virtually every packet shares a
@@ -113,9 +102,7 @@ def _assert_reports_identical(events, epochs, label):
 
 def _run_gate():
     rows = []
-    tier_rows = []
-    totals = {"events": 0.0, "epochs": 0.0, "epochs-jit": 0.0}
-    warmup_kernels()
+    totals = {"events": 0.0, "epochs": 0.0}
     for arch, size, workload in _gate_cases():
         case = SweepCase(arch=arch, num_chiplets=size, workload=workload)
         topo = case_topology(case)
@@ -124,12 +111,12 @@ def _run_gate():
         # Warm the routing tables, queue index and every code path
         # outside the timed region, for every engine alike.
         topo.routing_tables().queue_index()
-        for engine in ("events", "epochs") + NEW_TIERS:
+        for engine in totals:
             simulate(topo, table[:64], engine=engine)
 
         timed = {}
         reports = {}
-        for engine in ("events", "epochs") + NEW_TIERS:
+        for engine in totals:
             t0 = time.perf_counter()
             reports[engine] = simulate(topo, table, engine=engine)
             timed[engine] = time.perf_counter() - t0
@@ -137,9 +124,7 @@ def _run_gate():
 
         label = f"{arch}/{size}/{workload}"
         events, epochs = reports["events"], reports["epochs"]
-        for engine in ("epochs",) + NEW_TIERS:
-            _assert_reports_identical(events, reports[engine],
-                                      f"{label}:{engine}")
+        _assert_reports_identical(events, epochs, label)
         contended = 1.0 - (
             epochs.batched_packets / epochs.packets_delivered
         )
@@ -152,25 +137,21 @@ def _run_gate():
             timed["events"] / max(timed["epochs"], 1e-12),
             epochs.epochs,
         ))
-        tier_rows.append((
-            label, timed["epochs"], timed["epochs-jit"],
-            timed["epochs"] / max(timed["epochs-jit"], 1e-12),
-        ))
-    return rows, tier_rows, totals
+    return rows, totals
 
 
 def _run():
-    gate_rows, tier_rows, totals = _run_gate()
+    gate_rows, totals = _run_gate()
     store_dir = os.environ.get("REPRO_STORE_DIR")
     store = ResultStore(store_dir) if store_dir else None
     runner = SweepRunner(evaluate_load_sweep_case, workers=4, store=store)
     outcome = runner.run(_sweep_cases())
     assert not outcome.failures, outcome.failures
-    return gate_rows, tier_rows, totals, outcome
+    return gate_rows, totals, outcome
 
 
 def test_load_sweep(benchmark):
-    gate_rows, tier_rows, totals, outcome = run_once(benchmark, _run)
+    gate_rows, totals, outcome = run_once(benchmark, _run)
     events_s, epochs_s = totals["events"], totals["epochs"]
 
     table = format_table(
@@ -181,12 +162,6 @@ def test_load_sweep(benchmark):
     )
     print()
     print(table)
-    print(format_table(
-        ["case", "epochs (s)", "jit (s)", "tier speedup"],
-        tier_rows,
-        title="Engine-tier gate: epochs vs JIT "
-              f"(numba {'present' if NUMBA_AVAILABLE else 'absent'})",
-    ))
     latency = outcome.pivot("steady_mean_latency")
     throughput = outcome.pivot("steady_throughput")
     archs = tuple(a for a in SWEEP_ARCHS
@@ -208,46 +183,29 @@ def test_load_sweep(benchmark):
 
     speedup = events_s / max(epochs_s, 1e-12)
     floor = 2.0 if quick_mode() else 5.0
-    tier_speedup = epochs_s / max(totals["epochs-jit"], 1e-12)
-    tier_floor = 1.2 if quick_mode() else 1.5
 
     store_dir = os.environ.get("REPRO_STORE_DIR")
     if store_dir:
         history_path = Path(store_dir) / "ratio-history.jsonl"
-        history = load_ratio_history(history_path)
-        for bench, ratio, extra in (
-            ("load_sweep", speedup, {}),
-            ("load_sweep_tier", tier_speedup,
-             {"tier": "epochs-jit", "numba": NUMBA_AVAILABLE}),
-        ):
-            prior = [
-                rec for rec in history
-                if rec.get("bench") == bench
-                and rec.get("quick") == quick_mode()
-                and rec.get("numba", NUMBA_AVAILABLE) == NUMBA_AVAILABLE
-            ]
-            drift = ratio_drift_warning(prior, ratio, tolerance=0.2)
-            if drift is not None:
-                warnings.warn(f"{bench} drift watch: {drift}",
-                              RuntimeWarning)
-                print(f"WARNING: {drift}")
-            append_ratio_history(history_path, dict({
-                "bench": bench,
-                "quick": quick_mode(),
-                "speedup": round(ratio, 4),
-                "cases": len(gate_rows),
-                "unix_time": round(time.time(), 3),
-            }, **extra))
+        prior = [
+            rec for rec in load_ratio_history(history_path)
+            if rec.get("bench") == "load_sweep"
+            and rec.get("quick") == quick_mode()
+        ]
+        drift = ratio_drift_warning(prior, speedup, tolerance=0.2)
+        if drift is not None:
+            warnings.warn(f"load_sweep drift watch: {drift}",
+                          RuntimeWarning)
+            print(f"WARNING: {drift}")
+        append_ratio_history(history_path, {
+            "bench": "load_sweep",
+            "quick": quick_mode(),
+            "speedup": round(speedup, 4),
+            "cases": len(gate_rows),
+            "unix_time": round(time.time(), 3),
+        })
 
     assert speedup >= floor, (
         f"epoch engine only {speedup:.1f}x faster than the event heap "
         f"(floor {floor}x) over {len(gate_rows)} majority-contended cases"
     )
-    if NUMBA_AVAILABLE:
-        assert tier_speedup >= tier_floor, (
-            f"JIT tier only {tier_speedup:.2f}x faster than the epoch "
-            f"engine (floor {tier_floor}x)"
-        )
-    else:
-        print(f"tier gate disarmed (numba absent): JIT tier at "
-              f"{tier_speedup:.2f}x vs epochs, interpreted fallback")

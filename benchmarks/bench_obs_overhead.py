@@ -18,9 +18,9 @@ prices the enabled path honestly:
    >20% drift warning.
 
 2. **Enabled-tracer price list (informational).**  Per engine tier
-   (``events`` / ``epochs`` / ``epochs-jit``), the
-   same contended packet grid is resolved with ``profile=False`` and
-   ``profile=True`` (phase timings + dispatch counters); and one traced
+   (``events`` / ``epochs``), the same contended packet grid is
+   resolved with ``profile=False`` and ``profile=True`` (phase timings
+   and dispatch counters); and one traced
    :func:`~repro.eval.shard.drain_cases` run is compared against an
    untraced one.  These rows quantify what switching ``REPRO_TRACE``
    on actually costs -- they are printed, not gated, because enabled
@@ -67,12 +67,11 @@ from repro.eval.sweeps import (
     case_topology,
     evaluate_comm_case,
 )
-from repro.net.grantkernel import warmup_kernels
 from repro.net.journey import latency_breakdown
 from repro.net.simulator import simulate, simulate_packets
 from repro.obs import REGISTRY
 
-ENGINES = ("events", "epochs", "epochs-jit")
+ENGINES = ("events", "epochs")
 #: Disabled-path overhead ceiling: instrumented <= 1.03x bare.
 OVERHEAD_CEILING = 1.03
 #: Timing repeats of the informational price lists (best of).
@@ -235,7 +234,6 @@ def _engine_price_list(tmp):
         parse_load_workload
     from repro.eval.sweeps import SweepCase
 
-    warmup_kernels()
     size, workload = (64, "uniform@0.08") if quick_mode() else \
         (100, "uniform@0.08")
     case = SweepCase(arch="siam", num_chiplets=size, workload=workload)

@@ -66,6 +66,10 @@ from .params import (
 # 1.6.0: open loop is flow control with infinite buffers -- same-cycle
 # link requests tie-break by packet id on every engine, so cached
 # open-loop completions and latencies change.
+# 1.6.0 kept when the numba-compiled grant kernel (engine="epochs-jit")
+# was deleted: every simulated quantity is unchanged, and on a host with
+# numba "auto" now resolves to epochs, which moves only the stored
+# sim_epochs engine diagnostic (0 -> the epoch count).
 __version__ = "1.6.0"
 
 __all__ = [

@@ -6,10 +6,8 @@ Three evaluation layers share one routing substrate:
 * the batched NumPy engine (:mod:`repro.net.vectorized`) over the
   precomputed :mod:`repro.net.routing` tables -- the hot path,
 * the packet simulator (:mod:`repro.net.simulator`) with its own
-  engine split: closed-form fast path, event-heap oracle, the
-  epoch-synchronous vectorized contention engine and the
-  optionally-compiled grant kernel (:mod:`repro.net.grantkernel`,
-  ``epochs-jit``), plus the
+  engine split: closed-form fast path, event-heap oracle and the
+  epoch-synchronous vectorized contention engine, plus the
   closed-loop flow-control subsystem (:mod:`repro.net.flowcontrol`):
   finite per-link buffers with credit backpressure, per-source
   injection queues and per-link telemetry.  Every tier is pinned

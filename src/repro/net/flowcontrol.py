@@ -1,10 +1,9 @@
 """Flow control: finite buffers, credits and link telemetry.
 
-Every contended-subset engine lives here (the JIT kernel in
-:mod:`repro.net.grantkernel` aside).  Open loop is not a separate model:
-it is :class:`FlowControlParams` ``()`` -- infinite buffers, no source
-queue -- resolved by the same engines under the same arbitration rule.
-The closed-loop mechanisms are:
+Both contended-subset engines live here.  Open loop is not a separate
+model: it is :class:`FlowControlParams` ``()`` -- infinite buffers, no
+source queue -- resolved by the same engines under the same arbitration
+rule.  The closed-loop mechanisms are:
 
 * **finite per-link buffers with credit-based backpressure** -- each
   directed link owns a downstream input buffer of

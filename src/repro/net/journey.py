@@ -26,9 +26,9 @@ packet's latency:
 
 The reduction is order-invariant: rows are put into canonical
 ``(packet, hop)`` order first and every aggregation is a segment sum in
-exact int64, so all four tiers (events / epochs / epochs-jit / fast
-path) produce **bit-identical** breakdowns from their
-differently-ordered traces (``tests/test_journey.py``).
+exact int64, so all three tiers (events / epochs / fast path)
+produce **bit-identical** breakdowns from their differently-ordered
+traces (``tests/test_journey.py``).
 
 Entry points:
 

@@ -29,18 +29,11 @@ The tiers share one packetisation/report substrate
   composite-key ``np.argsort`` + segmented scans; a bounded epoch
   horizon keeps it event-loop exact, FIFO tie-breaks included.  One
   loop serves open and closed loop alike (open loop finalises a whole
-  lookahead window per epoch).  Pure NumPy: the fast path wherever
-  numba is not.
-* **JIT grant kernel** (``engine="epochs-jit"``) -- the whole
-  contended subset resolved in one pass of the
-  :mod:`~repro.net.grantkernel` event kernel, compiled with numba when
-  the optional dependency is importable and interpreted (bit-exact,
-  but slow) otherwise.
+  lookahead window per epoch).  Pure NumPy: the fast path.
 
 ``engine="auto"`` (the default) picks the heap for small contended
-subsets; beyond ``AUTO_EPOCH_MIN_PACKETS`` it picks the JIT kernel
-when numba is importable and the epoch engine otherwise -- the results
-are identical either way.
+subsets and the epoch engine from ``AUTO_EPOCH_MIN_PACKETS`` up -- the
+results are identical either way.
 
 This is deliberately not a cycle-accurate RTL model: the paper's claims
 are about *relative* NoI behaviour, and a queueing-accurate packet model
@@ -73,7 +66,7 @@ from .routing import concat_ranges
 PACKET_BYTES = 64
 
 #: Engine selectors accepted by :func:`simulate`.
-ENGINES = ("auto", "events", "epochs", "epochs-jit")
+ENGINES = ("auto", "events", "epochs")
 
 #: ``flow_control`` default: derive the closed-loop knobs from the
 #: topology's ``NoIParams`` (``fc_buffer_flits`` et al.).  Pass ``None``
@@ -83,30 +76,12 @@ ENGINES = ("auto", "events", "epochs", "epochs-jit")
 FLOW_CONTROL_FROM_PARAMS = "params"
 
 #: ``engine="auto"``: contended subsets at least this large go through
-#: a vectorized tier (the JIT kernel when numba is importable, the
-#: epoch engine otherwise); below it the heap's constant factor wins.
+#: the epoch engine; below it the heap's constant factor wins.
 #: Measured open loop on mesh/Kite/Floret at 36-64 nodes (Python 3.11,
 #: numpy 2.4, 2 CPUs, best of 7): ``uniform@r:w16+48`` load sweeps
 #: cross over at ~90 contended packets (heap/epoch time 0.8 at 75,
 #: 1.0 at 86-96, 1.5+ from 164); 256 B bursts cross at ~50.
 AUTO_EPOCH_MIN_PACKETS = 96
-
-_GRANTKERNEL = None
-
-
-def _grant_kernel_module():
-    """Import :mod:`repro.net.grantkernel` on first use.
-
-    Importing numba costs noticeable process-startup time, so the JIT
-    tier (and its availability probe) loads lazily on the first
-    simulate call that wants it instead of at package import.
-    """
-    global _GRANTKERNEL
-    if _GRANTKERNEL is None:
-        from . import grantkernel
-
-        _GRANTKERNEL = grantkernel
-    return _GRANTKERNEL
 
 
 @dataclass(frozen=True)
@@ -353,10 +328,9 @@ def simulate(
             contended engine -- the result is identical; the flag
             exists for the equivalence tests and for debugging.
         engine: ``"events"`` (per-event heap oracle), ``"epochs"``
-            (epoch-synchronous vectorized engine), ``"epochs-jit"``
-            (compiled grant kernel; runs interpreted without numba) or
-            ``"auto"`` (size- and availability-based choice).  All
-            tiers produce bit-identical results.
+            (epoch-synchronous vectorized engine) or ``"auto"``
+            (size-based choice).  Both engines produce bit-identical
+            results.
         flow_control: Closed-loop knobs -- the default
             :data:`FLOW_CONTROL_FROM_PARAMS` derives them from the
             topology's ``NoIParams`` (``fc_buffer_flits``,
@@ -507,21 +481,12 @@ def simulate_packets(
     if contended_ids.size:
         resolved = engine
         if engine == "auto":
-            if contended_ids.size >= AUTO_EPOCH_MIN_PACKETS:
-                resolved = (
-                    "epochs-jit"
-                    if _grant_kernel_module().NUMBA_AVAILABLE
-                    else "epochs"
-                )
-            else:
-                resolved = "events"
-        if resolved == "epochs-jit":
-            contended_trace = _grant_kernel_module().simulate_grant_kernel(
-                tables, fc, inject, src, flits, starts, hops,
-                contended_ids, completion, latencies,
-                collect_trace=collect,
+            resolved = (
+                "epochs"
+                if contended_ids.size >= AUTO_EPOCH_MIN_PACKETS
+                else "events"
             )
-        elif resolved == "epochs":
+        if resolved == "epochs":
             epochs, contended_trace = simulate_fc_epochs(
                 tables, fc, inject, src, flits, starts, hops,
                 contended_ids, completion, latencies,

@@ -96,9 +96,9 @@ class NoIParams:
     #: sweeps, saturation ramps, sim crosschecks) pass through to
     #: :func:`repro.net.simulator.simulate_packets` -- one of
     #: ``repro.net.simulator.ENGINES``.  ``"auto"`` picks the heap for
-    #: small contended subsets, else ``"epochs-jit"`` when numba imports
-    #: and ``"epochs"`` otherwise; pin ``"events"`` to force an oracle
-    #: run, e.g. as a sweep override when validating a fast tier.
+    #: small contended subsets and ``"epochs"`` otherwise; pin
+    #: ``"events"`` to force an oracle run, e.g. as a sweep override
+    #: when validating the fast tier.
     sim_engine: str = "auto"
 
     #: Packet-simulator latency attribution: when truthy, experiment

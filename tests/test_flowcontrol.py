@@ -37,6 +37,7 @@ TOPOLOGY_FIXTURES = ("small_mesh", "small_kite", "small_swap",
                      "small_floret")
 
 FC_CONFIGS = (
+    None,
     FlowControlParams(buffer_flits=4, credit_rtt=2),
     FlowControlParams(buffer_flits=8, source_queue=2, credit_rtt=3),
     FlowControlParams(source_queue=1),
@@ -136,8 +137,8 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("fixture", TOPOLOGY_FIXTURES)
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("fc", FC_CONFIGS,
-                             ids=lambda fc: f"B{fc.buffer_flits}"
-                                            f"Q{fc.source_queue}")
+                             ids=lambda fc: "open" if fc is None else
+                             f"B{fc.buffer_flits}Q{fc.source_queue}")
     def test_random_load_sweep(self, fixture, seed, fc, request):
         # Tiny buffers legitimately deadlock the ring-bearing
         # topologies (cyclic shortest-path dependencies); a deadlock is
@@ -276,7 +277,7 @@ class TestOpenLoopArbitration:
         # starts 9, done 9 + 2 + 1 + 2 = 14.
         msgs = [Message(0, 2, 64, inject_cycle=0, message_id=0),
                 Message(1, 2, 64, inject_cycle=7, message_id=1)]
-        for engine in ("events", "epochs", "epochs-jit"):
+        for engine in ("events", "epochs"):
             open_loop = simulate_packets(line, msgs, engine=engine,
                                          flow_control=None)
             closed = simulate_packets(line, msgs, engine=engine,

@@ -31,7 +31,7 @@ from repro.noi.mesh import build_mesh
 from repro.noi.topology import Chiplet, Link, Topology
 
 #: Every tier that resolves a contended subset; ``events`` is the oracle.
-TIERS = ("events", "epochs", "epochs-jit")
+TIERS = ("events", "epochs")
 
 INFINITE = FlowControlParams(buffer_flits=10 ** 6)
 

@@ -3,8 +3,8 @@
 Tentpole coverage: the per-packet decomposition (injection wait, queue
 wait, credit stall, serialization, pipeline) sums *exactly* to
 ``PacketSim.latency``; the aggregated :class:`LatencyBreakdown` is
-bit-identical across every engine tier (events / epochs / epochs-jit,
-plus the contention-free fast path) on mesh, Kite, SWAP and
+bit-identical across every engine tier (events / epochs, plus the
+contention-free fast path) on mesh, Kite, SWAP and
 Floret in open and closed loop; a hand-computed 3-hop contended example
 pins the exact cycle splits; the ``sim_attribution`` knob ships the
 arrays through sweep results and their npz store payloads; and
@@ -41,7 +41,7 @@ from repro.pim.chiplet import ChipletSpec
 from helpers import make_toy_model
 from test_perf import assert_taskperf_equal
 
-ENGINES = ("events", "epochs", "epochs-jit")
+ENGINES = ("events", "epochs")
 TOPOLOGY_FIXTURES = ("small_mesh", "small_kite", "small_swap",
                      "small_floret")
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.eval.experiments import load_sweep_traffic, parse_load_workload
+from repro.eval.sweeps import sweep_grid
 from repro.net.flowcontrol import _segmented_cummax
 from repro.net.routing import build_link_queue_index
 from repro.net.simulator import (
@@ -213,6 +214,18 @@ class TestEdgeCases:
         for allowed in ENGINES:
             assert repr(allowed) in str(info.value)
 
+    def test_removed_jit_tier_rejected(self, line):
+        # The numba grant-kernel tier was deleted too: the simulator
+        # and the sweep-grid boundary both reject it by name.
+        removed = "epochs-" + "jit"
+        with pytest.raises(ValueError, match="unknown engine") as info:
+            simulate_packets(line, [Message(0, 1, 64)], engine=removed)
+        assert str(ENGINES) in str(info.value)
+        with pytest.raises(ValueError, match="override sim_engine") as info:
+            sweep_grid(archs=("siam",),
+                       overrides=[(("sim_engine", removed),)])
+        assert str(ENGINES) in str(info.value)
+
     def test_auto_picks_heap_below_threshold(self, line):
         report = simulate(
             line,
@@ -222,29 +235,23 @@ class TestEdgeCases:
         )
         assert report.engine == "events"
 
-    def test_auto_picks_jit_or_parallel_at_scale(self, small_mesh):
-        from repro.net.grantkernel import NUMBA_AVAILABLE
-
+    def test_auto_picks_epochs_at_scale(self, small_mesh):
         spec = parse_load_workload("uniform@0.2:w16+48")
         table = load_sweep_traffic(spec, small_mesh.num_chiplets, 1)
         sim = simulate_packets(small_mesh, table, engine="auto")
         assert sim.contended_packets >= AUTO_EPOCH_MIN_PACKETS
-        expected = "epochs-jit" if NUMBA_AVAILABLE else "epochs"
-        assert sim.engine == expected
+        assert sim.engine == "epochs"
 
     def test_auto_threshold_boundary(self, line):
         # Exactly AUTO_EPOCH_MIN_PACKETS contended packets flips auto
-        # from the heap to the scalable tiers; one fewer stays on the
+        # from the heap to the epoch engine; one fewer stays on the
         # heap.  All identical single-packet messages over link (0, 1)
         # so every packet is contended.
-        from repro.net.grantkernel import NUMBA_AVAILABLE
-
         k = AUTO_EPOCH_MIN_PACKETS
         msgs = [Message(0, 1, 64, message_id=i) for i in range(k)]
         at = simulate_packets(line, msgs, engine="auto")
         assert at.contended_packets == k
-        expected = "epochs-jit" if NUMBA_AVAILABLE else "epochs"
-        assert at.engine == expected
+        assert at.engine == "epochs"
         below = simulate_packets(line, msgs[:-1], engine="auto")
         assert below.contended_packets == k - 1
         assert below.engine == "events"
@@ -265,7 +272,7 @@ class TestEdgeCases:
         rng = np.random.default_rng(13)
         msgs = _random_messages(8, rng, count=150)
         baseline = simulate(line, msgs, engine="events")
-        for engine in ("epochs", "epochs-jit", "auto"):
+        for engine in ("epochs", "auto"):
             assert_engines_identical(
                 baseline, simulate(line, msgs, engine=engine)
             )
