@@ -1,9 +1,10 @@
 """Cold vs warm cost of one kite/256 load-sweep case (informational).
 
-The first case on a structure pays the topology build, the routing
-tables and the queue index; a second case on the same structure that
-changes only ``fc_buffer_flits`` (a params view sharing the tables)
-pays traffic and simulation alone.  Each run is a fresh interpreter
+The first case on a structure pays the topology build and the routing
+tables (the per-link queue constants cached on them cost well under a
+millisecond); a second case on the same structure that changes only
+``fc_buffer_flits`` (a params view sharing the tables) pays traffic
+and simulation alone.  Each run is a fresh interpreter
 that times one cold case, then one warm case.  The median of three
 runs' cold ÷ warm ratio is printed and, under ``REPRO_STORE_DIR``,
 appended to ``ratio-history.jsonl`` with the usual >20% drift warning

@@ -20,10 +20,13 @@ millions-of-users story says it will be:
    lazily built column cache never serves a torn or stale view under
    concurrent clients.
 
-Between the two, one warm re-POST of the same grid runs alone (no
-other client, status polled every :data:`TIMED_POLL_S`, as for the cold
-sweep), so the replay speedup -- cold sweep wall time over that solo
-replay's -- measures store replay rather than the swarm's contention.
+Between the two, warm re-POSTs of the same grid run alone (no other
+client, status polled every :data:`TIMED_POLL_S`, as for the cold
+sweep), so the replay speedup measures store replay rather than the
+swarm's contention: the median of :data:`COLD_SWEEPS` cold sweeps, each
+on a fresh store, over the median of :data:`SOLO_REPLAYS` solo
+replays.  A single cold sweep over a single replay spread 3.6-7.6x on
+one tree in quick mode (8 cases, 49-95 ms cold).
 It joins the drift-watched ``ratio-history.jsonl`` under
 ``REPRO_STORE_DIR`` as ``bench="service_replay"`` (warn-only, like the
 other ratio gates).  When ``REPRO_STORE_DIR`` is set the service store
@@ -37,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import statistics
 import threading
 import time
 import urllib.request
@@ -67,9 +71,13 @@ CLIENTS = 4
 QUERIES_PER_CLIENT = 25
 #: Warm re-POSTed sweeps per client.
 SWEEPS_PER_CLIENT = 2
-#: Status-poll interval of the two timed sweeps (cold, solo replay);
+#: Status-poll interval of the timed sweeps (cold, solo replay);
 #: the swarm's clients poll every 20 ms.
 TIMED_POLL_S = 0.002
+#: Cold sweeps (each on a fresh store) and solo replays timed for the
+#: replay speedup, which divides their medians.
+COLD_SWEEPS = 3
+SOLO_REPLAYS = 5
 #: Hard gate on the warm /v1/results p99 (seconds).  Real values are
 #: single-digit milliseconds; the floor absorbs CI-runner noise.
 P99_FLOOR_S = 1.0
@@ -185,39 +193,62 @@ def _percentile(samples, q):
                        len(ordered) - 1)]
 
 
-def _run(tmp):
-    store_dir = os.environ.get("REPRO_STORE_DIR")
-    root = (Path(store_dir) if store_dir else tmp) / "svc-store"
-    # The bench owns this subdirectory; start cold even when a prior
-    # local run left results behind.
+def _start(root):
+    """Serve a fresh store at ``root``; return (service, base URL)."""
     shutil.rmtree(root, ignore_errors=True)
     service = start_service(root, workers=2)
-    server_thread = threading.Thread(
-        target=service.serve_forever, daemon=True
-    )
-    server_thread.start()
+    threading.Thread(target=service.serve_forever, daemon=True).start()
     host, port = service.server_address[:2]
-    base = f"http://{host}:{port}"
+    return service, f"http://{host}:{port}"
+
+
+def _stop(service):
+    service.shutdown()
+    service.server_close()
+
+
+def _timed_cold_sweep(base, grid, total):
+    """Wall time of one cold sweep that evaluates every case once."""
+    t0 = time.perf_counter()
+    cold = _run_sweep(base, grid, TIMED_POLL_S)
+    cold_s = time.perf_counter() - t0
+    assert cold["done"] == total
+    assert cold["evaluated"] == total, (
+        f"cold sweep evaluated {cold['evaluated']} of {total} "
+        "(duplicate or missing evaluations)"
+    )
+    return cold_s
+
+
+def _run(tmp):
+    store_dir = os.environ.get("REPRO_STORE_DIR")
+    # The bench owns this subdirectory; start cold even when a prior
+    # local run left results behind.
+    root = (Path(store_dir) if store_dir else tmp) / "svc-store"
     grid = _grid()
     total = 1
     for axis in ("archs", "sizes", "workloads", "seeds"):
         total *= len(grid[axis])
+    # 1. Cold sweeps: the spare stores live under ``tmp``, the last
+    # one at ``root`` serves the rest of the bench.
+    cold_times = []
+    for i in range(COLD_SWEEPS - 1):
+        service, base = _start(tmp / f"svc-cold-{i}")
+        try:
+            cold_times.append(_timed_cold_sweep(base, grid, total))
+        finally:
+            _stop(service)
+    service, base = _start(root)
     try:
-        # 1. Cold sweep: every case evaluated exactly once.
-        t0 = time.perf_counter()
-        cold = _run_sweep(base, grid, TIMED_POLL_S)
-        cold_s = time.perf_counter() - t0
-        assert cold["done"] == total
-        assert cold["evaluated"] == total, (
-            f"cold sweep evaluated {cold['evaluated']} of {total} "
-            "(duplicate or missing evaluations)"
-        )
+        cold_times.append(_timed_cold_sweep(base, grid, total))
 
-        # One warm re-POST alone: the replay speedup's denominator.
-        t0 = time.perf_counter()
-        replay = _run_sweep(base, grid, TIMED_POLL_S)
-        replay_s = time.perf_counter() - t0
-        assert replay["evaluated"] == 0, replay
+        # Warm re-POSTs alone: the replay speedup's denominator.
+        replay_times = []
+        for _ in range(SOLO_REPLAYS):
+            t0 = time.perf_counter()
+            replay = _run_sweep(base, grid, TIMED_POLL_S)
+            replay_times.append(time.perf_counter() - t0)
+            assert replay["evaluated"] == 0, replay
 
         # The service's column cache is built over the grid's results,
         # then extended by the swarm over the override results.
@@ -244,9 +275,10 @@ def _run(tmp):
             client.join()
         warm_phase_s = time.perf_counter() - t0
     finally:
-        service.shutdown()
-        service.server_close()
+        _stop(service)
     stale = _stale_answers(root, answers)
+    cold_s = statistics.median(cold_times)
+    replay_s = statistics.median(replay_times)
 
     return {
         "total": total,
@@ -272,8 +304,9 @@ def test_service_load(benchmark, tmp_path):
     print(format_table(
         ["phase", "requests", "wall (s)", "p50 (s)", "p99 (s)"],
         [
-            ("cold sweep", 1, out["cold_s"], "-", "-"),
-            ("solo replay", 1, out["replay_s"], "-", "-"),
+            ("cold sweep (median)", COLD_SWEEPS, out["cold_s"], "-", "-"),
+            ("solo replay (median)", SOLO_REPLAYS, out["replay_s"],
+             "-", "-"),
             (f"warm swarm x{CLIENTS}", out["queries"],
              out["warm_phase_s"], out["p50_s"], out["p99_s"]),
         ],
@@ -285,7 +318,7 @@ def test_service_load(benchmark, tmp_path):
         f"warm swarm: {out['warm_sweeps']} re-POSTed sweeps, "
         f"{out['warm_evaluated']} evaluations (must be 0), "
         f"mean {out['warm_sweep_mean_s']:.4f}s each; "
-        f"replay speedup (cold / solo replay) "
+        f"replay speedup (median cold / median solo replay) "
         f"{out['replay_speedup']:.1f}x"
     )
 

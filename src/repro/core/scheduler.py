@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from typing import (
     Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
 )
@@ -116,12 +116,13 @@ class SystemScheduler:
             empty system).  ``None`` re-uses ``mapper`` without change,
             meaning such tasks raise.
         memoize: Reuse :class:`TaskPerf` results across tasks that share
-            (model, placement, spec).  Table II mixes repeat each DNN
-            many times and the mapper recycles footprints as chiplets
-            free up, so the Nth identical task becomes a dict lookup.
-            Safe because ``evaluate_task`` is a pure function of the
-            key (the memo lives for the scheduler's lifetime, spanning
-            ``run`` calls); disable to force a cold evaluation per task.
+            (model, placement).  Table II mixes repeat each DNN many
+            times and the mapper recycles footprints as chiplets free
+            up, so the Nth identical task becomes a dict lookup.  Safe
+            because ``evaluate_task`` is a pure function of the key and
+            ``spec``: the memo lives for the scheduler's lifetime,
+            spanning ``run`` calls, and is dropped when ``spec`` is
+            reassigned.  Disable to force a cold evaluation per task.
     """
 
     def __init__(
@@ -138,9 +139,10 @@ class SystemScheduler:
         self.spec = spec or ChipletSpec.from_params()
         self.fallback_mapper = fallback_mapper
         self.memoize = memoize
-        self._perf_memo: Dict[
-            Tuple[str, str, Tuple[int, ...], ChipletSpec], TaskPerf
-        ] = {}
+        #: (model name, dataset, chiplet ids) -> the ``TaskPerf`` fields
+        #: after ``task_id``, valid for ``_memo_spec`` only.
+        self._perf_memo: Dict[Tuple[str, str, Tuple[int, ...]], tuple] = {}
+        self._memo_spec = self.spec
 
     def _evaluate(
         self,
@@ -154,23 +156,28 @@ class SystemScheduler:
                 self.topology, task.model, plan, placement.chiplet_ids,
                 task_id=task.task_id, spec=self.spec,
             )
+        if self._memo_spec is not self.spec:
+            self._perf_memo.clear()
+            self._memo_spec = self.spec
         key = (
             task.model.name, task.model.dataset,
-            tuple(placement.chiplet_ids), self.spec,
+            tuple(placement.chiplet_ids),
         )
-        perf = self._perf_memo.get(key)
-        if perf is None:
+        rest = self._perf_memo.get(key)
+        if rest is None:
             REGISTRY.counter("sched_taskperf_cache_misses").inc()
             perf = evaluate_task(
                 self.topology, task.model, plan, placement.chiplet_ids,
                 task_id=task.task_id, spec=self.spec,
             )
-            self._perf_memo[key] = perf
+            self._perf_memo[key] = tuple(
+                getattr(perf, f.name) for f in fields(TaskPerf)[1:]
+            )
             return perf
         REGISTRY.counter("sched_taskperf_cache_hits").inc()
-        if perf.task_id != task.task_id:
-            perf = replace(perf, task_id=task.task_id)
-        return perf
+        # ``task_id`` is TaskPerf's first field; positional construction
+        # costs less than half of ``dataclasses.replace``.
+        return TaskPerf(task.task_id, *rest)
 
     def run(self, tasks: Sequence[DNNTask]) -> ScheduleResult:
         """Schedule ``tasks`` FIFO until all complete.

@@ -155,14 +155,13 @@ class RoutingTables:
             )
 
     def queue_index(self) -> "LinkQueueIndex":
-        """Per-link FIFO queue index, built once and cached on the tables.
+        """Per-link forwarding constants, built once and cached on the tables.
 
-        The epoch-synchronous simulator engine
-        (:mod:`repro.net.simulator`) resolves per-link FIFO queues as
-        array operations; this index carries the per-link forward
-        delays (``hop_delta``) whose minimum bounds the engine's safe
-        epoch horizon, alongside the link-major transpose of the route
-        CSR for link-level contention introspection.
+        The simulator engines (:mod:`repro.net.flowcontrol`,
+        :mod:`repro.net.simulator`) and the journey attribution
+        (:mod:`repro.net.journey`) read the per-link forward delays
+        (``hop_delta``), their minimum, which bounds the epoch engine's
+        safe horizon, and the per-link buffer capacities.
         """
         cached = getattr(self, "_queue_index_cache", None)
         if cached is None:
@@ -173,28 +172,17 @@ class RoutingTables:
 
 @dataclass(frozen=True)
 class LinkQueueIndex:
-    """Link-major (transposed) view of the route CSR, for FIFO queues.
+    """Per-directed-link constants of the FIFO queues the engines resolve.
 
-    ``route_indptr``/``route_links`` answer "which links does route
-    ``(s, d)`` cross, in order?".  This index adds the transpose --
-    "which route entries cross link ``e``?" -- for link-level
-    introspection (static contention census, queue-depth analysis)
-    plus the per-link timing bounds (``hop_delta``/``min_hop_delta``)
-    the epoch-synchronous simulator engine uses to size its lockstep
-    windows.
+    Every array is ``(L,)`` over the directed links of the tables; no
+    field is sized by the route entries.  Per-link route counts are
+    ``np.bincount(tables.route_links, minlength=L)``.
 
     Attributes:
-        link_indptr: ``(L + 1,)`` CSR offsets into the entry arrays for
-            directed link ``e``.
-        entry_pair: Pair id ``s * n + d`` of each route entry crossing
-            the link, grouped by link in route-entry order.
-        entry_hop: Hop position of the entry within its route.
-        route_use_count: ``(L,)`` number of minimal routes crossing each
-            directed link (``np.diff(link_indptr)``) -- the static
-            contention potential of the link.
-        hop_delta: ``(L,)`` wire delay plus the downstream router's
-            pipeline depth of each directed link: the fixed forwarding
-            latency a packet pays after its serialisation finishes.
+        hop_delta: ``(L,)`` read-only int64 wire delay plus the
+            downstream router's pipeline depth of each directed link:
+            the fixed forwarding latency a packet pays after its
+            serialisation finishes.
         min_hop_delta: ``hop_delta.min()``.  A packet granted a link at
             cycle ``t`` cannot request its next link before
             ``t + flits + min_hop_delta`` with ``flits >= 1``, which is
@@ -202,28 +190,18 @@ class LinkQueueIndex:
             resolution exact.
     """
 
-    link_indptr: np.ndarray
-    entry_pair: np.ndarray
-    entry_hop: np.ndarray
-    route_use_count: np.ndarray
     hop_delta: np.ndarray
     min_hop_delta: int
 
     @property
     def num_directed_links(self) -> int:
-        return int(self.link_indptr.shape[0] - 1)
-
-    def entries_for_link(self, link: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(pair ids, hop positions)`` of route entries crossing ``link``."""
-        lo, hi = self.link_indptr[link], self.link_indptr[link + 1]
-        return self.entry_pair[lo:hi], self.entry_hop[lo:hi]
+        return int(self.hop_delta.shape[0])
 
     def buffer_capacity_flits(self, flow_control) -> "np.ndarray | None":
         """Per-link downstream input-buffer capacity under ``flow_control``.
 
-        The buffer-capacity metadata of the queue index: ``(L,)`` int64
-        flits per directed link, or ``None`` for infinite buffers (open
-        loop).  Capacities are uniform today --
+        ``(L,)`` int64 flits per directed link, or ``None`` for infinite
+        buffers (open loop).  Capacities are uniform today --
         :class:`~repro.net.flowcontrol.FlowControlParams.buffer_flits`
         broadcast over the links -- but both flow-control engines
         consume this array, so per-link heterogeneous buffers (deeper
@@ -239,39 +217,15 @@ class LinkQueueIndex:
 
 
 def build_link_queue_index(tables: RoutingTables) -> LinkQueueIndex:
-    """Build the link-major :class:`LinkQueueIndex` for ``tables``."""
-    links = tables.route_links
-    num_links = tables.num_directed_links
-    counts = np.diff(tables.route_indptr)
-    pair_of_entry = np.repeat(
-        np.arange(counts.shape[0], dtype=np.int64), counts
-    )
-    hop_of_entry = (
-        np.arange(links.shape[0], dtype=np.int64)
-        - tables.route_indptr[pair_of_entry]
-    )
-    # numpy's stable sort is a radix sort on 16-bit keys, several
-    # times faster than its merge sort on int64.
-    keys = links.astype(np.uint16) if num_links <= 1 << 16 else links
-    order = np.argsort(keys, kind="stable")
-    use_count = np.bincount(links, minlength=num_links)
-    link_indptr = np.zeros(num_links + 1, dtype=np.int64)
-    np.cumsum(use_count, out=link_indptr[1:])
+    """Build the per-link :class:`LinkQueueIndex` for ``tables``."""
     hop_delta = (
         tables.link_wire_cycles + tables.stage_cycles[tables.link_v]
     ).astype(np.int64)
-    index = LinkQueueIndex(
-        link_indptr=link_indptr,
-        entry_pair=pair_of_entry[order],
-        entry_hop=hop_of_entry[order],
-        route_use_count=use_count,
+    hop_delta.setflags(write=False)
+    return LinkQueueIndex(
         hop_delta=hop_delta,
-        min_hop_delta=int(hop_delta.min()) if num_links else 0,
+        min_hop_delta=int(hop_delta.min()) if hop_delta.size else 0,
     )
-    for arr in (index.link_indptr, index.entry_pair, index.entry_hop,
-                index.route_use_count, index.hop_delta):
-        arr.setflags(write=False)
-    return index
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

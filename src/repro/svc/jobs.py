@@ -83,6 +83,12 @@ def _register_builtins() -> None:
 _register_builtins()
 
 
+#: First no-progress sleep of a job's drain threads (it doubles per
+#: fruitless pass).  A thread that runs out of cases while its peer
+#: finishes the last one sleeps this long before the job completes.
+JOB_POLL_S = 0.005
+
+
 class SweepJob:
     """One submitted grid being drained by in-process worker threads.
 
@@ -104,7 +110,7 @@ class SweepJob:
         *,
         workers: int = 2,
         lease_ttl_s: float = 30.0,
-        poll_s: float = 0.05,
+        poll_s: float = JOB_POLL_S,
         deadline_s: Optional[float] = None,
     ) -> None:
         if evaluator_name not in EVALUATORS:
@@ -255,7 +261,7 @@ class JobManager:
         *,
         workers: int = 2,
         lease_ttl_s: float = 30.0,
-        poll_s: float = 0.05,
+        poll_s: float = JOB_POLL_S,
         deadline_s: Optional[float] = None,
     ) -> None:
         self.store_root = Path(store_dir)

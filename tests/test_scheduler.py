@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.mapping import ContiguousMapper, GreedyMapper
@@ -164,6 +166,21 @@ class TestTaskPerfMemoization:
         scheduler.run(toy_tasks(4))
         # Second run re-uses the first run's entries: no new misses.
         assert misses.value == m1
+
+    def test_memo_dropped_when_spec_reassigned(self, small_floret):
+        scheduler = self._scheduler(small_floret, memoize=True)
+        before = scheduler.run(toy_tasks(6))
+        spec = scheduler.spec
+        slower = replace(spec, crossbar=replace(
+            spec.crossbar, latency_cycles=2 * spec.crossbar.latency_cycles))
+        scheduler.spec = slower
+        after = scheduler.run(toy_tasks(6))
+        cold = self._scheduler(small_floret, memoize=False)
+        cold.spec = slower
+        expected = cold.run(toy_tasks(6))
+        assert [t.perf for t in after.completed] == [
+            t.perf for t in expected.completed]
+        assert after.makespan_cycles > before.makespan_cycles
 
     def test_memoize_disabled_never_caches(self, small_floret):
         from repro.obs.metrics import REGISTRY

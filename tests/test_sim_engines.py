@@ -16,7 +16,7 @@ import pytest
 
 from repro.eval.experiments import load_sweep_traffic, parse_load_workload
 from repro.eval.sweeps import sweep_grid
-from repro.net.flowcontrol import _segmented_cummax
+from repro.net.flowcontrol import FlowControlParams, _segmented_cummax
 from repro.net.routing import build_link_queue_index
 from repro.net.simulator import (
     AUTO_EPOCH_MIN_PACKETS,
@@ -28,6 +28,7 @@ from repro.net.simulator import (
     simulate,
     simulate_packets,
 )
+from repro.noi.kite import build_kite
 from repro.noi.topology import Chiplet, Link, Topology
 
 TOPOLOGY_FIXTURES = ("small_mesh", "small_kite", "small_swap",
@@ -326,22 +327,6 @@ class TestLinkQueueIndex:
         tables = small_mesh.routing_tables()
         assert tables.queue_index() is tables.queue_index()
 
-    def test_transpose_consistent_with_route_csr(self, small_mesh):
-        tables = small_mesh.routing_tables()
-        index = tables.queue_index()
-        assert index.num_directed_links == tables.num_directed_links
-        # Entry counts per link must equal the route-CSR link usage.
-        usage = np.bincount(tables.route_links,
-                            minlength=tables.num_directed_links)
-        assert np.array_equal(index.route_use_count, usage)
-        assert np.array_equal(np.diff(index.link_indptr), usage)
-        # Every (pair, hop) entry points back at this link in the CSR.
-        for link in (0, 3, index.num_directed_links - 1):
-            pairs, hops = index.entries_for_link(link)
-            for pair, hop in zip(pairs.tolist(), hops.tolist()):
-                lo = tables.route_indptr[pair]
-                assert int(tables.route_links[lo + hop]) == link
-
     def test_hop_delta_matches_link_constants(self, small_kite):
         tables = small_kite.routing_tables()
         index = build_link_queue_index(tables)
@@ -353,4 +338,25 @@ class TestLinkQueueIndex:
     def test_arrays_immutable(self, small_mesh):
         index = small_mesh.routing_tables().queue_index()
         with pytest.raises(ValueError):
-            index.link_indptr[0] = 1
+            index.hop_delta[0] = 1
+
+    def test_buffer_capacity_open_and_finite(self, small_kite):
+        index = small_kite.routing_tables().queue_index()
+        assert index.buffer_capacity_flits(FlowControlParams()) is None
+        capacity = index.buffer_capacity_flits(
+            FlowControlParams(buffer_flits=4))
+        assert capacity.dtype == np.int64
+        assert capacity.shape == (index.num_directed_links,)
+        assert capacity.tolist() == [4] * index.num_directed_links
+
+    def test_no_array_sized_by_route_entries(self):
+        """The index holds per-link arrays only, never a route-entry one."""
+        tables = build_kite(256).routing_tables()
+        index = tables.queue_index()
+        num_links = tables.num_directed_links
+        assert index.num_directed_links == num_links
+        arrays = [v for v in vars(index).values()
+                  if isinstance(v, np.ndarray)]
+        assert arrays
+        assert max(a.size for a in arrays) <= num_links + 1
+        assert tables.route_links.size > 100 * num_links

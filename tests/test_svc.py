@@ -415,3 +415,24 @@ class TestCLI:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+    def test_service_imports_stdlib_only(self):
+        """The HTTP layer adds no dependency: stdlib and repro only."""
+        import ast
+
+        package = Path(repro.__file__).resolve().parent / "svc"
+        foreign = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                foreign += [
+                    f"{path.name}: {name}" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names
+                    and name.split(".")[0] != "repro"
+                ]
+        assert foreign == []
