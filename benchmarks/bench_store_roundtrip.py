@@ -25,7 +25,7 @@ from repro.eval import (
     ResultStore,
     RunningPivot,
     RunningStats,
-    StreamingSweepRunner,
+    SweepRunner,
     evaluate_comm_case,
     format_table,
     sweep_grid,
@@ -56,12 +56,12 @@ def _aggregators():
 
 def _roundtrip(root, cases):
     cold_aggs = _aggregators()
-    cold = StreamingSweepRunner(
+    cold = SweepRunner(
         evaluate_comm_case, workers=4, store=ResultStore(root)
     ).run_stream(cases, cold_aggs)
     assert not cold.failures, cold.failures
     warm_aggs = _aggregators()
-    warm = StreamingSweepRunner(
+    warm = SweepRunner(
         evaluate_comm_case, workers=4, store=ResultStore(root)
     ).run_stream(cases, warm_aggs)
     assert not warm.failures, warm.failures

@@ -22,7 +22,6 @@ from _bench_utils import quick_mode, run_once
 from repro.eval import (
     RunningPivot,
     RunningStats,
-    StreamingSweepRunner,
     SweepRunner,
     evaluate_comm_case,
     format_table,
@@ -90,7 +89,7 @@ def _run():
     # with bounded memory; its aggregates must match gather-at-end.
     stream_aggs = (RunningPivot("energy_pj"),
                    RunningStats("latency_cycles"))
-    stream_out = StreamingSweepRunner(
+    stream_out = SweepRunner(
         evaluate_comm_case, workers=4
     ).run_stream(cases, stream_aggs)
     assert not stream_out.failures, stream_out.failures

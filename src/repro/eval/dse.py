@@ -5,9 +5,11 @@ a :class:`DesignSpace` spans architecture, system size and discrete
 ``NoIParams`` knob values; :func:`dse_search` runs an NSGA-II-style
 multi-objective loop (reusing :mod:`repro.core.moo`'s dominance
 machinery) that proposes candidate :class:`~repro.eval.sweeps.SweepCase`
-genomes, evaluates each generation through the store-backed streaming
-runner, and returns the Pareto front over minimised objectives --
-latency, energy and EDP by default.
+genomes, evaluates each generation through
+:meth:`SweepRunner.stream <repro.eval.sweeps.SweepRunner.stream>` on a
+store-backed runner (or, with ``shard=``, through
+:func:`repro.eval.shard.drain_cases`), and returns the Pareto front
+over minimised objectives -- latency, energy and EDP by default.
 
 Two properties keep it honest:
 
@@ -30,7 +32,6 @@ import warnings
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import (
-    Callable,
     Dict,
     List,
     Mapping,
@@ -46,8 +47,7 @@ from ..core.moo import (
     pareto_front_indices,
 )
 from ..obs.trace import resolve_tracer
-from .stream import StreamingSweepRunner
-from .sweeps import Overrides, SweepCase
+from .sweeps import Overrides, SweepCase, SweepRunner
 
 __all__ = [
     "DEFAULT_OBJECTIVES",
@@ -357,7 +357,7 @@ def _drain_generation(
     cached), or ``None`` for a case no worker could complete.
     """
     from .shard import drain_cases
-    from .store import case_key, evaluator_fingerprint
+    from .store import case_keys
 
     report = drain_cases(
         store, evaluate, cases,
@@ -365,10 +365,9 @@ def _drain_generation(
         trace=trace,
     )
     local_failures = {r.case.case_id: r for r in report.failures}
-    fingerprint = evaluator_fingerprint(evaluate)
     results = []
-    for case in cases:
-        result = store.get(case_key(case, fingerprint), case)
+    for case, key in zip(cases, case_keys(evaluate, cases)):
+        result = store.get(key, case)
         if result is None:
             result = local_failures.get(case.case_id)
         results.append(result)
@@ -395,7 +394,7 @@ def dse_search(
     """NSGA-II-style search for the Pareto-optimal designs of ``space``.
 
     Each generation's unevaluated genomes go through a store-backed
-    :class:`~repro.eval.stream.StreamingSweepRunner` batch (parallel
+    :class:`~repro.eval.sweeps.SweepRunner` stream (parallel
     across worker processes, cache-hot across searches); selection is
     binary tournament on (non-domination rank, crowding distance);
     variation is uniform crossover plus per-axis mutation.  When the
@@ -430,7 +429,7 @@ def dse_search(
         )
     rng = random.Random(seed)
     tracer = resolve_tracer(trace)
-    runner = StreamingSweepRunner(
+    runner = SweepRunner(
         evaluate, workers=workers, chunksize=chunksize, store=store,
         trace=trace,
     )

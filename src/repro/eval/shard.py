@@ -10,10 +10,10 @@ worker mix.  Three cooperating pieces:
 
 * **Deterministic partitioning.**  :func:`shard_key` hashes a case's
   *scenario axes only* (no tag, no evaluator, no package version), so
-  every layer -- CLI workers, :class:`~repro.eval.sweeps.SweepRunner`
-  ``shard=``, sharded DSE generations -- computes the same partition of
-  any grid without coordination.  :class:`ShardSpec(index, count)
-  <ShardSpec>` is one worker's slice of that partition.
+  every layer -- CLI workers, service jobs, sharded DSE generations --
+  computes the same partition of any grid without coordination.
+  :class:`ShardSpec(index, count) <ShardSpec>` is one worker's slice of
+  that partition; :func:`drain_cases` walks it first.
 
 * **Lease-based claiming.**  :func:`drain_cases` walks the grid
   own-slice-first and claims each unevaluated case through an atomic
@@ -29,8 +29,8 @@ worker mix.  Three cooperating pieces:
 
 * **Coordinator merge.**  :func:`merge_stream` replays the grid in
   submission order through a store-backed
-  :class:`~repro.eval.stream.StreamingSweepRunner`, so the
-  :class:`~repro.eval.stream.StreamOutcome` aggregates
+  :meth:`SweepRunner.run_stream <repro.eval.sweeps.SweepRunner.run_stream>`,
+  so the :class:`~repro.eval.sweeps.StreamOutcome` aggregates
   (``RunningStats``/``RunningPivot``/``RunningGroups``) are
   bit-identical to a single-host streaming run regardless of how many
   workers produced the results or in what order they landed.
@@ -77,11 +77,13 @@ from typing import (
 from ..obs.clock import Stopwatch, wall
 from ..obs.metrics import REGISTRY
 from ..obs.trace import resolve_tracer
-from .store import ResultStore, case_key, evaluator_fingerprint
+from .store import ResultStore, case_keys
 from .sweeps import (
     Overrides,
     SweepCase,
     SweepResult,
+    SweepRunner,
+    _check_overrides,
     _evaluate_one,
     sweep_grid,
 )
@@ -159,16 +161,6 @@ class ShardSpec:
 
     def owns(self, case: SweepCase) -> bool:
         return int(shard_key(case)[:16], 16) % self.count == self.index
-
-    def split(self, cases: Sequence[SweepCase]) -> Tuple[
-        List[SweepCase], List[SweepCase]
-    ]:
-        """``(mine, theirs)`` partition of ``cases``, order preserved."""
-        mine: List[SweepCase] = []
-        theirs: List[SweepCase] = []
-        for case in cases:
-            (mine if self.owns(case) else theirs).append(case)
-        return mine, theirs
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"
@@ -399,8 +391,7 @@ def drain_cases(
     """
     watch = Stopwatch()
     cases = list(cases)
-    fingerprint = evaluator_fingerprint(evaluate)
-    keys = [case_key(c, fingerprint) for c in cases]
+    keys = case_keys(evaluate, cases)
     if shard is not None:
         own = {i for i, c in enumerate(cases) if shard.owns(c)}
         order = [i for i in range(len(cases)) if i in own]
@@ -576,8 +567,7 @@ def wait_for_cases(
     of hammering it at a fixed interval, while a lively fleet is still
     tailed at ``poll_s`` granularity.
     """
-    fingerprint = evaluator_fingerprint(evaluate)
-    keys = [case_key(c, fingerprint) for c in cases]
+    keys = case_keys(evaluate, cases)
     watch = Stopwatch()
     last = -1
     last_progress_s = 0.0
@@ -625,8 +615,8 @@ def merge_stream(
     """Reconstruct the single-host streaming outcome from the store.
 
     Replays ``cases`` in submission order through a store-backed
-    :class:`~repro.eval.stream.StreamingSweepRunner`, folding
-    ``aggregators`` exactly as a single-host ``run_stream`` would:
+    :class:`~repro.eval.sweeps.SweepRunner`, folding ``aggregators``
+    exactly as a single-host ``run_stream`` would:
     the emission order is the grid order regardless of which worker
     produced each result or when it landed, and JSON float round-trip
     is exact, so the resulting aggregates are *bit-identical* to a
@@ -638,13 +628,9 @@ def merge_stream(
     coordinator evaluate stragglers inline instead (single-process
     fallback when the worker fleet died).
     """
-    from .stream import StreamingSweepRunner
-
     cases = list(cases)
-    runner = StreamingSweepRunner(evaluate, workers=1, store=store)
     if require_complete:
-        fingerprint = evaluator_fingerprint(evaluate)
-        keys = [case_key(c, fingerprint) for c in cases]
+        keys = case_keys(evaluate, cases)
         missing = store.missing(keys)
         if missing:
             outstanding = [
@@ -656,6 +642,7 @@ def merge_stream(
                 f"not in the store (e.g. {outstanding[:5]}); drain the "
                 "grid first or pass require_complete=False"
             )
+    runner = SweepRunner(evaluate, workers=1, store=store)
     return runner.run_stream(cases, aggregators)
 
 
@@ -700,18 +687,63 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
+        """Parse a spec, rejecting malformed axes with a ``ValueError``.
+
+        Every axis must be a list; ``archs`` and ``workloads`` hold
+        strings, ``sizes`` positive and ``seeds`` non-negative integers
+        (an integral float such as ``36.0`` counts as its integer, a
+        bool never does), and ``overrides`` lists of ``[name, value]``
+        pairs that pass :func:`~repro.eval.sweeps.sweep_grid`'s check.
+        """
         data = json.loads(text)
         return cls(
-            archs=tuple(data["archs"]),
-            sizes=tuple(int(n) for n in data.get("sizes", (36,))),
-            workloads=tuple(data.get("workloads", ("uniform",))),
-            seeds=tuple(int(s) for s in data.get("seeds", (0,))),
-            overrides=tuple(
-                tuple((str(name), value) for name, value in over)
-                for over in data.get("overrides", ((),))
-            ),
+            archs=_axis("archs", data["archs"], _text),
+            sizes=_axis("sizes", data.get("sizes", (36,)), _integer),
+            workloads=_axis("workloads", data.get("workloads", ("uniform",)),
+                            _text),
+            seeds=_axis("seeds", data.get("seeds", (0,)), _integer),
+            overrides=_axis("overrides", data.get("overrides", ((),)),
+                            _override_set),
             tag=str(data.get("tag", "")),
         )
+
+
+def _axis(axis: str, values: object, check) -> tuple:
+    """One grid axis of a parsed spec, each value passed through ``check``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"grid axis {axis!r} must be a list, got {values!r}")
+    return tuple(check(axis, value) for value in values)
+
+
+def _text(axis: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"grid axis {axis!r} holds strings, got {value!r}")
+    return value
+
+
+def _integer(axis: str, value: object) -> int:
+    """A size (>= 1) or seed (>= 0); integral floats count as integers."""
+    low = 1 if axis == "sizes" else 0
+    whole = (int(value) if isinstance(value, float) and value.is_integer()
+             else value)
+    if isinstance(whole, bool) or not isinstance(whole, int) or whole < low:
+        raise ValueError(
+            f"grid axis {axis!r} holds integers >= {low}, got {value!r}"
+        )
+    return whole
+
+
+def _override_set(axis: str, value: object) -> Overrides:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value
+    ):
+        raise ValueError(
+            f"grid axis {axis!r} holds lists of [name, value] pairs, "
+            f"got {value!r}"
+        )
+    pairs = tuple((str(name), v) for name, v in value)
+    _check_overrides(pairs)
+    return pairs
 
 
 def _resolve_evaluator(name: str) -> Callable:

@@ -149,6 +149,12 @@ def case_key(case: SweepCase, fingerprint: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def case_keys(evaluate, cases: Iterable[SweepCase]) -> List[str]:
+    """Store keys of ``cases`` under ``evaluate``, in order."""
+    fingerprint = evaluator_fingerprint(evaluate)
+    return [case_key(c, fingerprint) for c in cases]
+
+
 @dataclass
 class StoreStats:
     """Consultation counters for one :class:`ResultStore` instance."""

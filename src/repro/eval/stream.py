@@ -4,33 +4,25 @@
 one case-execution loop: it yields :class:`SweepResult`\\ s in
 submission order (a reorder buffer behind a bounded in-flight pool
 window) and checkpoints each to an attached
-:class:`~repro.eval.store.ResultStore` as it is emitted.  This module
-folds that stream without retaining it:
-
-* Running aggregators (:class:`RunningStats`, :class:`RunningPivot`,
-  :class:`RunningGroups`) fold each result into O(groups) state instead
-  of retaining O(cases) results.
-* :class:`StreamingSweepRunner` is a :class:`SweepRunner` with a
-  ``window`` argument and :meth:`~StreamingSweepRunner.run_stream`,
-  which feeds the stream to aggregators and returns a
-  :class:`StreamOutcome` of counts and failures.
+:class:`~repro.eval.store.ResultStore` as it is emitted.
+:meth:`SweepRunner.run_stream <repro.eval.sweeps.SweepRunner.run_stream>`
+feeds that stream to the running aggregators of this module
+(:class:`RunningStats`, :class:`RunningPivot`, :class:`RunningGroups`),
+which fold each result into O(groups) state instead of retaining
+O(cases) results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
-from ..obs.clock import Stopwatch
 from ..obs.metrics import StreamingStats
-from .sweeps import SweepCase, SweepResult, SweepRunner
+from .sweeps import SweepCase, SweepResult
 
 __all__ = [
     "RunningGroups",
     "RunningPivot",
     "RunningStats",
-    "StreamOutcome",
-    "StreamingSweepRunner",
 ]
 
 
@@ -137,104 +129,3 @@ class RunningGroups:
             }
         for stats in per_metric.values():
             stats.update(result)
-
-
-@dataclass(frozen=True)
-class StreamOutcome:
-    """Summary of one streamed sweep: counts, not retained results.
-
-    Only failures are kept verbatim (they are rare and need their
-    tracebacks); successful results live in the aggregators and, when a
-    store is attached, on disk.
-    """
-
-    total: int
-    ok_count: int
-    failures: Tuple[SweepResult, ...]
-    elapsed_s: float
-    workers: int
-    store_hits: int
-    aggregators: Tuple[object, ...] = ()
-
-    @property
-    def evaluated(self) -> int:
-        """Cases that actually ran the evaluation function."""
-        return self.total - self.store_hits
-
-
-# ---------------------------------------------------------------------------
-# streaming runner
-
-
-class StreamingSweepRunner(SweepRunner):
-    """A :class:`SweepRunner` that folds its stream into aggregators.
-
-    Args:
-        evaluate, workers, chunksize, store, shard: as for
-            :class:`SweepRunner`.  A ``shard`` restricts every stream
-            to this worker's deterministic slice of the grid (the
-            store directory is the shards' common substrate; the
-            coordinator merge in :func:`repro.eval.shard.merge_stream`
-            reassembles the full-grid aggregates).
-        window: Maximum chunks in flight in the pool at once
-            (backpressure + reorder-buffer bound).  Default:
-            ``2 * workers``.
-    """
-
-    def __init__(
-        self,
-        evaluate,
-        *,
-        workers: Optional[int] = None,
-        chunksize: int = 4,
-        store=None,
-        shard=None,
-        window: Optional[int] = None,
-        trace=None,
-    ) -> None:
-        super().__init__(evaluate, workers=workers, chunksize=chunksize,
-                         store=store, shard=shard, trace=trace)
-        self.window = window
-
-    def run_stream(
-        self,
-        cases: Iterable[SweepCase],
-        aggregators: Sequence[object] = (),
-    ) -> StreamOutcome:
-        """Consume the stream, folding each result into ``aggregators``.
-
-        Each aggregator only needs an ``update(result)`` method; the
-        built-ins above cover metric stats, pivot tables and group
-        counts.  Memory stays bounded by the aggregator state -- no
-        result list is retained.
-        """
-        tracer = self._tracer()
-        watch = Stopwatch()
-        total = 0
-        ok_count = 0
-        failures: List[SweepResult] = []
-        with tracer.span("stream_run") as span:
-            for result in self.stream(cases):
-                total += 1
-                if result.ok:
-                    ok_count += 1
-                else:
-                    failures.append(result)
-                for aggregator in aggregators:
-                    aggregator.update(result)
-            span.add(
-                total=total,
-                failures=len(failures),
-                store_hits=self.last_store_hits,
-                workers=self.last_workers,
-            )
-        tracer.flush()
-        return StreamOutcome(
-            total=total,
-            ok_count=ok_count,
-            failures=tuple(failures),
-            elapsed_s=watch.elapsed_s,
-            workers=self.last_workers,
-            store_hits=self.last_store_hits,
-            aggregators=tuple(aggregators),
-        )

@@ -13,7 +13,9 @@ Design notes:
 * One case-execution loop: :meth:`SweepRunner.stream` checks the
   store, evaluates the misses and puts each result as it is emitted;
   :meth:`SweepRunner.run` is a fold of that stream into a
-  :class:`SweepOutcome`.
+  :class:`SweepOutcome`, :meth:`SweepRunner.run_stream` a fold into
+  running aggregators (:mod:`repro.eval.stream`) and a
+  :class:`StreamOutcome`.
 * Cases and results are small picklable dataclasses; evaluation
   functions must be module-level callables so the process pool can ship
   them (the built-ins below cover communication sweeps, full mix
@@ -29,6 +31,7 @@ Design notes:
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import traceback
@@ -203,6 +206,29 @@ class SweepOutcome:
         ]
 
 
+@dataclass(frozen=True)
+class StreamOutcome:
+    """Summary of one streamed sweep: counts, not retained results.
+
+    Only failures are kept verbatim (they are rare and need their
+    tracebacks); successful results live in the aggregators and, when a
+    store is attached, on disk.
+    """
+
+    total: int
+    ok_count: int
+    failures: Tuple[SweepResult, ...]
+    elapsed_s: float
+    workers: int
+    store_hits: int
+    aggregators: Tuple[object, ...] = ()
+
+    @property
+    def evaluated(self) -> int:
+        """Cases that actually ran the evaluation function."""
+        return self.total - self.store_hits
+
+
 def sweep_grid(
     archs: Sequence[str],
     sizes: Sequence[int] = (36,),
@@ -238,7 +264,8 @@ def _check_overrides(overrides: Overrides) -> None:
 
     Each entry must be a ``(name, value)`` pair whose name is a
     :class:`~repro.params.NoIParams` field; a ``sim_engine`` value must
-    be one of :data:`repro.net.simulator.ENGINES`.
+    be one of :data:`repro.net.simulator.ENGINES`, and a float value
+    must be finite.
     """
     for pair in overrides:
         if not (isinstance(pair, tuple) and len(pair) == 2
@@ -254,6 +281,10 @@ def _check_overrides(overrides: Overrides) -> None:
         if name == "sim_engine" and value not in ENGINES:
             raise ValueError(
                 f"override sim_engine={value!r}: expected one of {ENGINES}"
+            )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(
+                f"override {name}={value!r}: value must be finite"
             )
 
 
@@ -344,19 +375,20 @@ class _OrderedPoolDrain:
     first ``next`` -- so workers start evaluating while the consumer is
     still replaying a store-hit prefix.  Chunks retire through
     ``wait(FIRST_COMPLETED)`` (the ``as_completed`` primitive); a
-    reorder buffer restores submission order, and the window bounds
-    pending AND completed-but-unemitted chunks, so one slow head chunk
-    stalls submission instead of letting the buffer absorb the grid.
+    reorder buffer restores submission order, and the window of
+    ``2 * workers`` chunks bounds pending AND completed-but-unemitted
+    chunks, so one slow head chunk stalls submission instead of letting
+    the buffer absorb the grid.
 
     The owner must call :meth:`close` when done or abandoning the
     iterator (cancels queued futures, releases the pool).
     """
 
     def __init__(self, evaluate, chunks: List[List[SweepCase]],
-                 workers: int, window: int) -> None:
+                 workers: int) -> None:
         self._evaluate = evaluate
         self._chunks = chunks
-        self._window = window
+        self._window = 2 * workers
         self._pending: Dict[object, int] = {}
         self._buffered: Dict[int, List[SweepResult]] = {}
         self._next_submit = 0
@@ -411,7 +443,9 @@ class SweepRunner:
 
     :meth:`stream` is the one case-execution loop: it yields results in
     submission order and checkpoints each to the store as it is
-    emitted.  :meth:`run` folds that stream into a :class:`SweepOutcome`.
+    emitted.  :meth:`run` folds that stream into a :class:`SweepOutcome`;
+    :meth:`run_stream` folds it into bounded-memory aggregators and a
+    :class:`StreamOutcome`.
 
     Args:
         evaluate: Module-level callable mapping a case to a metric dict
@@ -426,24 +460,12 @@ class SweepRunner:
             results are appended as they are emitted, so a completed
             sweep replays with zero evaluations and an interrupted one
             resumes from the last persisted case.
-        shard: Optional :class:`~repro.eval.shard.ShardSpec`.  When
-            set, :meth:`run` and :meth:`stream` silently restrict any
-            grid to this worker's deterministic slice of it -- the
-            partition-only half of distributed execution, for fleets
-            whose shards share a ``store`` directory.  Lease-based
-            claiming and work stealing (crash recovery) live in
-            :func:`repro.eval.shard.drain_cases`; a bare ``shard=``
-            runner never evaluates outside its slice.
         trace: Optional tracing target -- a
             :class:`~repro.obs.trace.Tracer`, a trace directory path,
             or ``None`` to defer to the ``REPRO_TRACE`` environment
             variable (the default, which is a no-op tracer when the
             variable is unset).
     """
-
-    #: Maximum chunks in flight in the pool at once (backpressure and
-    #: reorder-buffer bound); ``None`` means ``2 * workers``.
-    window: Optional[int] = None
 
     def __init__(
         self,
@@ -452,26 +474,18 @@ class SweepRunner:
         workers: Optional[int] = None,
         chunksize: int = 4,
         store=None,
-        shard=None,
         trace=None,
     ) -> None:
         self.evaluate = evaluate
         self.workers = workers
         self.chunksize = max(1, chunksize)
         self.store = store
-        self.shard = shard
         self.trace = trace
         self._trace_tracer = None
         #: Workers the most recent stream actually used (1 after
         #: inline degradation) and the cases it replayed from the store.
         self.last_workers = 1
         self.last_store_hits = 0
-        if shard is not None and store is None:
-            raise ValueError(
-                "shard= without store= would evaluate a slice and "
-                "discard the rest of the grid's substrate; sharded "
-                "runners must share a ResultStore directory"
-            )
 
     def _tracer(self):
         """This runner's tracer, opened once per explicit ``trace=``.
@@ -486,18 +500,6 @@ class SweepRunner:
         if self._trace_tracer is None:
             self._trace_tracer = resolve_tracer(self.trace)
         return self._trace_tracer
-
-    def _shard_slice(self, cases: List[SweepCase]) -> List[SweepCase]:
-        if self.shard is None:
-            return cases
-        return [c for c in cases if self.shard.owns(c)]
-
-    def case_keys(self, cases: Sequence[SweepCase]) -> List[str]:
-        """Store keys of ``cases`` under this runner's evaluator."""
-        from .store import case_key, evaluator_fingerprint
-
-        fingerprint = evaluator_fingerprint(self.evaluate)
-        return [case_key(c, fingerprint) for c in cases]
 
     def _resolve_workers(self, num_cases: int) -> int:
         env = os.environ.get(WORKERS_ENV)
@@ -533,6 +535,49 @@ class SweepRunner:
             store_hits=self.last_store_hits,
         )
 
+    def run_stream(
+        self,
+        cases: Iterable[SweepCase],
+        aggregators: Sequence[object] = (),
+    ) -> StreamOutcome:
+        """Consume :meth:`stream`, folding each result into ``aggregators``.
+
+        Each aggregator only needs an ``update(result)`` method
+        (:mod:`repro.eval.stream` has metric stats, pivot tables and
+        group counts).  Memory stays bounded by the aggregator state --
+        no result list is retained.
+        """
+        tracer = self._tracer()
+        watch = Stopwatch()
+        total = 0
+        ok_count = 0
+        failures: List[SweepResult] = []
+        with tracer.span("stream_run") as span:
+            for result in self.stream(cases):
+                total += 1
+                if result.ok:
+                    ok_count += 1
+                else:
+                    failures.append(result)
+                for aggregator in aggregators:
+                    aggregator.update(result)
+            span.add(
+                total=total,
+                failures=len(failures),
+                store_hits=self.last_store_hits,
+                workers=self.last_workers,
+            )
+        tracer.flush()
+        return StreamOutcome(
+            total=total,
+            ok_count=ok_count,
+            failures=tuple(failures),
+            elapsed_s=watch.elapsed_s,
+            workers=self.last_workers,
+            store_hits=self.last_store_hits,
+            aggregators=tuple(aggregators),
+        )
+
     def stream(self, cases: Iterable[SweepCase]) -> Iterator[SweepResult]:
         """Yield one :class:`SweepResult` per case, in submission order.
 
@@ -542,12 +587,14 @@ class SweepRunner:
         checkpoint: a later call with the same store re-evaluates only
         the cases that never completed.
         """
-        cases = self._shard_slice(list(cases))
+        cases = list(cases)
         tracer = self._tracer()
         keys: Optional[List[str]] = None
         hit_indices: set = set()
         if self.store is not None:
-            keys = self.case_keys(cases)
+            from .store import case_keys
+
+            keys = case_keys(self.evaluate, cases)
             # Membership probes only (misses counted, payloads not
             # loaded): hits are loaded lazily at emission so a warm
             # replay of a huge grid never materialises all payloads at
@@ -628,10 +675,8 @@ class SweepRunner:
             cases[i: i + self.chunksize]
             for i in range(0, len(cases), self.chunksize)
         ]
-        window = self.window if self.window is not None else 2 * workers
         try:
-            drain = _OrderedPoolDrain(self.evaluate, chunks, workers,
-                                      max(1, window))
+            drain = _OrderedPoolDrain(self.evaluate, chunks, workers)
         except Exception as exc:
             if not is_pool_failure(exc):
                 raise

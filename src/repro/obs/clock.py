@@ -9,8 +9,8 @@ Every layer of the stack used to hand-roll the same three lines::
 This module is the one place that idiom lives now: :func:`clock` is the
 monotonic timestamp source (``time.perf_counter`` -- never wall clock,
 which can step backwards under NTP), and :class:`Stopwatch` wraps the
-``t0``/``elapsed_s``/deadline pattern used by the sweep runners, the
-streaming runner and the shard drain.  :func:`wall` is the *wall-clock*
+``t0``/``elapsed_s``/deadline pattern used by the sweep runner and the
+shard drain.  :func:`wall` is the *wall-clock*
 counterpart for trace records, which must be comparable across
 processes and hosts (monotonic clocks are only comparable within one
 boot).

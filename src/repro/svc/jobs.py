@@ -31,11 +31,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..eval.queries import parse_result_query, query_results
 from ..eval.shard import GridSpec, ShardSpec, drain_cases
-from ..eval.store import (
-    ResultStore,
-    case_key,
-    evaluator_fingerprint,
-)
+from ..eval.store import ResultStore, case_keys, evaluator_fingerprint
 from ..obs.clock import Stopwatch
 from ..obs.metrics import REGISTRY
 
@@ -129,8 +125,7 @@ class SweepJob:
         self.poll_s = float(poll_s)
         self.deadline_s = deadline_s
         self.cases = spec.cases()
-        fingerprint = evaluator_fingerprint(self.evaluate)
-        self.keys = [case_key(c, fingerprint) for c in self.cases]
+        self.keys = case_keys(self.evaluate, self.cases)
         self.watch = Stopwatch()
         self.reports: List = []
         self.errors: List[str] = []

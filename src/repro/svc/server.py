@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -145,6 +146,10 @@ class _Handler(BaseHTTPRequestHandler):
                     self._observe("sweep_status", start)
         except (BrokenPipeError, ConnectionResetError):
             REGISTRY.counter("svc_disconnects").inc()
+        except Exception as exc:
+            # A JSON 500, never a dropped connection.
+            traceback.print_exc()
+            self._error(500, f"internal error: {exc!r}")
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler contract)
         start = clock()
@@ -157,6 +162,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._observe("sweeps", start)
         except (BrokenPipeError, ConnectionResetError):
             REGISTRY.counter("svc_disconnects").inc()
+        except Exception as exc:
+            # A JSON 500, never a dropped connection.
+            traceback.print_exc()
+            self._error(500, f"internal error: {exc!r}")
 
     # -- endpoint bodies ---------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.core.floret import build_floret
@@ -23,6 +25,14 @@ def cifar_tasks():
         DNNTask(f"q{i}-{n}", n, build_model(n, "cifar10"))
         for i, n in enumerate(names)
     ]
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.eval", "repro.net"])
+def test_every_export_resolves(module):
+    package = importlib.import_module(module)
+    missing = [name for name in package.__all__
+               if not hasattr(package, name)]
+    assert missing == []
 
 
 class TestEndToEnd25D:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.eval import ResultStore, SweepRunner, sweep_grid
+from repro.eval import ResultStore, SweepRunner, case_keys, sweep_grid
 from repro.eval.experiments import (
     LOAD_SWEEP_MEASURE_CYCLES,
     LOAD_SWEEP_WARMUP_CYCLES,
@@ -189,7 +189,7 @@ class TestEvaluateLoadSweepCase:
         # Injection rate lives in the workload axis, so distinct rates
         # hash to distinct store keys.
         assert len(set(
-            SweepRunner(evaluate_load_sweep_case).case_keys(cases)
+            case_keys(evaluate_load_sweep_case, cases)
         )) == len(cases)
 
 
@@ -310,9 +310,7 @@ class TestEvaluateSaturationCase:
         other = SweepCase(arch="siam", num_chiplets=16,
                           workload=self.CASE.workload,
                           noi_overrides=(("fc_buffer_flits", 8),))
-        keys = SweepRunner(evaluate_saturation_case).case_keys(
-            [self.CASE, other]
-        )
+        keys = case_keys(evaluate_saturation_case, [self.CASE, other])
         assert len(set(keys)) == 2
 
 

@@ -21,7 +21,7 @@ from repro.eval.shard import (
     wait_for_cases,
 )
 from repro.eval.store import ResultStore, case_key, evaluator_fingerprint
-from repro.eval.stream import RunningPivot, RunningStats, StreamingSweepRunner
+from repro.eval.stream import RunningPivot, RunningStats
 from repro.eval.sweeps import SweepCase, SweepRunner, sweep_grid
 from repro.params import NoIParams
 
@@ -51,6 +51,9 @@ def _grid(seeds=(0, 1), workloads=("uniform", "transpose")):
 
 
 FP = evaluator_fingerprint(_eval_ok)
+
+#: Head of a grid JSON whose archs axis is valid.
+SIAM = '{"archs": ["siam"], '
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +114,6 @@ class TestShardKeyAndSpec:
             specs = [ShardSpec(i, count) for i in range(count)]
             owners = [[s.owns(c) for s in specs] for c in cases]
             assert all(sum(row) == 1 for row in owners)
-
-    def test_split_preserves_order(self):
-        cases = _grid()
-        spec = ShardSpec(0, 2)
-        mine, theirs = spec.split(cases)
-        assert mine + theirs != [] and len(mine) + len(theirs) == len(cases)
-        assert [c for c in cases if spec.owns(c)] == mine
-        assert [c for c in cases if not spec.owns(c)] == theirs
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -317,7 +312,7 @@ class TestMergeAndWait:
     def test_merge_is_bit_identical_to_single_host(self, tmp_path):
         cases = _grid(seeds=(0, 1, 2))
         ref_aggs = (RunningPivot("value"), RunningStats("value"))
-        ref = StreamingSweepRunner(
+        ref = SweepRunner(
             _eval_ok, workers=1, store=ResultStore(tmp_path / "ref")
         ).run_stream(cases, ref_aggs)
         assert not ref.failures
@@ -397,44 +392,45 @@ class TestGridSpec:
         assert grid.sizes == (36,)
         assert grid.overrides == ((),)
 
+    @pytest.mark.parametrize("text, named", [
+        pytest.param('{"archs": "siam"}', "'archs'", id="archs-string"),
+        pytest.param('{"archs": [["siam"]]}', "'archs'", id="arch-list"),
+        pytest.param('{"archs": [5]}', "'archs'", id="arch-int"),
+        pytest.param(SIAM + '"sizes": [1e999]}', "'sizes'", id="size-inf"),
+        pytest.param(SIAM + '"seeds": [1e999]}', "'seeds'", id="seed-inf"),
+        pytest.param(SIAM + '"sizes": [NaN]}', "'sizes'", id="size-nan"),
+        pytest.param(SIAM + '"sizes": [-4]}', "-4", id="size-negative"),
+        pytest.param(SIAM + '"sizes": [0]}', "'sizes'", id="size-zero"),
+        pytest.param(SIAM + '"sizes": [16.5]}', "16.5", id="size-fraction"),
+        pytest.param(SIAM + '"sizes": [true]}', "True", id="size-bool"),
+        pytest.param(SIAM + '"sizes": ["36"]}', "'36'", id="size-string"),
+        pytest.param(SIAM + '"seeds": [-1]}', "'seeds'", id="seed-negative"),
+        pytest.param(SIAM + '"workloads": [5]}', "'workloads'",
+                     id="workload-int"),
+        pytest.param(SIAM + '"workloads": "uniform"}', "'workloads'",
+                     id="workloads-string"),
+        pytest.param(SIAM + '"sizes": 36}', "'sizes'", id="sizes-scalar"),
+        pytest.param(SIAM + '"overrides": [["flit_bytes", 16]]}',
+                     "'overrides'", id="overrides-unnested"),
+        pytest.param(SIAM + '"overrides": [[["fc_buffer_flits", 1e999]]]}',
+                     "fc_buffer_flits", id="override-inf"),
+    ])
+    def test_malformed_axis_is_rejected_by_name(self, text, named):
+        with pytest.raises(ValueError) as info:
+            GridSpec.from_json(text)
+        assert named in str(info.value)
 
-class TestRunnersWithShard:
-    def test_sweep_runner_filters_to_slice(self, tmp_path):
-        cases = _grid(seeds=(0, 1, 2))
-        spec = ShardSpec(0, 2)
-        outcome = SweepRunner(
-            _eval_ok, workers=1, store=ResultStore(tmp_path),
-            shard=spec,
-        ).run(cases)
-        mine, _ = spec.split(cases)
-        assert len(outcome) == len(mine)
-        assert [r.case for r in outcome.results] == mine
-
-    def test_streaming_runner_filters_to_slice(self, tmp_path):
-        cases = _grid(seeds=(0, 1, 2))
-        spec = ShardSpec(1, 2)
-        runner = StreamingSweepRunner(
-            _eval_ok, workers=1, store=ResultStore(tmp_path), shard=spec,
+    def test_integral_floats_keep_case_ids_and_keys(self):
+        grid = GridSpec.from_json(
+            '{"archs": ["siam"], "sizes": [36.0], "seeds": [1.0]}'
         )
-        emitted = [r.case for r in runner.stream(cases)]
-        mine, _ = spec.split(cases)
-        assert emitted == mine
-
-    def test_shard_without_store_rejected(self):
-        with pytest.raises(ValueError, match="ResultStore"):
-            SweepRunner(_eval_ok, shard=ShardSpec(0, 2))
-
-    def test_two_slices_plus_merge_equal_whole_grid(self, tmp_path):
-        cases = _grid(seeds=(0, 1, 2))
-        for i in range(2):
-            outcome = SweepRunner(
-                _eval_ok, workers=1, store=ResultStore(tmp_path),
-                shard=ShardSpec(i, 2),
-            ).run(cases)
-            assert not outcome.failures
-        merged = merge_stream(ResultStore(tmp_path), _eval_ok, cases)
-        assert merged.total == len(cases)
-        assert merged.evaluated == 0
+        assert grid.sizes == (36,) and type(grid.sizes[0]) is int
+        reference = sweep_grid(archs=("siam",), sizes=(36,), seeds=(1,))
+        assert [c.case_id for c in grid.cases()] == [
+            c.case_id for c in reference
+        ]
+        assert ([case_key(c, FP) for c in grid.cases()]
+                == [case_key(c, FP) for c in reference])
 
 
 class TestCLI:

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.eval.store import ResultStore
-from repro.eval.stream import (
-    RunningGroups,
-    RunningPivot,
-    RunningStats,
-    StreamingSweepRunner,
-)
+from repro.eval.stream import RunningGroups, RunningPivot, RunningStats
 from repro.eval.sweeps import (
     SweepCase,
     SweepRunner,
@@ -35,33 +30,48 @@ GRID = sweep_grid(
 class TestStreamOrderAndEquivalence:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_submission_order_preserved(self, workers):
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=workers,
-                                      chunksize=2)
+        runner = SweepRunner(evaluate_comm_case, workers=workers,
+                             chunksize=2)
         streamed = list(runner.stream(GRID))
         assert [r.case for r in streamed] == list(GRID)
         assert all(r.ok for r in streamed)
 
     def test_stream_matches_gather_at_end(self):
         streamed = list(
-            StreamingSweepRunner(evaluate_comm_case, workers=2,
-                                 chunksize=2).stream(GRID)
+            SweepRunner(evaluate_comm_case, workers=2,
+                        chunksize=2).stream(GRID)
         )
         gathered = SweepRunner(evaluate_comm_case, workers=1).run(GRID)
         for s, g in zip(streamed, gathered.results):
             assert s.case == g.case
             assert s.metrics == g.metrics
 
-    def test_small_window_still_correct(self):
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=2,
-                                      chunksize=1, window=1)
+    def test_one_case_chunks_pass_a_four_chunk_window(self, monkeypatch):
+        # The 12 one-case chunks of GRID queue behind the pool window of
+        # 2 * workers = 4 chunks in flight: submission stalls on it
+        # (backpressure) and emission order still holds.
+        import repro.eval.sweeps as sweeps_mod
+
+        in_flight = []
+        submit_more = sweeps_mod._OrderedPoolDrain._submit_more
+
+        def counted(drain):
+            submit_more(drain)
+            in_flight.append(len(drain._pending) + len(drain._buffered))
+
+        monkeypatch.setattr(sweeps_mod._OrderedPoolDrain, "_submit_more",
+                            counted)
+        runner = SweepRunner(evaluate_comm_case, workers=2, chunksize=1)
         assert [r.case for r in runner.stream(GRID)] == list(GRID)
+        if runner.last_workers > 1:  # the pool ran (no inline fallback)
+            assert max(in_flight) == 4
 
 
 class TestAggregators:
     def test_running_pivot_matches_outcome_pivot(self):
         outcome = SweepRunner(evaluate_comm_case, workers=1).run(GRID)
         pivot = RunningPivot("energy_pj")
-        out = StreamingSweepRunner(evaluate_comm_case, workers=1).run_stream(
+        out = SweepRunner(evaluate_comm_case, workers=1).run_stream(
             GRID, [pivot]
         )
         assert out.total == len(GRID) and not out.failures
@@ -78,7 +88,7 @@ class TestAggregators:
     def test_running_stats_matches_metric_array(self):
         outcome = SweepRunner(evaluate_comm_case, workers=1).run(GRID)
         stats = RunningStats("latency_cycles")
-        StreamingSweepRunner(evaluate_comm_case, workers=1).run_stream(
+        SweepRunner(evaluate_comm_case, workers=1).run_stream(
             GRID, [stats]
         )
         values = outcome.metric("latency_cycles")
@@ -92,7 +102,7 @@ class TestAggregators:
         groups = RunningGroups(lambda c: c.workload, metrics=("value",))
         cases = [SweepCase(arch="siam", num_chiplets=n, workload=w)
                  for w in ("a", "b") for n in (16, 36)]
-        StreamingSweepRunner(_boom_evaluate, workers=1).run_stream(
+        SweepRunner(_boom_evaluate, workers=1).run_stream(
             cases, [groups]
         )
         assert groups.counts == {"a": 2, "b": 2}
@@ -102,7 +112,7 @@ class TestAggregators:
         cases = [SweepCase(arch="siam", num_chiplets=16),
                  SweepCase(arch="boom", num_chiplets=16)]
         stats = RunningStats("value")
-        out = StreamingSweepRunner(_boom_evaluate, workers=1).run_stream(
+        out = SweepRunner(_boom_evaluate, workers=1).run_stream(
             cases, [stats]
         )
         assert out.ok_count == 1
@@ -116,11 +126,11 @@ class TestAggregators:
         # silently produce empty aggregates.
         cases = [SweepCase(arch="siam", num_chiplets=16)]
         with pytest.raises(KeyError):
-            StreamingSweepRunner(_boom_evaluate, workers=1).run_stream(
+            SweepRunner(_boom_evaluate, workers=1).run_stream(
                 cases, [RunningStats("no_such_metric")]
             )
         with pytest.raises(KeyError, match="no_such_metric"):
-            StreamingSweepRunner(_boom_evaluate, workers=1).run_stream(
+            SweepRunner(_boom_evaluate, workers=1).run_stream(
                 cases, [RunningPivot("no_such_metric")]
             )
 
@@ -149,16 +159,16 @@ class TestAggregators:
 class TestStoreBackedStreaming:
     def test_cold_then_warm_zero_evaluations(self, tmp_path):
         cold_store = ResultStore(tmp_path)
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=2,
-                                      chunksize=2, store=cold_store)
+        runner = SweepRunner(evaluate_comm_case, workers=2,
+                             chunksize=2, store=cold_store)
         cold_pivot = RunningPivot("energy_pj")
         cold = runner.run_stream(GRID, [cold_pivot])
         assert cold.store_hits == 0
         assert cold.evaluated == len(GRID)
 
         warm_store = ResultStore(tmp_path)
-        warm_runner = StreamingSweepRunner(evaluate_comm_case, workers=2,
-                                           chunksize=2, store=warm_store)
+        warm_runner = SweepRunner(evaluate_comm_case, workers=2,
+                                  chunksize=2, store=warm_store)
         warm_pivot = RunningPivot("energy_pj")
         warm = warm_runner.run_stream(GRID, [warm_pivot])
         assert warm.store_hits == len(GRID)
@@ -170,8 +180,8 @@ class TestStoreBackedStreaming:
 
     def test_interrupted_stream_resumes_from_checkpoint(self, tmp_path):
         store = ResultStore(tmp_path)
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=1,
-                                      store=store)
+        runner = SweepRunner(evaluate_comm_case, workers=1,
+                             store=store)
         consumed = 0
         for _result in runner.stream(GRID):
             consumed += 1
@@ -180,7 +190,7 @@ class TestStoreBackedStreaming:
         assert len(ResultStore(tmp_path)) == 5
 
         resume_store = ResultStore(tmp_path)
-        resumed = StreamingSweepRunner(
+        resumed = SweepRunner(
             evaluate_comm_case, workers=1, store=resume_store
         ).run_stream(GRID)
         assert resumed.store_hits == 5
@@ -196,9 +206,9 @@ class TestStoreBackedStreaming:
         )
 
     def test_gather_runner_shares_the_same_store(self, tmp_path):
-        # A sweep checkpointed by the streaming runner warms the plain
-        # SweepRunner too (same keys, same store).
-        StreamingSweepRunner(
+        # A sweep checkpointed by run_stream warms run too (same keys,
+        # same store).
+        SweepRunner(
             evaluate_comm_case, workers=1, store=ResultStore(tmp_path)
         ).run_stream(GRID)
         outcome = SweepRunner(
@@ -213,7 +223,7 @@ class TestStoreBackedStreaming:
     def test_errors_not_checkpointed(self, tmp_path):
         cases = [SweepCase(arch="siam", num_chiplets=16),
                  SweepCase(arch="boom", num_chiplets=16)]
-        StreamingSweepRunner(
+        SweepRunner(
             _boom_evaluate, workers=1, store=ResultStore(tmp_path)
         ).run_stream(cases)
         assert len(ResultStore(tmp_path)) == 1  # only the success
@@ -224,7 +234,7 @@ class TestStoreBackedStreaming:
                     "field": np.ones((2, 2))}
 
         cases = [SweepCase(arch="siam", num_chiplets=n) for n in (16, 36)]
-        StreamingSweepRunner(
+        SweepRunner(
             _with_arrays, workers=1, store=ResultStore(tmp_path)
         ).run_stream(cases)
         # Delete one npz payload after the membership scan would have
@@ -232,14 +242,14 @@ class TestStoreBackedStreaming:
         npz_files = sorted((tmp_path / "arrays").glob("*.npz"))
         npz_files[0].unlink()
         warm_store = ResultStore(tmp_path)
-        runner = StreamingSweepRunner(_with_arrays, workers=1,
-                                      store=warm_store)
+        runner = SweepRunner(_with_arrays, workers=1,
+                             store=warm_store)
         results = list(runner.stream(cases))
         assert [r.metrics["peak"] for r in results] == [16.0, 36.0]
         assert all(r.arrays is not None for r in results)
         assert runner.last_store_hits == 1  # the survivor
         # The store healed itself: next run is fully warm again.
-        healed = StreamingSweepRunner(
+        healed = SweepRunner(
             _with_arrays, workers=1, store=ResultStore(tmp_path)
         ).run_stream(cases)
         assert healed.store_hits == 2
@@ -251,11 +261,11 @@ class TestStoreBackedStreaming:
 
         # Module-level pickling is irrelevant inline (workers=1).
         cases = [SweepCase(arch="siam", num_chiplets=n) for n in (16, 36)]
-        StreamingSweepRunner(
+        SweepRunner(
             _with_arrays, workers=1, store=ResultStore(tmp_path)
         ).run_stream(cases)
         warm = list(
-            StreamingSweepRunner(
+            SweepRunner(
                 _with_arrays, workers=1, store=ResultStore(tmp_path)
             ).stream(cases)
         )
@@ -285,7 +295,7 @@ class TestDegradation:
 
         monkeypatch.setattr(sweeps_mod, "ProcessPoolExecutor",
                             ExplodingPool)
-        runner = StreamingSweepRunner(evaluate_comm_case, workers=2)
+        runner = SweepRunner(evaluate_comm_case, workers=2)
         with pytest.warns(RuntimeWarning, match="streaming sweep pool"):
             results = list(runner.stream(GRID))
         assert [r.case for r in results] == list(GRID)
@@ -296,7 +306,7 @@ class TestDegradation:
         # A genuine local lambda cannot ship to workers; CPython reports
         # that as AttributeError from the queue feeder, which must still
         # trigger the inline fallback (see sweeps.is_pool_failure).
-        runner = StreamingSweepRunner(
+        runner = SweepRunner(
             lambda case: {"value": float(case.num_chiplets)}, workers=2
         )
         cases = [SweepCase(arch="siam", num_chiplets=16, workload=w)

@@ -19,8 +19,8 @@ import pytest
 import repro
 from repro.eval.shard import GridSpec
 from repro.eval.store import ResultStore, case_key, evaluator_fingerprint
-from repro.eval.stream import RunningStats, StreamingSweepRunner
-from repro.eval.sweeps import evaluate_comm_case
+from repro.eval.stream import RunningStats
+from repro.eval.sweeps import SweepRunner, evaluate_comm_case
 from repro.obs.report import report_data
 from repro.svc import register_evaluator, start_service
 
@@ -193,9 +193,9 @@ class TestEndToEnd:
         assert "external-1" in frames[-1][1]["workers"]
 
         # Queried aggregates are bit-identical to a single-host
-        # StreamingSweepRunner run of the same grid.
+        # run_stream of the same grid.
         ref_stats = RunningStats("latency_cycles")
-        ref = StreamingSweepRunner(
+        ref = SweepRunner(
             evaluate_comm_case, workers=1,
             store=ResultStore(tmp_path / "ref-store"),
         ).run_stream(cases, (ref_stats,))
@@ -321,6 +321,32 @@ class TestEndpoints:
         submitted = "svc_sweeps_submitted"
         assert (after["counters"].get(submitted, 0)
                 == before["counters"].get(submitted, 0))
+
+    def test_infinite_size_is_400(self, service):
+        # JSON 1e999 reads as inf; int(inf) used to raise OverflowError,
+        # which the handler did not catch, so the connection dropped.
+        client, _ = service
+        status, payload = client.error("POST", "/v1/sweeps", {
+            "grid": dict(GRID, sizes=[float("inf")]),
+        })
+        assert status == 400
+        assert "'sizes'" in payload["error"]
+
+    def test_unexpected_error_is_json_500(self, service, monkeypatch):
+        from repro.svc.jobs import JobManager
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("synthetic submit failure")
+
+        monkeypatch.setattr(JobManager, "submit", explode)
+        client, _ = service
+        _, before = client.get("/v1/metrics")
+        status, payload = client.error("POST", "/v1/sweeps", {"grid": GRID})
+        assert status == 500
+        assert "synthetic submit failure" in payload["error"]
+        _, after = client.get("/v1/metrics")
+        assert (after["counters"]["svc_errors"]
+                == before["counters"].get("svc_errors", 0) + 1)
 
     def test_missing_grid_is_400(self, service):
         client, _ = service

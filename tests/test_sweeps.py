@@ -147,7 +147,9 @@ class TestGrid:
         (("flit_bytes", 16), "'flit_bytes'"),
         (((("flit_bytes", 16),),), "flit_bytes"),
         (((16, "flit_bytes"),), "(16, 'flit_bytes')"),
-    ], ids=["typo", "engine", "flat", "nested", "unnamed"])
+        ((("fc_buffer_flits", float("inf")),), "fc_buffer_flits=inf"),
+        ((("fc_buffer_flits", float("nan")),), "fc_buffer_flits=nan"),
+    ], ids=["typo", "engine", "flat", "nested", "unnamed", "inf", "nan"])
     def test_bad_overrides_rejected_at_grid(self, over, named):
         # Fails once, up front -- not per case after a lease.
         with pytest.raises(ValueError) as info:
@@ -423,9 +425,11 @@ class TestStoreIntegration:
         ]
 
     def test_case_keys_track_evaluator(self):
+        from repro.eval.store import case_keys
+
         cases = [SweepCase(arch="siam", num_chiplets=16)]
-        keys_comm = SweepRunner(evaluate_comm_case).case_keys(cases)
-        keys_topo = SweepRunner(evaluate_topology_case).case_keys(cases)
+        keys_comm = case_keys(evaluate_comm_case, cases)
+        keys_topo = case_keys(evaluate_topology_case, cases)
         assert keys_comm != keys_topo
 
 
