@@ -62,7 +62,7 @@ from repro.eval import (
     ratio_drift_warning,
 )
 from repro.eval.experiments import evaluate_load_sweep_case
-from repro.eval.store import case_key, evaluator_fingerprint
+from repro.eval.store import case_keys
 
 EVALUATOR = "evaluate_load_sweep_case"
 WORKERS = 3
@@ -248,8 +248,7 @@ def _run(tmp):
     grid = _grid()
     cases = grid.cases()
     grid_json = grid.to_json()
-    fingerprint = evaluator_fingerprint(evaluate_load_sweep_case)
-    keys = [case_key(c, fingerprint) for c in cases]
+    keys = case_keys(evaluate_load_sweep_case, cases)
 
     # 1. Single-host streaming reference (the pinned oracle).
     reference_aggs = _aggregators()

@@ -8,6 +8,16 @@ from disk -- zero evaluations, 100% hits -- and reproduce the cold
 run's aggregates bit-for-bit (deterministic emission order + exact JSON
 float round-trip make this an equality, not a tolerance).
 
+After the warm replay, a cold ``query_results`` on a fresh store handle
+is timed five times with the shards' index snapshots deleted first
+(that open decodes every shard and writes the snapshots anew) and five
+times with them present (it loads them and decodes nothing).  Both
+must answer byte for byte alike.  The ratio of the two ``process_time``
+medians is printed and, under ``REPRO_STORE_DIR``, appended to
+``ratio-history.jsonl`` with the usual >20% drift warning (on
+``speedup``, snapshot-free ÷ snapshot-loaded).  There is no bound: a
+128-record store opens in milliseconds, so the ratio is noisy.
+
 ``REPRO_STORE_DIR`` points the store at a persistent directory (CI
 uploads it as the sweep-results artifact); unset, a temp directory is
 used.  The grid stays at full size in ``REPRO_SWEEP_QUICK`` mode -- the
@@ -17,23 +27,37 @@ guarantee holds in the CI smoke too.
 
 from __future__ import annotations
 
+import json
 import os
+import time
+import warnings
+from pathlib import Path
+from statistics import median
 
 from _bench_utils import run_once
 
 from repro.eval import (
+    ResultQuery,
     ResultStore,
     RunningPivot,
     RunningStats,
     SweepRunner,
+    append_ratio_history,
     evaluate_comm_case,
     format_table,
+    load_ratio_history,
+    query_results,
+    ratio_drift_warning,
     sweep_grid,
 )
 
 ARCHS = ("floret", "siam", "kite", "swap")
 PATTERNS = ("uniform", "neighbor", "hotspot", "transpose")
 FLIT_OVERRIDES = ((), (("flit_bytes", 16),))
+#: The cold query: a full-scan aggregate plus a pivot and one page.
+COLD_QUERY = ResultQuery(metrics=("latency_cycles", "energy_pj"),
+                         pivot="energy_pj", limit=20)
+COLD_REPEATS = 5
 
 
 def _grid():
@@ -105,3 +129,54 @@ def test_store_roundtrip(benchmark, tmp_path_factory):
     assert warm_latency.sum == cold_latency.sum
     assert warm_latency.min == cold_latency.min
     assert warm_latency.max == cold_latency.max
+
+    _log_cold_open(root)
+
+
+def _cold_queries(root, keep_snapshots):
+    """``process_time`` of ``COLD_REPEATS`` cold queries, each on a
+    fresh handle, and their answers as JSON."""
+    times, answers = [], []
+    for _ in range(COLD_REPEATS):
+        if not keep_snapshots:
+            for snapshot in Path(root).glob("shard-*.idx"):
+                snapshot.unlink()
+        t0 = time.process_time()
+        answer = query_results(ResultStore(root), COLD_QUERY)
+        times.append(time.process_time() - t0)
+        answers.append(json.dumps(answer, sort_keys=True))
+    return times, answers
+
+
+def _log_cold_open(root):
+    without, plain = _cold_queries(root, keep_snapshots=False)
+    loaded, answers = _cold_queries(root, keep_snapshots=True)
+    assert set(plain) == set(answers) and len(set(answers)) == 1
+    ratio = median(without) / median(loaded)
+    print(format_table(
+        ["snapshots", "median ms", "min ms"],
+        [["deleted", f"{1e3 * median(without):.1f}",
+          f"{1e3 * min(without):.1f}"],
+         ["present", f"{1e3 * median(loaded):.1f}",
+          f"{1e3 * min(loaded):.1f}"]],
+        title=f"Cold query on a fresh handle: snapshot-free / "
+              f"snapshot-loaded {ratio:.2f}x",
+    ))
+    store_dir = os.environ.get("REPRO_STORE_DIR")
+    if store_dir:
+        history_path = Path(store_dir) / "ratio-history.jsonl"
+        prior = [rec for rec in load_ratio_history(history_path)
+                 if rec.get("bench") == "store_cold_open"]
+        drift = ratio_drift_warning(prior, ratio, key="speedup",
+                                    tolerance=0.2)
+        if drift is not None:
+            warnings.warn(f"store_cold_open drift watch: {drift}",
+                          RuntimeWarning)
+            print(f"WARNING: {drift}")
+        append_ratio_history(history_path, {
+            "bench": "store_cold_open",
+            "speedup": round(ratio, 4),
+            "without_ms": round(1e3 * median(without), 2),
+            "with_ms": round(1e3 * median(loaded), 2),
+            "unix_time": round(time.time(), 3),
+        })

@@ -77,6 +77,7 @@ from typing import (
 from ..obs.clock import Stopwatch, wall
 from ..obs.metrics import REGISTRY
 from ..obs.trace import resolve_tracer
+from .experiments import ALL_ARCHS
 from .store import ResultStore, case_keys
 from .sweeps import (
     Overrides,
@@ -689,7 +690,8 @@ class GridSpec:
     def from_json(cls, text: str) -> "GridSpec":
         """Parse a spec, rejecting malformed axes with a ``ValueError``.
 
-        Every axis must be a list; ``archs`` and ``workloads`` hold
+        Every axis must be a list; ``archs`` holds names from
+        :data:`~repro.eval.experiments.ALL_ARCHS`, ``workloads``
         strings, ``sizes`` positive and ``seeds`` non-negative integers
         (an integral float such as ``36.0`` counts as its integer, a
         bool never does), and ``overrides`` lists of ``[name, value]``
@@ -697,7 +699,7 @@ class GridSpec:
         """
         data = json.loads(text)
         return cls(
-            archs=_axis("archs", data["archs"], _text),
+            archs=_axis("archs", data["archs"], _arch),
             sizes=_axis("sizes", data.get("sizes", (36,)), _integer),
             workloads=_axis("workloads", data.get("workloads", ("uniform",)),
                             _text),
@@ -718,6 +720,14 @@ def _axis(axis: str, values: object, check) -> tuple:
 def _text(axis: str, value: object) -> str:
     if not isinstance(value, str):
         raise ValueError(f"grid axis {axis!r} holds strings, got {value!r}")
+    return value
+
+
+def _arch(axis: str, value: object) -> str:
+    if _text(axis, value) not in ALL_ARCHS:
+        raise ValueError(
+            f"grid axis {axis!r} holds one of {ALL_ARCHS}, got {value!r}"
+        )
     return value
 
 

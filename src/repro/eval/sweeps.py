@@ -67,20 +67,31 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 Overrides = Tuple[Tuple[str, float], ...]
 
 
+#: The start of every ``case_id``: arch, size, workload and seed.
+CASE_ID_HEAD = "{}/{}/{}/s{}"
+
+
 def case_id_of(case: Mapping) -> str:
     """Display id of a case given as a mapping of its axes.
 
     Reads ``arch``, ``num_chiplets``, ``workload``, ``seed`` and
     ``noi_overrides`` -- a :class:`SweepCase`'s own fields or the
     ``case`` mapping of a stored record -- so the store orders raw
-    records by exactly the id the dataclass reports.
+    records by exactly the id the dataclass reports.  The id is
+    :data:`CASE_ID_HEAD` of the first four plus
+    :func:`overrides_id` of the overrides.
     """
-    head = (f"{case['arch']}/{case['num_chiplets']}/{case['workload']}"
-            f"/s{case['seed']}")
-    over = case["noi_overrides"]
-    if not over:
-        return head
-    return head + "/" + ",".join([f"{k}={v}" for k, v in over])
+    return (CASE_ID_HEAD.format(case["arch"], case["num_chiplets"],
+                                case["workload"], case["seed"])
+            + overrides_id(case["noi_overrides"]))
+
+
+def overrides_id(overrides) -> str:
+    """The end of a ``case_id``: ``""`` without overrides, else
+    ``"/name=value,..."`` in the overrides' own order."""
+    if not overrides:
+        return ""
+    return "/" + ",".join([f"{k}={v}" for k, v in overrides])
 
 
 @dataclass(frozen=True)
@@ -256,7 +267,10 @@ def sweep_grid(
     ]
 
 
-_NOI_FIELDS = frozenset(f.name for f in fields(NoIParams))
+#: Default of each :class:`~repro.params.NoIParams` field: a string
+#: default takes a string, ``None`` a number or ``None``, any other a
+#: number.
+_NOI_FIELDS = {f.name: f.default for f in fields(NoIParams)}
 
 
 def _check_overrides(overrides: Overrides) -> None:
@@ -264,8 +278,9 @@ def _check_overrides(overrides: Overrides) -> None:
 
     Each entry must be a ``(name, value)`` pair whose name is a
     :class:`~repro.params.NoIParams` field; a ``sim_engine`` value must
-    be one of :data:`repro.net.simulator.ENGINES`, and a float value
-    must be finite.
+    be one of :data:`repro.net.simulator.ENGINES`, any other value a
+    number (a bool counts, a string or list does not), or ``None`` for
+    a field whose default is ``None``, and a float value must be finite.
     """
     for pair in overrides:
         if not (isinstance(pair, tuple) and len(pair) == 2
@@ -278,9 +293,17 @@ def _check_overrides(overrides: Overrides) -> None:
             raise ValueError(
                 f"unknown override {name!r}: not a NoIParams field"
             )
-        if name == "sim_engine" and value not in ENGINES:
+        if name == "sim_engine":
+            if value not in ENGINES:
+                raise ValueError(
+                    f"override sim_engine={value!r}: expected one of "
+                    f"{ENGINES}"
+                )
+        elif not (isinstance(value, (int, float))
+                  or (value is None and _NOI_FIELDS[name] is None)):
             raise ValueError(
-                f"override sim_engine={value!r}: expected one of {ENGINES}"
+                f"override {name}={value!r}: expected a number"
+                + (" or None" if _NOI_FIELDS[name] is None else "")
             )
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(

@@ -7,17 +7,28 @@ not a ``case_id``) are put through a writer store with random metrics
 float, ``0.0``/``-0.0`` ties -- and random npz payloads.  Between the
 puts, payloads are deleted, earlier cases are re-put with new metrics
 (a key rewritten after queries built the column cache) and queries
-run; at the end one shard is rewritten shorter and more records are
-appended.  After each step ``query_results`` on the writer, on a
-long-lived reader and on a fresh reader must equal, byte for byte as
-JSON, a brute-force recount: every shard line parsed (last writer
-wins, records with a missing npz dropped), ``case_from_record`` ->
+run.  Index snapshot events ride along: a fresh full open writes
+snapshots, a shard is rewritten shorter, a line is overwritten in place
+with garbage of the same length (a same-length rewrite that a stale
+snapshot's crc must catch, and a corrupt line that later snapshots
+cover), a snapshot is torn (truncated), and a snapshot of another
+format version with wrong metric values is planted; puts after any of
+them append past a snapshot.  At the end one shard is rewritten
+shorter and more records are appended.  After each step
+``query_results`` on the writer, on a long-lived reader and on a fresh
+reader (which loads snapshots) must equal, byte for byte as JSON, a
+brute-force recount: every shard line that parses (last writer wins,
+records with a missing npz dropped), ``case_from_record`` ->
 ``SweepCase.case_id``, ``sorted``, a per-record filter, then a
 per-value Neumaier loop with builtin ``min``/``max``.  The writer
 and the long-lived reader must also serve the same ``iter_records``
 records, ``get`` results and page rows as a fresh reader, byte for
 byte as JSON: records are decoded from stored lines, page rows are
-rebuilt from the index, and the two must never drift apart.
+rebuilt from the index, and the two must never drift apart; so must a
+fresh open of a copy of the shards without any snapshot.  Handles that
+consumed a shard before a same-length rewrite keep their view of it
+(their (mtime, size) guard sees no new bytes), so the harness re-opens
+them after one.
 
 The suite is derandomised with a fixed example budget, so tier-1 runs
 the same examples every time.  Counterexamples the fuzzer shrinks are
@@ -28,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -109,6 +121,12 @@ events = st.one_of(
               st.dictionaries(st.sampled_from(METRICS), values,
                               max_size=2)),
     st.tuples(st.just("query"), queries),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("rewrite_shorter"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("rewrite_same"), st.integers(0, 10 ** 6),
+              st.integers(0, 10 ** 6)),
+    st.tuples(st.just("tear_snapshot"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("plant_snapshot"), st.integers(0, 10 ** 6)),
 )
 
 
@@ -120,7 +138,10 @@ def _disk_records(root: Path) -> dict:
     records = {}
     for shard in sorted(root.glob("shard-*.jsonl")):
         for line in shard.read_bytes().splitlines():
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except ValueError:  # overwritten in place with garbage
+                continue
             records[record["k"]] = record
     return {
         key: record for key, record in records.items()
@@ -304,8 +325,54 @@ class Harness:
             if self.array_keys:
                 key = self.array_keys[event[1] % len(self.array_keys)]
                 (self.root / "arrays" / f"{key}.npz").unlink(missing_ok=True)
-        else:
+        elif kind == "query":
             self.check(event[1])
+        elif kind == "snapshot":
+            len(ResultStore(self.root))  # a full open writes what is due
+        elif kind == "rewrite_shorter":
+            # The long-lived handles must see the shard shorter than
+            # what they consumed before it grows again.
+            self.sync()
+            self.rewrite_shorter(event[1])
+            self.sync()
+        elif kind == "rewrite_same":
+            self.rewrite_same(event[1], event[2])
+        elif kind == "tear_snapshot":
+            snapshots = sorted(self.root.glob("shard-*.idx"))
+            if snapshots:
+                snapshot = snapshots[event[1] % len(snapshots)]
+                snapshot.write_bytes(
+                    snapshot.read_bytes()[:snapshot.stat().st_size // 2])
+        else:  # plant_snapshot, made from one a fresh open writes anew
+            shards = sorted(self.root.glob("shard-*.jsonl"))
+            if shards:
+                snapshot = shards[event[1] % len(shards)].with_suffix(".idx")
+                snapshot.unlink(missing_ok=True)
+                len(ResultStore(self.root))
+                if snapshot.exists():  # not if its shard is empty
+                    snapshot.write_bytes(_foreign_snapshot(
+                        snapshot.read_bytes()))
+
+    def sync(self) -> None:
+        """Bring both long-lived handles up to every shard's end."""
+        len(self.writer)
+        len(self.reader)
+
+    def rewrite_same(self, pick: int, line_pick: int) -> None:
+        """Overwrite one shard line in place with garbage of the same
+        length, then re-open the long-lived handles."""
+        shards = sorted(self.root.glob("shard-*.jsonl"))
+        if not shards:
+            return
+        shard = shards[pick % len(shards)]
+        lines = shard.read_bytes().splitlines(keepends=True)
+        if not lines:
+            return
+        i = line_pick % len(lines)
+        lines[i] = b"#" * (len(lines[i]) - 1) + b"\n"
+        shard.write_bytes(b"".join(lines))
+        self.writer = ResultStore(self.root)
+        self.reader = ResultStore(self.root)
 
     def check(self, query: ResultQuery) -> None:
         expected = recount(self.root, query)
@@ -321,8 +388,19 @@ class Harness:
             assert _layout(got) == _layout(expected), f"{name} pivot order"
         views = _views(fresh)
         for name, store in (("writer", self.writer),
-                            ("reader", self.reader)):
+                            ("reader", self.reader),
+                            ("snapshot-free", self.without_snapshots())):
             assert _views(store) == views, f"{name} serves other records"
+
+    def without_snapshots(self) -> ResultStore:
+        """A fresh handle on a copy of the shards with no snapshot (the
+        payloads are the same files)."""
+        copy = Path(tempfile.mkdtemp(dir=self.root.parent))
+        for shard in self.root.glob("shard-*.jsonl"):
+            shutil.copyfile(shard, copy / shard.name)
+        if (self.root / "arrays").exists():
+            (copy / "arrays").symlink_to(self.root / "arrays")
+        return ResultStore(copy)
 
     def rewrite_shorter(self, pick: int) -> None:
         """Drop the tail half of one shard, as a compaction would."""
@@ -334,9 +412,22 @@ class Harness:
         shard.write_bytes(b"".join(lines[:len(lines) // 2]))
 
 
+def _foreign_snapshot(raw: bytes) -> bytes:
+    """``raw`` as another format version would have it: every metric
+    value one higher, and the version bumped."""
+    cut = raw.index(b"\n")
+    head = json.loads(raw[:cut])
+    head["format"] = "0/" + head["format"]
+    metrics = 8 * head["rows"] * len(head["metrics"])  # the last block
+    values = np.frombuffer(raw[len(raw) - metrics:], "<f8") + 1.0
+    return (json.dumps(head).encode() + raw[cut:len(raw) - metrics]
+            + values.astype("<f8").tobytes())
+
+
 def _round_trip(steps, checks, pick, tail) -> None:
-    with tempfile.TemporaryDirectory() as root:
-        harness = Harness(Path(root))
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "store"
+        harness = Harness(root)
         for event in steps:
             harness.apply(event)
         for query in checks:
@@ -455,3 +546,84 @@ class TestRegressions:
              ("query", query)],
             [query], 0, [("put", a, {"lat": 8.0}, False)],
         )
+
+    def test_torn_snapshot_counts_as_absent(self):
+        # A snapshot cut short is unparsable (or its metric block is
+        # short): the next open decodes the shard and writes it anew.
+        a = SweepCase("siam", 16, "uniform", 0, OVERRIDES[1], tag="a")
+        b = SweepCase("siam", 16, "uniform", 1, OVERRIDES[2], tag="b")
+        query = ResultQuery(metrics=METRICS, pivot="lat")
+        _round_trip(
+            [("put", a, {"lat": 1.0, "energy": 2}, False),
+             ("put", b, {"lat": -0.0}, False),
+             ("snapshot",),
+             ("tear_snapshot", 0),
+             ("query", query),
+             ("tear_snapshot", 1),
+             ("put", a, {"lat": 3.0}, False),
+             ("query", query)],
+            [query], 0, [],
+        )
+
+    def test_same_length_rewrite_fails_the_crc(self):
+        # The shard keeps its length, so only the crc of the covered
+        # prefix tells the snapshot is stale; the garbage line is then
+        # skipped, also once a new snapshot covers it.
+        cases = [SweepCase("kite", 16, "uniform", s) for s in range(3)]
+        query = ResultQuery(metrics=("lat",), limit=5)
+        _round_trip(
+            [("put", cases[0], {"lat": 1.0}, False),
+             ("put", cases[1], {"lat": 2.0}, False),
+             ("put", cases[2], {"lat": 3.0}, False),
+             ("snapshot",),
+             ("rewrite_same", 0, 1),
+             ("query", query),
+             ("snapshot",),
+             ("put", cases[0], {"lat": 4.0}, False),
+             ("query", query)],
+            [query], 0, [],
+        )
+
+    def test_planted_snapshot_of_another_format_is_ignored(self):
+        a = SweepCase("floret", 36, "hotspot@0.1", 2, tag="中")
+        query = ResultQuery(metrics=METRICS)
+        _round_trip(
+            [("put", a, {"lat": 1.5, "energy": 10 ** 400}, True),
+             ("plant_snapshot", 0),
+             ("query", query)],
+            [query], 0, [],
+        )
+
+
+def test_second_cold_open_decodes_no_covered_line(monkeypatch, tmp_path):
+    """A cold open after one that wrote the snapshots decodes only the
+    lines appended since, and answers the same."""
+    import repro.eval.store as store_module
+
+    writer = ResultStore(tmp_path)
+    cases = [SweepCase(ARCHS[s % 3], 16, "uniform", s) for s in range(40)]
+    for case in cases:
+        writer.put(case_key(case, FP), SweepResult(
+            case=case, metrics={"lat": float(case.seed)}, elapsed_s=0.5))
+    query = ResultQuery(metrics=("lat",), pivot="lat", limit=40)
+    first = query_results(ResultStore(tmp_path), query)
+    assert sorted(p.name for p in tmp_path.glob("*.idx")) == sorted(
+        p.name[:-len(".jsonl")] + ".idx" for p in tmp_path.glob("*.jsonl"))
+
+    decoded = []
+    real = store_module._decode_lines
+
+    def counting(data, offset=0):
+        decoded.append(data)
+        return real(data, offset)
+
+    monkeypatch.setattr(store_module, "_decode_lines", counting)
+    assert _dumps(query_results(ResultStore(tmp_path), query)) == _dumps(
+        first)
+    assert decoded == []
+    extra = SweepCase("kite", 36, "uniform", 0)
+    writer.put(case_key(extra, FP), SweepResult(
+        case=extra, metrics={"lat": 9.0}, elapsed_s=0.5))
+    again = query_results(ResultStore(tmp_path), query)
+    assert again["total"] == len(cases) + 1
+    assert b"".join(decoded).count(b"\n") == 1  # the appended line only

@@ -340,22 +340,25 @@ class TestParseOnce:
 
         store, cases = filled
         calls = []
+        case_from_record = store_module.case_from_record
+        case_ids = store_module._case_ids
 
-        def counting(name):
-            original = getattr(store_module, name)
+        def counted_case(record):
+            calls.append("case_from_record")
+            return case_from_record(record)
 
-            def counted(arg):
-                calls.append(name)
-                return original(arg)
-            return counted
+        def counted_ids(axes, ids):
+            computed = case_ids(axes, ids)
+            calls.extend(["case_id"] * len(computed))
+            return computed
 
-        for name in ("case_from_record", "case_id_of"):
-            monkeypatch.setattr(store_module, name, counting(name))
+        monkeypatch.setattr(store_module, "case_from_record", counted_case)
+        monkeypatch.setattr(store_module, "_case_ids", counted_ids)
         query = ResultQuery(metrics=("value",), pivot="value", limit=3)
         first = query_results(store, query)
         # The first query indexes each record once; none is rebuilt
         # into a SweepCase.
-        assert calls == ["case_id_of"] * len(cases)
+        assert calls == ["case_id"] * len(cases)
         reads = store.stats.shard_reads
         calls.clear()
         for _ in range(5):

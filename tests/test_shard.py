@@ -414,11 +414,38 @@ class TestGridSpec:
                      "'overrides'", id="overrides-unnested"),
         pytest.param(SIAM + '"overrides": [[["fc_buffer_flits", 1e999]]]}',
                      "fc_buffer_flits", id="override-inf"),
+        pytest.param('{"archs": ["nope"]}', "'nope'", id="arch-unknown"),
+        pytest.param('{"archs": ["siam", "Kite"]}', "'Kite'",
+                     id="arch-wrong-case"),
+        pytest.param(SIAM + '"overrides": [[["fc_buffer_flits", "x"]]]}',
+                     "fc_buffer_flits='x'", id="override-string"),
+        pytest.param(SIAM + '"overrides": [[["flit_bytes", [16]]]]}',
+                     "flit_bytes=[16]", id="override-list"),
+        pytest.param(SIAM + '"overrides": [[["clock_ghz", "1.0"]]]}',
+                     "clock_ghz='1.0'", id="override-numeric-string"),
+        pytest.param(SIAM + '"overrides": [[["flit_bytes", null]]]}',
+                     "flit_bytes=None", id="override-none-not-optional"),
     ])
     def test_malformed_axis_is_rejected_by_name(self, text, named):
         with pytest.raises(ValueError) as info:
             GridSpec.from_json(text)
         assert named in str(info.value)
+
+    def test_typed_overrides_keep_case_ids_and_keys(self):
+        # None stays valid where the field's default is None, and 8.0
+        # stays 8.0: the parsed overrides, their case ids and their
+        # keys equal those sweep_grid builds from the same values.
+        overrides = (("fc_buffer_flits", None), ("fc_source_queue", 8.0),
+                     ("sim_engine", "events"), ("sim_attribution", True))
+        grid = GridSpec.from_json(json.dumps(
+            {"archs": ["siam"], "overrides": [[list(p) for p in overrides]]}))
+        reference = sweep_grid(archs=("siam",), overrides=(overrides,))
+        assert grid.overrides == (overrides,)
+        assert [c.case_id for c in grid.cases()] == [
+            c.case_id for c in reference
+        ]
+        assert ([case_key(c, FP) for c in grid.cases()]
+                == [case_key(c, FP) for c in reference])
 
     def test_integral_floats_keep_case_ids_and_keys(self):
         grid = GridSpec.from_json(

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import shutil
+import tempfile
 import weakref
 
 import numpy as np
@@ -13,8 +16,11 @@ from helpers import MALFORMED_RECORDS, malformed_store
 from repro.eval.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
+    _float_column,
+    _read_snapshot,
     case_key,
     evaluator_fingerprint,
+    finite_float,
 )
 from repro.eval.queries import ResultQuery, query_results
 from repro.eval.sweeps import SweepCase, SweepResult, case_id_of
@@ -600,15 +606,18 @@ class TestRecordOrder:
 
     @staticmethod
     def _count_case_ids(monkeypatch):
+        """Every ``case_id`` the store computes from here on."""
         from repro.eval import store as store_module
 
         seen = []
+        real = store_module._case_ids
 
-        def counted(case):
-            seen.append(case)
-            return case_id_of(case)
+        def counted(axes, ids):
+            computed = real(axes, ids)
+            seen.extend(computed)
+            return computed
 
-        monkeypatch.setattr(store_module, "case_id_of", counted)
+        monkeypatch.setattr(store_module, "_case_ids", counted)
         return seen
 
     def test_iteration_is_case_id_ordered(self, tmp_path):
@@ -647,7 +656,7 @@ class TestRecordOrder:
         new = self.CASES[-1]
         writer.put(case_key(new, FP), result_for(new))
         keys = [k for k, _ in reader.iter_records()]
-        assert [case_id_of(c) for c in seen] == [new.case_id]
+        assert seen == [new.case_id]
         assert keys == [k for _, k in sorted(
             (c.case_id, case_key(c, FP)) for c in self.CASES)]
 
@@ -691,6 +700,198 @@ def test_malformed_record_counts_as_missing(tmp_path, shape):
     assert not store.has(bad)
     assert store.missing(keys + [bad]) == {bad}
     assert store.get(keys[0], good[0]).metrics == {"value": 0.0}
+
+
+def _fill(root, count, prefix=None, seed0=0):
+    """Put ``count`` records (all in shard ``prefix``, if given)."""
+    store = ResultStore(root)
+    seed = seed0
+    while count:
+        case = SweepCase(arch="kite", num_chiplets=16, seed=seed)
+        seed += 1
+        key = case_key(case, FP)
+        if prefix is None or key[:2] == prefix:
+            store.put(key, result_for(case, {"value": seed * 0.5}))
+            count -= 1
+    return seed
+
+
+def _answer(store) -> str:
+    return json.dumps(query_results(store, ResultQuery(
+        metrics=("value",), pivot="value", limit=1000)), sort_keys=True)
+
+
+def _snapshot_free_answer(root) -> str:
+    """The answer of a fresh open of a copy of the shards alone."""
+    with tempfile.TemporaryDirectory() as copy:
+        for shard in root.glob("shard-*.jsonl"):
+            shutil.copyfile(shard, os.path.join(copy, shard.name))
+        return _answer(ResultStore(copy))
+
+
+def _valid(root, name="shard-ab"):
+    """``(covered, crc)`` of the valid snapshot of shard ``name``."""
+    raw = (root / f"{name}.idx").read_bytes()
+    data = (root / f"{name}.jsonl").read_bytes()
+    snapshot = _read_snapshot(raw, data, {})
+    assert snapshot is not None
+    return snapshot[:2]
+
+
+class TestSnapshots:
+    """Per-shard index snapshots: who writes them, failure hygiene,
+    and what never touches them."""
+
+    def test_reader_writes_and_next_open_loads(self, tmp_path):
+        _fill(tmp_path, 30)
+        want = _snapshot_free_answer(tmp_path)
+        shards = sorted(p.name[:-len(".jsonl")]
+                        for p in tmp_path.glob("*.jsonl"))
+        assert list(tmp_path.glob("*.idx")) == []  # puts write none
+        assert _answer(ResultStore(tmp_path)) == want
+        assert sorted(p.name[:-len(".idx")]
+                      for p in tmp_path.glob("*.idx")) == shards
+        reader = ResultStore(tmp_path)
+        assert _answer(reader) == want
+        assert reader.stats.shard_reads == len(shards)
+
+    def test_own_puts_write_no_snapshot(self, tmp_path):
+        writer = ResultStore(tmp_path)
+        for seed in range(10):
+            case = SweepCase(arch="siam", seed=seed)
+            writer.put(case_key(case, FP), result_for(case))
+        assert len(writer) == 10
+        assert list(tmp_path.glob("*.idx")) == []
+
+    def test_small_tail_rewrites_nothing(self, tmp_path):
+        seed = _fill(tmp_path, 6, prefix="ab")
+        len(ResultStore(tmp_path))
+        before = (tmp_path / "shard-ab.idx").read_bytes()
+        _fill(tmp_path, 1, prefix="ab", seed0=seed)
+        assert _answer(ResultStore(tmp_path)) == _snapshot_free_answer(
+            tmp_path)
+        assert (tmp_path / "shard-ab.idx").read_bytes() == before
+
+    def test_two_handles_write_the_same_snapshot_in_turn(self, tmp_path):
+        seed = _fill(tmp_path, 3, prefix="ab")
+        first = ResultStore(tmp_path)
+        len(first)
+        covered, _ = _valid(tmp_path)
+        # Grow the shard past twice what the snapshot covers: a fresh
+        # handle decodes a tail as long as the snapshot, so it writes.
+        seed = _fill(tmp_path, 4, prefix="ab", seed0=seed)
+        second = ResultStore(tmp_path)
+        len(second)
+        size = (tmp_path / "shard-ab.jsonl").stat().st_size
+        assert _valid(tmp_path)[0] == size > 2 * covered
+        # The first handle has decoded as many bytes since its write
+        # and now writes in turn, over the second's.
+        _fill(tmp_path, 8, prefix="ab", seed0=seed)
+        len(first)
+        size = (tmp_path / "shard-ab.jsonl").stat().st_size
+        assert _valid(tmp_path)[0] == size
+        assert _answer(ResultStore(tmp_path)) == _snapshot_free_answer(
+            tmp_path)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_shard_with_an_own_put_is_not_snapshotted(self, tmp_path):
+        # The handle reads its own put back among another writer's
+        # lines: that record was never decoded from a line at a known
+        # offset, so the shard's snapshot is not written from it.
+        seed = _fill(tmp_path, 2, prefix="ab")
+        handle = ResultStore(tmp_path)
+        len(handle)
+        seed = _fill(tmp_path, 2, prefix="ab", seed0=seed)
+        case = next(c for c in (SweepCase(arch="siam", seed=s)
+                                for s in range(10_000))
+                    if case_key(c, FP)[:2] == "ab")
+        handle.put(case_key(case, FP), result_for(case, {"value": 7.0}))
+        _fill(tmp_path, 4, prefix="ab", seed0=seed)
+        before = (tmp_path / "shard-ab.idx").read_bytes()
+        assert _answer(handle) == _snapshot_free_answer(tmp_path)
+        assert (tmp_path / "shard-ab.idx").read_bytes() == before
+        assert _answer(ResultStore(tmp_path)) == _snapshot_free_answer(
+            tmp_path)
+
+    def test_key_in_another_shard_is_never_snapshotted(self, tmp_path):
+        # A record whose key does not start with its shard's prefix
+        # ties two shards' indexes together: neither is snapshotted,
+        # and fresh opens still answer like a snapshot-free one.
+        _fill(tmp_path, 3, prefix="ab")
+        _fill(tmp_path, 3, prefix="cd")
+        stray = (tmp_path / "shard-ab.jsonl").read_bytes().splitlines()[0]
+        assert b'"elapsed_s":0.25' in stray
+        with open(tmp_path / "shard-cd.jsonl", "ab") as fh:
+            fh.write(stray.replace(b'"elapsed_s":0.25',
+                                   b'"elapsed_s":0.5') + b"\n")
+        want = _snapshot_free_answer(tmp_path)
+        assert _answer(ResultStore(tmp_path)) == want
+        assert not (tmp_path / "shard-ab.idx").exists()
+        assert not (tmp_path / "shard-cd.idx").exists()
+        assert _answer(ResultStore(tmp_path)) == want
+
+    @pytest.mark.parametrize("fault", ["replace", "read-only"])
+    def test_failed_snapshot_write_leaves_store_clean(
+        self, tmp_path, monkeypatch, fault
+    ):
+        # A snapshot that cannot be published (os.replace raising, or a
+        # read-only directory refusing the temp file) costs nothing but
+        # the snapshot: the query answers, no temp file stays behind.
+        _fill(tmp_path, 20)
+        want = _snapshot_free_answer(tmp_path)
+        real_replace = os.replace
+
+        def failing_replace(src, dst, *args, **kwargs):
+            if str(dst).endswith(".idx"):
+                raise OSError("snapshot replace failed")
+            return real_replace(src, dst, *args, **kwargs)
+
+        def read_only(*args, **kwargs):
+            raise PermissionError("read-only directory")
+
+        if fault == "replace":
+            monkeypatch.setattr(os, "replace", failing_replace)
+        else:
+            monkeypatch.setattr(tempfile, "mkstemp", read_only)
+        assert _answer(ResultStore(tmp_path)) == want
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert list(tmp_path.glob("*.idx")) == []
+        monkeypatch.undo()
+        assert _answer(ResultStore(tmp_path)) == want
+        assert list(tmp_path.glob("*.idx")) != []
+
+    def test_hot_paths_leave_snapshots_alone(self, tmp_path, monkeypatch):
+        # get/probe/missing on a handle that consumed its shards never
+        # load or write a snapshot, also while others append.
+        seed = _fill(tmp_path, 3, prefix="ab")
+        store = ResultStore(tmp_path)
+        len(store)
+
+        def untouchable(*args, **kwargs):
+            raise AssertionError("snapshot touched on a hot path")
+
+        monkeypatch.setattr(ResultStore, "_load_snapshot", untouchable)
+        monkeypatch.setattr(ResultStore, "_write_snapshots", untouchable)
+        end = _fill(tmp_path, 6, prefix="ab", seed0=seed)
+        cases = [SweepCase(arch="kite", num_chiplets=16, seed=s)
+                 for s in range(end)]
+        keys = [k for k in (case_key(c, FP) for c in cases)
+                if k[:2] == "ab"]
+        assert len(keys) == 9
+        assert store.get(keys[-1], cases[end - 1]) is not None
+        assert store.probe(keys[0])
+        assert store.missing(keys) == frozenset()
+
+
+class TestFloatColumn:
+    def test_bulk_conversion_matches_finite_float_bit_for_bit(self):
+        numbers = [True, False, 0, -0.0, 0.0, 7, 2 ** 53 + 1, 2 ** 63 + 5,
+                   -(2 ** 70) + 3, 2 ** 1023 * 3 // 2, 1e308 * 10, -1e999,
+                   float("nan"), None, 1.5, -2.25e-308]
+        for values in (numbers, numbers + ["1.5"], numbers + [10 ** 400],
+                       numbers + [[1.0]]):
+            want = np.array([finite_float(v) for v in values], np.float64)
+            assert _float_column(values).tobytes() == want.tobytes()
 
 
 class TestMemory:

@@ -322,6 +322,25 @@ class TestEndpoints:
         assert (after["counters"].get(submitted, 0)
                 == before["counters"].get(submitted, 0))
 
+    @pytest.mark.parametrize("grid, named", [
+        pytest.param(dict(GRID, archs=["nope"]), "'nope'", id="arch"),
+        pytest.param(dict(GRID, overrides=[[["fc_buffer_flits", "x"]]]),
+                     "fc_buffer_flits='x'", id="override-type"),
+    ])
+    def test_unknown_arch_or_mistyped_override_is_400(self, service, grid,
+                                                      named):
+        # Rejected at the boundary: no job, so no lease and no case
+        # that would fail per case later.
+        client, _ = service
+        _, before = client.get("/v1/metrics")
+        status, payload = client.error("POST", "/v1/sweeps", {"grid": grid})
+        assert status == 400
+        assert named in payload["error"]
+        _, after = client.get("/v1/metrics")
+        submitted = "svc_sweeps_submitted"
+        assert (after["counters"].get(submitted, 0)
+                == before["counters"].get(submitted, 0))
+
     def test_infinite_size_is_400(self, service):
         # JSON 1e999 reads as inf; int(inf) used to raise OverflowError,
         # which the handler did not catch, so the connection dropped.
