@@ -9,10 +9,13 @@ run's aggregates bit-for-bit (deterministic emission order + exact JSON
 float round-trip make this an equality, not a tolerance).
 
 After the warm replay, a cold ``query_results`` on a fresh store handle
-is timed five times with the shards' index snapshots deleted first
-(that open decodes every shard and writes the snapshots anew) and five
-times with them present (it loads them and decodes nothing).  Both
-must answer byte for byte alike.  The ratio of the two ``process_time``
+is timed five times with the store's index snapshot (``index.idx``)
+deleted first (that open decodes every shard and writes the snapshot
+anew) and five times with it present (it loads it and decodes
+nothing).  Both must answer byte for byte alike, and the bytes each
+open decodes are counted: every shard byte without the snapshot, none
+with it -- so a snapshot file renamed out from under this bench fails
+it instead of reading as a 1x ratio.  The ratio of the two ``process_time``
 medians is printed and, under ``REPRO_STORE_DIR``, appended to
 ``ratio-history.jsonl`` with the usual >20% drift warning (on
 ``speedup``, snapshot-free ÷ snapshot-loaded).  There is no bound: a
@@ -36,6 +39,7 @@ from statistics import median
 
 from _bench_utils import run_once
 
+import repro.eval.store as store_module
 from repro.eval import (
     ResultQuery,
     ResultStore,
@@ -92,7 +96,7 @@ def _roundtrip(root, cases):
     return cold, cold_aggs, warm, warm_aggs
 
 
-def test_store_roundtrip(benchmark, tmp_path_factory):
+def test_store_roundtrip(benchmark, tmp_path_factory, monkeypatch):
     cases = _grid()
     assert len(cases) >= 100
     root = _store_root(tmp_path_factory)
@@ -130,31 +134,43 @@ def test_store_roundtrip(benchmark, tmp_path_factory):
     assert warm_latency.min == cold_latency.min
     assert warm_latency.max == cold_latency.max
 
-    _log_cold_open(root)
+    _log_cold_open(root, monkeypatch)
 
 
-def _cold_queries(root, keep_snapshots):
+def _cold_queries(root, keep_snapshot, monkeypatch):
     """``process_time`` of ``COLD_REPEATS`` cold queries, each on a
-    fresh handle, and their answers as JSON."""
-    times, answers = [], []
+    fresh handle, their answers as JSON and the bytes each decoded."""
+    times, answers, decoded = [], [], []
+    real = store_module._decode_lines
+
+    def counting(data, offset=0):
+        decoded[-1] += len(data)
+        return real(data, offset)
+
+    monkeypatch.setattr(store_module, "_decode_lines", counting)
     for _ in range(COLD_REPEATS):
-        if not keep_snapshots:
-            for snapshot in Path(root).glob("shard-*.idx"):
-                snapshot.unlink()
+        if not keep_snapshot:
+            (Path(root) / "index.idx").unlink(missing_ok=True)
+        decoded.append(0)
         t0 = time.process_time()
         answer = query_results(ResultStore(root), COLD_QUERY)
         times.append(time.process_time() - t0)
         answers.append(json.dumps(answer, sort_keys=True))
-    return times, answers
+    monkeypatch.undo()
+    return times, answers, decoded
 
 
-def _log_cold_open(root):
-    without, plain = _cold_queries(root, keep_snapshots=False)
-    loaded, answers = _cold_queries(root, keep_snapshots=True)
+def _log_cold_open(root, monkeypatch):
+    shard_bytes = sum(p.stat().st_size
+                      for p in Path(root).glob("shard-*.jsonl"))
+    without, plain, decoded = _cold_queries(root, False, monkeypatch)
+    assert decoded == [shard_bytes] * COLD_REPEATS
+    loaded, answers, decoded = _cold_queries(root, True, monkeypatch)
+    assert decoded == [0] * COLD_REPEATS
     assert set(plain) == set(answers) and len(set(answers)) == 1
     ratio = median(without) / median(loaded)
     print(format_table(
-        ["snapshots", "median ms", "min ms"],
+        ["snapshot", "median ms", "min ms"],
         [["deleted", f"{1e3 * median(without):.1f}",
           f"{1e3 * min(without):.1f}"],
          ["present", f"{1e3 * median(loaded):.1f}",

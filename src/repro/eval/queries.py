@@ -26,8 +26,8 @@ Three properties matter for serving queries at scale:
   other means.  Combined with
   the store's (mtime, size) refresh guard, a repeated query over a
   quiescent store touches no file contents at all, and a cold query on
-  a fresh handle loads each shard's index snapshot instead of decoding
-  its lines (:mod:`repro.eval.store`).
+  a fresh handle loads the store's one index snapshot instead of
+  decoding the lines it covers (:mod:`repro.eval.store`).
 * **Deterministic pagination.**  Matches come in ``(case_id, key)``
   order -- the order of the store's record index, kept sorted as
   records arrive, so a query never sorts -- and the ``offset``/

@@ -21,20 +21,20 @@ On-disk layout (all under one root directory):
   of them joined into a JSON array, and decodes line by line --
   skipping corrupt lines -- only when that fails.  Values that are not
   well-formed records of this schema version are skipped too.
-* ``shard-XX.idx`` -- the index snapshot of a shard: what the index
-  holds after reading the shard's first N bytes (keys, case ids,
-  case axes, elapsed times, arrays flags, line offsets and metric
-  values as float64), with N and the crc32 of those bytes.  A handle's
-  first read of a shard uses it when its format matches and the shard
-  still starts with those N bytes (size and crc32), and decodes only
-  the lines past them; any other snapshot counts as absent.  A handle
-  writes one, by temp file and ``os.replace``, only for a shard whose
-  bytes it decoded itself, once those reach what the last snapshot it
-  loaded or wrote covered (any bytes, if none) -- so rewrites of a
-  growing shard are amortised, and a handle that only reads back its
-  own puts writes none.  A failed write (a read-only directory) is
-  ignored.  Snapshots hold JSON and raw little-endian numbers only,
-  never pickles, so loading one runs no code.
+* ``index.idx`` -- the store's index snapshot: what the index holds
+  after reading each covered shard's first N bytes, with N and the
+  crc32 of those bytes per shard.  A handle's first full read
+  (:meth:`ResultStore.columns`, enumeration) uses it for every shard
+  it has not read yet whose first N bytes still have that crc32, and
+  decodes only the lines past them; a shard that fails the check is
+  decoded in full, and a snapshot of another format counts as absent.
+  :meth:`ResultStore.columns` writes it, by temp file and
+  ``os.replace``, once the bytes the handle decoded itself reach what
+  the snapshot it last loaded or wrote covered (any bytes, if none) --
+  so rewrites of a growing store are amortised, and a handle that only
+  reads back its own puts writes none.  A failed write (a read-only
+  directory) is ignored.  The snapshot holds JSON and raw little-endian
+  numbers only, never pickles, so loading one runs no code.
 * ``arrays/<key>.npz`` -- array-valued payloads (thermal tier maps and
   the like), written to a temp file and ``os.replace``d into place so a
   reader never observes a partial archive.
@@ -66,7 +66,7 @@ import tempfile
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -85,12 +85,12 @@ from .sweeps import (
 #: Bump to invalidate every stored result (record format change).
 STORE_SCHEMA_VERSION = 1
 
-#: Bump when an index snapshot's layout or meaning changes -- also when
+#: Bump when the index snapshot's layout or meaning changes -- also when
 #: :func:`_fields` or :func:`~repro.eval.sweeps.case_id_of` would index
-#: the same lines differently.  Snapshots of any other format (which
+#: the same lines differently.  A snapshot of any other format (which
 #: also names :data:`STORE_SCHEMA_VERSION` and ``repro.__version__``)
-#: count as absent.
-SNAPSHOT_VERSION = 1
+#: counts as absent.
+SNAPSHOT_VERSION = 2
 
 
 def evaluator_fingerprint(evaluate) -> str:
@@ -193,11 +193,10 @@ class StoreStats:
     misses: int = 0
     puts: int = 0
     skipped_errors: int = 0
-    #: Shard files actually opened and read by ``_refresh_shard`` --
-    #: the (mtime, size) guard keeps this flat across repeated queries
-    #: over a quiescent store, which is what lets a service answer hot
-    #: queries at memory speed.  Reading a shard's index snapshot is
-    #: part of the first read of that shard and is not counted apart.
+    #: Shard files actually opened and read -- the (mtime, size) guard
+    #: keeps this flat across repeated queries over a quiescent store,
+    #: which is what lets a service answer hot queries at memory speed.
+    #: Reading the index snapshot is not counted.
     shard_reads: int = 0
 
     @property
@@ -237,6 +236,7 @@ class ResultStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._arrays_dir = self.root / "arrays"
+        self._snapshot_path = self.root / "index.idx"
         self.stats = StoreStats()
         #: Where :class:`repro.eval.shard.LeaseBoard` keeps per-case
         #: claim files.  Owned by the store so the whole shared-
@@ -280,15 +280,14 @@ class ResultStore:
         #: itself (or took from a verified snapshot); it only describes
         #: the shard while ``bytes`` equals the consumed offset.
         self._crc: Dict[str, Tuple[int, int]] = {}
-        #: ``(covered, decoded)`` per shard: the bytes covered by the
-        #: snapshot this instance last loaded or wrote (0 for none) and
-        #: the bytes it decoded itself since then.
-        self._snapshots: Dict[str, Tuple[int, int]] = {}
-        #: Shards whose snapshot the next :meth:`columns` writes.
-        self._due: set = set()
+        #: Bytes the snapshot this instance last loaded or wrote
+        #: covered (0 for none), and the bytes it decoded itself since.
+        self._covered = 0
+        self._decoded = 0
         #: Key prefixes mixed up with another shard's (a record whose
-        #: key does not start with its shard's prefix): no snapshot of
-        #: theirs is ever written by this instance.
+        #: key does not start with its shard's prefix, or any record of
+        #: a shard not named ``shard-XX.jsonl``): a snapshot this
+        #: instance writes never covers their shards.
         self._foreign: set = set()
 
     # -- keys and paths ----------------------------------------------------
@@ -296,50 +295,35 @@ class ResultStore:
     def _shard_path(self, key: str) -> Path:
         return self.root / f"shard-{key[:2]}.jsonl"
 
-    def _snapshot_path(self, name: str) -> Path:
-        """``shard-XX.idx``: the index snapshot beside shard ``name``."""
-        return self.root / (name[:-len(".jsonl")] + ".idx")
-
     def _npz_path(self, key: str) -> Path:
         return _npz_file(self._arrays_dir, key)
 
     # -- reading -----------------------------------------------------------
 
-    def _refresh_shard(self, shard: Path) -> None:
-        """Index the complete lines appended to ``shard`` since the last
-        read.
+    def _changed(self, shard: Path
+                 ) -> Optional[Tuple[Path, Tuple[int, int], int, int]]:
+        """``(shard, signature, consumed, size)`` if ``shard`` holds
+        bytes past what was consumed of it, else ``None``.
 
         Guarded by an ``(st_mtime_ns, st_size)`` signature: a shard
-        whose signature matches the last refresh has not been touched
-        by any appender, so the method returns after the single
-        ``stat`` -- no open, no read.  This also covers a torn tail
-        (bytes past the last newline): re-reading it before the writer
-        finishes the line cannot yield anything new, and the finishing
-        append changes the signature.  A shard *shorter* than the
-        consumed offset was rewritten out from under us (an external
-        compaction or restore-from-backup); its indexed records are
-        dropped and the file re-read from the start.
-
-        The first read of a shard (nothing consumed yet) loads its
-        index snapshot when a valid one covers a prefix of the bytes
-        just read (:func:`_read_snapshot`) and decodes only the lines
-        past that prefix; a later read never looks at the snapshot.
-        Decoded lines go through :func:`_decode_lines` and
-        :meth:`_index`.  Once the bytes this instance decoded itself
-        reach what its last loaded or written snapshot covered (any
-        bytes, when there was none), the shard is due for a new
-        snapshot, which :meth:`columns` writes.  Only
-        :meth:`_refresh` calls this, after indexing this instance's own
-        puts, which precede every line still unread.
+        whose signature matches the last read has not been touched by
+        any appender, so this returns after the single ``stat`` -- no
+        open, no read.  This also covers a torn tail (bytes past the
+        last newline): re-reading it before the writer finishes the
+        line cannot yield anything new, and the finishing append
+        changes the signature.  A shard *shorter* than the consumed
+        offset was rewritten out from under us (an external compaction
+        or restore-from-backup); its indexed records are dropped and
+        the file is read again from the start.
         """
         name = shard.name
         try:
             stat = shard.stat()
         except FileNotFoundError:
-            return
+            return None
         sig = (stat.st_mtime_ns, stat.st_size)
         if self._sig.get(name) == sig:
-            return
+            return None
         consumed = self._consumed.get(name, 0)
         size = stat.st_size
         if size < consumed:
@@ -353,54 +337,69 @@ class ResultStore:
             self._pending.clear()
             self._stale = True
             self._columns = None
-            consumed = 0
+            consumed = self._consumed[name] = 0
         if size == consumed:
             self._sig[name] = sig
             self._consumed[name] = consumed
-            return
+            return None
+        return shard, sig, consumed, size
+
+    def _read(self, shard: Path, sig: Tuple[int, int], consumed: int,
+              size: int) -> bytes:
+        """The bytes of ``shard`` from offset ``consumed`` up to
+        ``size`` (see :meth:`_changed`)."""
         with shard.open("rb") as fh:
             fh.seek(consumed)
             chunk = fh.read(size - consumed)
         self.stats.shard_reads += 1
-        self._sig[name] = sig
-        skip, crc = 0, None
-        if consumed == 0:
-            skip, crc = self._load_snapshot(shard, chunk)
-            self._snapshots[name] = (skip, 0)
-        elif self._crc.get(name, (-1,))[0] == consumed:
-            crc = self._crc[name][1]
-        # Never consume past the last newline: the tail may be a line
-        # another process is mid-append on; it is re-read (from the
-        # same offset) once a later append moves the signature.  A
-        # snapshot always ends on a newline, so ``end >= skip``.
+        self._sig[shard.name] = sig
+        return chunk
+
+    def _tail(self, name: str, consumed: int, chunk: bytes, skip: int = 0,
+              crc: int = 0) -> Tuple[Optional[list], bool]:
+        """Consume ``chunk``, the bytes of shard ``name`` from offset
+        ``consumed``, and decode its complete lines past its first
+        ``skip`` bytes (which a snapshot covered, their crc32 ``crc``).
+
+        Returns the decoded records as a :meth:`_place` chunk (``None``
+        if there were none) and whether any of them has a key that does
+        not start with the shard's prefix.  Never consumes past the last
+        newline: the tail may be a line another process is mid-append
+        on; it is re-read (from the same offset) once a later append
+        moves the signature.  A snapshot always ends on a newline, so
+        ``end >= skip``.
+        """
         end = chunk.rfind(b"\n") + 1
+        if consumed:
+            known = self._crc.get(name)
+            crc = known[1] if known and known[0] == consumed else None
         self._consumed[name] = consumed + end
         if crc is not None:
             self._crc[name] = (consumed + end, zlib.crc32(
                 memoryview(chunk)[skip:end], crc))
         if end == skip:
-            return
-        keys = self._index(*_decode_lines(chunk[skip:end], consumed + skip))
+            return None, False
+        self._decoded += end - skip
+        lines = self._prepare(*_decode_lines(chunk[skip:end],
+                                             consumed + skip))
+        keys = lines[1]
         prefix = _prefix(name)
-        if not all(map(str.startswith, keys, repeat(prefix))):
+        mixed = (len(name) != len("shard-XX.jsonl")
+                 or not all(map(str.startswith, keys, repeat(prefix))))
+        if mixed:
             self._foreign.update(map(itemgetter(slice(2)), keys), [prefix])
-        covered, decoded = self._snapshots.get(name, (0, 0))
-        decoded += end - skip
-        self._snapshots[name] = (covered, decoded)
-        if decoded >= max(covered, 1):
-            self._due.add(name)
+        return lines, mixed
 
-    def _index(self, lines: List[bytes], records: list,
-               starts: Optional[List[int]] = None) -> List[str]:
-        """Make each of ``records`` the one for its key (last writer
-        wins) and return the keys of those indexed; ``lines`` are their
+    def _prepare(self, lines: List[bytes], records: list,
+                 starts: Optional[List[int]] = None) -> list:
+        """``records`` as a :meth:`_place` chunk; ``lines`` are their
         raw JSONL lines and ``starts`` each line's byte offset in its
         shard (``None``: unknown, as for this instance's own puts).
 
         Records that are not well formed (:func:`_fields`) are skipped,
         like corrupt lines.  Each record's ``case_id`` is ``case_id_of``
         of its own case, built in bulk: the override part once per
-        distinct override list.  Placing them is :meth:`_place`.
+        distinct override list.
         """
         fields = _fields(records)
         if fields is None:
@@ -415,10 +414,9 @@ class ResultStore:
         axes["noi_overrides"] = table.intern(texts, lists)
         case_ids = _case_ids(axes, table.ids)
         unknown = [-1] * len(keys)
-        self._place([lines, keys, case_ids, metrics, elapsed, flags,
-                     unknown if starts is None else starts, unknown,
-                     *axes.values()])
-        return keys
+        return [lines, keys, case_ids, metrics, elapsed, flags,
+                unknown if starts is None else starts, unknown,
+                *axes.values()]
 
     def _place(self, chunk: list) -> None:
         """Put a chunk of records -- one list per :class:`_Positions`
@@ -478,143 +476,179 @@ class ResultStore:
         self._order.sort()
         self._perm = None
 
-    def _refresh(self, shards: Iterable[Path]) -> None:
-        """Index the records this instance put, then the new lines of
-        each of ``shards``: every read of the index comes through here.
+    def _index_puts(self) -> None:
+        """Index the records this instance put, in one chunk.
 
         A put only writes its line and keeps its record (:meth:`put`),
         so a handle that only writes never indexes, and one that reads
-        after many puts indexes them in one chunk.
+        after many puts indexes them together.  Every read indexes them
+        first: they precede every line still unread.
         """
         puts = self._puts
         if puts[0]:
             self._puts = ([], [])
-            self._index(*puts)
-        for shard in shards:
-            self._refresh_shard(shard)
+            self._place(self._prepare(*puts))
+
+    def _refresh(self, shards: Iterable[Path],
+                 use_snapshot: bool = False) -> None:
+        """Index this instance's puts, then the new lines of each of
+        ``shards``: every read of the index comes through here.
+
+        Every shard with new bytes is read, in the order given, before
+        anything is placed.  With ``use_snapshot`` (a full read,
+        :meth:`_refresh_all`) and some shard read from offset 0, the
+        index snapshot is loaded (:func:`_load_snapshot`): each shard
+        read from offset 0 whose first N bytes have the crc32 the
+        snapshot records takes the snapshot's records of it, and only
+        its lines past N are decoded.  Every other shard is decoded
+        from where it was left.  The snapshot's records go into the
+        index in one chunk, in ``(case_id, key)`` order, so
+        :meth:`_merge` finds them sorted; the decoded lines follow,
+        shard by shard.  That equals taking each shard's snapshot
+        records and then its lines, shard by shard, as long as no key
+        sits in two shards -- which is how they are taken when some
+        decoded key does not start with its shard's prefix.
+        """
+        self._index_puts()
+        todo = [todo for todo in map(self._changed, shards)
+                if todo is not None]
+        snapshot = lines = None
+        if use_snapshot and any(consumed == 0 for _, _, consumed, _ in todo):
+            snapshot = _load_snapshot(self._snapshot_path,
+                                      self._positions.codes)
+        if snapshot is not None:
+            self._covered, self._decoded = snapshot.covered, 0
+            lines = [b""] * snapshot.rows
+        parts = []
+        mixed = False
+        for shard, sig, consumed, size in todo:
+            chunk = self._read(shard, sig, consumed, size)
+            rows, skip, crc = None, 0, 0
+            if consumed == 0 and snapshot is not None:
+                rows, skip, crc = snapshot.cut(shard.name, chunk, lines)
+            tail, foreign = self._tail(shard.name, consumed, chunk, skip, crc)
+            mixed |= foreign
+            parts.append((rows, tail))
+        table = self._positions
+        held = [rows for rows, _ in parts if rows is not None]
+        if held and not mixed:
+            rows = list(chain.from_iterable(held))
+            if len(rows) < snapshot.rows:
+                rows.sort()
+            self._place(snapshot.records(table, rows, lines))
+            parts = [(None, tail) for _, tail in parts]
+        for rows, tail in parts:
+            if rows is not None:
+                self._place(snapshot.records(table, rows, lines))
+            if tail is not None:
+                self._place(tail)
 
     def _refresh_all(self) -> None:
-        """Index the new lines of every shard."""
+        """Index the new lines of every shard, using the snapshot."""
         # Names sorted as strings: sorting a glob's Path objects costs
         # about as much as the per-shard stat calls themselves.
         names = sorted(os.listdir(self.root))
-        self._refresh(self.root / name for name in names
-                      if name.startswith("shard-") and name.endswith(".jsonl"))
+        self._refresh((self.root / name for name in names
+                       if name.startswith("shard-")
+                       and name.endswith(".jsonl")), use_snapshot=True)
 
-    # -- index snapshots ---------------------------------------------------
+    # -- the index snapshot ------------------------------------------------
 
-    def _load_snapshot(self, shard: Path, data: bytes) -> Tuple[int, int]:
-        """Index what the snapshot beside ``shard`` holds, if it is
-        valid for ``data`` (the shard's bytes from offset 0), and return
-        ``(bytes covered, their crc32)``; ``(0, 0)`` when it is absent
-        or invalid, which leaves the index as it was."""
-        try:
-            raw = self._snapshot_path(shard.name).read_bytes()
-        except OSError:
-            return 0, 0
-        table = self._positions
-        snapshot = _read_snapshot(raw, data, table.codes)
-        if snapshot is None:
-            return 0, 0
-        covered, crc, names, matrix, columns, texts, overrides = snapshot
-        interned = table.intern(texts, dict(zip(texts, overrides)))
-        first = table.add_metrics(names, matrix)
-        rows = len(columns["keys"])
-        columns["noi_overrides"] = list(map(interned.__getitem__,
-                                            columns["codes"]))
-        self._place([
-            list(map(data.__getitem__, map(slice, columns["starts"],
-                                           columns["ends"]))),
-            columns["keys"], columns["case_ids"], [None] * rows,
-            columns["elapsed"], columns["flags"], columns["starts"],
-            list(range(first, first + rows)),
-            *(columns[name] for name in _AXES),
-        ])
-        return covered, crc
-
-    def _write_snapshots(self, columns: "RecordColumns") -> None:
-        """Write the snapshot (:func:`_snapshot_parts`) of every due
-        shard that this instance can describe exactly: its crc covers
-        all it consumed, no key prefix is mixed up with another shard's,
-        and every record of the shard came from a line this instance
-        read (not from its own puts).  A due shard counts as written
-        either way, so the next write waits until as many bytes again
-        are decoded.  Metric values come from ``columns``, the column
-        cache the query that follows reads too."""
-        due, self._due = self._due, set()
-        todo = {}
-        for name in due:
-            consumed = self._consumed.get(name, 0)
-            self._snapshots[name] = (consumed, 0)
-            crc = self._crc.get(name)
-            if (crc is not None and crc[0] == consumed > 0
-                    and _prefix(name) not in self._foreign):
-                todo[_prefix(name)] = (name, consumed, crc[1], [])
-        if not todo:
+    def _write_snapshot(self) -> None:
+        """Publish the index snapshot of every shard this instance can
+        describe exactly: its crc covers all it consumed, no key prefix
+        is mixed up with another shard's, and every record of the shard
+        came from a line this instance read at a known offset (not from
+        its own puts), with no newline in its key or ``case_id``.
+        Records go in ``(case_id, key)`` order, the order of ``_perm``.
+        Metric values are read from the position lists
+        (:meth:`_Positions.metric_values`), so the column cache gains no
+        column.  The next write waits until as many bytes again are
+        decoded, also if this one fails."""
+        self._covered = self._decoded = 0
+        names = sorted(name for name, (size, _) in self._crc.items()
+                       if size == self._consumed.get(name) and size > 0
+                       and _prefix(name) not in self._foreign)
+        if not names:
             return
         table = self._positions
-        for pos, key in enumerate(table.keys):
-            entry = todo.get(key[:2])
-            if entry is not None:
-                entry[3].append(pos)
-        names = sorted(set(table.metric_names()).union(*filter(
-            None, table.metrics)))
-        values = [columns.metric(name) for name in names]
-        version = _snapshot_format()
-        for name, covered, crc, positions in todo.values():
-            if positions and positions[-1] - positions[0] < len(positions):
-                # One run of positions, as a first full read leaves it.
-                run = slice(positions[0], positions[-1] + 1)
+        keys, case_ids = table.keys, table.case_ids
+        number = dict(zip(map(_prefix, names), range(len(names))))
+        shard = np.fromiter(map(number.get, map(itemgetter(slice(2)), keys),
+                                repeat(-1)), np.int64, len(keys))
+        starts = np.array(table.starts, np.int64)
+        newline = [pos for pos, (key, case_id) in enumerate(zip(
+            keys, case_ids)) if "\n" in key or "\n" in case_id]
+        bad = set(shard[starts < 0].tolist() + shard[newline].tolist())
+        shard[np.isin(shard, list(bad))] = -1
+        rows = self._perm[shard[self._perm] >= 0]
+        picked = rows.tolist()
+        kept = [i for i in range(len(names)) if i not in bad]
+        if not kept:
+            return
+        renumber = np.full(len(names), -1, np.int64)
+        renumber[kept] = np.arange(len(kept))
+        ints = np.empty((3 + len(_CODED), len(picked)), "<i8")
+        ints[0] = renumber[shard[rows]]
+        ints[1] = starts[rows]
+        ints[2] = ints[1] + np.fromiter(
+            map(len, map(table.lines.__getitem__, picked)), np.int64,
+            len(picked))
+        header = {}
+        for i, name in enumerate(_CODED, 3):
+            column = (table.axes[name] if name in table.axes
+                      else getattr(table, name))
+            ints[i], header[name] = _distinct(
+                list(map(column.__getitem__, picked)))
+        distinct = header["noi_overrides"]
+        header["noi_overrides"] = [table.overrides[c] for c in distinct]
+        header["texts"] = [table.texts[c] for c in distinct]
+        metrics = sorted(set(table.metric_names()).union(*filter(
+            None, map(table.metrics.__getitem__, picked))))
+        matrix = np.empty((len(metrics), len(picked)), "<f8")
+        for i, name in enumerate(metrics):
+            matrix[i] = table.metric_values(name)[rows]
+        held = ~np.isnan(matrix).all(axis=1)
+        header.update(
+            format=_snapshot_format(), rows=len(picked),
+            shards=[[names[i], *self._crc[names[i]]] for i in kept],
+            metrics=[name for name, keep in zip(metrics, held) if keep])
+        blocks = [json.dumps(header, separators=(",", ":")).encode("utf-8"),
+                  b"\n", ints, matrix if held.all() else matrix[held]]
+        del ints, matrix
 
-                def take(column):
-                    return column[run]
-            else:
-                run = positions
+        def parts():
+            # Each part is dropped once written, so the big ones never
+            # sit in memory together.
+            while blocks:
+                yield blocks.pop(0)
+            for column in (keys, case_ids):
+                if picked:
+                    yield "\n".join(map(column.__getitem__, picked)).encode(
+                        "utf-8", "surrogatepass")
+                    yield b"\n"
 
-                def take(column):
-                    return list(map(column.__getitem__, positions))
-
-            starts = np.array(take(table.starts), np.int64)
-            if (starts < 0).any():
-                continue
-            matrix = np.array([column[run] for column in values],
-                              np.float64).reshape(len(names), len(positions))
-            metric = ~np.isnan(matrix).all(axis=1)
-            codes = take(table.axes["noi_overrides"])
-            distinct = list(dict.fromkeys(codes))
-            local = dict(zip(distinct, range(len(distinct))))
-            header = {
-                "format": version, "covered": covered, "crc": crc,
-                "rows": len(positions),
-                "metrics": [n for n, keep in zip(names, metric) if keep],
-                "overrides": [table.overrides[c] for c in distinct],
-                "texts": [table.texts[c] for c in distinct],
-                "keys": take(table.keys), "case_ids": take(table.case_ids),
-                "elapsed": take(table.elapsed), "flags": take(table.flags),
-                **{axis: take(table.axes[axis]) for axis in _AXES
-                   if axis != "noi_overrides"},
-            }
-            ends = starts + np.fromiter(map(len, take(table.lines)),
-                                        np.int64, len(positions))
-            parts = _snapshot_parts(header, np.array(
-                [starts, ends, list(map(local.__getitem__, codes))]),
-                matrix[metric])
-            try:
-                _publish(self._snapshot_path(name),
-                         methodcaller("writelines", parts))
-            except OSError:  # a read-only directory still answers
-                pass
+        self._covered = sum(self._crc[names[i]][0] for i in kept)
+        try:
+            _publish(self._snapshot_path, methodcaller("writelines", parts()))
+        except OSError:  # a read-only directory still answers
+            pass
 
     def _peek(self, key: str) -> Optional[int]:
-        """Position of the complete record for ``key`` or ``None``;
-        never touches stats.
+        """Position of the complete record for ``key`` or ``None``,
+        after reading its shard's new lines; never touches stats."""
+        self._refresh([self._shard_path(key)])
+        return self._found(key)
+
+    def _found(self, key: str) -> Optional[int]:
+        """Position of the complete record for ``key`` in the index as
+        it is, or ``None``.
 
         "Complete" includes the array payload: a record whose flagged
         ``.npz`` is absent (crash between the two writes) is treated as
         missing, so ``has``/``__contains__`` never disagree with
         ``get``.
         """
-        self._refresh([self._shard_path(key)])
         pos = self._pos.get(key)
         if pos is None or (self._positions.flags[pos]
                            and not self._npz_path(key).exists()):
@@ -689,9 +723,13 @@ class ResultStore:
         Stats-neutral bulk membership for shard coordination (drain
         termination, coordinator tails): polling a grid's completion
         every few hundred milliseconds must not drown the hit/miss
-        counters that describe sweep behaviour.
+        counters that describe sweep behaviour.  Each shard of ``keys``
+        is read once, before any key is looked up.
         """
-        return frozenset(key for key in keys if self._peek(key) is None)
+        keys = list(keys)
+        self._refresh(map(self._shard_path, sorted(set(map(
+            itemgetter(slice(2)), keys)))))
+        return frozenset(key for key in keys if self._found(key) is None)
 
     def _complete(self) -> List[int]:
         """Positions of every record that passes the completeness
@@ -722,8 +760,8 @@ class ResultStore:
             self._perm = np.fromiter(map(itemgetter(2), self._order),
                                      np.int64, len(self._order))
         self._columns.perm = self._perm
-        if self._due:
-            self._write_snapshots(self._columns)
+        if self._decoded >= max(self._covered, 1):
+            self._write_snapshot()
         return self._columns
 
     def __len__(self) -> int:
@@ -899,119 +937,6 @@ def _decode_lines(data: bytes, offset: int = 0
     return kept, values, kept_starts
 
 
-def _snapshot_format() -> str:
-    """The format an index snapshot must name to be read."""
-    from .. import __version__ as code_version
-
-    return f"{SNAPSHOT_VERSION}/{STORE_SCHEMA_VERSION}/{code_version}"
-
-
-#: The per-record lists of a snapshot header.
-_SNAPSHOT_LISTS = ("keys", "case_ids", "elapsed", "flags", "arch",
-                   "num_chiplets", "workload", "seed", "tag")
-#: Lists a snapshot packs into a raw block, not JSON, whenever every
-#: value has exactly that type: ``(header name, type, block dtype)``.
-_PACKED = (("elapsed", float, "<f8"), ("num_chiplets", int, "<i8"),
-           ("seed", int, "<i8"))
-
-
-def _snapshot_parts(header: dict, spans: np.ndarray,
-                    matrix: np.ndarray) -> List[bytes]:
-    """The bytes of one shard's index snapshot, in order.
-
-    A snapshot is one line of compact JSON -- ``header``: the format,
-    the bytes it covers and their crc32, the record count, the metric
-    names, the distinct override lists with their interning keys
-    (:meth:`_Positions.intern`) and, per record, its key, ``case_id``,
-    elapsed time, arrays flag and scalar case axes -- followed by raw
-    little-endian blocks: int64 line starts, line ends and codes into
-    the override lists, one row each (``spans``); each :data:`_PACKED`
-    list whose header entry is ``null``; then float64 metric values,
-    one row per metric name (``matrix``): :func:`finite_float` of each
-    record's value, NaN where it has none.  Packs ``header`` in place.
-    """
-    blocks = [spans.astype("<i8").tobytes()]
-    for name, kind, dtype in _PACKED:
-        if set(map(type, header[name])) <= {kind}:
-            try:
-                blocks.append(np.array(header[name], dtype).tobytes())
-            except OverflowError:  # an int past int64
-                continue
-            header[name] = None
-    return [json.dumps(header, separators=(",", ":"),
-                       check_circular=False).encode("utf-8"), b"\n",
-            *blocks, matrix.astype("<f8").tobytes()]
-
-
-def _read_snapshot(raw: bytes, data: bytes, known: Mapping[str, int]):
-    """The contents of snapshot file ``raw`` if it is valid for
-    ``data``, a shard's bytes from offset 0; else ``None``.
-
-    Valid means: it parses, names this format (:func:`_snapshot_format`),
-    covers at most ``len(data)`` bytes ending on a newline whose crc32
-    is the recorded one, and every part has the length, range and types
-    the index needs.  An override list is checked only if its
-    interning key is not ``known`` yet, and then also against that key.
-    Returns ``(covered, crc, metric names, metric matrix, per-record
-    lists, override interning keys, override lists)``; the lists, by
-    name, are :data:`_SNAPSHOT_LISTS` plus ``starts``, ``ends`` and
-    ``codes``.
-    """
-    try:
-        cut = raw.index(b"\n")
-        head = json.loads(raw[:cut])
-        if head["format"] != _snapshot_format():
-            return None
-        covered, crc, rows, names = (head["covered"], head["crc"],
-                                     head["rows"], head["metrics"])
-        columns = {name: head[name] for name in _SNAPSHOT_LISTS}
-        packed = [(name, dtype) for name, _, dtype in _PACKED
-                  if columns[name] is None]
-        if not (type(covered) is int and 0 < covered <= len(data)
-                and data[covered - 1] == ord("\n")
-                and zlib.crc32(memoryview(data)[:covered]) == crc
-                and type(rows) is int and rows >= 0
-                and type(names) is list and _only(names, str)
-                and len(set(names)) == len(names)
-                and len(raw) - cut - 1
-                == 8 * rows * (3 + len(packed) + len(names))):
-            return None
-        offset = cut + 1 + 24 * rows
-        for name, dtype in packed:
-            columns[name] = np.frombuffer(raw, dtype, rows, offset).tolist()
-            offset += 8 * rows
-        overrides, texts = head["overrides"], head["texts"]
-        if not (all(type(columns[name]) is list
-                    and len(columns[name]) == rows
-                    for name in _SNAPSHOT_LISTS)
-                and _only(columns["keys"], str)
-                and _only(columns["case_ids"], str)
-                and _only(columns["elapsed"], (int, float))
-                and _only(columns["flags"], bool)
-                and all(_only(columns[name], _SCALARS) for name in _AXES
-                        if name != "noi_overrides")
-                and type(overrides) is list and type(texts) is list
-                and len(texts) == len(overrides) and _only(texts, str)
-                and all(_pairs_ok(pairs) and repr(pairs) == text
-                        for text, pairs in zip(texts, overrides)
-                        if text not in known)):
-            return None
-        starts, ends, codes = np.frombuffer(
-            raw, "<i8", 3 * rows, cut + 1).reshape(3, rows)
-        if rows and not (starts.min() >= 0 and ends.max() <= covered
-                         and (starts <= ends).all() and codes.min() >= 0
-                         and codes.max() < len(overrides)):
-            return None
-        matrix = np.frombuffer(raw, "<f8", rows * len(names), offset)
-    except (ValueError, KeyError, TypeError, IndexError, OverflowError):
-        return None
-    columns.update(starts=starts.tolist(), ends=ends.tolist(),
-                   codes=codes.tolist())
-    return (covered, crc, names,
-            matrix.astype(np.float64).reshape(len(names), rows),
-            columns, texts, overrides)
-
-
 def finite_float(value: object) -> Optional[float]:
     """``value`` as a float if it is a finite number, else ``None``.
 
@@ -1069,6 +994,188 @@ def _pairs_ok(pairs: list) -> bool:
     return type(pairs) is list and all(
         type(pair) is list and len(pair) == 2 and isinstance(pair[0], str)
         and isinstance(pair[1], _SCALARS) for pair in pairs)
+
+
+def _snapshot_format() -> str:
+    """The format the index snapshot must name to be read."""
+    from .. import __version__ as code_version
+
+    return f"{SNAPSHOT_VERSION}/{STORE_SCHEMA_VERSION}/{code_version}"
+
+
+#: The per-record columns the index snapshot holds as codes into
+#: distinct values listed in its header, in block order.
+_CODED = ("elapsed", "flags", *_AXES)
+
+
+def _distinct(values: list) -> Tuple[list, list]:
+    """``(codes, distinct)`` with ``distinct[codes[i]]`` identical to
+    ``values[i]``: ``1``, ``1.0`` and ``True`` stay apart, and so do
+    ``0.0`` and ``-0.0``."""
+    kinds = set(map(type, values))
+    if kinds == {float}:  # one value per bit pattern
+        bits, codes = np.unique(np.array(values, np.float64).view(np.int64),
+                                return_inverse=True)
+        return codes.ravel(), bits.view(np.float64).tolist()
+    keys = (values if len(kinds) == 1 and kinds <= {str, int, bool, type(None)}
+            else list(map(repr, values)))
+    first = dict(zip(keys, values))
+    index = dict(zip(first, range(len(first))))
+    return list(map(index.__getitem__, keys)), list(first.values())
+
+
+def _at(distinct: list, codes: np.ndarray) -> list:
+    """``distinct[code]`` for each of ``codes``."""
+    values = np.empty(len(distinct), object)
+    values[:] = distinct
+    return values[codes].tolist()
+
+
+class _Snapshot:
+    """A parsed index snapshot (:func:`_load_snapshot`).
+
+    ``shards`` maps each covered shard's name to ``(number, covered
+    bytes, their crc32)``; ``covered`` is their total.  Row ``r`` is one
+    record, rows in ``(case_id, key)`` order: its shard number, line
+    start and line end are ``ints[0:3, r]``, and its code into
+    ``values[name]`` of each of :data:`_CODED` is ``ints[3 + i, r]``
+    (``values["noi_overrides"]`` holds the distinct override lists,
+    ``texts`` their interning keys).  ``matrix[m, r]`` is metric
+    ``names[m]`` as :func:`finite_float` makes it, NaN where missing,
+    and ``keys[r]``, ``case_ids[r]`` are the record's key and case id.
+    ``spans`` lists the rows, line starts and line ends shard by shard;
+    shard ``s`` has entries ``bounds[s]`` to ``bounds[s + 1]``.
+    """
+
+    __slots__ = ("shards", "covered", "rows", "ints", "values", "texts",
+                 "names", "matrix", "keys", "case_ids", "spans", "bounds")
+
+    def cut(self, name: str, data: bytes, lines: list
+            ) -> Tuple[Optional[list], int, int]:
+        """``(rows, covered bytes, their crc32)`` of shard ``name`` if
+        the snapshot is valid for ``data``, its bytes from offset 0 --
+        and then each of those rows' line, cut from ``data``, goes into
+        ``lines`` -- else ``(None, 0, 0)``."""
+        entry = self.shards.get(name)
+        if entry is None:
+            return None, 0, 0
+        number, covered, crc = entry
+        if not (covered <= len(data) and data[covered - 1] == ord("\n")
+                and zlib.crc32(memoryview(data)[:covered]) == crc):
+            return None, 0, 0
+        rows, starts, ends = (
+            span[self.bounds[number]:self.bounds[number + 1]].tolist()
+            for span in self.spans)
+        for row, start, end in zip(rows, starts, ends):
+            lines[row] = data[start:end]
+        return rows, covered, crc
+
+    def records(self, table: "_Positions", rows: list, lines: list) -> list:
+        """Rows ``rows`` (ascending) as a :meth:`ResultStore._place`
+        chunk, their override lists interned into ``table`` and their
+        metric values added to it; ``lines`` is what :meth:`cut`
+        filled."""
+        whole = len(rows) == self.rows
+        ints = self.ints if whole else self.ints[:, rows]
+
+        def pick(values):
+            return values if whole else list(map(values.__getitem__, rows))
+
+        interned = table.intern(self.texts, dict(zip(
+            self.texts, self.values["noi_overrides"])))
+        columns = {name: _at(interned if name == "noi_overrides"
+                             else self.values[name], ints[3 + i])
+                   for i, name in enumerate(_CODED)}
+        first = table.add_metrics(
+            self.names, self.matrix if whole else self.matrix[:, rows])
+        return [pick(lines), pick(self.keys), pick(self.case_ids),
+                [None] * len(rows), columns["elapsed"], columns["flags"],
+                ints[1].tolist(), list(range(first, first + len(rows))),
+                *(columns[name] for name in _AXES)]
+
+
+def _load_snapshot(path: Path, known: Mapping[str, int]
+                   ) -> Optional[_Snapshot]:
+    """The index snapshot at ``path``, parsed, or ``None`` if it is
+    absent or not valid.
+
+    Valid means: it parses, names this format (:func:`_snapshot_format`)
+    and every part has the length, range and types the index needs --
+    types checked once per distinct value, and an override list only if
+    its interning key is not ``known`` yet, and then also against that
+    key.  Whether it still describes a shard is :meth:`_Snapshot.cut`'s
+    check.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    snapshot = _Snapshot()
+    try:
+        cut = raw.index(b"\n")
+        head = json.loads(raw[:cut])
+        if head["format"] != _snapshot_format():
+            return None
+        rows, names, texts = head["rows"], head["metrics"], head["texts"]
+        values = {name: head[name] for name in _CODED}
+        shards = {name: (number, covered, crc) for number, (
+            name, covered, crc) in enumerate(head["shards"])}
+        covered = [entry[1] for entry in shards.values()]
+        overrides = values["noi_overrides"]
+        if not (type(rows) is int and rows >= 0
+                and len(shards) == len(head["shards"]) and _only(shards, str)
+                and all(type(c) is int and c > 0 for c in covered)
+                and all(type(entry[2]) is int for entry in shards.values())
+                and type(names) is list and _only(names, str)
+                and len(set(names)) == len(names)
+                and all(type(v) is list for v in values.values())
+                and _only(values["elapsed"], (int, float))
+                and _only(values["flags"], bool)
+                and all(_only(values[name], _SCALARS) for name in _AXES
+                        if name != "noi_overrides")
+                and type(texts) is list and _only(texts, str)
+                and len(texts) == len(overrides)
+                and all(_pairs_ok(pairs) and repr(pairs) == text
+                        for text, pairs in zip(texts, overrides)
+                        if text not in known)
+                and len(raw) >= cut + 1
+                + 8 * rows * (3 + len(_CODED) + len(names))):
+            return None
+        list(map(float, values["elapsed"]))  # OverflowError: an int too big
+        offset = cut + 1
+        ints = np.frombuffer(raw, "<i8", rows * (3 + len(_CODED)),
+                             offset).reshape(3 + len(_CODED), rows)
+        offset += ints.nbytes
+        matrix = np.frombuffer(raw, "<f8", rows * len(names), offset)
+        offset += matrix.nbytes
+        # Keys, then case ids, each ending in a newline.
+        text = str(memoryview(raw)[offset:], "utf-8", "surrogatepass").split(
+            "\n")
+        if len(text) != 2 * rows + 1 or text[-1]:
+            return None
+        if rows:
+            number, starts, ends = ints[:3]
+            if not (number.min() >= 0 and number.max() < len(shards)
+                    and starts.min() >= 0 and (starts <= ends).all()
+                    and (ends <= np.array(covered)[number]).all()
+                    and all(ints[3 + i].min() >= 0
+                            and ints[3 + i].max() < len(values[name])
+                            for i, name in enumerate(_CODED))):
+                return None
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError):
+        return None
+    order = np.argsort(ints[0], kind="stable")
+    snapshot.bounds = np.searchsorted(
+        ints[0][order], np.arange(len(shards) + 1)).tolist()
+    snapshot.spans = (order, ints[1][order], ints[2][order])
+    snapshot.shards, snapshot.covered, snapshot.rows = (
+        shards, sum(covered), rows)
+    # Copies, so the raw bytes are freed on return.
+    snapshot.ints = ints.astype(np.int64)
+    snapshot.values, snapshot.texts, snapshot.names = values, texts, names
+    snapshot.matrix = matrix.astype(np.float64).reshape(len(names), rows)
+    snapshot.keys, snapshot.case_ids = text[:rows], text[rows:-1]
+    return snapshot
 
 
 def _fields(records: list):
@@ -1157,7 +1264,7 @@ class _Positions:
     __slots__ = ("lines", "keys", "case_ids", "metrics", "elapsed", "flags",
                  "starts", "rows", "axes", "overrides", "texts", "ids",
                  "codes",
-                 "metric_rows", "_parts", "_stacked")
+                 "metric_rows", "_parts")
 
     def __init__(self) -> None:
         self.lines: List[bytes] = []
@@ -1183,8 +1290,6 @@ class _Positions:
         self.metric_rows = 0
         #: ``(first row, values)`` parts of each metric's snapshot data.
         self._parts: Dict[str, List[Tuple[int, np.ndarray]]] = {}
-        #: Each metric's parts joined over all rows, as last joined.
-        self._stacked: Dict[str, np.ndarray] = {}
 
     def columns(self) -> List[list]:
         """Every per-position list, in :meth:`ResultStore._place`'s
@@ -1220,15 +1325,27 @@ class _Positions:
         """Every metric name in the snapshot metric data."""
         return list(self._parts)
 
-    def snapshot_metric(self, name: str) -> np.ndarray:
-        """Metric ``name`` of every snapshot row, NaN where missing."""
-        column = self._stacked.get(name)
-        if column is None or len(column) != self.metric_rows:
-            column = np.full(self.metric_rows, np.nan)
-            for first, values in self._parts.get(name, ()):
-                column[first:first + len(values)] = values
-            self._stacked[name] = column
-        return column
+    def metric_values(self, name: str, start: int = 0) -> np.ndarray:
+        """Metric ``name`` of every record from position ``start`` on,
+        as float64: a snapshot row's value (:func:`finite_float` applied
+        when it was written), else :func:`finite_float` of the metrics
+        dict's value; NaN where missing."""
+        rows = np.array(self.rows[start:], np.int64)
+        out = np.full(len(rows), np.nan)
+        held = rows >= 0
+        for first, values in self._parts.get(name, ()):
+            inside = held & (rows >= first) & (rows < first + len(values))
+            out[inside] = values[rows[inside] - first]
+        decoded = np.flatnonzero(~held)
+        if len(decoded) == len(rows):
+            dicts = self.metrics[start:]
+        else:
+            dicts = list(map(self.metrics.__getitem__,
+                             (decoded + start).tolist()))
+        if dicts:
+            out[decoded] = _float_column(list(map(dict.get, dicts,
+                                                  repeat(name))))
+        return out
 
     def select(self, keep: List[int]) -> "_Positions":
         """A copy holding only positions ``keep``, renumbered in order;
@@ -1298,24 +1415,10 @@ class RecordColumns:
     def metric(self, name: str) -> np.ndarray:
         """Metric ``name`` of every record, NaN where it is missing."""
         column = self._metrics.get(name, np.empty(0))
-        table = self._positions
-        done = len(column)
-        if len(table.keys) > done:
-            # Snapshot rows hold finite_float of the stored values
-            # already; decoded records convert their metrics dicts.
-            rows = np.array(table.rows[done:], np.int64)
-            fresh = np.full(len(rows), np.nan)
-            held = rows >= 0
-            if held.any():
-                fresh[held] = table.snapshot_metric(name)[rows[held]]
-            decoded = np.flatnonzero(~held)
-            if len(decoded):
-                dicts = (table.metrics[done:] if len(decoded) == len(rows)
-                         else [table.metrics[done + i]
-                               for i in decoded.tolist()])
-                fresh[decoded] = _float_column(
-                    list(map(dict.get, dicts, repeat(name))))
-            column = self._metrics[name] = np.concatenate([column, fresh])
+        count = len(self._positions.keys)
+        if count > len(column):
+            column = self._metrics[name] = np.concatenate([
+                column, self._positions.metric_values(name, len(column))])
         return column
 
     def complete(self, positions: np.ndarray) -> np.ndarray:

@@ -7,16 +7,18 @@ not a ``case_id``) are put through a writer store with random metrics
 float, ``0.0``/``-0.0`` ties -- and random npz payloads.  Between the
 puts, payloads are deleted, earlier cases are re-put with new metrics
 (a key rewritten after queries built the column cache) and queries
-run.  Index snapshot events ride along: a fresh full open writes
-snapshots, a shard is rewritten shorter, a line is overwritten in place
-with garbage of the same length (a same-length rewrite that a stale
-snapshot's crc must catch, and a corrupt line that later snapshots
-cover), a snapshot is torn (truncated), and a snapshot of another
-format version with wrong metric values is planted; puts after any of
-them append past a snapshot.  At the end one shard is rewritten
-shorter and more records are appended.  After each step
+run.  Index snapshot events ride along: a fresh full open writes the
+store's snapshot, a shard is rewritten shorter, a line is overwritten
+in place with garbage of the same length (a same-length rewrite that
+a stale snapshot's crc must catch, and a corrupt line that later
+snapshots cover), a shard is deleted, a shard gains a copy of another
+shard's line with new metrics (a key in the wrong shard), the snapshot
+is torn (truncated), and a snapshot of another format version with
+wrong metric values is planted; puts after any of them append past
+the snapshot.  At the end one shard is rewritten shorter and more
+records are appended.  After each step
 ``query_results`` on the writer, on a long-lived reader and on a fresh
-reader (which loads snapshots) must equal, byte for byte as JSON, a
+reader (which loads the snapshot) must equal, byte for byte as JSON, a
 brute-force recount: every shard line that parses (last writer wins,
 records with a missing npz dropped), ``case_from_record`` ->
 ``SweepCase.case_id``, ``sorted``, a per-record filter, then a
@@ -27,8 +29,11 @@ byte as JSON: records are decoded from stored lines, page rows are
 rebuilt from the index, and the two must never drift apart; so must a
 fresh open of a copy of the shards without any snapshot.  Handles that
 consumed a shard before a same-length rewrite keep their view of it
-(their (mtime, size) guard sees no new bytes), so the harness re-opens
-them after one.
+(their (mtime, size) guard sees no new bytes), and so do handles whose
+shard was deleted; long-lived handles take a key in the wrong shard in
+the order they read it, not in shard order, and forget it when its own
+shard is rewritten shorter.  So the harness re-opens them after each
+of these.
 
 The suite is derandomised with a fixed example budget, so tier-1 runs
 the same examples every time.  Counterexamples the fuzzer shrinks are
@@ -49,6 +54,7 @@ from hypothesis import strategies as st
 
 from repro.eval.queries import MAX_PAGE_ROWS, ResultQuery, query_results
 from repro.eval.store import (
+    _CODED,
     ResultStore,
     case_from_record,
     case_key,
@@ -125,8 +131,11 @@ events = st.one_of(
     st.tuples(st.just("rewrite_shorter"), st.integers(0, 10 ** 6)),
     st.tuples(st.just("rewrite_same"), st.integers(0, 10 ** 6),
               st.integers(0, 10 ** 6)),
-    st.tuples(st.just("tear_snapshot"), st.integers(0, 10 ** 6)),
-    st.tuples(st.just("plant_snapshot"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("drop_shard"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("stray_line"), st.integers(0, 10 ** 6),
+              st.integers(0, 10 ** 6), values),
+    st.tuples(st.just("tear_snapshot"), st.integers(0, 99)),
+    st.tuples(st.just("plant_snapshot")),
 )
 
 
@@ -300,6 +309,8 @@ class Harness:
         self.reader = ResultStore(root)
         self.array_keys = []
         self.cases = []
+        #: Whether a shard holds a key of another shard.
+        self.strayed = False
 
     def put(self, case, metrics, with_arrays) -> None:
         key = case_key(case, FP)
@@ -337,21 +348,50 @@ class Harness:
             self.sync()
         elif kind == "rewrite_same":
             self.rewrite_same(event[1], event[2])
-        elif kind == "tear_snapshot":
-            snapshots = sorted(self.root.glob("shard-*.idx"))
-            if snapshots:
-                snapshot = snapshots[event[1] % len(snapshots)]
-                snapshot.write_bytes(
-                    snapshot.read_bytes()[:snapshot.stat().st_size // 2])
-        else:  # plant_snapshot, made from one a fresh open writes anew
+        elif kind == "drop_shard":
             shards = sorted(self.root.glob("shard-*.jsonl"))
             if shards:
-                snapshot = shards[event[1] % len(shards)].with_suffix(".idx")
-                snapshot.unlink(missing_ok=True)
-                len(ResultStore(self.root))
-                if snapshot.exists():  # not if its shard is empty
-                    snapshot.write_bytes(_foreign_snapshot(
-                        snapshot.read_bytes()))
+                shards[event[1] % len(shards)].unlink()
+                self.reopen()
+        elif kind == "stray_line":
+            self.stray_line(*event[1:])
+        elif kind == "tear_snapshot":
+            snapshot = self.root / "index.idx"
+            if snapshot.exists():
+                raw = snapshot.read_bytes()  # keep event[1] percent
+                snapshot.write_bytes(raw[:len(raw) * event[1] // 100])
+        else:  # plant_snapshot, made from one a fresh open writes anew
+            snapshot = self.root / "index.idx"
+            snapshot.unlink(missing_ok=True)
+            len(ResultStore(self.root))
+            if snapshot.exists():  # not if no shard has a record
+                snapshot.write_bytes(_foreign_snapshot(snapshot.read_bytes()))
+
+    def reopen(self) -> None:
+        """Replace both long-lived handles by fresh ones."""
+        self.writer = ResultStore(self.root)
+        self.reader = ResultStore(self.root)
+
+    def stray_line(self, pick: int, line_pick: int, value) -> None:
+        """Append a copy of one shard line, its metrics replaced, to
+        another shard, then re-open the long-lived handles."""
+        shards = sorted(self.root.glob("shard-*.jsonl"))
+        if len(shards) < 2:
+            return
+        source = shards[pick % len(shards)]
+        lines = source.read_bytes().splitlines()
+        try:
+            record = json.loads(lines[line_pick % len(lines)])
+        except (ZeroDivisionError, ValueError):  # empty, or garbage
+            return
+        record["metrics"] = {"lat": value}
+        target = shards[(pick + 1 + line_pick) % len(shards)]
+        if target == source:
+            target = shards[(pick + 1) % len(shards)]
+        with target.open("ab") as fh:
+            fh.write(json.dumps(record).encode() + b"\n")
+        self.strayed = True
+        self.reopen()
 
     def sync(self) -> None:
         """Bring both long-lived handles up to every shard's end."""
@@ -371,8 +411,7 @@ class Harness:
         i = line_pick % len(lines)
         lines[i] = b"#" * (len(lines[i]) - 1) + b"\n"
         shard.write_bytes(b"".join(lines))
-        self.writer = ResultStore(self.root)
-        self.reader = ResultStore(self.root)
+        self.reopen()
 
     def check(self, query: ResultQuery) -> None:
         expected = recount(self.root, query)
@@ -410,6 +449,8 @@ class Harness:
         shard = shards[pick % len(shards)]
         lines = shard.read_bytes().splitlines(keepends=True)
         shard.write_bytes(b"".join(lines[:len(lines) // 2]))
+        if self.strayed:
+            self.reopen()
 
 
 def _foreign_snapshot(raw: bytes) -> bytes:
@@ -418,10 +459,11 @@ def _foreign_snapshot(raw: bytes) -> bytes:
     cut = raw.index(b"\n")
     head = json.loads(raw[:cut])
     head["format"] = "0/" + head["format"]
-    metrics = 8 * head["rows"] * len(head["metrics"])  # the last block
-    values = np.frombuffer(raw[len(raw) - metrics:], "<f8") + 1.0
-    return (json.dumps(head).encode() + raw[cut:len(raw) - metrics]
-            + values.astype("<f8").tobytes())
+    start = cut + 1 + 8 * head["rows"] * (3 + len(_CODED))
+    end = start + 8 * head["rows"] * len(head["metrics"])
+    values = np.frombuffer(raw[start:end], "<f8") + 1.0
+    return (json.dumps(head).encode() + raw[cut:start]
+            + values.astype("<f8").tobytes() + raw[end:])
 
 
 def _round_trip(steps, checks, pick, tail) -> None:
@@ -557,9 +599,9 @@ class TestRegressions:
             [("put", a, {"lat": 1.0, "energy": 2}, False),
              ("put", b, {"lat": -0.0}, False),
              ("snapshot",),
-             ("tear_snapshot", 0),
+             ("tear_snapshot", 50),
              ("query", query),
-             ("tear_snapshot", 1),
+             ("tear_snapshot", 99),
              ("put", a, {"lat": 3.0}, False),
              ("query", query)],
             [query], 0, [],
@@ -584,12 +626,46 @@ class TestRegressions:
             [query], 0, [],
         )
 
+    def test_key_in_an_earlier_shard_loses_to_its_own_shard(self):
+        # A copy of the later shard's line, with another metric value,
+        # lands in the earlier shard: in shard order the later shard's
+        # own line wins, also when the snapshot holds that shard and
+        # once a new snapshot is written over both.
+        cases = [SweepCase("kite", 16, "uniform", s) for s in range(2)]
+        query = ResultQuery(metrics=("lat",), limit=5)
+        _round_trip(
+            [("put", cases[0], {"lat": 1.0}, False),
+             ("put", cases[1], {"lat": 2.0}, False),
+             ("snapshot",),
+             ("stray_line", 1, 0, 7.5),
+             ("query", query),
+             ("snapshot",),
+             ("put", cases[0], {"lat": 3.0}, False),
+             ("query", query)],
+            [query], 0, [],
+        )
+
+    def test_key_in_a_later_shard_is_never_snapshotted(self):
+        # The copy lands in the later shard and wins there; the first
+        # snapshot leaves both shards out, so a fresh open decodes them
+        # in shard order.
+        cases = [SweepCase("kite", 16, "uniform", s) for s in range(2)]
+        query = ResultQuery(metrics=("lat",), limit=5)
+        _round_trip(
+            [("put", cases[0], {"lat": 1.0}, False),
+             ("put", cases[1], {"lat": 2.0}, False),
+             ("stray_line", 0, 0, 7.5),
+             ("snapshot",),
+             ("query", query)],
+            [query], 0, [],
+        )
+
     def test_planted_snapshot_of_another_format_is_ignored(self):
         a = SweepCase("floret", 36, "hotspot@0.1", 2, tag="中")
         query = ResultQuery(metrics=METRICS)
         _round_trip(
             [("put", a, {"lat": 1.5, "energy": 10 ** 400}, True),
-             ("plant_snapshot", 0),
+             ("plant_snapshot",),
              ("query", query)],
             [query], 0, [],
         )
@@ -607,8 +683,7 @@ def test_second_cold_open_decodes_no_covered_line(monkeypatch, tmp_path):
             case=case, metrics={"lat": float(case.seed)}, elapsed_s=0.5))
     query = ResultQuery(metrics=("lat",), pivot="lat", limit=40)
     first = query_results(ResultStore(tmp_path), query)
-    assert sorted(p.name for p in tmp_path.glob("*.idx")) == sorted(
-        p.name[:-len(".jsonl")] + ".idx" for p in tmp_path.glob("*.jsonl"))
+    assert [p.name for p in tmp_path.glob("*.idx")] == ["index.idx"]
 
     decoded = []
     real = store_module._decode_lines

@@ -8,16 +8,19 @@ import os
 import shutil
 import tempfile
 import weakref
+import zlib
 
 import numpy as np
 import pytest
 from helpers import MALFORMED_RECORDS, malformed_store
 
+import repro.eval.store as store_module
 from repro.eval.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
     _float_column,
-    _read_snapshot,
+    _load_snapshot,
+    case_from_record,
     case_key,
     evaluator_fingerprint,
     finite_float,
@@ -721,39 +724,114 @@ def _answer(store) -> str:
         metrics=("value",), pivot="value", limit=1000)), sort_keys=True)
 
 
+def _snapshot_free(root) -> ResultStore:
+    """A fresh handle on a copy of the shards alone (and the payloads)."""
+    copy = tempfile.mkdtemp(dir=root.parent)
+    for shard in root.glob("shard-*.jsonl"):
+        shutil.copyfile(shard, os.path.join(copy, shard.name))
+    if (root / "arrays").exists():
+        shutil.copytree(root / "arrays", os.path.join(copy, "arrays"))
+    return ResultStore(copy)
+
+
 def _snapshot_free_answer(root) -> str:
     """The answer of a fresh open of a copy of the shards alone."""
-    with tempfile.TemporaryDirectory() as copy:
-        for shard in root.glob("shard-*.jsonl"):
-            shutil.copyfile(shard, os.path.join(copy, shard.name))
-        return _answer(ResultStore(copy))
+    return _answer(_snapshot_free(root))
 
 
-def _valid(root, name="shard-ab"):
-    """``(covered, crc)`` of the valid snapshot of shard ``name``."""
-    raw = (root / f"{name}.idx").read_bytes()
-    data = (root / f"{name}.jsonl").read_bytes()
-    snapshot = _read_snapshot(raw, data, {})
+def _views(store) -> str:
+    """Every record a handle serves, as ``iter_records``, ``get`` and
+    page rows, plus a query answer."""
+    records = list(store.iter_records())
+    results = [store.get(key, case_from_record(record))
+               for key, record in records]
+    return json.dumps([
+        records, [[r.case.case_id, r.metrics, r.elapsed_s]
+                  for r in results],
+        query_results(store, ResultQuery(limit=1000))["results"],
+        _answer(store)])
+
+
+def _valid(root) -> dict:
+    """``{shard name: covered bytes}`` of the index snapshot, which must
+    parse and still describe every shard it covers."""
+    snapshot = _load_snapshot(root / "index.idx", {})
     assert snapshot is not None
-    return snapshot[:2]
+    for name, (_, covered, crc) in snapshot.shards.items():
+        data = (root / name).read_bytes()
+        assert snapshot.cut(name, data, [b""] * snapshot.rows)[1:] == (
+            covered, crc)
+    return {name: entry[1] for name, entry in snapshot.shards.items()}
+
+
+def _decoded_bytes(monkeypatch) -> list:
+    """Every chunk ``_decode_lines`` decodes from now on."""
+    decoded = []
+    real = store_module._decode_lines
+
+    def counting(data, offset=0):
+        decoded.append(data)
+        return real(data, offset)
+
+    monkeypatch.setattr(store_module, "_decode_lines", counting)
+    return decoded
+
+
+def _key_in(prefix, seed0=0, arch="siam"):
+    """A case (from ``seed0`` up) whose key falls in shard ``prefix``."""
+    return next(c for c in (SweepCase(arch=arch, seed=s)
+                            for s in range(seed0, seed0 + 50_000))
+                if case_key(c, FP)[:2] == prefix)
 
 
 class TestSnapshots:
-    """Per-shard index snapshots: who writes them, failure hygiene,
-    and what never touches them."""
+    """The store's index snapshot: who writes it, what it covers,
+    failure hygiene, and what never touches it."""
 
-    def test_reader_writes_and_next_open_loads(self, tmp_path):
+    def test_reader_writes_and_next_open_loads(self, tmp_path,
+                                               monkeypatch):
         _fill(tmp_path, 30)
         want = _snapshot_free_answer(tmp_path)
-        shards = sorted(p.name[:-len(".jsonl")]
-                        for p in tmp_path.glob("*.jsonl"))
-        assert list(tmp_path.glob("*.idx")) == []  # puts write none
+        sizes = {p.name: p.stat().st_size
+                 for p in tmp_path.glob("shard-*.jsonl")}
+        assert not (tmp_path / "index.idx").exists()  # puts write none
         assert _answer(ResultStore(tmp_path)) == want
-        assert sorted(p.name[:-len(".idx")]
-                      for p in tmp_path.glob("*.idx")) == shards
+        assert _valid(tmp_path) == sizes
+        assert [p.name for p in tmp_path.glob("*.idx")] == ["index.idx"]
+        decoded = _decoded_bytes(monkeypatch)
         reader = ResultStore(tmp_path)
         assert _answer(reader) == want
-        assert reader.stats.shard_reads == len(shards)
+        assert decoded == []
+        assert reader.stats.shard_reads == len(sizes)
+
+    def test_snapshot_records_come_in_case_id_order(self, tmp_path):
+        _fill(tmp_path, 30)
+        len(ResultStore(tmp_path))
+        snapshot = _load_snapshot(tmp_path / "index.idx", {})
+        order = list(zip(snapshot.case_ids, snapshot.keys))
+        assert order == sorted(order) and len(order) == 30
+
+    def test_first_query_keeps_only_the_asked_metric_columns(
+            self, tmp_path):
+        # The write reads metric values from the index, not through the
+        # column cache: a query asking for one metric builds one
+        # column, and the snapshot still holds every metric.
+        store = ResultStore(tmp_path)
+        for seed in range(12):
+            case = SweepCase(arch="kite", seed=seed)
+            store.put(case_key(case, FP), result_for(
+                case, {"a": seed, "b": seed * 0.5, "c": "x" * seed}))
+        query = ResultQuery(metrics=("a",), limit=0)
+        reader = ResultStore(tmp_path)
+        assert query_results(reader, query)["aggregates"]["a"]["sum"] == 66
+        assert (tmp_path / "index.idx").exists()
+        assert set(reader.columns()._metrics) == {"a"}
+        loaded = ResultStore(tmp_path)
+        for name in "abc":
+            assert query_results(loaded, ResultQuery(metrics=(name,))) \
+                == query_results(_snapshot_free(tmp_path),
+                                 ResultQuery(metrics=(name,)))
+        assert _load_snapshot(tmp_path / "index.idx", {}).names == ["a", "b"]
 
     def test_own_puts_write_no_snapshot(self, tmp_path):
         writer = ResultStore(tmp_path)
@@ -766,30 +844,33 @@ class TestSnapshots:
     def test_small_tail_rewrites_nothing(self, tmp_path):
         seed = _fill(tmp_path, 6, prefix="ab")
         len(ResultStore(tmp_path))
-        before = (tmp_path / "shard-ab.idx").read_bytes()
+        before = (tmp_path / "index.idx").read_bytes()
         _fill(tmp_path, 1, prefix="ab", seed0=seed)
         assert _answer(ResultStore(tmp_path)) == _snapshot_free_answer(
             tmp_path)
-        assert (tmp_path / "shard-ab.idx").read_bytes() == before
+        assert (tmp_path / "index.idx").read_bytes() == before
 
     def test_two_handles_write_the_same_snapshot_in_turn(self, tmp_path):
         seed = _fill(tmp_path, 3, prefix="ab")
         first = ResultStore(tmp_path)
         len(first)
-        covered, _ = _valid(tmp_path)
-        # Grow the shard past twice what the snapshot covers: a fresh
+        covered = _valid(tmp_path)["shard-ab.jsonl"]
+        # Grow the store past twice what the snapshot covers: a fresh
         # handle decodes a tail as long as the snapshot, so it writes.
         seed = _fill(tmp_path, 4, prefix="ab", seed0=seed)
+        seed = _fill(tmp_path, 2, prefix="cd", seed0=seed)
         second = ResultStore(tmp_path)
         len(second)
-        size = (tmp_path / "shard-ab.jsonl").stat().st_size
-        assert _valid(tmp_path)[0] == size > 2 * covered
+        sizes = {p.name: p.stat().st_size
+                 for p in tmp_path.glob("shard-*.jsonl")}
+        assert _valid(tmp_path) == sizes
+        assert sizes["shard-ab.jsonl"] > 2 * covered
         # The first handle has decoded as many bytes since its write
         # and now writes in turn, over the second's.
-        _fill(tmp_path, 8, prefix="ab", seed0=seed)
+        _fill(tmp_path, 12, prefix="ab", seed0=seed)
         len(first)
-        size = (tmp_path / "shard-ab.jsonl").stat().st_size
-        assert _valid(tmp_path)[0] == size
+        assert _valid(tmp_path) == {p.name: p.stat().st_size
+                                    for p in tmp_path.glob("shard-*.jsonl")}
         assert _answer(ResultStore(tmp_path)) == _snapshot_free_answer(
             tmp_path)
         assert list(tmp_path.rglob("*.tmp")) == []
@@ -797,28 +878,28 @@ class TestSnapshots:
     def test_shard_with_an_own_put_is_not_snapshotted(self, tmp_path):
         # The handle reads its own put back among another writer's
         # lines: that record was never decoded from a line at a known
-        # offset, so the shard's snapshot is not written from it.
+        # offset, so the snapshot it writes leaves that shard out.
         seed = _fill(tmp_path, 2, prefix="ab")
+        _fill(tmp_path, 2, prefix="cd", seed0=seed)
         handle = ResultStore(tmp_path)
         len(handle)
-        seed = _fill(tmp_path, 2, prefix="ab", seed0=seed)
-        case = next(c for c in (SweepCase(arch="siam", seed=s)
-                                for s in range(10_000))
-                    if case_key(c, FP)[:2] == "ab")
+        seed = _fill(tmp_path, 4, prefix="ab", seed0=seed)
+        case = _key_in("ab")
         handle.put(case_key(case, FP), result_for(case, {"value": 7.0}))
-        _fill(tmp_path, 4, prefix="ab", seed0=seed)
-        before = (tmp_path / "shard-ab.idx").read_bytes()
+        _fill(tmp_path, 8, prefix="ab", seed0=seed)
         assert _answer(handle) == _snapshot_free_answer(tmp_path)
-        assert (tmp_path / "shard-ab.idx").read_bytes() == before
+        assert set(_valid(tmp_path)) == {"shard-cd.jsonl"}
         assert _answer(ResultStore(tmp_path)) == _snapshot_free_answer(
             tmp_path)
 
     def test_key_in_another_shard_is_never_snapshotted(self, tmp_path):
         # A record whose key does not start with its shard's prefix
-        # ties two shards' indexes together: neither is snapshotted,
-        # and fresh opens still answer like a snapshot-free one.
+        # ties two shards' indexes together: the snapshot covers
+        # neither, and fresh opens still answer like a snapshot-free
+        # one.
         _fill(tmp_path, 3, prefix="ab")
         _fill(tmp_path, 3, prefix="cd")
+        _fill(tmp_path, 3, prefix="ef")
         stray = (tmp_path / "shard-ab.jsonl").read_bytes().splitlines()[0]
         assert b'"elapsed_s":0.25' in stray
         with open(tmp_path / "shard-cd.jsonl", "ab") as fh:
@@ -826,9 +907,110 @@ class TestSnapshots:
                                    b'"elapsed_s":0.5') + b"\n")
         want = _snapshot_free_answer(tmp_path)
         assert _answer(ResultStore(tmp_path)) == want
-        assert not (tmp_path / "shard-ab.idx").exists()
-        assert not (tmp_path / "shard-cd.idx").exists()
+        assert set(_valid(tmp_path)) == {"shard-ef.jsonl"}
         assert _answer(ResultStore(tmp_path)) == want
+
+    def test_newline_in_a_case_id_leaves_its_shard_out(self, tmp_path):
+        # Keys and case ids are stored as newline-joined text: a shard
+        # holding a case id with a newline in it is left out, and the
+        # snapshot still covers every other shard.
+        _fill(tmp_path, 2, prefix="ab")
+        case = SweepCase(arch="kite", workload="uni\nform")
+        ResultStore(tmp_path).put(case_key(case, FP), result_for(case))
+        odd = f"shard-{case_key(case, FP)[:2]}.jsonl"
+        want = _views(_snapshot_free(tmp_path))
+        assert _views(ResultStore(tmp_path)) == want
+        assert set(_valid(tmp_path)) == {"shard-ab.jsonl"} - {odd}
+        assert _views(ResultStore(tmp_path)) == want
+
+    @pytest.mark.parametrize("fault", ["shorter", "same-length", "deleted",
+                                       "foreign-line"])
+    def test_one_spoilt_shard_alone_is_decoded(self, tmp_path, monkeypatch,
+                                               fault):
+        # One shard no longer matches the snapshot (or gains a line
+        # holding another shard's key): the next open decodes that
+        # shard alone, loads every other shard from the snapshot, and
+        # answers like a snapshot-free handle.
+        seed = 0
+        for prefix in ("0a", "5b", "c3"):
+            seed = _fill(tmp_path, 4, prefix=prefix, seed0=seed)
+        len(ResultStore(tmp_path))
+        assert len(_valid(tmp_path)) == 3
+        shard = tmp_path / "shard-5b.jsonl"
+        lines = shard.read_bytes().splitlines(keepends=True)
+        if fault == "shorter":
+            shard.write_bytes(b"".join(lines[:2]))
+        elif fault == "same-length":
+            lines[1] = b"#" * (len(lines[1]) - 1) + b"\n"
+            shard.write_bytes(b"".join(lines))
+        elif fault == "deleted":
+            shard.unlink()
+        else:
+            # A later shard's record, with another elapsed time, in an
+            # earlier shard: the later shard's own line still wins.
+            line = (tmp_path / "shard-c3.jsonl").read_bytes().splitlines(
+                keepends=True)[0]
+            with shard.open("ab") as fh:
+                fh.write(line.replace(b'"elapsed_s":0.25',
+                                      b'"elapsed_s":0.5'))
+        want = _views(_snapshot_free(tmp_path))
+        decoded = _decoded_bytes(monkeypatch)
+        store = ResultStore(tmp_path)
+        store.columns()
+        spoilt = b"" if fault == "deleted" else shard.read_bytes()
+        if fault == "foreign-line":
+            spoilt = spoilt[sum(map(len, lines)):]  # only the new line
+        assert b"".join(decoded) == spoilt
+        assert _views(store) == want
+
+    def test_torn_or_foreign_snapshot_counts_as_absent(self, tmp_path,
+                                                       monkeypatch):
+        _fill(tmp_path, 20)
+        len(ResultStore(tmp_path))
+        path = tmp_path / "index.idx"
+        good = path.read_bytes()
+        cut = good.index(b"\n")
+        head = json.loads(good[:cut])
+        want = _views(_snapshot_free(tmp_path))
+        spoilt = [good[:n] for n in (0, cut // 2, cut + 1, len(good) - 1)]
+        spoilt.append(good + b"\n")
+        for name, value in (("format", "1/" + head["format"]),
+                            ("arch", [["siam"]]), ("seed", [{}]),
+                            ("flags", ["yes"]), ("elapsed", ["0.25"]),
+                            ("tag", [[]]), ("rows", head["rows"] + 1)):
+            other = dict(head, **{name: value})
+            spoilt.append(json.dumps(other).encode() + good[cut:])
+        for raw in spoilt:
+            path.write_bytes(raw)
+            assert _load_snapshot(path, {}) is None
+            decoded = _decoded_bytes(monkeypatch)
+            store = ResultStore(tmp_path)
+            assert _views(store) == want
+            assert len(decoded) == len(list(tmp_path.glob("*.jsonl")))
+            assert path.read_bytes() == good  # written anew
+            monkeypatch.undo()
+
+    def test_leftover_shard_snapshots_are_never_read(self, tmp_path,
+                                                     monkeypatch):
+        # Per-shard ``shard-XX.idx`` files of an older format sit beside
+        # their shards: claiming to cover each shard with the right crc
+        # and wrong values, they are neither read nor rewritten.
+        _fill(tmp_path, 20)
+        want = _views(_snapshot_free(tmp_path))
+        leftovers = {}
+        for shard in tmp_path.glob("shard-*.jsonl"):
+            data = shard.read_bytes()
+            head = {"format": "1/1/1.6.0", "covered": len(data),
+                    "crc": zlib.crc32(data), "rows": 0, "metrics": []}
+            leftovers[shard.with_suffix(".idx")] = (
+                json.dumps(head).encode() + b"\n")
+        for path, raw in leftovers.items():
+            path.write_bytes(raw)
+        for _ in range(2):  # the first open writes index.idx
+            assert _views(ResultStore(tmp_path)) == want
+        assert {path: path.read_bytes() for path in leftovers} == leftovers
+        assert sorted(p.name for p in tmp_path.glob("*.idx")) == sorted(
+            [p.name for p in leftovers] + ["index.idx"])
 
     @pytest.mark.parametrize("fault", ["replace", "read-only"])
     def test_failed_snapshot_write_leaves_store_clean(
@@ -861,26 +1043,29 @@ class TestSnapshots:
         assert list(tmp_path.glob("*.idx")) != []
 
     def test_hot_paths_leave_snapshots_alone(self, tmp_path, monkeypatch):
-        # get/probe/missing on a handle that consumed its shards never
-        # load or write a snapshot, also while others append.
+        # get/probe/missing never load or write the snapshot: not on a
+        # handle that consumed its shards while others append, nor on a
+        # cold handle, which decodes the shards it is asked about.
         seed = _fill(tmp_path, 3, prefix="ab")
         store = ResultStore(tmp_path)
         len(store)
+        assert (tmp_path / "index.idx").exists()
 
         def untouchable(*args, **kwargs):
             raise AssertionError("snapshot touched on a hot path")
 
-        monkeypatch.setattr(ResultStore, "_load_snapshot", untouchable)
-        monkeypatch.setattr(ResultStore, "_write_snapshots", untouchable)
+        monkeypatch.setattr(store_module, "_load_snapshot", untouchable)
+        monkeypatch.setattr(ResultStore, "_write_snapshot", untouchable)
         end = _fill(tmp_path, 6, prefix="ab", seed0=seed)
         cases = [SweepCase(arch="kite", num_chiplets=16, seed=s)
                  for s in range(end)]
         keys = [k for k in (case_key(c, FP) for c in cases)
                 if k[:2] == "ab"]
         assert len(keys) == 9
-        assert store.get(keys[-1], cases[end - 1]) is not None
-        assert store.probe(keys[0])
-        assert store.missing(keys) == frozenset()
+        for handle in (store, ResultStore(tmp_path)):
+            assert handle.get(keys[-1], cases[end - 1]) is not None
+            assert handle.probe(keys[0])
+            assert handle.missing(keys) == frozenset()
 
 
 class TestFloatColumn:
