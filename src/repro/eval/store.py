@@ -39,20 +39,24 @@ On-disk layout (all under one root directory):
   the like), written to a temp file and ``os.replace``d into place so a
   reader never observes a partial archive.
 
-Duplicate keys resolve last-writer-wins.  Failed evaluations are never
-stored: a crashed case must be re-attempted on the next run, not
-replayed from cache.
+A record counts only in its own shard, the one :meth:`ResultStore.put`
+writes it to (``shard-`` plus the key's first two characters): a line
+whose key belongs to another shard is skipped like a malformed record,
+so every view and every handle agree whatever the order they read the
+shards in.  Duplicate keys resolve last-writer-wins.  Failed
+evaluations are never stored: a crashed case must be re-attempted on
+the next run, not replayed from cache.
 
 In memory, a :class:`ResultStore` keeps its records in flat
 per-position lists (:class:`_Positions`): each record's raw line, key,
-``case_id``, metrics dict (or, for a record loaded from a snapshot, a
-row of float64 metric values), elapsed time, arrays flag and case axes,
-with override lists interned into codes.  None of these is a container
-the garbage collector tracks, so a big index costs the collector
-nothing and survives no collection it would not; records are decoded
-from their lines on demand.  The column cache (:class:`RecordColumns`)
-reads the same lists, and nothing refers back to the store, so a
-dropped store is freed by reference counting alone.
+``case_id``, elapsed time, arrays flag and case axes, with override
+lists interned into codes, and one float64 column per metric name.
+None of these is a container the garbage collector tracks, so a big
+index costs the collector nothing and survives no collection it would
+not; records are decoded from their lines on demand.  The column cache
+(:class:`RecordColumns`) reads the same lists and columns, and nothing
+refers back to the store, so a dropped store is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ import os
 import tempfile
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
@@ -221,11 +225,11 @@ class ResultStore:
 
     The index is flat (:class:`_Positions`): every record sits at a
     stable position as its raw JSONL line, its key, its ``case_id``,
-    its metrics dict, its elapsed time, its arrays flag, its scalar
-    case axes and one interned code for its overrides -- no
-    per-record container the garbage collector tracks.  :meth:`get`
-    and :meth:`iter_records` decode records from their lines on
-    demand.  On top sit the ``(case_id, key)`` order of the positions
+    its elapsed time, its arrays flag, its scalar case axes, one
+    interned code for its overrides and one entry in each metric's
+    float64 column -- no per-record container the garbage collector
+    tracks.  :meth:`get` and :meth:`iter_records` decode records from
+    their lines on demand.  On top sit the ``(case_id, key)`` order of the positions
     (enumeration and queries never sort) and a lazily built
     :class:`RecordColumns` cache for the query layer
     (:meth:`columns`).  Nothing the store holds refers back to it, so
@@ -284,11 +288,6 @@ class ResultStore:
         #: covered (0 for none), and the bytes it decoded itself since.
         self._covered = 0
         self._decoded = 0
-        #: Key prefixes mixed up with another shard's (a record whose
-        #: key does not start with its shard's prefix, or any record of
-        #: a shard not named ``shard-XX.jsonl``): a snapshot this
-        #: instance writes never covers their shards.
-        self._foreign: set = set()
 
     # -- keys and paths ----------------------------------------------------
 
@@ -328,7 +327,7 @@ class ResultStore:
         size = stat.st_size
         if size < consumed:
             # Rewritten shorter: forget everything this shard
-            # contributed (keys carry their shard prefix) and rebuild.
+            # contributed (every key it holds names it) and rebuild.
             prefix = _prefix(name)
             keep = [pos for pos, key in enumerate(self._positions.keys)
                     if key[:2] != prefix]
@@ -356,14 +355,13 @@ class ResultStore:
         return chunk
 
     def _tail(self, name: str, consumed: int, chunk: bytes, skip: int = 0,
-              crc: int = 0) -> Tuple[Optional[list], bool]:
+              crc: int = 0) -> Optional[list]:
         """Consume ``chunk``, the bytes of shard ``name`` from offset
         ``consumed``, and decode its complete lines past its first
         ``skip`` bytes (which a snapshot covered, their crc32 ``crc``).
 
-        Returns the decoded records as a :meth:`_place` chunk (``None``
-        if there were none) and whether any of them has a key that does
-        not start with the shard's prefix.  Never consumes past the last
+        Returns the decoded records as a :meth:`_prepare` chunk
+        (``None`` if there were none).  Never consumes past the last
         newline: the tail may be a line another process is mid-append
         on; it is re-read (from the same offset) once a later append
         moves the signature.  A snapshot always ends on a newline, so
@@ -378,50 +376,47 @@ class ResultStore:
             self._crc[name] = (consumed + end, zlib.crc32(
                 memoryview(chunk)[skip:end], crc))
         if end == skip:
-            return None, False
+            return None
         self._decoded += end - skip
-        lines = self._prepare(*_decode_lines(chunk[skip:end],
-                                             consumed + skip))
-        keys = lines[1]
-        prefix = _prefix(name)
-        mixed = (len(name) != len("shard-XX.jsonl")
-                 or not all(map(str.startswith, keys, repeat(prefix))))
-        if mixed:
-            self._foreign.update(map(itemgetter(slice(2)), keys), [prefix])
-        return lines, mixed
+        return self._prepare(*_decode_lines(chunk[skip:end], consumed + skip),
+                             prefix=_prefix(name))
 
     def _prepare(self, lines: List[bytes], records: list,
-                 starts: Optional[List[int]] = None) -> list:
-        """``records`` as a :meth:`_place` chunk; ``lines`` are their
-        raw JSONL lines and ``starts`` each line's byte offset in its
-        shard (``None``: unknown, as for this instance's own puts).
+                 starts: Optional[List[int]] = None,
+                 prefix: Optional[str] = None) -> list:
+        """``records`` as one list per :class:`_Positions` list, in
+        :meth:`_Positions.columns` order, then their metrics dicts
+        (:func:`_metric_columns` makes :meth:`_place` arguments of
+        that); ``lines`` are their raw JSONL lines, ``starts`` each
+        line's byte offset in its shard (``None``: unknown, as for this
+        instance's own puts) and ``prefix`` that shard's key prefix
+        (``None``: each record's own, as for puts).
 
-        Records that are not well formed (:func:`_fields`) are skipped,
-        like corrupt lines.  Each record's ``case_id`` is ``case_id_of``
-        of its own case, built in bulk: the override part once per
-        distinct override list.
+        Records that are not well formed (:func:`_fields`), or whose key
+        belongs to another shard, are skipped, like corrupt lines.  Each
+        record's ``case_id`` is ``case_id_of`` of its own case, built in
+        bulk: the override part once per distinct override list.
         """
-        fields = _fields(records)
+        fields = _fields(records, prefix)
         if fields is None:
             keep = [i for i, record in enumerate(records)
-                    if _fields([record]) is not None]
+                    if _fields([record], prefix) is not None]
             lines = [lines[i] for i in keep]
             if starts is not None:
                 starts = [starts[i] for i in keep]
-            fields = _fields([records[i] for i in keep])
+            fields = _fields([records[i] for i in keep], prefix)
         keys, metrics, elapsed, flags, axes, texts, lists = fields
         table = self._positions
         axes["noi_overrides"] = table.intern(texts, lists)
         case_ids = _case_ids(axes, table.ids)
-        unknown = [-1] * len(keys)
-        return [lines, keys, case_ids, metrics, elapsed, flags,
-                unknown if starts is None else starts, unknown,
-                *axes.values()]
+        return [lines, keys, case_ids, elapsed, flags,
+                [-1] * len(keys) if starts is None else starts,
+                *axes.values(), metrics]
 
-    def _place(self, chunk: list) -> None:
+    def _place(self, chunk: list, metrics: Dict[str, np.ndarray]) -> None:
         """Put a chunk of records -- one list per :class:`_Positions`
-        column, in :meth:`_Positions.columns` order -- into the index,
-        last writer wins.
+        list, in :meth:`_Positions.columns` order, and one float64
+        column per metric name -- into the index, last writer wins.
 
         A new key takes the next position and waits on ``_pending`` for
         the next :meth:`_merge`.  A known key keeps its position; if
@@ -440,12 +435,15 @@ class ResultStore:
             self._pending.extend(range(start, start + len(keys)))
             for column, new in zip(table.columns(), chunk):
                 column.extend(new)
+            table.set_metrics(slice(start, start + len(keys)), metrics,
+                              slice(None))
             return
+        placed = {}  # slot -> the chunk entry that last set it
         for i, key in enumerate(keys):
             slot = pos.get(key)
             if slot is None:
-                pos[key] = len(table.keys)
-                self._pending.append(len(table.keys))
+                slot = pos[key] = len(table.keys)
+                self._pending.append(slot)
                 for column, new in zip(table.columns(), chunk):
                     column.append(new[i])
             elif table.lines[slot] != lines[i]:
@@ -453,6 +451,10 @@ class ResultStore:
                 self._stale |= table.case_ids[slot] != case_ids[i]
                 for column, new in zip(table.columns(), chunk):
                     column[slot] = new[i]
+            else:
+                continue
+            placed[slot] = i
+        table.set_metrics(list(placed), metrics, list(placed.values()))
 
     def _merge(self) -> None:
         """Fold pending positions into the ``(case_id, key)`` order.
@@ -487,7 +489,7 @@ class ResultStore:
         puts = self._puts
         if puts[0]:
             self._puts = ([], [])
-            self._place(self._prepare(*puts))
+            self._place(*_metric_columns(self._prepare(*puts)))
 
     def _refresh(self, shards: Iterable[Path],
                  use_snapshot: bool = False) -> None:
@@ -503,11 +505,10 @@ class ResultStore:
         its lines past N are decoded.  Every other shard is decoded
         from where it was left.  The snapshot's records go into the
         index in one chunk, in ``(case_id, key)`` order, so
-        :meth:`_merge` finds them sorted; the decoded lines follow,
-        shard by shard.  That equals taking each shard's snapshot
-        records and then its lines, shard by shard, as long as no key
-        sits in two shards -- which is how they are taken when some
-        decoded key does not start with its shard's prefix.
+        :meth:`_merge` finds them sorted; the decoded lines of every
+        shard follow in one more, shard by shard.  A key counts only in
+        its own shard, so that equals taking each shard's snapshot
+        records and then its lines, shard by shard.
         """
         self._index_puts()
         todo = [todo for todo in map(self._changed, shards)
@@ -519,29 +520,23 @@ class ResultStore:
         if snapshot is not None:
             self._covered, self._decoded = snapshot.covered, 0
             lines = [b""] * snapshot.rows
-        parts = []
-        mixed = False
+        held, tails = [], []
         for shard, sig, consumed, size in todo:
             chunk = self._read(shard, sig, consumed, size)
-            rows, skip, crc = None, 0, 0
+            skip = crc = 0
             if consumed == 0 and snapshot is not None:
                 rows, skip, crc = snapshot.cut(shard.name, chunk, lines)
-            tail, foreign = self._tail(shard.name, consumed, chunk, skip, crc)
-            mixed |= foreign
-            parts.append((rows, tail))
-        table = self._positions
-        held = [rows for rows, _ in parts if rows is not None]
-        if held and not mixed:
-            rows = list(chain.from_iterable(held))
-            if len(rows) < snapshot.rows:
-                rows.sort()
-            self._place(snapshot.records(table, rows, lines))
-            parts = [(None, tail) for _, tail in parts]
-        for rows, tail in parts:
-            if rows is not None:
-                self._place(snapshot.records(table, rows, lines))
+                held += rows
+            tail = self._tail(shard.name, consumed, chunk, skip, crc)
             if tail is not None:
-                self._place(tail)
+                tails.append(tail)
+        if held:
+            if len(held) < snapshot.rows:
+                held.sort()
+            self._place(*snapshot.records(self._positions, held, lines))
+        if tails:
+            self._place(*_metric_columns([list(chain.from_iterable(parts))
+                                          for parts in zip(*tails)]))
 
     def _refresh_all(self) -> None:
         """Index the new lines of every shard, using the snapshot."""
@@ -556,19 +551,16 @@ class ResultStore:
 
     def _write_snapshot(self) -> None:
         """Publish the index snapshot of every shard this instance can
-        describe exactly: its crc covers all it consumed, no key prefix
-        is mixed up with another shard's, and every record of the shard
-        came from a line this instance read at a known offset (not from
-        its own puts), with no newline in its key or ``case_id``.
-        Records go in ``(case_id, key)`` order, the order of ``_perm``.
-        Metric values are read from the position lists
-        (:meth:`_Positions.metric_values`), so the column cache gains no
-        column.  The next write waits until as many bytes again are
+        describe exactly: its crc covers all it consumed, and every
+        record of the shard came from a line this instance read at a
+        known offset (not from its own puts), with no newline in its
+        key or ``case_id``.  Records go in ``(case_id, key)`` order, the
+        order of ``_perm``; metric values come from the index's metric
+        columns.  The next write waits until as many bytes again are
         decoded, also if this one fails."""
         self._covered = self._decoded = 0
         names = sorted(name for name, (size, _) in self._crc.items()
-                       if size == self._consumed.get(name) and size > 0
-                       and _prefix(name) not in self._foreign)
+                       if size == self._consumed.get(name) and size > 0)
         if not names:
             return
         table = self._positions
@@ -603,11 +595,10 @@ class ResultStore:
         distinct = header["noi_overrides"]
         header["noi_overrides"] = [table.overrides[c] for c in distinct]
         header["texts"] = [table.texts[c] for c in distinct]
-        metrics = sorted(set(table.metric_names()).union(*filter(
-            None, map(table.metrics.__getitem__, picked))))
+        metrics = sorted(table.floats)
         matrix = np.empty((len(metrics), len(picked)), "<f8")
         for i, name in enumerate(metrics):
-            matrix[i] = table.metric_values(name)[rows]
+            matrix[i] = table.floats[name][rows]
         held = ~np.isnan(matrix).all(axis=1)
         header.update(
             format=_snapshot_format(), rows=len(picked),
@@ -820,8 +811,8 @@ class ResultStore:
                 ],
                 "tag": result.case.tag,
             },
-            # A copy: the index keeps this dict, and the caller's may
-            # change after the put.
+            # A copy: the next read indexes this dict, and the caller's
+            # may change before it.
             "metrics": dict(result.metrics),
             "elapsed_s": result.elapsed_s,
             "arrays": bool(result.arrays),
@@ -894,8 +885,10 @@ def _npz_file(arrays_dir: Path, key: str) -> Path:
 
 
 def _prefix(name: str) -> str:
-    """The key prefix of shard file ``name`` (``shard-XX.jsonl``)."""
-    return name[len("shard-"):len("shard-") + 2]
+    """The key prefix of shard file ``name``: what :meth:`ResultStore.put`
+    puts between ``shard-`` and ``.jsonl``, the first two characters of
+    every key the shard holds."""
+    return name[len("shard-"):-len(".jsonl")]
 
 
 def _decode_lines(data: bytes, offset: int = 0
@@ -1051,18 +1044,18 @@ class _Snapshot:
                  "names", "matrix", "keys", "case_ids", "spans", "bounds")
 
     def cut(self, name: str, data: bytes, lines: list
-            ) -> Tuple[Optional[list], int, int]:
+            ) -> Tuple[list, int, int]:
         """``(rows, covered bytes, their crc32)`` of shard ``name`` if
         the snapshot is valid for ``data``, its bytes from offset 0 --
         and then each of those rows' line, cut from ``data``, goes into
-        ``lines`` -- else ``(None, 0, 0)``."""
+        ``lines`` -- else ``([], 0, 0)``."""
         entry = self.shards.get(name)
         if entry is None:
-            return None, 0, 0
+            return [], 0, 0
         number, covered, crc = entry
         if not (covered <= len(data) and data[covered - 1] == ord("\n")
                 and zlib.crc32(memoryview(data)[:covered]) == crc):
-            return None, 0, 0
+            return [], 0, 0
         rows, starts, ends = (
             span[self.bounds[number]:self.bounds[number + 1]].tolist()
             for span in self.spans)
@@ -1070,11 +1063,11 @@ class _Snapshot:
             lines[row] = data[start:end]
         return rows, covered, crc
 
-    def records(self, table: "_Positions", rows: list, lines: list) -> list:
-        """Rows ``rows`` (ascending) as a :meth:`ResultStore._place`
-        chunk, their override lists interned into ``table`` and their
-        metric values added to it; ``lines`` is what :meth:`cut`
-        filled."""
+    def records(self, table: "_Positions", rows: list, lines: list
+                ) -> Tuple[list, dict]:
+        """Rows ``rows`` (ascending) as :meth:`ResultStore._place`
+        arguments, their override lists interned into ``table``;
+        ``lines`` is what :meth:`cut` filled."""
         whole = len(rows) == self.rows
         ints = self.ints if whole else self.ints[:, rows]
 
@@ -1086,12 +1079,11 @@ class _Snapshot:
         columns = {name: _at(interned if name == "noi_overrides"
                              else self.values[name], ints[3 + i])
                    for i, name in enumerate(_CODED)}
-        first = table.add_metrics(
-            self.names, self.matrix if whole else self.matrix[:, rows])
         return [pick(lines), pick(self.keys), pick(self.case_ids),
-                [None] * len(rows), columns["elapsed"], columns["flags"],
-                ints[1].tolist(), list(range(first, first + len(rows))),
-                *(columns[name] for name in _AXES)]
+                columns["elapsed"], columns["flags"], ints[1].tolist(),
+                *(columns[name] for name in _AXES)], dict(zip(
+                    self.names, self.matrix if whole
+                    else self.matrix[:, rows]))
 
 
 def _load_snapshot(path: Path, known: Mapping[str, int]
@@ -1178,9 +1170,12 @@ def _load_snapshot(path: Path, known: Mapping[str, int]
     return snapshot
 
 
-def _fields(records: list):
+def _fields(records: list, prefix: Optional[str] = None):
     """``records`` split into per-field lists, or ``None`` if any of
-    them is not a well-formed record of this schema version.
+    them is not a well-formed record of this schema version -- or,
+    given ``prefix`` (:func:`_prefix` of the shard they were read
+    from), if the first two characters of its key are not ``prefix``:
+    the key belongs to another shard.
 
     Well formed means: a dict with ``"v"`` equal to
     :data:`STORE_SCHEMA_VERSION`, a ``str`` key ``k``, a ``case`` dict
@@ -1209,6 +1204,9 @@ def _fields(records: list):
         if not (_only(keys, str) and _only(metrics, dict)
                 and _only(elapsed, (int, float))):
             return None
+        if prefix is not None and not set(map(itemgetter(slice(2)),
+                                              keys)) <= {prefix}:
+            return None
         if not _only(elapsed, float):
             list(map(float, elapsed))  # OverflowError: an int past float
         axes = {name: list(map(read, cases)) for name, read in _AXES.items()}
@@ -1222,6 +1220,16 @@ def _fields(records: list):
         return None
     flags = list(map(bool, map(dict.get, records, repeat("arrays"))))
     return keys, metrics, elapsed, flags, axes, texts, lists
+
+
+def _metric_columns(chunk: list) -> Tuple[list, Dict[str, np.ndarray]]:
+    """A :meth:`ResultStore._prepare` chunk as :meth:`ResultStore._place`
+    arguments: its lists but the last, and the records' metrics dicts
+    (the last) as one float64 column per metric name."""
+    *lists, metrics = chunk
+    return lists, {name: _float_column(list(map(dict.get, metrics,
+                                                 repeat(name))))
+                   for name in set().union(*metrics)}
 
 
 def _float_column(values: list) -> np.ndarray:
@@ -1245,36 +1253,30 @@ class _Positions:
 
     Position ``p`` holds one record: ``lines[p]`` its raw JSONL line
     (decoded again only on demand, :meth:`record`), ``keys[p]``,
-    ``case_ids[p]``, ``metrics[p]`` (the decoded metrics dict, or
-    ``None`` for a record loaded from an index snapshot, whose metric
-    values sit in row ``rows[p]`` of the snapshot metric data --
-    ``rows[p]`` is ``-1`` otherwise), ``elapsed[p]``, ``flags[p]``
-    (whether it has an array payload), ``starts[p]`` (the line's byte
-    offset in its shard, ``-1`` for a line this instance put; like
-    ``rows``, an int64 ``array``) and, per
-    case axis, ``axes[axis][p]``: the scalar value, or for
+    ``case_ids[p]``, ``elapsed[p]``, ``flags[p]`` (whether it has an
+    array payload), ``starts[p]`` (the line's byte offset in its shard,
+    ``-1`` for a line this instance put; an int64 ``array``), per case
+    axis ``axes[axis][p]`` -- the scalar value, or for
     ``noi_overrides`` a code into ``overrides``, the distinct override
-    lists as tuples of pairs.  Bytes, strings, numbers, a dict of
-    numbers and the float64 arrays of the snapshot metric data are all
-    untracked by the garbage collector, so an index of any size adds
-    only a few dozen tracked objects, and nothing here refers to the
-    store.
+    lists as tuples of pairs -- and, per metric name,
+    ``floats[name][p]``: :func:`finite_float` of its value, NaN where
+    it is missing.  Each metric column is a float64 array with room to
+    grow past the last position, NaN there.  Bytes, strings, numbers
+    and float64 arrays are all untracked by the garbage collector, so an
+    index of any size adds only a few dozen tracked objects, and
+    nothing here refers to the store.
     """
 
-    __slots__ = ("lines", "keys", "case_ids", "metrics", "elapsed", "flags",
-                 "starts", "rows", "axes", "overrides", "texts", "ids",
-                 "codes",
-                 "metric_rows", "_parts")
+    __slots__ = ("lines", "keys", "case_ids", "elapsed", "flags", "starts",
+                 "axes", "overrides", "texts", "ids", "codes", "floats")
 
     def __init__(self) -> None:
         self.lines: List[bytes] = []
         self.keys: List[str] = []
         self.case_ids: List[str] = []
-        self.metrics: List[Optional[dict]] = []
         self.elapsed: List[float] = []
         self.flags: List[bool] = []
         self.starts = array("q")
-        self.rows = array("q")
         self.axes: Dict[str, list] = {name: [] for name in _AXES}
         self.overrides: List[tuple] = []
         #: The interning key of each distinct override list: the
@@ -1286,17 +1288,13 @@ class _Positions:
         #: Code of each distinct override list, by its ``repr``:
         #: unlike the lists themselves, the keys tell ``8`` from ``8.0``.
         self.codes: Dict[str, int] = {}
-        #: Rows of snapshot metric data loaded so far.
-        self.metric_rows = 0
-        #: ``(first row, values)`` parts of each metric's snapshot data.
-        self._parts: Dict[str, List[Tuple[int, np.ndarray]]] = {}
+        self.floats: Dict[str, np.ndarray] = {}
 
     def columns(self) -> List[list]:
         """Every per-position list, in :meth:`ResultStore._place`'s
         chunk order."""
-        return [self.lines, self.keys, self.case_ids, self.metrics,
-                self.elapsed, self.flags, self.starts, self.rows,
-                *self.axes.values()]
+        return [self.lines, self.keys, self.case_ids, self.elapsed,
+                self.flags, self.starts, *self.axes.values()]
 
     def intern(self, texts: list, lists: dict) -> List[int]:
         """The override codes of ``texts``, interning keys of override
@@ -1311,52 +1309,33 @@ class _Positions:
                 self.ids.append(overrides_id(pairs))
         return list(map(codes.__getitem__, texts))
 
-    def add_metrics(self, names: List[str], matrix: np.ndarray) -> int:
-        """Append snapshot metric data -- row ``i`` of ``matrix`` holds
-        metric ``names[i]`` of each record -- and return the snapshot
-        row of its first record."""
-        first = self.metric_rows
-        for name, values in zip(names, matrix):
-            self._parts.setdefault(name, []).append((first, values))
-        self.metric_rows += matrix.shape[1]
-        return first
-
-    def metric_names(self) -> List[str]:
-        """Every metric name in the snapshot metric data."""
-        return list(self._parts)
-
-    def metric_values(self, name: str, start: int = 0) -> np.ndarray:
-        """Metric ``name`` of every record from position ``start`` on,
-        as float64: a snapshot row's value (:func:`finite_float` applied
-        when it was written), else :func:`finite_float` of the metrics
-        dict's value; NaN where missing."""
-        rows = np.array(self.rows[start:], np.int64)
-        out = np.full(len(rows), np.nan)
-        held = rows >= 0
-        for first, values in self._parts.get(name, ()):
-            inside = held & (rows >= first) & (rows < first + len(values))
-            out[inside] = values[rows[inside] - first]
-        decoded = np.flatnonzero(~held)
-        if len(decoded) == len(rows):
-            dicts = self.metrics[start:]
-        else:
-            dicts = list(map(self.metrics.__getitem__,
-                             (decoded + start).tolist()))
-        if dicts:
-            out[decoded] = _float_column(list(map(dict.get, dicts,
-                                                  repeat(name))))
-        return out
+    def set_metrics(self, slots, metrics: Dict[str, np.ndarray],
+                    picks) -> None:
+        """Give the records at ``slots`` the metric values at ``picks``
+        of the columns ``metrics`` (by name), NaN for every other name;
+        the position lists already reach past every slot."""
+        count = len(self.keys)
+        for name in metrics.keys() - self.floats.keys():
+            self.floats[name] = np.full(count, np.nan)
+        for name, column in self.floats.items():
+            if len(column) < count:
+                grown = np.full(max(count, 2 * len(column)), np.nan)
+                grown[:len(column)] = column
+                column = self.floats[name] = grown
+            values = metrics.get(name)
+            column[slots] = np.nan if values is None else values[picks]
 
     def select(self, keep: List[int]) -> "_Positions":
         """A copy holding only positions ``keep``, renumbered in order;
-        the interned override lists and snapshot metric data are
-        shared."""
+        the interned override lists are shared."""
         out = _Positions()
         out.overrides, out.texts, out.ids, out.codes = (
             self.overrides, self.texts, self.ids, self.codes)
-        out.metric_rows, out._parts = self.metric_rows, self._parts
         for mine, theirs in zip(self.columns(), out.columns()):
             theirs.extend(mine[pos] for pos in keep)
+        rows = np.array(keep, np.intp)
+        out.floats = {name: column[rows]
+                      for name, column in self.floats.items()}
         return out
 
     def record(self, pos: int) -> dict:
@@ -1367,19 +1346,19 @@ class _Positions:
 class RecordColumns:
     """Array views over a store's records, indexed by position.
 
-    Built lazily, one column at a time, by :meth:`ResultStore.columns`
-    for the query layer, from the store's flat position lists
-    (:class:`_Positions`) and its arrays directory -- never from the
-    store itself, so the cache forms no reference cycle.  An axis
-    column holds one interned code per record, next to the list of
-    distinct values, so a filter is evaluated once per distinct value
-    and broadcast as ``keep[codes]``.  A metric column holds the metric
-    as float64, NaN wherever :func:`finite_float` says it is missing.
-    ``perm`` lists every position in ``(case_id, key)`` order;
-    :meth:`page_record` and :meth:`case_id` give what a page row shows
-    of one record, without decoding its line.
+    Built lazily, one axis column at a time, by
+    :meth:`ResultStore.columns` for the query layer, from the store's
+    flat position lists (:class:`_Positions`) and its arrays directory
+    -- never from the store itself, so the cache forms no reference
+    cycle.  An axis column holds one interned code per record, next to
+    the list of distinct values, so a filter is evaluated once per
+    distinct value and broadcast as ``keep[codes]``.  A metric column
+    is the index's own float64 column, NaN wherever
+    :func:`finite_float` says the metric is missing.  ``perm`` lists
+    every position in ``(case_id, key)`` order; :meth:`page_record` and
+    :meth:`case_id` give what a page row shows of one record.
 
-    Positions are stable, so a column built over the first ``n``
+    Positions are stable, so an axis column built over the first ``n``
     records stays valid while records are appended; the next access
     extends it over the new ones.  The store drops the whole cache
     when a record changes in place or positions are compacted.
@@ -1390,7 +1369,6 @@ class RecordColumns:
         self._positions = positions
         self._arrays_dir = arrays_dir
         self._axes: Dict[str, Tuple[np.ndarray, list, dict]] = {}
-        self._metrics: Dict[str, np.ndarray] = {}
         self._flags = np.empty(0, bool)
 
     def axis(self, name: str) -> Tuple[np.ndarray, list]:
@@ -1413,13 +1391,13 @@ class RecordColumns:
         return codes, distinct
 
     def metric(self, name: str) -> np.ndarray:
-        """Metric ``name`` of every record, NaN where it is missing."""
-        column = self._metrics.get(name, np.empty(0))
-        count = len(self._positions.keys)
-        if count > len(column):
-            column = self._metrics[name] = np.concatenate([
-                column, self._positions.metric_values(name, len(column))])
-        return column
+        """Metric ``name`` of every record, NaN where it is missing: a
+        view of the index's column, no copy, which the store's next
+        read may change."""
+        table = self._positions
+        column = table.floats.get(name)
+        count = len(table.keys)
+        return np.full(count, np.nan) if column is None else column[:count]
 
     def complete(self, positions: np.ndarray) -> np.ndarray:
         """``positions`` without records whose flagged ``.npz`` is gone
@@ -1436,21 +1414,17 @@ class RecordColumns:
         return positions[~np.isin(positions, gone)]
 
     def page_record(self, pos: int) -> dict:
-        """The record at ``pos``, rebuilt from the position lists
-        without decoding its line: equal to the decoded line wherever
-        the stored values survive a JSON round trip, as every value a
-        reader decoded does.  Its metrics dict is the stored one (decoded
-        from the line for a record loaded from a snapshot); treat it as
-        read-only."""
+        """The record at ``pos``, rebuilt from the position lists, its
+        metrics dict decoded from its line: equal to the decoded line
+        wherever the stored values survive a JSON round trip, as every
+        value a reader decoded does."""
         table = self._positions
         axes = table.axes
         case = {name: axes[name][pos] for name in _AXES}
         case["noi_overrides"] = [
             list(pair) for pair in table.overrides[case["noi_overrides"]]]
-        metrics = table.metrics[pos]
-        if metrics is None:
-            metrics = table.record(pos)["metrics"]
-        return {"k": table.keys[pos], "case": case, "metrics": metrics,
+        return {"k": table.keys[pos], "case": case,
+                "metrics": table.record(pos)["metrics"],
                 "elapsed_s": table.elapsed[pos], "arrays": table.flags[pos]}
 
     def case_id(self, pos: int) -> str:

@@ -103,8 +103,8 @@ class SimReport:
     fast path (closed-form, no per-event traffic).  ``engine`` names
     the engine that resolved the contended subset (one of
     :data:`ENGINES` except ``"auto"``, or ``"none"`` when nothing was
-    contended); ``epochs`` is the lockstep epoch count (0 for the heap
-    and the JIT kernel).
+    contended); ``epochs`` is the lockstep epoch count (0 for the
+    ``events`` heap engine and when nothing was contended).
     """
 
     makespan_cycles: int

@@ -811,21 +811,29 @@ class TestSnapshots:
         order = list(zip(snapshot.case_ids, snapshot.keys))
         assert order == sorted(order) and len(order) == 30
 
-    def test_first_query_keeps_only_the_asked_metric_columns(
-            self, tmp_path):
-        # The write reads metric values from the index, not through the
-        # column cache: a query asking for one metric builds one
-        # column, and the snapshot still holds every metric.
+    def test_query_metric_column_is_the_index_column(self, tmp_path):
+        # Decoded, loaded from the snapshot or put by the handle, every
+        # record's metric sits in one float64 column per name: a query
+        # reads a view of it and copies no column.  The snapshot holds
+        # every metric with a finite value.
         store = ResultStore(tmp_path)
         for seed in range(12):
             case = SweepCase(arch="kite", seed=seed)
             store.put(case_key(case, FP), result_for(
                 case, {"a": seed, "b": seed * 0.5, "c": "x" * seed}))
         query = ResultQuery(metrics=("a",), limit=0)
-        reader = ResultStore(tmp_path)
-        assert query_results(reader, query)["aggregates"]["a"]["sum"] == 66
-        assert (tmp_path / "index.idx").exists()
-        assert set(reader.columns()._metrics) == {"a"}
+        extra = SweepCase(arch="siam", seed=0)
+        for reader in (ResultStore(tmp_path), ResultStore(tmp_path)):
+            # The first decodes the shards and writes the snapshot; the
+            # second loads it, then reads back its own put.
+            assert query_results(reader, query)["aggregates"]["a"][
+                "sum"] == 66
+            assert (tmp_path / "index.idx").exists()
+        reader.put(case_key(extra, FP), result_for(extra, {"a": 4}))
+        assert query_results(reader, query)["aggregates"]["a"]["sum"] == 70
+        column = reader.columns().metric("a")
+        assert len(column) == 13
+        assert np.shares_memory(column, reader._positions.floats["a"])
         loaded = ResultStore(tmp_path)
         for name in "abc":
             assert query_results(loaded, ResultQuery(metrics=(name,))) \
@@ -892,11 +900,11 @@ class TestSnapshots:
         assert _answer(ResultStore(tmp_path)) == _snapshot_free_answer(
             tmp_path)
 
-    def test_key_in_another_shard_is_never_snapshotted(self, tmp_path):
-        # A record whose key does not start with its shard's prefix
-        # ties two shards' indexes together: the snapshot covers
-        # neither, and fresh opens still answer like a snapshot-free
-        # one.
+    def test_key_in_another_shard_leaves_its_shard_covered(self, tmp_path):
+        # A line whose key belongs to another shard counts nowhere, so
+        # the shard holding it is described exactly and the snapshot
+        # covers every shard; fresh opens still answer like a
+        # snapshot-free one.
         _fill(tmp_path, 3, prefix="ab")
         _fill(tmp_path, 3, prefix="cd")
         _fill(tmp_path, 3, prefix="ef")
@@ -905,10 +913,11 @@ class TestSnapshots:
         with open(tmp_path / "shard-cd.jsonl", "ab") as fh:
             fh.write(stray.replace(b'"elapsed_s":0.25',
                                    b'"elapsed_s":0.5') + b"\n")
-        want = _snapshot_free_answer(tmp_path)
-        assert _answer(ResultStore(tmp_path)) == want
-        assert set(_valid(tmp_path)) == {"shard-ef.jsonl"}
-        assert _answer(ResultStore(tmp_path)) == want
+        want = _views(_snapshot_free(tmp_path))
+        assert _views(ResultStore(tmp_path)) == want
+        assert _valid(tmp_path) == {p.name: p.stat().st_size
+                                    for p in tmp_path.glob("shard-*.jsonl")}
+        assert _views(ResultStore(tmp_path)) == want
 
     def test_newline_in_a_case_id_leaves_its_shard_out(self, tmp_path):
         # Keys and case ids are stored as newline-joined text: a shard
@@ -947,7 +956,7 @@ class TestSnapshots:
             shard.unlink()
         else:
             # A later shard's record, with another elapsed time, in an
-            # earlier shard: the later shard's own line still wins.
+            # earlier shard: it counts nowhere.
             line = (tmp_path / "shard-c3.jsonl").read_bytes().splitlines(
                 keepends=True)[0]
             with shard.open("ab") as fh:
@@ -1066,6 +1075,51 @@ class TestSnapshots:
             assert handle.get(keys[-1], cases[end - 1]) is not None
             assert handle.probe(keys[0])
             assert handle.missing(keys) == frozenset()
+
+
+class TestOwnShard:
+    """A record counts only in its own shard, the one ``put`` writes it
+    to: a line strayed into another shard counts nowhere."""
+
+    @pytest.mark.parametrize("snapshot", [False, True])
+    @pytest.mark.parametrize("into", ["earlier", "later"])
+    def test_strayed_line_counts_nowhere(self, tmp_path, snapshot, into):
+        first, last = _key_in("0a"), _key_in("f3")
+        lost = _key_in("77")  # its own shard never exists
+        writer = ResultStore(tmp_path)
+        for case, value in ((first, 1.0), (last, 2.0)):
+            writer.put(case_key(case, FP), result_for(case, {"value": value}))
+        other = ResultStore(tmp_path / "other")
+        other.put(case_key(lost, FP), result_for(lost))
+        if snapshot:
+            len(ResultStore(tmp_path))
+        assert (tmp_path / "index.idx").exists() == snapshot
+        # A copy of one shard's line, with another value, lands in the
+        # other shard, and so does the line of a key no shard owns.
+        case, value, target = ((last, 2.0, "0a") if into == "earlier"
+                               else (first, 1.0, "f3"))
+        shard = tmp_path / f"shard-{case_key(case, FP)[:2]}.jsonl"
+        record = json.loads(shard.read_bytes().splitlines()[0])
+        record["metrics"] = {"value": 7.5}
+        stray = (tmp_path / "other" / f"shard-{case_key(lost, FP)[:2]}"
+                 ".jsonl").read_bytes()
+        with open(tmp_path / f"shard-{target}.jsonl", "ab") as fh:
+            fh.write(json.dumps(record).encode() + b"\n" + stray)
+        key, gone = case_key(case, FP), case_key(lost, FP)
+        want = _views(_snapshot_free(tmp_path))
+        for store in (writer, ResultStore(tmp_path)):
+            assert store.get(key, case).metrics == {"value": value}
+            assert len(store) == 2
+            assert store.get(key, case).metrics == {"value": value}
+            assert store.has(key) and not store.has(gone)
+            assert store.missing([key, gone]) == {gone}
+            records = dict(store.iter_records())
+            assert records[key]["metrics"] == {"value": value}
+            assert gone not in records
+            rows = query_results(store, ResultQuery(
+                metrics=("value",), limit=10))
+            assert rows["aggregates"]["value"]["sum"] == 3.0
+            assert _views(store) == want
 
 
 class TestFloatColumn:
