@@ -17,36 +17,41 @@ Three properties matter for serving queries at scale:
   broadcast into a position mask; the matches, in order, are
   ``perm[mask[perm]]`` for the store's ``(case_id, key)`` permutation
   ``perm``.  No :class:`~repro.eval.sweeps.SweepCase` or
-  :class:`~repro.eval.sweeps.SweepResult` is built, no line is
-  decoded, and only the returned page's records are rebuilt from the
-  lists (each ``case_id`` was computed when its record was indexed).
-  Array payloads (npz) are never opened; only records flagged as
-  having one are checked for its existence, and a row merely reports
+  :class:`~repro.eval.sweeps.SweepResult` is built, and only the
+  returned page's records are rebuilt from the lists (each
+  ``case_id`` was computed when its record was indexed), their lines
+  decoded by one ``json.loads`` for the metrics they echo.  Array
+  payloads (npz) are never opened; only records flagged as having one
+  are checked for its existence, and a row merely reports
   ``has_arrays`` so a client can fetch the heavy data by key through
-  other means.  Combined with
-  the store's (mtime, size) refresh guard, a repeated query over a
-  quiescent store touches no file contents at all, and a cold query on
-  a fresh handle loads the store's one index snapshot instead of
-  decoding the lines it covers (:mod:`repro.eval.store`).
+  other means.  Combined with the store's (mtime, size) refresh guard,
+  a repeated query over a quiescent store touches no file contents at
+  all, and a cold query on a fresh handle loads the store's one index
+  snapshot instead of decoding the lines it covers
+  (:mod:`repro.eval.store`).
 * **Deterministic pagination.**  Matches come in ``(case_id, key)``
   order -- the order of the store's record index, kept sorted as
   records arrive, so a query never sorts -- and the ``offset``/
   ``limit`` window is cut from that order, so the same query against
   the same store content always returns the same page -- regardless
   of which worker wrote which record when.
-* **Server-side aggregates.**  Requested metrics fold through one
-  bulk :meth:`~repro.obs.metrics.StreamingStats.extend`
-  (Neumaier-compensated, the same arithmetic as the streaming sweeps)
-  over *all* matches -- not just the returned page -- in the
-  deterministic order above, so identical store content yields
-  bit-identical aggregates.  An optional pivot metric folds each
-  (workload row, arch column) cell the same way, rows and columns in
-  first-appearance order (the table ``SweepOutcome.pivot`` and
+* **Server-side aggregates.**  Requested metrics are folded over
+  *all* matches -- not just the returned page -- in the deterministic
+  order above, so identical store content yields bit-identical
+  aggregates.  The fold is the Neumaier-compensated arithmetic of
+  :meth:`~repro.obs.metrics.StreamingStats.extend` (the streaming
+  sweeps' fold, and this one's scalar oracle), done in a few array
+  passes: ``np.add.accumulate`` for the running sums, one elementwise
+  step for the compensation terms, the first ``argmin``/``argmax``
+  for the extrema (:func:`_fold`).  An optional pivot metric folds
+  each (workload row, arch column) cell the same way, rows and columns
+  in first-appearance order (the table ``SweepOutcome.pivot`` and
   :class:`~repro.eval.stream.RunningPivot` build).  Aggregates and
   pivot count the same values as ``missing``: absent, non-numeric,
   non-finite or too large for a float
   (:func:`~repro.eval.store.finite_float`).  Page rows echo stored
-  metrics, with NaN and infinities as ``null`` so every response is
+  metrics with NaN and infinities as ``null``, and a sum, mean or
+  pivot cell that overflows is ``null`` too, so every response is
   strict JSON.
 """
 
@@ -225,9 +230,34 @@ def _matches(columns: RecordColumns, query: ResultQuery) -> np.ndarray:
 
 
 def _fold(values: np.ndarray) -> StreamingStats:
-    """Neumaier fold of the finite ``values`` (NaN = missing), in order."""
+    """Neumaier fold of the finite ``values`` (NaN = missing), in order:
+    bit for bit what :meth:`StreamingStats.extend
+    <repro.obs.metrics.StreamingStats.extend>` makes of them, in a few
+    array passes.
+
+    ``np.add.accumulate`` adds strictly left to right (``np.sum`` would
+    add pairwise), so it yields every running sum the loop does, each
+    from ``0.0`` on; each step's compensation term is one elementwise
+    ``np.where`` of the running sums before and after it, and a second
+    ``accumulate`` adds the terms up in the loop's order.  Min and max
+    are the first ``argmin``/``argmax``: a later equal value (``-0.0``
+    after ``0.0``) does not replace them.  A sum that overflows gives
+    the loop's inf or NaN.
+    """
+    values = values[~np.isnan(values)]
     stats = StreamingStats()
-    stats.extend(values[~np.isnan(values)].tolist())
+    if not len(values):
+        return stats
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.accumulate(np.concatenate(([0.0], values)))
+        before, after = sums[:-1], sums[1:]
+        terms = np.where(np.abs(before) >= np.abs(values),
+                         (before - after) + values, (values - after) + before)
+        comp = np.add.accumulate(np.concatenate(([0.0], terms)))
+    stats.count = len(values)
+    stats._sum, stats._compensation = float(sums[-1]), float(comp[-1])
+    stats.min = float(values[values.argmin()])
+    stats.max = float(values[values.argmax()])
     return stats
 
 
@@ -236,14 +266,16 @@ def _aggregate(values: np.ndarray) -> Dict[str, object]:
 
     Matches without a finite number for the metric are counted as
     ``missing`` (mixed-evaluator stores are normal) instead of raising
-    mid-fold.
+    mid-fold.  A ``sum`` or ``mean`` that overflows to inf or NaN is
+    ``None`` (JSON ``null``), the rule page rows follow, while
+    ``count`` still counts the values.
     """
     stats = _fold(values)
     count = stats.count
     return {
         "count": count,
-        "sum": stats.sum if count else 0.0,
-        "mean": stats.mean if count else None,
+        "sum": _json_number(stats.sum),
+        "mean": _json_number(stats.mean),
         "min": stats.min if count else None,
         "max": stats.max if count else None,
         "missing": len(values) - count,
@@ -257,7 +289,8 @@ def _pivot(columns: RecordColumns, matches: np.ndarray,
     Each cell folds its values in match order; rows, and the columns
     within a row, come out in order of first appearance among the
     finite values -- the table a per-record
-    :class:`~repro.eval.stream.RunningPivot` fold would build.
+    :class:`~repro.eval.stream.RunningPivot` fold would build.  A cell
+    whose mean overflows is ``None``.
     """
     values = columns.metric(metric)[matches]
     finite = ~np.isnan(values)
@@ -273,7 +306,8 @@ def _pivot(columns: RecordColumns, matches: np.ndarray,
     for _, code, group in sorted(zip(first.tolist(), cells.tolist(),
                                      groups)):
         row, col = divmod(code, len(cols))
-        table.setdefault(rows[row], {})[cols[col]] = _fold(group).mean
+        table.setdefault(rows[row], {})[cols[col]] = _json_number(
+            _fold(group).mean)
     return {
         "metric": metric,
         "missing": int(len(values) - finite.sum()),
@@ -290,8 +324,8 @@ def _json_number(value: object) -> object:
 
 
 def _row(record: Mapping, case_id: str) -> Dict[str, object]:
-    """Page row of a :meth:`RecordColumns.page_record
-    <repro.eval.store.RecordColumns.page_record>` record."""
+    """Page row of a :meth:`RecordColumns.page_records
+    <repro.eval.store.RecordColumns.page_records>` record."""
     return {
         "key": record["k"],
         "case_id": case_id,
@@ -323,8 +357,8 @@ def query_results(store: ResultStore, query: ResultQuery) -> Dict[str, object]:
         "total": len(matches),
         "offset": query.offset,
         "limit": limit,
-        "results": [_row(columns.page_record(pos), columns.case_id(pos))
-                    for pos in page],
+        "results": [_row(record, columns.case_id(pos)) for pos, record
+                    in zip(page, columns.page_records(page))],
         "aggregates": {
             name: _aggregate(columns.metric(name)[matches])
             for name in query.metrics

@@ -69,8 +69,9 @@ import os
 import tempfile
 import zlib
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -88,6 +89,13 @@ from .sweeps import (
 
 #: Bump to invalidate every stored result (record format change).
 STORE_SCHEMA_VERSION = 1
+
+#: Decoded records a read prepares for the index at once, across
+#: shards, before their metrics become float64 columns: enough to
+#: spread the fixed cost of a :func:`_fields` pass over many small
+#: shard tails, few enough that a full decode never holds many more
+#: record or metrics dicts than this at a time.
+_PREPARE_BATCH = 1024
 
 #: Bump when the index snapshot's layout or meaning changes -- also when
 #: :func:`_fields` or :func:`~repro.eval.sweeps.case_id_of` would index
@@ -239,6 +247,9 @@ class ResultStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: The root as a ``str`` ending in a separator: the per-query
+        #: refresh guard stats each shard by ``self._dir + name``.
+        self._dir = os.path.join(self.root, "")
         self._arrays_dir = self.root / "arrays"
         self._snapshot_path = self.root / "index.idx"
         self.stats = StoreStats()
@@ -261,18 +272,15 @@ class ResultStore:
         #: it -- repeated queries over a quiescent store do no read
         #: I/O beyond one ``stat`` per consulted shard.
         self._sig: Dict[str, Tuple[int, int]] = {}
-        #: ``(case_id, key, position)`` of every indexed record, sorted
-        #: as of the last merge; enumeration walks it, so queries never
-        #: sort.
-        self._order: List[Tuple[str, str, int]] = []
-        #: Positions indexed since the last merge, not yet in ``_order``.
+        #: Every indexed position in ``(case_id, key)`` order as of the
+        #: last merge, an int64 array; enumeration and the column cache
+        #: walk it, so queries never sort.
+        self._perm = np.empty(0, np.int64)
+        #: Positions indexed since the last merge, not yet in ``_perm``.
         self._pending: List[int] = []
         #: Set when an indexed record's case_id changed or a shard was
-        #: rewritten: ``_order`` may hold stale entries and is rebuilt.
+        #: rewritten: ``_perm`` may be out of order and is rebuilt.
         self._stale = False
-        #: The positions of ``_order`` as an int64 permutation, built
-        #: on demand for the column cache (``None`` after a merge).
-        self._perm: Optional[np.ndarray] = None
         #: Lazily built :class:`RecordColumns`; dropped when a record
         #: changes in place or positions are compacted.
         self._columns: Optional[RecordColumns] = None
@@ -292,17 +300,17 @@ class ResultStore:
     # -- keys and paths ----------------------------------------------------
 
     def _shard_path(self, key: str) -> Path:
-        return self.root / f"shard-{key[:2]}.jsonl"
+        return self.root / _shard_name(key)
 
     def _npz_path(self, key: str) -> Path:
         return _npz_file(self._arrays_dir, key)
 
     # -- reading -----------------------------------------------------------
 
-    def _changed(self, shard: Path
-                 ) -> Optional[Tuple[Path, Tuple[int, int], int, int]]:
-        """``(shard, signature, consumed, size)`` if ``shard`` holds
-        bytes past what was consumed of it, else ``None``.
+    def _changed(self, name: str
+                 ) -> Optional[Tuple[str, Tuple[int, int], int, int]]:
+        """``(name, signature, consumed, size)`` if shard file ``name``
+        holds bytes past what was consumed of it, else ``None``.
 
         Guarded by an ``(st_mtime_ns, st_size)`` signature: a shard
         whose signature matches the last read has not been touched by
@@ -313,11 +321,11 @@ class ResultStore:
         changes the signature.  A shard *shorter* than the consumed
         offset was rewritten out from under us (an external compaction
         or restore-from-backup); its indexed records are dropped and
-        the file is read again from the start.
+        the file is read again from the start.  The file is named by a
+        ``str`` path, so the guard builds no ``Path`` per shard.
         """
-        name = shard.name
         try:
-            stat = shard.stat()
+            stat = os.stat(self._dir + name)
         except FileNotFoundError:
             return None
         sig = (stat.st_mtime_ns, stat.st_size)
@@ -341,17 +349,17 @@ class ResultStore:
             self._sig[name] = sig
             self._consumed[name] = consumed
             return None
-        return shard, sig, consumed, size
+        return name, sig, consumed, size
 
-    def _read(self, shard: Path, sig: Tuple[int, int], consumed: int,
+    def _read(self, name: str, sig: Tuple[int, int], consumed: int,
               size: int) -> bytes:
-        """The bytes of ``shard`` from offset ``consumed`` up to
-        ``size`` (see :meth:`_changed`)."""
-        with shard.open("rb") as fh:
+        """The bytes of shard file ``name`` from offset ``consumed`` up
+        to ``size`` (see :meth:`_changed`)."""
+        with open(self._dir + name, "rb") as fh:
             fh.seek(consumed)
             chunk = fh.read(size - consumed)
         self.stats.shard_reads += 1
-        self._sig[shard.name] = sig
+        self._sig[name] = sig
         return chunk
 
     def _tail(self, name: str, consumed: int, chunk: bytes, skip: int = 0,
@@ -360,8 +368,10 @@ class ResultStore:
         ``consumed``, and decode its complete lines past its first
         ``skip`` bytes (which a snapshot covered, their crc32 ``crc``).
 
-        Returns the decoded records as a :meth:`_prepare` chunk
-        (``None`` if there were none).  Never consumes past the last
+        Returns the decoded ``(lines, records, starts, prefixes)`` --
+        :meth:`_prepare` arguments, the shard's key prefix once per
+        record -- or ``None`` if there were none.  Never consumes past
+        the last
         newline: the tail may be a line another process is mid-append
         on; it is re-read (from the same offset) once a later append
         moves the signature.  A snapshot always ends on a newline, so
@@ -378,53 +388,66 @@ class ResultStore:
         if end == skip:
             return None
         self._decoded += end - skip
-        return self._prepare(*_decode_lines(chunk[skip:end], consumed + skip),
-                             prefix=_prefix(name))
+        lines, records, starts = _decode_lines(chunk[skip:end],
+                                               consumed + skip)
+        return lines, records, starts, [_prefix(name)] * len(lines)
 
     def _prepare(self, lines: List[bytes], records: list,
                  starts: Optional[List[int]] = None,
-                 prefix: Optional[str] = None) -> list:
-        """``records`` as one list per :class:`_Positions` list, in
-        :meth:`_Positions.columns` order, then their metrics dicts
-        (:func:`_metric_columns` makes :meth:`_place` arguments of
-        that); ``lines`` are their raw JSONL lines, ``starts`` each
+                 prefixes: Optional[List[str]] = None
+                 ) -> Tuple[list, Dict[str, np.ndarray]]:
+        """``records`` as :meth:`_place` arguments: one list per
+        :class:`_Positions` list, in :meth:`_Positions.columns` order,
+        and their metrics as one float64 column per metric name
+        (:func:`_float_column`); ``lines`` are their raw JSONL lines,
+        ``starts`` each
         line's byte offset in its shard (``None``: unknown, as for this
-        instance's own puts) and ``prefix`` that shard's key prefix
-        (``None``: each record's own, as for puts).
+        instance's own puts) and ``prefixes`` the key prefix of each
+        one's shard (``None``: each record's own, as for puts).
 
         Records that are not well formed (:func:`_fields`), or whose key
         belongs to another shard, are skipped, like corrupt lines.  Each
         record's ``case_id`` is ``case_id_of`` of its own case, built in
         bulk: the override part once per distinct override list.
         """
-        fields = _fields(records, prefix)
+        fields = _fields(records, prefixes)
         if fields is None:
-            keep = [i for i, record in enumerate(records)
+            own = (repeat(None) if prefixes is None
+                   else ([prefix] for prefix in prefixes))
+            keep = [i for i, (record, prefix) in enumerate(zip(records, own))
                     if _fields([record], prefix) is not None]
             lines = [lines[i] for i in keep]
             if starts is not None:
                 starts = [starts[i] for i in keep]
-            fields = _fields([records[i] for i in keep], prefix)
+            fields = _fields([records[i] for i in keep], None
+                             if prefixes is None else [prefixes[i]
+                                                       for i in keep])
         keys, metrics, elapsed, flags, axes, texts, lists = fields
         table = self._positions
         axes["noi_overrides"] = table.intern(texts, lists)
         case_ids = _case_ids(axes, table.ids)
         return [lines, keys, case_ids, elapsed, flags,
                 [-1] * len(keys) if starts is None else starts,
-                *axes.values(), metrics]
+                *axes.values()], {
+                    name: _float_column(list(map(dict.get, metrics,
+                                                 repeat(name))))
+                    for name in set().union(*metrics)}
 
-    def _place(self, chunk: list, metrics: Dict[str, np.ndarray]) -> None:
+    def _place(self, chunk: list, metrics: Dict[str, np.ndarray],
+               ordered: bool = False) -> None:
         """Put a chunk of records -- one list per :class:`_Positions`
         list, in :meth:`_Positions.columns` order, and one float64
         column per metric name -- into the index, last writer wins.
 
         A new key takes the next position and waits on ``_pending`` for
-        the next :meth:`_merge`.  A known key keeps its position; if
-        its line bytes differ (so ``-0.0`` differs from ``0.0`` and
-        ``8`` from ``8.0``) the column cache is dropped, and if its
-        case_id changed (same key, overrides reordered) the order is
-        stale.  Re-reading a line this instance put itself changes
-        nothing.
+        the next :meth:`_merge` -- unless the index was empty and the
+        chunk comes ``ordered`` (in ``(case_id, key)`` order, as a
+        snapshot's records do): then the chunk's order is the order.
+        A known key keeps its position; if its line bytes differ (so
+        ``-0.0`` differs from ``0.0`` and ``8`` from ``8.0``) the column
+        cache is dropped, and if its case_id changed (same key,
+        overrides reordered) the order is stale.  Re-reading a line
+        this instance put itself changes nothing.
         """
         lines, keys, case_ids = chunk[:3]
         table = self._positions
@@ -432,7 +455,11 @@ class ResultStore:
         start = len(table.keys)
         if len(set(keys)) == len(keys) and pos.keys().isdisjoint(keys):
             pos.update(zip(keys, range(start, start + len(keys))))
-            self._pending.extend(range(start, start + len(keys)))
+            if ordered and not start:
+                self._perm = np.arange(len(keys), dtype=np.int64)
+                self._stale = False
+            else:
+                self._pending.extend(range(start, start + len(keys)))
             for column, new in zip(table.columns(), chunk):
                 column.extend(new)
             table.set_metrics(slice(start, start + len(keys)), metrics,
@@ -459,24 +486,40 @@ class ResultStore:
     def _merge(self) -> None:
         """Fold pending positions into the ``(case_id, key)`` order.
 
-        Re-sorts an almost-sorted list (timsort merges the appended run
-        in linear time); a stale or empty order is rebuilt from every
-        position.  ``case_id`` was computed when each record was
-        indexed.
+        Only the pending positions are sorted, as ``(case_id, key,
+        position)`` tuples; ``np.searchsorted`` over the ordered case
+        ids then finds where each goes, and a pending record whose
+        case id is already there goes among the records of that case
+        id by key.  A stale order is rebuilt from every position.
+        ``case_id`` was computed when each record was indexed.
         """
         if not (self._stale or self._pending):
             return
         table = self._positions
-        if self._stale or not self._order:
-            self._order = list(zip(table.case_ids, table.keys,
-                                   range(len(table.keys))))
+        ids, keys = table.case_ids, table.keys
+        perm, new = self._perm, self._pending
+        everything = self._stale or not len(perm)  # every position is new
+        order = sorted(zip(ids, keys, range(len(keys))) if everything
+                       else zip(map(ids.__getitem__, new),
+                                map(keys.__getitem__, new), new))
+        added = np.fromiter(map(itemgetter(2), order), np.int64, len(order))
+        if everything:
+            perm = added
         else:
-            self._order.extend((table.case_ids[pos], table.keys[pos], pos)
-                               for pos in self._pending)
+            have = _objects(ids)[perm]
+            want = _objects(list(map(itemgetter(0), order)))
+            at = np.searchsorted(have, want)
+            inside = np.flatnonzero(at < len(have))
+            for i in inside[have[at[inside]] == want[inside]].tolist():
+                lo = int(at[i])
+                hi = int(np.searchsorted(have, want[i], side="right"))
+                at[i] = lo + bisect_left(
+                    list(map(keys.__getitem__, perm[lo:hi].tolist())),
+                    order[i][1])
+            perm = np.insert(perm, at, added)
+        self._perm = perm
         self._stale = False
         self._pending.clear()
-        self._order.sort()
-        self._perm = None
 
     def _index_puts(self) -> None:
         """Index the records this instance put, in one chunk.
@@ -489,12 +532,13 @@ class ResultStore:
         puts = self._puts
         if puts[0]:
             self._puts = ([], [])
-            self._place(*_metric_columns(self._prepare(*puts)))
+            self._place(*self._prepare(*puts))
 
-    def _refresh(self, shards: Iterable[Path],
+    def _refresh(self, shards: Iterable[str],
                  use_snapshot: bool = False) -> None:
         """Index this instance's puts, then the new lines of each of
-        ``shards``: every read of the index comes through here.
+        ``shards`` (shard file names): every read of the index comes
+        through here.
 
         Every shard with new bytes is read, in the order given, before
         anything is placed.  With ``use_snapshot`` (a full read,
@@ -503,12 +547,15 @@ class ResultStore:
         read from offset 0 whose first N bytes have the crc32 the
         snapshot records takes the snapshot's records of it, and only
         its lines past N are decoded.  Every other shard is decoded
-        from where it was left.  The snapshot's records go into the
-        index in one chunk, in ``(case_id, key)`` order, so
-        :meth:`_merge` finds them sorted; the decoded lines of every
-        shard follow in one more, shard by shard.  A key counts only in
-        its own shard, so that equals taking each shard's snapshot
-        records and then its lines, shard by shard.
+        from where it was left, and its records are prepared
+        (:meth:`_prepare`) together with other shards' until a batch
+        holds :data:`_PREPARE_BATCH` or more.  The snapshot's records
+        go into the index first, in one chunk, in ``(case_id, key)``
+        order -- into an empty index that is the order, so
+        :meth:`_merge` sorts only what follows -- and then the batches,
+        shard by shard.  A key counts only in its own shard, so that
+        equals taking each shard's snapshot records and then its lines,
+        shard by shard.
         """
         self._index_puts()
         todo = [todo for todo in map(self._changed, shards)
@@ -520,32 +567,37 @@ class ResultStore:
         if snapshot is not None:
             self._covered, self._decoded = snapshot.covered, 0
             lines = [b""] * snapshot.rows
-        held, tails = [], []
-        for shard, sig, consumed, size in todo:
-            chunk = self._read(shard, sig, consumed, size)
+        held, tails, batch = [], [], ([], [], [], [])
+        for name, sig, consumed, size in todo:
+            chunk = self._read(name, sig, consumed, size)
             skip = crc = 0
             if consumed == 0 and snapshot is not None:
-                rows, skip, crc = snapshot.cut(shard.name, chunk, lines)
+                rows, skip, crc = snapshot.cut(name, chunk, lines)
                 held += rows
-            tail = self._tail(shard.name, consumed, chunk, skip, crc)
+            tail = self._tail(name, consumed, chunk, skip, crc)
             if tail is not None:
-                tails.append(tail)
+                for part, new in zip(batch, tail):
+                    part += new
+                if len(batch[0]) >= _PREPARE_BATCH:
+                    tails.append(self._prepare(*batch))
+                    batch = ([], [], [], [])
+        if batch[0]:
+            tails.append(self._prepare(*batch))
         if held:
             if len(held) < snapshot.rows:
                 held.sort()
-            self._place(*snapshot.records(self._positions, held, lines))
-        if tails:
-            self._place(*_metric_columns([list(chain.from_iterable(parts))
-                                          for parts in zip(*tails)]))
+            self._place(*snapshot.records(self._positions, held, lines),
+                        ordered=True)
+        for tail in tails:
+            self._place(*tail)
 
     def _refresh_all(self) -> None:
         """Index the new lines of every shard, using the snapshot."""
         # Names sorted as strings: sorting a glob's Path objects costs
         # about as much as the per-shard stat calls themselves.
-        names = sorted(os.listdir(self.root))
-        self._refresh((self.root / name for name in names
-                       if name.startswith("shard-")
-                       and name.endswith(".jsonl")), use_snapshot=True)
+        names = sorted(os.listdir(self._dir))
+        self._refresh([name for name in names if name.startswith("shard-")
+                       and name.endswith(".jsonl")], use_snapshot=True)
 
     # -- the index snapshot ------------------------------------------------
 
@@ -628,7 +680,7 @@ class ResultStore:
     def _peek(self, key: str) -> Optional[int]:
         """Position of the complete record for ``key`` or ``None``,
         after reading its shard's new lines; never touches stats."""
-        self._refresh([self._shard_path(key)])
+        self._refresh([_shard_name(key)])
         return self._found(key)
 
     def _found(self, key: str) -> Optional[int]:
@@ -718,7 +770,7 @@ class ResultStore:
         is read once, before any key is looked up.
         """
         keys = list(keys)
-        self._refresh(map(self._shard_path, sorted(set(map(
+        self._refresh(map(_shard_name, sorted(set(map(
             itemgetter(slice(2)), keys)))))
         return frozenset(key for key in keys if self._found(key) is None)
 
@@ -747,9 +799,6 @@ class ResultStore:
         self._merge()
         if self._columns is None:
             self._columns = RecordColumns(self._positions, self._arrays_dir)
-        if self._perm is None:
-            self._perm = np.fromiter(map(itemgetter(2), self._order),
-                                     np.int64, len(self._order))
         self._columns.perm = self._perm
         if self._decoded >= max(self._covered, 1):
             self._write_snapshot()
@@ -820,8 +869,9 @@ class ResultStore:
         if result.arrays:
             self._write_npz(key, result.arrays)
         line = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        shard = self._shard_path(key)
-        fd = os.open(shard, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        name = _shard_name(key)
+        fd = os.open(self._dir + name, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                     0o644)
         try:
             written = os.write(fd, line + b"\n")
             end = os.lseek(fd, 0, os.SEEK_CUR)
@@ -834,7 +884,6 @@ class ResultStore:
         # of the shard, it counts as read and is never decoded.
         # Otherwise the next read meets it again after the lines before
         # it, which keeps last-writer-wins in file order.
-        name = shard.name
         if (written == len(line) + 1
                 and end - written == self._consumed.get(name, 0)):
             self._consumed[name] = end
@@ -882,6 +931,12 @@ def _publish(path: Path, write) -> None:
 
 def _npz_file(arrays_dir: Path, key: str) -> Path:
     return arrays_dir / f"{key}.npz"
+
+
+def _shard_name(key: str) -> str:
+    """The name of the shard file :meth:`ResultStore.put` writes ``key``
+    to."""
+    return f"shard-{key[:2]}.jsonl"
 
 
 def _prefix(name: str) -> str:
@@ -1017,11 +1072,16 @@ def _distinct(values: list) -> Tuple[list, list]:
     return list(map(index.__getitem__, keys)), list(first.values())
 
 
+def _objects(values: list) -> np.ndarray:
+    """``values`` as a one-dimensional object array."""
+    out = np.empty(len(values), object)
+    out[:] = values
+    return out
+
+
 def _at(distinct: list, codes: np.ndarray) -> list:
     """``distinct[code]`` for each of ``codes``."""
-    values = np.empty(len(distinct), object)
-    values[:] = distinct
-    return values[codes].tolist()
+    return _objects(distinct)[codes].tolist()
 
 
 class _Snapshot:
@@ -1170,11 +1230,11 @@ def _load_snapshot(path: Path, known: Mapping[str, int]
     return snapshot
 
 
-def _fields(records: list, prefix: Optional[str] = None):
+def _fields(records: list, prefixes: Optional[List[str]] = None):
     """``records`` split into per-field lists, or ``None`` if any of
     them is not a well-formed record of this schema version -- or,
-    given ``prefix`` (:func:`_prefix` of the shard they were read
-    from), if the first two characters of its key are not ``prefix``:
+    given ``prefixes`` (:func:`_prefix` of the shard each was read
+    from), if the first two characters of its key are not its prefix:
     the key belongs to another shard.
 
     Well formed means: a dict with ``"v"`` equal to
@@ -1204,8 +1264,8 @@ def _fields(records: list, prefix: Optional[str] = None):
         if not (_only(keys, str) and _only(metrics, dict)
                 and _only(elapsed, (int, float))):
             return None
-        if prefix is not None and not set(map(itemgetter(slice(2)),
-                                              keys)) <= {prefix}:
+        if prefixes is not None and list(map(itemgetter(slice(2)),
+                                             keys)) != prefixes:
             return None
         if not _only(elapsed, float):
             list(map(float, elapsed))  # OverflowError: an int past float
@@ -1220,16 +1280,6 @@ def _fields(records: list, prefix: Optional[str] = None):
         return None
     flags = list(map(bool, map(dict.get, records, repeat("arrays"))))
     return keys, metrics, elapsed, flags, axes, texts, lists
-
-
-def _metric_columns(chunk: list) -> Tuple[list, Dict[str, np.ndarray]]:
-    """A :meth:`ResultStore._prepare` chunk as :meth:`ResultStore._place`
-    arguments: its lists but the last, and the records' metrics dicts
-    (the last) as one float64 column per metric name."""
-    *lists, metrics = chunk
-    return lists, {name: _float_column(list(map(dict.get, metrics,
-                                                 repeat(name))))
-                   for name in set().union(*metrics)}
 
 
 def _float_column(values: list) -> np.ndarray:
@@ -1355,7 +1405,7 @@ class RecordColumns:
     distinct value and broadcast as ``keep[codes]``.  A metric column
     is the index's own float64 column, NaN wherever
     :func:`finite_float` says the metric is missing.  ``perm`` lists
-    every position in ``(case_id, key)`` order; :meth:`page_record` and
+    every position in ``(case_id, key)`` order; :meth:`page_records` and
     :meth:`case_id` give what a page row shows of one record.
 
     Positions are stable, so an axis column built over the first ``n``
@@ -1413,19 +1463,34 @@ class RecordColumns:
             return positions
         return positions[~np.isin(positions, gone)]
 
-    def page_record(self, pos: int) -> dict:
-        """The record at ``pos``, rebuilt from the position lists, its
-        metrics dict decoded from its line: equal to the decoded line
-        wherever the stored values survive a JSON round trip, as every
-        value a reader decoded does."""
+    def page_records(self, positions: List[int]) -> List[dict]:
+        """The records at ``positions``, rebuilt from the position
+        lists, their metrics dicts decoded from their lines: equal to
+        the decoded lines wherever the stored values survive a JSON
+        round trip, as every value a reader decoded does.
+
+        The lines decode with one ``json.loads`` of them joined into a
+        JSON array, and one by one only if that fails (as in
+        :func:`_decode_lines`; every indexed line decodes alone)."""
         table = self._positions
         axes = table.axes
-        case = {name: axes[name][pos] for name in _AXES}
-        case["noi_overrides"] = [
-            list(pair) for pair in table.overrides[case["noi_overrides"]]]
-        return {"k": table.keys[pos], "case": case,
-                "metrics": table.record(pos)["metrics"],
-                "elapsed_s": table.elapsed[pos], "arrays": table.flags[pos]}
+        lines = list(map(table.lines.__getitem__, positions))
+        try:
+            decoded = json.loads(b"[" + b",".join(lines) + b"]")
+        except ValueError:
+            decoded = None
+        if decoded is None or len(decoded) != len(lines):
+            decoded = list(map(json.loads, lines))
+        records = []
+        for pos, record in zip(positions, decoded):
+            case = {name: axes[name][pos] for name in _AXES}
+            case["noi_overrides"] = [
+                list(pair) for pair in table.overrides[case["noi_overrides"]]]
+            records.append({
+                "k": table.keys[pos], "case": case,
+                "metrics": record["metrics"],
+                "elapsed_s": table.elapsed[pos], "arrays": table.flags[pos]})
+        return records
 
     def case_id(self, pos: int) -> str:
         """``case_id`` of the record at ``pos``."""

@@ -4,23 +4,29 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 import threading
+import urllib.error
 import urllib.parse
 import urllib.request
 
 import numpy as np
 import pytest
 from helpers import MALFORMED_RECORDS, malformed_store
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.eval.queries import (
     MAX_PAGE_ROWS,
     ResultQuery,
+    _fold,
     parse_result_query,
     query_results,
 )
 from repro.eval.store import ResultStore, case_key, evaluator_fingerprint
 from repro.eval.stream import RunningStats
 from repro.eval.sweeps import SweepCase, SweepResult
+from repro.obs.metrics import StreamingStats
 
 
 def _eval_q(case):
@@ -154,6 +160,19 @@ class TestPagination:
         assert out["results"] == []
         assert out["total"] > 0
 
+    def test_page_of_a_line_that_decodes_only_alone(self, filled):
+        # A line led by a UTF-8 byte order mark decodes on its own but
+        # not inside a JSON array: the page falls back to one
+        # json.loads per line and still shows every row.
+        store, _ = filled
+        want = query_results(ResultStore(store.root),
+                             ResultQuery(limit=100))["results"]
+        shard = next(store.root.glob("shard-*.jsonl"))
+        shard.write_bytes(b"\xef\xbb\xbf" + shard.read_bytes())
+        got = query_results(ResultStore(store.root),
+                            ResultQuery(limit=100))["results"]
+        assert got == want
+
 
 class TestAggregates:
     def test_stats_cover_all_matches_not_the_page(self, filled):
@@ -217,11 +236,15 @@ class TestMissingValues:
 
     @pytest.fixture()
     def odd(self, tmp_path):
+        # Two finite ``big`` values whose sum overflows to inf.
         store = ResultStore(tmp_path)
         values = [1.0, 2, math.nan, math.inf, -math.inf, "x", None]
         for seed, value in enumerate(values):
+            metrics = {"lat": value}
+            if seed < 2:
+                metrics["big"] = 1.5e308
             _put(store, SweepCase(arch="siam", num_chiplets=16, seed=seed),
-                 {"lat": value})
+                 metrics)
         _put(store, SweepCase(arch="siam", num_chiplets=16, seed=99), {})
         return tmp_path
 
@@ -239,6 +262,13 @@ class TestMissingValues:
             _served_body(odd, "pivot=lat&metric=lat&limit=0"))
         assert payload["pivot"]["missing"] == 6
         assert payload["pivot"]["rows"] == {"uniform": {"siam": 1.5}}
+        # An aggregate that overflows is null, its values still counted.
+        payload = _strict_json(
+            _served_body(odd, "pivot=big&metric=big&limit=0"))
+        assert payload["aggregates"]["big"] == {
+            "count": 2, "sum": None, "mean": None, "min": 1.5e308,
+            "max": 1.5e308, "missing": 6}
+        assert payload["pivot"]["rows"] == {"uniform": {"siam": None}}
 
     def test_page_rows_emit_null_for_nan_and_inf(self, odd):
         out = query_results(ResultStore(odd), ResultQuery(limit=100))
@@ -328,6 +358,118 @@ class TestHugeIntegers:
         payload = json.loads(_served_body(huge, "metric=lat&pivot=lat"))
         assert payload["aggregates"]["lat"]["missing"] == 2
         assert payload["pivot"]["rows"] == {"uniform": {"kite": 4.0}}
+
+
+def _bits(value: float) -> bytes:
+    """``value``'s IEEE bit pattern: tells ``-0.0`` from ``0.0``, and
+    NaN equals NaN."""
+    return np.float64(value).tobytes()
+
+
+def _scalar_fold(values) -> StreamingStats:
+    stats = StreamingStats()
+    stats.extend(values)
+    return stats
+
+
+def _same_fold(got: StreamingStats, want: StreamingStats) -> None:
+    """``got`` equals ``want`` bit for bit: sum, compensation, count,
+    min and max, sign of zero included."""
+    assert got.count == want.count
+    for field in ("_sum", "_compensation", "min", "max"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), \
+            field
+
+
+#: Where ``np.sum``'s pairwise order gives another sum and another
+#: compensation total than the left-to-right loop.
+PAIRWISE_DIFFERS = ([1e16] + [1.0] * 15
+                    + [-1e16, 3.0, 1e-3, 1e16, 7.0, -1e16, 0.1, 0.2, 0.3,
+                       1e15])
+
+fold_values = st.lists(st.one_of(
+    st.sampled_from((0.0, -0.0, 1e16, -1e16, 1.0, -1.0, 1.5e308, -1.5e308,
+                     1e300, -1e300, 1e-300, -1e-300, 5e-324)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e-300, max_value=1e300).flatmap(
+        lambda x: st.sampled_from((x, -x))),
+), max_size=40)
+
+
+class TestVectorFold:
+    """The array fold of the query layer is ``StreamingStats.extend``
+    bit for bit, and so is every pivot cell."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(fold_values)
+    @example([])
+    @example([-0.0])
+    @example([0.0, -0.0])
+    @example([-0.0, 0.0, -0.0])
+    @example([1e16, 1.0, -1e16])
+    @example([1.5e308, 1.5e308])
+    @example([1.5e308, 1.5e308, -1.5e308, 1.0])
+    @example([1e300, 1e-300, -1e300, 1e-300])
+    @example(PAIRWISE_DIFFERS)
+    def test_fold_equals_the_scalar_oracle(self, values):
+        _same_fold(_fold(np.array(values, np.float64)), _scalar_fold(values))
+
+    def test_missing_values_are_skipped(self):
+        values = [2.0, math.nan, -0.0, math.nan, 1e16]
+        _same_fold(_fold(np.array(values)),
+                   _scalar_fold([v for v in values if not math.isnan(v)]))
+
+    def test_pairwise_order_would_differ(self):
+        # The oracle's running sum and its compensation total both
+        # differ from np.sum's: a fold that summed pairwise fails here.
+        want = _scalar_fold(PAIRWISE_DIFFERS)
+        total, terms = 0.0, []
+        for value in PAIRWISE_DIFFERS:
+            after = total + value
+            terms.append((total - after) + value if abs(total) >= abs(value)
+                         else (value - after) + total)
+            total = after
+        assert _bits(np.sum(PAIRWISE_DIFFERS)) != _bits(want._sum)
+        assert _bits(np.sum(terms)) != _bits(want._compensation)
+        _same_fold(_fold(np.array(PAIRWISE_DIFFERS)), want)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.sampled_from(("siam", "kite", "floret")),
+        st.sampled_from(("uniform", "neighbor")),
+        st.one_of(st.sampled_from((0.0, -0.0, 1e16, -1e16, 1.0, 1.5e308,
+                                   math.nan, None)),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+    ), max_size=30))
+    def test_pivot_cells_equal_a_per_cell_scalar_fold(self, rows):
+        with tempfile.TemporaryDirectory() as root:
+            store = ResultStore(root)
+            for seed, (arch, workload, value) in enumerate(rows):
+                _put(store, SweepCase(arch=arch, num_chiplets=16,
+                                      workload=workload, seed=seed),
+                     {} if value is None else {"v": value})
+            out = query_results(ResultStore(root), ResultQuery(
+                pivot="v", metrics=("v",), limit=MAX_PAGE_ROWS))
+        cells = {}
+        for row in out["results"]:  # match order
+            value = row["metrics"].get("v")
+            if value is not None and math.isfinite(value):
+                cells.setdefault(row["case"]["workload"], {}).setdefault(
+                    row["case"]["arch"], []).append(value)
+        want = {}
+        for workload, cols in cells.items():
+            for arch, values in cols.items():
+                mean = _scalar_fold(values).mean
+                want.setdefault(workload, {})[arch] = (
+                    mean if math.isfinite(mean) else None)
+        got = out["pivot"]["rows"]
+        assert got == want
+        assert [list(cols) for cols in got.values()] == [
+            list(cols) for cols in want.values()]
+        for workload, cols in want.items():
+            for arch, mean in cols.items():
+                if mean is not None:
+                    assert _bits(got[workload][arch]) == _bits(mean)
 
 
 class TestParseOnce:
@@ -475,6 +617,91 @@ class TestSharedColumnCache:
         assert (first["total"], want[repr(shapes[0])]["total"]) == (300, 600)
         for params, got in answers:
             assert got == want[repr(params)]
+
+
+@pytest.fixture(scope="module")
+def live_service(tmp_path_factory):
+    """``(store root, /v1/results URL)`` of a running service over a
+    small store, one of whose metrics overflows when summed."""
+    from repro.svc import start_service
+
+    root = tmp_path_factory.mktemp("live")
+    store = ResultStore(root)
+    values = [1.0, -0.0, 2.5, math.nan, "x", None, 10 ** 400, 7]
+    for seed, value in enumerate(values):
+        _put(store, SweepCase(
+            arch=("siam", "kite", "floret")[seed % 3], num_chiplets=16,
+            workload=("uniform", "neighbor")[seed % 2], seed=seed,
+            tag=("", "β")[seed % 2],
+            noi_overrides=((), (("flit_bytes", 64),),
+                           (("fc_buffer_flits", 8.0),))[seed % 3],
+        ), {"lat": value, "big": 1.5e308})
+    service = start_service(root, workers=1)
+    thread = threading.Thread(target=service.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    host, port = service.server_address[:2]
+    try:
+        yield root, f"http://{host}:{port}/v1/results?"
+    finally:
+        service.shutdown()
+        service.server_close()
+        thread.join(timeout=10)
+
+
+query_names = st.sampled_from((
+    "arch", "size", "workload", "seed", "tag", "override", "metric",
+    "metrics", "pivot", "offset", "limit", "archs", "foo", "Limit", "é"))
+query_values = st.one_of(
+    st.sampled_from((
+        "siam", "kite", "16", "0", "1", "-1", "uniform", "β", "lat", "big",
+        "big,lat", ",,", "x", "1.5", "1e3", "nan", "inf", "",
+        "99999999999999999999999999", "-99999999999999999999999999",
+        "flit_bytes=64", "flit_bytes=64.0", "fc_buffer_flits=8",
+        "flit_bytes=1e999", "flit_bytes=NaN", "flit_bytes=[1,2]",
+        "flit_bytes={}", "flit_bytes=\"64\"", "=", "=5", "flit_bytes",
+        "flit_bytes=" + "9" * 400)),
+    st.integers().map(str),
+    st.text(max_size=6),
+)
+query_strings = st.one_of(
+    st.lists(st.tuples(query_names, query_values), max_size=6).map(
+        lambda pairs: urllib.parse.urlencode(pairs)),
+    st.text(alphabet="&=%;,+ab1.-", max_size=12),
+)
+
+
+class TestQueryStringFuzz:
+    """Random ``/v1/results`` query strings against a live service: every
+    reply is strict JSON with status 200 or 400, no connection drops,
+    and every 200 body is ``query_results`` on a fresh store handle."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(query_strings)
+    @example("metric=big&pivot=big")
+    @example("offset=99999999999999999999999999&limit=-5")
+    @example("limit=99999999999999999999999999&offset=-1")
+    @example("arch=siam&arch=kite&arch=siam&size=16&size=16")
+    @example("override=flit_bytes=64&override=flit_bytes=64.0")
+    def test_replies_are_strict_json_and_equal_a_direct_query(
+            self, live_service, query):
+        root, base = live_service
+        try:
+            with urllib.request.urlopen(base + query,
+                                        timeout=30) as response:
+                status, body = response.status, response.read()
+        except urllib.error.HTTPError as exc:  # a connection drop raises
+            status, body = exc.code, exc.read()
+        payload = _strict_json(body)
+        params = urllib.parse.parse_qs(query, keep_blank_values=False)
+        try:
+            parsed = parse_result_query(params)
+        except ValueError:
+            assert status == 400 and "error" in payload
+            return
+        assert status == 200
+        direct = query_results(ResultStore(root), parsed)
+        assert payload == _strict_json(json.dumps(direct))
 
 
 class TestParse:
