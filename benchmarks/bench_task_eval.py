@@ -16,9 +16,11 @@ Two acceptance gates for the cross-layer batched task evaluator:
    a cold one (``memoize=False``) while producing a bit-identical
    ``ScheduleResult`` and registering cache hits in the
    ``sched_taskperf_cache_hits`` counter.  Each side is the median of
-   :data:`MEMO_REPEATS` runs, each on a fresh scheduler: one run takes
-   only 10-20 ms, so a single timing would carry the host's noise into
-   the ratio.
+   :data:`MEMO_REPEATS` runs, each on a fresh scheduler, cold and
+   memoized runs alternating and timed in process CPU time: one run
+   takes only 1.5-20 ms, so a single timing -- or a block of one side's
+   runs during a burst of host load -- would carry the host's noise
+   into the ratio.
 
 ``REPRO_SWEEP_QUICK=1`` shrinks the grids (two architectures at 64
 chiplets, fewer repeats) but keeps both ratio floors armed at 3x/5x:
@@ -75,7 +77,7 @@ MEMO_DNN = "DNN6"
 MEMO_TASKS = 120
 MEMO_TASKS_QUICK = 60
 #: Timed runs per side of the memo gate; the gate compares medians.
-MEMO_REPEATS = 5
+MEMO_REPEATS = 11
 
 
 def _gate_grid():
@@ -147,26 +149,26 @@ def _run_memo_gate():
     # cold run measures the evaluation engine, not one-time setup.
     scheduler(memoize=False).run(tasks[:4])
 
-    def timed(memoize):
-        """(result, median seconds) over fresh schedulers."""
-        times, results = [], []
-        for _ in range(MEMO_REPEATS):
-            t0 = time.perf_counter()
-            results.append(scheduler(memoize=memoize).run(tasks))
-            times.append(time.perf_counter() - t0)
-        assert all(r == results[0] for r in results)
-        return results[0], statistics.median(times)
-
-    cold, cold_s = timed(memoize=False)
+    # Cold and memoized runs alternate, each on a fresh scheduler, so
+    # a burst of host load lands on both sides alike.
+    results = {False: [], True: []}
+    times = {False: [], True: []}
     hits_before = REGISTRY.counter("sched_taskperf_cache_hits").value
-    memo, memo_s = timed(memoize=True)
+    for _ in range(MEMO_REPEATS):
+        for memoize in (False, True):
+            t0 = time.process_time()
+            results[memoize].append(scheduler(memoize=memoize).run(tasks))
+            times[memoize].append(time.process_time() - t0)
     hits = REGISTRY.counter("sched_taskperf_cache_hits").value - hits_before
 
-    assert memo == cold, (
+    cold = results[False][0]
+    assert all(r == cold for r in results[False]), "cold runs differ"
+    assert all(r == cold for r in results[True]), (
         "memoized ScheduleResult differs from the cold run"
     )
     assert hits > 0, "memoized run registered no cache hits"
-    return cold, cold_s, memo_s, hits // MEMO_REPEATS, num_tasks
+    return (cold, statistics.median(times[False]),
+            statistics.median(times[True]), hits // MEMO_REPEATS, num_tasks)
 
 
 def _run():

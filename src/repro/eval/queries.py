@@ -347,9 +347,16 @@ def query_results(store: ResultStore, query: ResultQuery) -> Dict[str, object]:
     (present only when requested) is the mean table of the pivot
     metric over workload rows x arch columns.  Filters, folds and the
     page all work on the store's column cache
-    (:meth:`~repro.eval.store.ResultStore.columns`).
+    (:meth:`~repro.eval.store.ResultStore.columns`).  A page line whose
+    shard changed since it was indexed makes the store index that shard
+    again and the query run once more
+    (:meth:`~repro.eval.store.ResultStore.retrying`).
     """
-    columns = store.columns()
+    return store.retrying(lambda: _answer(store.columns(), query))
+
+
+def _answer(columns: RecordColumns, query: ResultQuery) -> Dict[str, object]:
+    """:func:`query_results` over ``columns``."""
     matches = _matches(columns, query)
     limit = max(0, min(query.limit, MAX_PAGE_ROWS))
     page = matches[query.offset:query.offset + limit].tolist()

@@ -48,12 +48,14 @@ evaluations are never stored: a crashed case must be re-attempted on
 the next run, not replayed from cache.
 
 In memory, a :class:`ResultStore` keeps its records in flat
-per-position lists (:class:`_Positions`): each record's raw line, key,
-``case_id``, elapsed time, arrays flag and case axes, with override
-lists interned into codes, and one float64 column per metric name.
-None of these is a container the garbage collector tracks, so a big
-index costs the collector nothing and survives no collection it would
-not; records are decoded from their lines on demand.  The column cache
+per-position lists (:class:`_Positions`): each record's key,
+``case_id``, elapsed time, arrays flag, case axes (override lists
+interned into codes) and its line's offsets in its shard, and one
+float64 column per metric name.  None of these is a container the
+garbage collector tracks, so a big index costs the collector nothing
+and survives no collection it would not; records are read back from
+their lines (``os.pread``) on demand, and a line must carry its key
+(:meth:`ResultStore.retrying`).  The column cache
 (:class:`RecordColumns`) reads the same lists and columns, and nothing
 refers back to the store, so a dropped store is freed by reference
 counting alone.
@@ -65,6 +67,7 @@ import hashlib
 import inspect
 import json
 import math
+import operator
 import os
 import tempfile
 import zlib
@@ -232,12 +235,13 @@ class ResultStore:
     a streaming loop.
 
     The index is flat (:class:`_Positions`): every record sits at a
-    stable position as its raw JSONL line, its key, its ``case_id``,
-    its elapsed time, its arrays flag, its scalar case axes, one
-    interned code for its overrides and one entry in each metric's
-    float64 column -- no per-record container the garbage collector
-    tracks.  :meth:`get` and :meth:`iter_records` decode records from
-    their lines on demand.  On top sit the ``(case_id, key)`` order of the positions
+    stable position as its key, its ``case_id``, its elapsed time, its
+    arrays flag, its scalar case axes, one interned code for its
+    overrides, its line's offsets in its shard and one entry in each
+    metric's float64 column -- no per-record container the garbage
+    collector tracks.  :meth:`get` and :meth:`iter_records` read
+    records' lines by ``os.pread`` and decode them on demand.  On top
+    sit the ``(case_id, key)`` order of the positions
     (enumeration and queries never sort) and a lazily built
     :class:`RecordColumns` cache for the query layer
     (:meth:`columns`).  Nothing the store holds refers back to it, so
@@ -284,13 +288,14 @@ class ResultStore:
         #: Lazily built :class:`RecordColumns`; dropped when a record
         #: changes in place or positions are compacted.
         self._columns: Optional[RecordColumns] = None
-        #: ``(lines, records)`` this instance put and has not
-        #: indexed yet; :meth:`_refresh` indexes them, in one chunk,
-        #: before it reads anything.
-        self._puts: Tuple[list, list] = ([], [])
+        #: ``(records, starts, ends)`` this instance put and has not
+        #: indexed yet, with their lines' offsets; :meth:`_refresh`
+        #: indexes them, in one chunk, before it reads anything.
+        self._puts: Tuple[list, list, list] = ([], [], [])
         #: ``(bytes, crc32)`` of each shard's prefix this instance read
-        #: itself (or took from a verified snapshot); it only describes
-        #: the shard while ``bytes`` equals the consumed offset.
+        #: or put itself (or took from a verified snapshot); it only
+        #: describes the shard while ``bytes`` equals the consumed
+        #: offset.
         self._crc: Dict[str, Tuple[int, int]] = {}
         #: Bytes the snapshot this instance last loaded or wrote
         #: covered (0 for none), and the bytes it decoded itself since.
@@ -320,9 +325,12 @@ class ResultStore:
         line cannot yield anything new, and the finishing append
         changes the signature.  A shard *shorter* than the consumed
         offset was rewritten out from under us (an external compaction
-        or restore-from-backup); its indexed records are dropped and
-        the file is read again from the start.  The file is named by a
-        ``str`` path, so the guard builds no ``Path`` per shard.
+        or restore-from-backup), and so was one whose signature changed
+        while its size stayed at the consumed offset (appends grow it;
+        :meth:`put` forgets the signature of a shard it appends to
+        directly): its indexed records are dropped and the file is read
+        again from the start.  The file is named by a ``str`` path, so
+        the guard builds no ``Path`` per shard.
         """
         try:
             stat = os.stat(self._dir + name)
@@ -333,23 +341,41 @@ class ResultStore:
             return None
         consumed = self._consumed.get(name, 0)
         size = stat.st_size
-        if size < consumed:
-            # Rewritten shorter: forget everything this shard
-            # contributed (every key it holds names it) and rebuild.
-            prefix = _prefix(name)
-            keep = [pos for pos, key in enumerate(self._positions.keys)
-                    if key[:2] != prefix]
-            self._positions = self._positions.select(keep)
-            self._pos = dict(zip(self._positions.keys, range(len(keep))))
-            self._pending.clear()
-            self._stale = True
-            self._columns = None
-            consumed = self._consumed[name] = 0
+        if size < consumed or (size == consumed and name in self._sig):
+            self._forget(name)
+            consumed = 0
         if size == consumed:
             self._sig[name] = sig
             self._consumed[name] = consumed
             return None
         return name, sig, consumed, size
+
+    def _forget(self, name: str) -> None:
+        """Drop every record shard file ``name`` contributed (every key
+        it holds names it), so that it is read again from offset 0."""
+        prefix = _prefix(name)
+        keep = [pos for pos, key in enumerate(self._positions.keys)
+                if key[:2] != prefix]
+        self._positions = self._positions.select(keep)
+        self._pos = dict(zip(self._positions.keys, range(len(keep))))
+        self._pending.clear()
+        self._stale = True
+        self._columns = None
+        self._consumed[name] = 0
+        self._sig.pop(name, None)
+
+    def retrying(self, read):
+        """``read()``, run once more after indexing again, from offset
+        0, the shards a :class:`StaleIndexError` it raises names;
+        ``read`` must look its positions up afresh, as that renumbers
+        them."""
+        try:
+            return read()
+        except StaleIndexError as stale:
+            for name in stale.shards:
+                self._forget(name)
+            self._refresh(stale.shards)
+        return read()
 
     def _read(self, name: str, sig: Tuple[int, int], consumed: int,
               size: int) -> bytes:
@@ -368,7 +394,7 @@ class ResultStore:
         ``consumed``, and decode its complete lines past its first
         ``skip`` bytes (which a snapshot covered, their crc32 ``crc``).
 
-        Returns the decoded ``(lines, records, starts, prefixes)`` --
+        Returns the decoded ``(records, starts, ends, prefixes)`` --
         :meth:`_prepare` arguments, the shard's key prefix once per
         record -- or ``None`` if there were none.  Never consumes past
         the last
@@ -388,22 +414,20 @@ class ResultStore:
         if end == skip:
             return None
         self._decoded += end - skip
-        lines, records, starts = _decode_lines(chunk[skip:end],
-                                               consumed + skip)
-        return lines, records, starts, [_prefix(name)] * len(lines)
+        records, starts, ends = _decode_lines(chunk[skip:end],
+                                              consumed + skip)
+        return records, starts, ends, [_prefix(name)] * len(records)
 
-    def _prepare(self, lines: List[bytes], records: list,
-                 starts: Optional[List[int]] = None,
+    def _prepare(self, records: list, starts: List[int], ends: List[int],
                  prefixes: Optional[List[str]] = None
                  ) -> Tuple[list, Dict[str, np.ndarray]]:
         """``records`` as :meth:`_place` arguments: one list per
         :class:`_Positions` list, in :meth:`_Positions.columns` order,
         and their metrics as one float64 column per metric name
-        (:func:`_float_column`); ``lines`` are their raw JSONL lines,
-        ``starts`` each
-        line's byte offset in its shard (``None``: unknown, as for this
-        instance's own puts) and ``prefixes`` the key prefix of each
-        one's shard (``None``: each record's own, as for puts).
+        (:func:`_float_column`); ``starts`` and ``ends`` are their
+        lines' byte offsets in their shards and ``prefixes`` the key
+        prefix of each one's shard (``None``: each record's own, as for
+        puts).
 
         Records that are not well formed (:func:`_fields`), or whose key
         belongs to another shard, are skipped, like corrupt lines.  Each
@@ -416,9 +440,8 @@ class ResultStore:
                    else ([prefix] for prefix in prefixes))
             keep = [i for i, (record, prefix) in enumerate(zip(records, own))
                     if _fields([record], prefix) is not None]
-            lines = [lines[i] for i in keep]
-            if starts is not None:
-                starts = [starts[i] for i in keep]
+            starts = [starts[i] for i in keep]
+            ends = [ends[i] for i in keep]
             fields = _fields([records[i] for i in keep], None
                              if prefixes is None else [prefixes[i]
                                                        for i in keep])
@@ -426,9 +449,8 @@ class ResultStore:
         table = self._positions
         axes["noi_overrides"] = table.intern(texts, lists)
         case_ids = _case_ids(axes, table.ids)
-        return [lines, keys, case_ids, elapsed, flags,
-                [-1] * len(keys) if starts is None else starts,
-                *axes.values()], {
+        return [keys, case_ids, elapsed, flags, array("q", starts),
+                array("q", ends), *axes.values()], {
                     name: _float_column(list(map(dict.get, metrics,
                                                  repeat(name))))
                     for name in set().union(*metrics)}
@@ -443,13 +465,15 @@ class ResultStore:
         the next :meth:`_merge` -- unless the index was empty and the
         chunk comes ``ordered`` (in ``(case_id, key)`` order, as a
         snapshot's records do): then the chunk's order is the order.
-        A known key keeps its position; if its line bytes differ (so
-        ``-0.0`` differs from ``0.0`` and ``8`` from ``8.0``) the column
-        cache is dropped, and if its case_id changed (same key,
-        overrides reordered) the order is stale.  Re-reading a line
-        this instance put itself changes nothing.
+        A known key keeps its position; if its line is not at the same
+        offsets and its bytes differ (read by ``os.pread``; so ``-0.0``
+        differs from ``0.0`` and ``8`` from ``8.0``) the column cache is
+        dropped, and if its case_id changed (same key, overrides
+        reordered) the order is stale.  Re-reading a line this instance
+        put itself changes nothing.
         """
-        lines, keys, case_ids = chunk[:3]
+        keys, case_ids = chunk[:2]
+        starts, ends = chunk[4:6]
         table = self._positions
         pos = self._pos
         start = len(table.keys)
@@ -473,7 +497,11 @@ class ResultStore:
                 self._pending.append(slot)
                 for column, new in zip(table.columns(), chunk):
                     column.append(new[i])
-            elif table.lines[slot] != lines[i]:
+            elif (table.starts[slot], table.ends[slot]) != (
+                    starts[i], ends[i]) and operator.ne(*_read_spans(
+                        self._dir, [(key[:2], table.starts[slot],
+                                     table.ends[slot]),
+                                    (key[:2], starts[i], ends[i])])):
                 self._columns = None
                 self._stale |= table.case_ids[slot] != case_ids[i]
                 for column, new in zip(table.columns(), chunk):
@@ -531,7 +559,7 @@ class ResultStore:
         """
         puts = self._puts
         if puts[0]:
-            self._puts = ([], [])
+            self._puts = ([], [], [])
             self._place(*self._prepare(*puts))
 
     def _refresh(self, shards: Iterable[str],
@@ -560,20 +588,19 @@ class ResultStore:
         self._index_puts()
         todo = [todo for todo in map(self._changed, shards)
                 if todo is not None]
-        snapshot = lines = None
+        snapshot = None
         if use_snapshot and any(consumed == 0 for _, _, consumed, _ in todo):
             snapshot = _load_snapshot(self._snapshot_path,
                                       self._positions.codes)
         if snapshot is not None:
             self._covered, self._decoded = snapshot.covered, 0
-            lines = [b""] * snapshot.rows
         held, tails, batch = [], [], ([], [], [], [])
         for name, sig, consumed, size in todo:
             chunk = self._read(name, sig, consumed, size)
             skip = crc = 0
             if consumed == 0 and snapshot is not None:
-                rows, skip, crc = snapshot.cut(name, chunk, lines)
-                held += rows
+                rows, skip, crc = snapshot.cut(name, chunk)
+                held.append(rows)
             tail = self._tail(name, consumed, chunk, skip, crc)
             if tail is not None:
                 for part, new in zip(batch, tail):
@@ -583,10 +610,11 @@ class ResultStore:
                     batch = ([], [], [], [])
         if batch[0]:
             tails.append(self._prepare(*batch))
-        if held:
-            if len(held) < snapshot.rows:
-                held.sort()
-            self._place(*snapshot.records(self._positions, held, lines),
+        rows = np.concatenate(held) if held else ()
+        if len(rows):
+            if len(rows) < snapshot.rows:
+                rows.sort()
+            self._place(*snapshot.records(self._positions, rows),
                         ordered=True)
         for tail in tails:
             self._place(*tail)
@@ -603,13 +631,14 @@ class ResultStore:
 
     def _write_snapshot(self) -> None:
         """Publish the index snapshot of every shard this instance can
-        describe exactly: its crc covers all it consumed, and every
-        record of the shard came from a line this instance read at a
-        known offset (not from its own puts), with no newline in its
-        key or ``case_id``.  Records go in ``(case_id, key)`` order, the
-        order of ``_perm``; metric values come from the index's metric
-        columns.  The next write waits until as many bytes again are
-        decoded, also if this one fails."""
+        describe exactly: its crc covers all it consumed, and no record
+        of the shard has a newline in its key or ``case_id``.  Its own
+        puts count like any line it read: each has its line's offsets
+        (:meth:`put`), and a full read consumes every shard past them.
+        Records go in ``(case_id, key)`` order, the order of ``_perm``,
+        with the line offsets and metric values of the index's columns.
+        The next write waits until as many bytes again are decoded, also
+        if this one fails."""
         self._covered = self._decoded = 0
         names = sorted(name for name, (size, _) in self._crc.items()
                        if size == self._consumed.get(name) and size > 0)
@@ -620,10 +649,9 @@ class ResultStore:
         number = dict(zip(map(_prefix, names), range(len(names))))
         shard = np.fromiter(map(number.get, map(itemgetter(slice(2)), keys),
                                 repeat(-1)), np.int64, len(keys))
-        starts = np.array(table.starts, np.int64)
         newline = [pos for pos, (key, case_id) in enumerate(zip(
             keys, case_ids)) if "\n" in key or "\n" in case_id]
-        bad = set(shard[starts < 0].tolist() + shard[newline].tolist())
+        bad = set(shard[newline].tolist())
         shard[np.isin(shard, list(bad))] = -1
         rows = self._perm[shard[self._perm] >= 0]
         picked = rows.tolist()
@@ -634,10 +662,8 @@ class ResultStore:
         renumber[kept] = np.arange(len(kept))
         ints = np.empty((3 + len(_CODED), len(picked)), "<i8")
         ints[0] = renumber[shard[rows]]
-        ints[1] = starts[rows]
-        ints[2] = ints[1] + np.fromiter(
-            map(len, map(table.lines.__getitem__, picked)), np.int64,
-            len(picked))
+        ints[1] = np.array(table.starts, np.int64)[rows]
+        ints[2] = np.array(table.ends, np.int64)[rows]
         header = {}
         for i, name in enumerate(_CODED, 3):
             column = (table.axes[name] if name in table.axes
@@ -722,11 +748,13 @@ class ResultStore:
         authoritative (its ``tag`` may differ from the stored one, and
         the tag is not part of the key).
         """
-        pos = self._peek(key)
-        result = (
-            self._result_from(key, self._positions.record(pos), case)
-            if pos is not None else None
-        )
+        def read() -> Optional[SweepResult]:
+            pos = self._peek(key)
+            return None if pos is None else self._result_from(
+                key, _read_records(self._dir, self._positions, [pos])[0],
+                case)
+
+        result = self.retrying(read)
         if result is None:
             self.stats.misses += 1
             REGISTRY.counter("store_misses").inc()
@@ -798,7 +826,7 @@ class ResultStore:
         self._refresh_all()
         self._merge()
         if self._columns is None:
-            self._columns = RecordColumns(self._positions, self._arrays_dir)
+            self._columns = RecordColumns(self._positions, self._dir)
         self._columns.perm = self._perm
         if self._decoded >= max(self._covered, 1):
             self._write_snapshot()
@@ -819,15 +847,21 @@ class ResultStore:
         is :attr:`SweepCase.case_id` of the record's case -- the order
         the query layer (:mod:`repro.eval.queries`) pages and folds in,
         so it never sorts.  Each ``case_id`` is computed once per
-        record, when the record is first indexed.  Each record is
-        decoded from its stored JSONL line as it is yielded (scalar
-        metrics, case axes, an ``arrays`` flag), a fresh dict the
-        caller may keep or change.  Stats-neutral, like
+        record, when the record is first indexed.  Every record is
+        read and decoded when the enumeration starts
+        (:func:`_read_records`: each shard read once, one
+        ``json.loads``), each a fresh dict (scalar metrics, case axes,
+        an ``arrays`` flag) the caller may keep or change; a line
+        without its key has its shard indexed again and the read
+        retried once (:meth:`retrying`).  Stats-neutral, like
         :meth:`iter_results`.
         """
-        complete = self._complete()
-        table = self._positions
-        return ((table.keys[pos], table.record(pos)) for pos in complete)
+        def read() -> Tuple[List[str], List[dict]]:
+            complete = self._complete()
+            return (list(map(self._positions.keys.__getitem__, complete)),
+                    _read_records(self._dir, self._positions, complete))
+
+        return zip(*self.retrying(read))
 
     def iter_results(self) -> Iterator[SweepResult]:
         """All stored results, cases reconstructed from the records.
@@ -843,7 +877,12 @@ class ResultStore:
     # -- writing -----------------------------------------------------------
 
     def put(self, key: str, result: SweepResult) -> bool:
-        """Persist one successful result; errors are never cached."""
+        """Persist one successful result; errors are never cached.
+
+        The line goes out in one ``O_APPEND`` write; the handle keeps
+        the record and its line's offsets (the end ``os.lseek`` reads,
+        less the bytes written), so its next read indexes it undecoded
+        and a snapshot can cover its shard."""
         if not result.ok:
             self.stats.skipped_errors += 1
             return False
@@ -869,24 +908,30 @@ class ResultStore:
         if result.arrays:
             self._write_npz(key, result.arrays)
         line = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        line += b"\n"
         name = _shard_name(key)
         fd = os.open(self._dir + name, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
                      0o644)
         try:
-            written = os.write(fd, line + b"\n")
+            written = os.write(fd, line)
             end = os.lseek(fd, 0, os.SEEK_CUR)
         finally:
             os.close(fd)
-        lines, records = self._puts
-        lines.append(line)
-        records.append(record)
-        # If the whole line directly follows what this instance has read
-        # of the shard, it counts as read and is never decoded.
-        # Otherwise the next read meets it again after the lines before
-        # it, which keeps last-writer-wins in file order.
-        if (written == len(line) + 1
-                and end - written == self._consumed.get(name, 0)):
-            self._consumed[name] = end
+        start = end - written
+        # Only a whole line is indexed, at its offsets.  If it directly
+        # follows what this instance has read of the shard, it counts
+        # as read (its bytes extend the shard's crc32) and is never
+        # decoded.  Otherwise the next read meets it again after the
+        # lines before it, which keeps last-writer-wins in file order.
+        if written == len(line):
+            for part, value in zip(self._puts, (record, start, end - 1)):
+                part.append(value)
+            if start == self._consumed.get(name, 0):
+                self._consumed[name] = end
+                self._sig.pop(name, None)
+                size, crc = self._crc.get(name, (0, 0))
+                if size == start:
+                    self._crc[name] = (end, zlib.crc32(line, crc))
         self.stats.puts += 1
         REGISTRY.counter("store_puts").inc()
         return True
@@ -947,42 +992,111 @@ def _prefix(name: str) -> str:
 
 
 def _decode_lines(data: bytes, offset: int = 0
-                  ) -> Tuple[List[bytes], list, List[int]]:
-    """``data``'s non-blank lines that decode, their JSON values and
-    the byte offset of each in its shard, where ``data`` starts at
-    ``offset``.
+                  ) -> Tuple[list, List[int], List[int]]:
+    """The JSON values of ``data``'s non-blank lines that decode, and
+    the byte offsets in its shard where each such line starts and ends,
+    where ``data`` starts at ``offset``.
 
-    One ``json.loads`` over the lines joined into a JSON array decodes
-    a whole chunk at once.  If that raises (a corrupt or blank line)
-    or yields a different number of values than there are lines (a
-    line holding two values), each non-blank line is decoded on its
-    own and the ones that fail are skipped -- torn or corrupt, last
-    writer wins anyway.  Offsets are ``-1`` (unknown) if ``data`` holds
-    a carriage return, which also ends a line.
+    Lines are what ``bytes.splitlines`` makes of ``data``: a newline, a
+    carriage return or both end one, and its end offset is where its
+    terminator starts.  One ``json.loads`` over the lines joined into a
+    JSON array decodes a whole chunk at once.  If that raises (a
+    corrupt or blank line) or yields a different number of values than
+    there are lines (a line holding two values), each non-blank line is
+    decoded on its own and the ones that fail are skipped -- torn or
+    corrupt, last writer wins anyway.
     """
-    lines = data.splitlines()
     if b"\r" in data:
-        starts = [-1] * len(lines)
+        pieces = data.splitlines(True)
+        lines = [piece.rstrip(b"\r\n") for piece in pieces]
+        sizes = np.fromiter(map(len, pieces), np.int64, len(pieces))
+        lengths = np.fromiter(map(len, lines), np.int64, len(lines))
     else:
-        sizes = np.fromiter(map(len, lines), np.int64, len(lines)) + 1
-        starts = (np.cumsum(sizes) - sizes + offset).tolist()
+        lines = data.splitlines()
+        lengths = np.fromiter(map(len, lines), np.int64, len(lines))
+        sizes = lengths + 1
+    starts = np.cumsum(sizes) - sizes + offset
+    ends = (starts + lengths).tolist()
+    starts = starts.tolist()
     try:
         values = json.loads(b"[" + b",".join(lines) + b"]")
     except ValueError:
         values = None
     if values is not None and len(values) == len(lines):
-        return lines, values, starts
-    kept, values, kept_starts = [], [], []
-    for line, start in zip(lines, starts):
-        if not line.strip():
-            continue
-        try:
-            values.append(json.loads(line))
-        except ValueError:
-            continue
-        kept.append(line)
-        kept_starts.append(start)
-    return kept, values, kept_starts
+        return values, starts, ends
+    values = list(map(_loads, lines))
+    kept = [i for i, value in enumerate(values) if value is not None]
+    return ([values[i] for i in kept], [starts[i] for i in kept],
+            [ends[i] for i in kept])
+
+
+def _loads(line: bytes) -> object:
+    """The JSON value of ``line``, or ``None`` if it does not decode
+    (a blank line does not)."""
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
+class StaleIndexError(RuntimeError):
+    """A line read at a record's indexed offsets does not carry its
+    key: shard files ``shards`` changed since they were indexed."""
+
+    def __init__(self, shards: List[str]) -> None:
+        super().__init__(f"changed since indexed: {', '.join(shards)}")
+        self.shards = shards
+
+
+def _read_spans(directory: str, spans: List[Tuple[str, int, int]]
+                ) -> List[bytes]:
+    """The bytes of each of ``spans`` (key prefix of a shard in
+    ``directory``, start and end offset), read by ``os.pread``: each
+    shard once, from its first span's start to its last span's end,
+    shards in name order.  Empty where the file is gone or ends first."""
+    out = [b""] * len(spans)
+    last: Dict[str, int] = {}
+    for prefix, _, end in spans:
+        if last.get(prefix, -1) < end:
+            last[prefix] = end
+    name = data = None
+    first = 0
+    for i in sorted(range(len(spans)), key=spans.__getitem__):
+        prefix, start, end = spans[i]
+        if prefix != name:
+            name, first, data = prefix, start, b""
+            try:
+                fd = os.open(directory + _shard_name(prefix), os.O_RDONLY)
+            except FileNotFoundError:
+                pass
+            else:
+                try:
+                    data = os.pread(fd, last[prefix] - start, start)
+                finally:
+                    os.close(fd)
+        out[i] = data[start - first:end - first]
+    return out
+
+
+def _read_records(directory: str, table: "_Positions",
+                  positions: List[int]) -> List[dict]:
+    """The records at ``positions``, decoded from their lines
+    (:func:`_read_spans`) with one ``json.loads`` of them joined into a
+    JSON array, or one by one if that fails.  Raises
+    :class:`StaleIndexError` if a line does not carry its key."""
+    lines = _read_spans(directory, table.spans(positions))
+    try:
+        records = json.loads(b"[" + b",".join(lines) + b"]")
+    except ValueError:
+        records = None
+    if records is None or len(records) != len(lines):
+        records = list(map(_loads, lines))
+    keys = list(map(table.keys.__getitem__, positions))
+    stale = {_shard_name(key) for key, record in zip(keys, records)
+             if type(record) is not dict or record.get("k") != key}
+    if stale:
+        raise StaleIndexError(sorted(stale))
+    return records
 
 
 def finite_float(value: object) -> Optional[float]:
@@ -1096,51 +1210,46 @@ class _Snapshot:
     ``texts`` their interning keys).  ``matrix[m, r]`` is metric
     ``names[m]`` as :func:`finite_float` makes it, NaN where missing,
     and ``keys[r]``, ``case_ids[r]`` are the record's key and case id.
-    ``spans`` lists the rows, line starts and line ends shard by shard;
-    shard ``s`` has entries ``bounds[s]`` to ``bounds[s + 1]``.
+    ``order`` lists the rows shard by shard; shard ``s`` has entries
+    ``bounds[s]`` to ``bounds[s + 1]``.
     """
 
     __slots__ = ("shards", "covered", "rows", "ints", "values", "texts",
-                 "names", "matrix", "keys", "case_ids", "spans", "bounds")
+                 "names", "matrix", "keys", "case_ids", "order", "bounds")
 
-    def cut(self, name: str, data: bytes, lines: list
-            ) -> Tuple[list, int, int]:
+    def cut(self, name: str, data: bytes) -> Tuple[np.ndarray, int, int]:
         """``(rows, covered bytes, their crc32)`` of shard ``name`` if
         the snapshot is valid for ``data``, its bytes from offset 0 --
-        and then each of those rows' line, cut from ``data``, goes into
-        ``lines`` -- else ``([], 0, 0)``."""
+        ``rows`` an int64 array, ascending -- else no rows and ``0, 0``."""
         entry = self.shards.get(name)
-        if entry is None:
-            return [], 0, 0
-        number, covered, crc = entry
-        if not (covered <= len(data) and data[covered - 1] == ord("\n")
-                and zlib.crc32(memoryview(data)[:covered]) == crc):
-            return [], 0, 0
-        rows, starts, ends = (
-            span[self.bounds[number]:self.bounds[number + 1]].tolist()
-            for span in self.spans)
-        for row, start, end in zip(rows, starts, ends):
-            lines[row] = data[start:end]
-        return rows, covered, crc
+        if entry is not None:
+            number, covered, crc = entry
+            if (covered <= len(data) and data[covered - 1] == ord("\n")
+                    and zlib.crc32(memoryview(data)[:covered]) == crc):
+                return (self.order[self.bounds[number]:
+                                   self.bounds[number + 1]], covered, crc)
+        return self.order[:0], 0, 0
 
-    def records(self, table: "_Positions", rows: list, lines: list
+    def records(self, table: "_Positions", rows: np.ndarray
                 ) -> Tuple[list, dict]:
         """Rows ``rows`` (ascending) as :meth:`ResultStore._place`
-        arguments, their override lists interned into ``table``;
-        ``lines`` is what :meth:`cut` filled."""
+        arguments, their override lists interned into ``table``: with
+        every row, each column (line offsets too) in one piece."""
         whole = len(rows) == self.rows
         ints = self.ints if whole else self.ints[:, rows]
+        picked = None if whole else rows.tolist()
 
         def pick(values):
-            return values if whole else list(map(values.__getitem__, rows))
+            return values if whole else list(map(values.__getitem__, picked))
 
         interned = table.intern(self.texts, dict(zip(
             self.texts, self.values["noi_overrides"])))
         columns = {name: _at(interned if name == "noi_overrides"
                              else self.values[name], ints[3 + i])
                    for i, name in enumerate(_CODED)}
-        return [pick(lines), pick(self.keys), pick(self.case_ids),
-                columns["elapsed"], columns["flags"], ints[1].tolist(),
+        return [pick(self.keys), pick(self.case_ids), columns["elapsed"],
+                columns["flags"], array("q", ints[1].tobytes()),
+                array("q", ints[2].tobytes()),
                 *(columns[name] for name in _AXES)], dict(zip(
                     self.names, self.matrix if whole
                     else self.matrix[:, rows]))
@@ -1219,7 +1328,7 @@ def _load_snapshot(path: Path, known: Mapping[str, int]
     order = np.argsort(ints[0], kind="stable")
     snapshot.bounds = np.searchsorted(
         ints[0][order], np.arange(len(shards) + 1)).tolist()
-    snapshot.spans = (order, ints[1][order], ints[2][order])
+    snapshot.order = order
     snapshot.shards, snapshot.covered, snapshot.rows = (
         shards, sum(covered), rows)
     # Copies, so the raw bytes are freed on return.
@@ -1301,13 +1410,14 @@ def _float_column(values: list) -> np.ndarray:
 class _Positions:
     """The flat lists a store's index is made of, one entry per position.
 
-    Position ``p`` holds one record: ``lines[p]`` its raw JSONL line
-    (decoded again only on demand, :meth:`record`), ``keys[p]``,
-    ``case_ids[p]``, ``elapsed[p]``, ``flags[p]`` (whether it has an
-    array payload), ``starts[p]`` (the line's byte offset in its shard,
-    ``-1`` for a line this instance put; an int64 ``array``), per case
-    axis ``axes[axis][p]`` -- the scalar value, or for
-    ``noi_overrides`` a code into ``overrides``, the distinct override
+    Position ``p`` holds one record: ``keys[p]``, ``case_ids[p]``,
+    ``elapsed[p]``, ``flags[p]`` (whether it has an array payload),
+    ``starts[p]`` and ``ends[p]`` (where its line starts and ends in its
+    shard, terminator excluded, in int64 ``array`` objects: the line
+    itself stays on disk and is read back by ``os.pread`` on demand,
+    :func:`_read_records`), per case axis ``axes[axis][p]`` -- the
+    scalar value, or for ``noi_overrides`` a code into ``overrides``,
+    the distinct override
     lists as tuples of pairs -- and, per metric name,
     ``floats[name][p]``: :func:`finite_float` of its value, NaN where
     it is missing.  Each metric column is a float64 array with room to
@@ -1317,16 +1427,16 @@ class _Positions:
     nothing here refers to the store.
     """
 
-    __slots__ = ("lines", "keys", "case_ids", "elapsed", "flags", "starts",
+    __slots__ = ("keys", "case_ids", "elapsed", "flags", "starts", "ends",
                  "axes", "overrides", "texts", "ids", "codes", "floats")
 
     def __init__(self) -> None:
-        self.lines: List[bytes] = []
         self.keys: List[str] = []
         self.case_ids: List[str] = []
         self.elapsed: List[float] = []
         self.flags: List[bool] = []
         self.starts = array("q")
+        self.ends = array("q")
         self.axes: Dict[str, list] = {name: [] for name in _AXES}
         self.overrides: List[tuple] = []
         #: The interning key of each distinct override list: the
@@ -1343,8 +1453,8 @@ class _Positions:
     def columns(self) -> List[list]:
         """Every per-position list, in :meth:`ResultStore._place`'s
         chunk order."""
-        return [self.lines, self.keys, self.case_ids, self.elapsed,
-                self.flags, self.starts, *self.axes.values()]
+        return [self.keys, self.case_ids, self.elapsed, self.flags,
+                self.starts, self.ends, *self.axes.values()]
 
     def intern(self, texts: list, lists: dict) -> List[int]:
         """The override codes of ``texts``, interning keys of override
@@ -1388,9 +1498,11 @@ class _Positions:
                       for name, column in self.floats.items()}
         return out
 
-    def record(self, pos: int) -> dict:
-        """The record at ``pos``, decoded from its line."""
-        return json.loads(self.lines[pos])
+    def spans(self, positions: List[int]) -> List[Tuple[str, int, int]]:
+        """Where the lines at ``positions`` are: their shards' key
+        prefixes and their start and end offsets."""
+        return [(self.keys[pos][:2], self.starts[pos], self.ends[pos])
+                for pos in positions]
 
 
 class RecordColumns:
@@ -1414,10 +1526,13 @@ class RecordColumns:
     when a record changes in place or positions are compacted.
     """
 
-    def __init__(self, positions: _Positions, arrays_dir: Path) -> None:
+    def __init__(self, positions: _Positions, directory: str) -> None:
         self.perm = np.empty(0, np.int64)
         self._positions = positions
-        self._arrays_dir = arrays_dir
+        #: The store's root, ending in a separator: shard files are
+        #: ``directory + name``.
+        self._dir = directory
+        self._arrays_dir = Path(directory, "arrays")
         self._axes: Dict[str, Tuple[np.ndarray, list, dict]] = {}
         self._flags = np.empty(0, bool)
 
@@ -1469,18 +1584,11 @@ class RecordColumns:
         the decoded lines wherever the stored values survive a JSON
         round trip, as every value a reader decoded does.
 
-        The lines decode with one ``json.loads`` of them joined into a
-        JSON array, and one by one only if that fails (as in
-        :func:`_decode_lines`; every indexed line decodes alone)."""
+        The lines are read and decoded by :func:`_read_records`, which
+        raises :class:`StaleIndexError` for a line without its key."""
         table = self._positions
         axes = table.axes
-        lines = list(map(table.lines.__getitem__, positions))
-        try:
-            decoded = json.loads(b"[" + b",".join(lines) + b"]")
-        except ValueError:
-            decoded = None
-        if decoded is None or len(decoded) != len(lines):
-            decoded = list(map(json.loads, lines))
+        decoded = _read_records(self._dir, table, positions)
         records = []
         for pos, record in zip(positions, decoded):
             case = {name: axes[name][pos] for name in _AXES}

@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import tempfile
+import tracemalloc
 import weakref
 import zlib
 
@@ -18,6 +19,7 @@ import repro.eval.store as store_module
 from repro.eval.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
+    StaleIndexError,
     _float_column,
     _load_snapshot,
     case_from_record,
@@ -759,8 +761,7 @@ def _valid(root) -> dict:
     assert snapshot is not None
     for name, (_, covered, crc) in snapshot.shards.items():
         data = (root / name).read_bytes()
-        assert snapshot.cut(name, data, [b""] * snapshot.rows)[1:] == (
-            covered, crc)
+        assert snapshot.cut(name, data)[1:] == (covered, crc)
     return {name: entry[1] for name, entry in snapshot.shards.items()}
 
 
@@ -883,10 +884,10 @@ class TestSnapshots:
             tmp_path)
         assert list(tmp_path.rglob("*.tmp")) == []
 
-    def test_shard_with_an_own_put_is_not_snapshotted(self, tmp_path):
+    def test_shard_with_an_own_put_is_snapshotted(self, tmp_path):
         # The handle reads its own put back among another writer's
-        # lines: that record was never decoded from a line at a known
-        # offset, so the snapshot it writes leaves that shard out.
+        # lines: the put kept its line's offsets, so the snapshot it
+        # writes covers that shard too.
         seed = _fill(tmp_path, 2, prefix="ab")
         _fill(tmp_path, 2, prefix="cd", seed0=seed)
         handle = ResultStore(tmp_path)
@@ -896,9 +897,28 @@ class TestSnapshots:
         handle.put(case_key(case, FP), result_for(case, {"value": 7.0}))
         _fill(tmp_path, 8, prefix="ab", seed0=seed)
         assert _answer(handle) == _snapshot_free_answer(tmp_path)
-        assert set(_valid(tmp_path)) == {"shard-cd.jsonl"}
+        assert set(_valid(tmp_path)) == {"shard-ab.jsonl", "shard-cd.jsonl"}
         assert _answer(ResultStore(tmp_path)) == _snapshot_free_answer(
             tmp_path)
+
+    def test_put_right_after_what_was_read_stays_covered(self, tmp_path,
+                                                         monkeypatch):
+        # The put directly follows what the handle read of its shard, so
+        # it is never decoded; its bytes extend the shard's crc32, and
+        # the handle's next snapshot covers the shard to its end.
+        seed = _fill(tmp_path, 2, prefix="ab")
+        handle = ResultStore(tmp_path)
+        len(handle)
+        case = _key_in("ab")
+        handle.put(case_key(case, FP), result_for(case, {"value": 7.0}))
+        _fill(tmp_path, 8, prefix="cd", seed0=seed)
+        want = _snapshot_free_answer(tmp_path)
+        decoded = _decoded_bytes(monkeypatch)
+        assert _answer(handle) == want
+        assert b'"value":7.0' not in b"".join(decoded)
+        assert _valid(tmp_path) == {p.name: p.stat().st_size
+                                    for p in tmp_path.glob("shard-*.jsonl")}
+        assert _answer(ResultStore(tmp_path)) == want
 
     def test_key_in_another_shard_leaves_its_shard_covered(self, tmp_path):
         # A line whose key belongs to another shard counts nowhere, so
@@ -931,6 +951,35 @@ class TestSnapshots:
         assert _views(ResultStore(tmp_path)) == want
         assert set(_valid(tmp_path)) == {"shard-ab.jsonl"} - {odd}
         assert _views(ResultStore(tmp_path)) == want
+
+    def test_carriage_returns_leave_their_shard_covered(self, tmp_path,
+                                                         monkeypatch):
+        # A foreign writer's CRLF-terminated line, and two records
+        # parted by a lone carriage return: every line keeps its own
+        # offsets, so the snapshot covers the shard, and every view
+        # reads the lines back like a snapshot-free decode.
+        _fill(tmp_path, 2, prefix="ab")
+        other = tmp_path / "other"
+        cases = [_key_in("ab", seed0=s) for s in (0, 10_000, 20_000)]
+        for value, case in enumerate(cases):
+            ResultStore(other).put(case_key(case, FP),
+                                   result_for(case, {"value": 9.0 + value}))
+        first, second, third = (other / "shard-ab.jsonl").read_bytes(
+        ).splitlines()
+        with open(tmp_path / "shard-ab.jsonl", "ab") as fh:
+            fh.write(first + b"\r\n" + second + b"\r" + third + b"\n")
+        shutil.rmtree(other)
+        want = _views(_snapshot_free(tmp_path))
+        assert _views(ResultStore(tmp_path)) == want
+        assert _valid(tmp_path) == {p.name: p.stat().st_size
+                                    for p in tmp_path.glob("shard-*.jsonl")}
+        decoded = _decoded_bytes(monkeypatch)
+        store = ResultStore(tmp_path)
+        assert _views(store) == want
+        assert decoded == []
+        for value, case in enumerate(cases):
+            assert store.get(case_key(case, FP), case).metrics == {
+                "value": 9.0 + value}
 
     @pytest.mark.parametrize("fault", ["shorter", "same-length", "deleted",
                                        "foreign-line"])
@@ -1077,6 +1126,98 @@ class TestSnapshots:
             assert handle.missing(keys) == frozenset()
 
 
+class TestRewrittenShard:
+    """Records are read back by ``os.pread`` at their lines' indexed
+    offsets.  A shard rewritten between a refresh and a read holds
+    another key there: the read finds it, the shard is indexed again
+    from offset 0, and the read is retried."""
+
+    @pytest.mark.parametrize("longer", [False, True])
+    @pytest.mark.parametrize("read", ["get", "page", "iter"])
+    def test_read_after_a_rewrite_equals_a_fresh_handle(self, tmp_path,
+                                                        longer, read):
+        cases = [_key_in("ab", seed0=s) for s in (0, 10_000, 20_000)]
+        keys = [case_key(case, FP) for case in cases]
+        writer = ResultStore(tmp_path)
+        for value, (key, case) in enumerate(zip(keys, cases)):
+            writer.put(key, result_for(case, {"value": 1.0 + value}))
+        shard = tmp_path / "shard-ab.jsonl"
+        first, second, third = shard.read_bytes().splitlines(keepends=True)
+        shard.write_bytes(first + second)
+        handle = ResultStore(tmp_path)
+        assert len(handle) == 2
+        # The first key's offset now holds the second key's line; a
+        # longer file also gains a third record past the old end.
+        shard.write_bytes(second + first + (third if longer else b""))
+        fresh = _snapshot_free(tmp_path)
+        if read == "get":
+            got = handle.get(keys[0], cases[0])
+            assert got.metrics == {"value": 1.0}
+            assert got.metrics == fresh.get(keys[0], cases[0]).metrics
+        elif read == "page":
+            query = ResultQuery(metrics=("value",), limit=10)
+            answer = query_results(handle, query)
+            assert answer == query_results(fresh, query)
+            assert answer["total"] == 2 + longer
+        else:
+            records = list(handle.iter_records())
+            assert records == list(fresh.iter_records())
+            assert len(records) == 2 + longer
+        assert _views(handle) == _views(fresh)
+
+    def test_same_size_rewrite_of_a_value_is_read_again(self, tmp_path):
+        # Every key stays at its offset and only a metric value changes:
+        # no key check can see it, but the shard's signature changed at
+        # the size already read, which no append does.  The handle reads
+        # the shard again, so its page rows and aggregates agree.
+        case = _key_in("ab")
+        key = case_key(case, FP)
+        handle = ResultStore(tmp_path)
+        handle.put(key, result_for(case, {"value": 1.0}))
+        query = ResultQuery(metrics=("value",), limit=10)
+        assert query_results(handle, query)["aggregates"]["value"][
+            "sum"] == 1.0
+        shard = tmp_path / "shard-ab.jsonl"
+        before = shard.stat()
+        shard.write_bytes(shard.read_bytes().replace(b'"value":1.0',
+                                                     b'"value":2.0'))
+        os.utime(shard, ns=(before.st_atime_ns,
+                            before.st_mtime_ns + 1_000_000))
+        answer = query_results(handle, query)
+        assert answer["results"][0]["metrics"] == {"value": 2.0}
+        assert answer["aggregates"]["value"]["sum"] == 2.0
+        assert answer == query_results(_snapshot_free(tmp_path), query)
+
+    def test_rewrite_during_an_enumeration_changes_nothing_it_yields(
+            self, tmp_path):
+        # The rewrite lands while an enumeration is under way: it read
+        # every line when it started, so it yields each record once.
+        cases = [_key_in("ab", seed0=s) for s in (0, 10_000)]
+        store = ResultStore(tmp_path)
+        for case in cases:
+            store.put(case_key(case, FP), result_for(case))
+        shard = tmp_path / "shard-ab.jsonl"
+        records = store.iter_records()
+        key, _ = next(records)
+        lines = shard.read_bytes().splitlines(keepends=True)
+        shard.write_bytes(b"".join(lines[::-1]))
+        rest = [k for k, _ in records]
+        assert [key] + rest == [k for k, _ in _snapshot_free(
+            tmp_path).iter_records()]
+
+    def test_a_read_stale_twice_raises(self, tmp_path):
+        store = ResultStore(tmp_path)
+        calls = []
+
+        def read():
+            calls.append(None)
+            raise StaleIndexError(["shard-ab.jsonl"])
+
+        with pytest.raises(StaleIndexError):
+            store.retrying(read)
+        assert len(calls) == 2
+
+
 class TestOwnShard:
     """A record counts only in its own shard, the one ``put`` writes it
     to: a line strayed into another shard counts nowhere."""
@@ -1149,6 +1290,38 @@ class TestMemory:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_held_bytes_do_not_grow_with_line_bytes(self, tmp_path):
+        # Two stores of the same records, the second's lines padded
+        # with whitespace that no index keeps: a handle holds about as
+        # many bytes of either after columns(), decoding the shards or
+        # loading the snapshot, since the lines stay on disk.
+        count, pad = 1000, 2000
+        plain, padded = tmp_path / "plain", tmp_path / "padded"
+        writer = ResultStore(plain)
+        for seed in range(count):
+            case = SweepCase(arch="siam", num_chiplets=16, seed=seed)
+            writer.put(case_key(case, FP), result_for(case))
+        padded.mkdir()
+        for shard in plain.glob("shard-*.jsonl"):
+            (padded / shard.name).write_bytes(shard.read_bytes().replace(
+                b'{"v":', b"{" + b" " * pad + b'"v":'))
+        held = {}
+        for root in (plain, padded):
+            for opened in range(2):  # decodes, then loads the snapshot
+                tracemalloc.start()
+                try:
+                    store = ResultStore(root)
+                    store.columns()
+                    held[root, opened] = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                del store
+        assert (tmp_path / "padded" / "index.idx").exists()
+        for opened in range(2):
+            assert held[padded, opened] - held[plain, opened] < (
+                0.05 * count * pad)
+        assert _views(ResultStore(padded)) == _views(ResultStore(plain))
 
     def test_open_and_query_add_almost_no_tracked_objects(self, tmp_path):
         overrides = ((), (("fc_buffer_flits", 8),),
