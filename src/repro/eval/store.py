@@ -1084,14 +1084,16 @@ def _read_records(directory: str, table: "_Positions",
     (:func:`_read_spans`) with one ``json.loads`` of them joined into a
     JSON array, or one by one if that fails.  Raises
     :class:`StaleIndexError` if a line does not carry its key."""
-    lines = _read_spans(directory, table.spans(positions))
+    keys = list(map(table.keys.__getitem__, positions))
+    lines = _read_spans(directory, [
+        (key[:2], table.starts[pos], table.ends[pos])
+        for key, pos in zip(keys, positions)])
     try:
         records = json.loads(b"[" + b",".join(lines) + b"]")
     except ValueError:
         records = None
     if records is None or len(records) != len(lines):
         records = list(map(_loads, lines))
-    keys = list(map(table.keys.__getitem__, positions))
     stale = {_shard_name(key) for key, record in zip(keys, records)
              if type(record) is not dict or record.get("k") != key}
     if stale:
@@ -1497,12 +1499,6 @@ class _Positions:
         out.floats = {name: column[rows]
                       for name, column in self.floats.items()}
         return out
-
-    def spans(self, positions: List[int]) -> List[Tuple[str, int, int]]:
-        """Where the lines at ``positions`` are: their shards' key
-        prefixes and their start and end offsets."""
-        return [(self.keys[pos][:2], self.starts[pos], self.ends[pos])
-                for pos in positions]
 
 
 class RecordColumns:
