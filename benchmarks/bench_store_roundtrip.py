@@ -21,6 +21,17 @@ medians is printed and, under ``REPRO_STORE_DIR``, appended to
 ``speedup``, snapshot-free ÷ snapshot-loaded).  There is no bound: a
 128-record store opens in milliseconds, so the ratio is noisy.
 
+A tail phase follows on a copy of the store: records are put past a
+fresh snapshot until the tail reaches the rewrite bound, 1/
+``DECODE_PER_LOAD`` of the bytes the snapshot covers.  Checked by
+decoded-byte counts, not timings: cold queries with the tail one put
+short of the bound decode exactly that tail and leave ``index.idx``
+alone, the first cold query at the bound decodes it and rewrites
+``index.idx``, and the next one decodes only the lines put since.  The
+ratio of cold-query ``process_time`` medians, tail just under the
+bound ÷ fresh snapshot, is printed and logged the same way as
+``store_cold_tail`` (on ``slowdown``), warned on and never gated.
+
 ``REPRO_STORE_DIR`` points the store at a persistent directory (CI
 uploads it as the sweep-results artifact); unset, a temp directory is
 used.  The grid stays at full size in ``REPRO_SWEEP_QUICK`` mode -- the
@@ -32,8 +43,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from statistics import median
 
@@ -47,6 +60,7 @@ from repro.eval import (
     RunningStats,
     SweepRunner,
     append_ratio_history,
+    case_key,
     evaluate_comm_case,
     format_table,
     load_ratio_history,
@@ -54,6 +68,7 @@ from repro.eval import (
     ratio_drift_warning,
     sweep_grid,
 )
+from repro.eval.store import DECODE_PER_LOAD
 
 ARCHS = ("floret", "siam", "kite", "swap")
 PATTERNS = ("uniform", "neighbor", "hotspot", "transpose")
@@ -135,6 +150,7 @@ def test_store_roundtrip(benchmark, tmp_path_factory, monkeypatch):
     assert warm_latency.max == cold_latency.max
 
     _log_cold_open(root, monkeypatch)
+    _log_cold_tail(root, tmp_path_factory, monkeypatch)
 
 
 def _cold_queries(root, keep_snapshot, monkeypatch):
@@ -178,21 +194,111 @@ def _log_cold_open(root, monkeypatch):
         title=f"Cold query on a fresh handle: snapshot-free / "
               f"snapshot-loaded {ratio:.2f}x",
     ))
+    _log_ratio("store_cold_open", "speedup", ratio,
+               without_ms=round(1e3 * median(without), 2),
+               with_ms=round(1e3 * median(loaded), 2))
+
+
+def _log_ratio(bench, key, ratio, **extra):
+    """Under ``REPRO_STORE_DIR``, append ``ratio`` (as ``key``) to
+    ``ratio-history.jsonl``, warning on >20% drift from the median of
+    the prior records of ``bench``."""
     store_dir = os.environ.get("REPRO_STORE_DIR")
-    if store_dir:
-        history_path = Path(store_dir) / "ratio-history.jsonl"
-        prior = [rec for rec in load_ratio_history(history_path)
-                 if rec.get("bench") == "store_cold_open"]
-        drift = ratio_drift_warning(prior, ratio, key="speedup",
-                                    tolerance=0.2)
-        if drift is not None:
-            warnings.warn(f"store_cold_open drift watch: {drift}",
-                          RuntimeWarning)
-            print(f"WARNING: {drift}")
-        append_ratio_history(history_path, {
-            "bench": "store_cold_open",
-            "speedup": round(ratio, 4),
-            "without_ms": round(1e3 * median(without), 2),
-            "with_ms": round(1e3 * median(loaded), 2),
-            "unix_time": round(time.time(), 3),
-        })
+    if not store_dir:
+        return
+    history_path = Path(store_dir) / "ratio-history.jsonl"
+    prior = [rec for rec in load_ratio_history(history_path)
+             if rec.get("bench") == bench]
+    drift = ratio_drift_warning(prior, ratio, key=key, tolerance=0.2)
+    if drift is not None:
+        warnings.warn(f"{bench} drift watch: {drift}", RuntimeWarning)
+        print(f"WARNING: {drift}")
+    append_ratio_history(history_path, {
+        "bench": bench, key: round(ratio, 4), **extra,
+        "unix_time": round(time.time(), 3),
+    })
+
+
+def _shard_sizes(root):
+    return {p.name: p.stat().st_size for p in Path(root).glob(
+        "shard-*.jsonl")}
+
+
+def _put_copy(writer, result, seed):
+    """Put ``result`` again, as its case with seed ``seed``."""
+    case = replace(result.case, seed=seed)
+    writer.put(case_key(case, "bench-tail"), replace(result, case=case))
+
+
+def _append_tail(root, results, tail):
+    """Put copies of ``results`` under new seeds into ``root`` until the
+    bytes past the snapshot reach ``tail``; returns the shard sizes
+    before the last put and the seed to go on from."""
+    writer = ResultStore(root)
+    covered = sum(_shard_sizes(root).values())
+    for seed, result in enumerate(results, 1000):
+        before = _shard_sizes(root)
+        _put_copy(writer, result, seed)
+        if sum(_shard_sizes(root).values()) - covered >= tail:
+            return before, seed + 1
+    raise AssertionError("too few records to reach the bound")
+
+
+def _log_cold_tail(root, tmp_path_factory, monkeypatch):
+    """The tail phase, on a copy of the store whose ``index.idx``
+    covers every shard.  Lines go past it until the tail reaches the
+    rewrite bound (1/``DECODE_PER_LOAD`` of the covered bytes).  By
+    decoded-byte counts: cold queries with the tail one put short of
+    the bound decode exactly it and leave ``index.idx`` alone; the
+    cold query at the bound decodes exactly it and rewrites
+    ``index.idx``; the one after decodes only the lines put since.
+    Logs the cold-query ``process_time`` ratio, tail just under the
+    bound / fresh snapshot, like the cold-open ratio: warned on, never
+    gated."""
+    copy = tmp_path_factory.mktemp("store-tail")
+    for name in _shard_sizes(root):
+        shutil.copyfile(Path(root) / name, copy / name)
+    if (Path(root) / "arrays").exists():
+        shutil.copytree(Path(root) / "arrays", copy / "arrays")
+    query_results(ResultStore(copy), COLD_QUERY)  # writes index.idx
+    covered = sum(_shard_sizes(copy).values())
+    fresh, answers, decoded = _cold_queries(copy, True, monkeypatch)
+    assert decoded == [0] * COLD_REPEATS
+    results = list(ResultStore(copy).iter_results()) * 4
+    before, seed = _append_tail(copy, results,
+                                -(-covered // DECODE_PER_LOAD))
+    at_bound = _shard_sizes(copy)
+    last = next(name for name in at_bound
+                if at_bound[name] != before.get(name, 0))
+    line = (copy / last).read_bytes()[before.get(last, 0):]
+    os.truncate(copy / last, before.get(last, 0))
+    snapshot = (copy / "index.idx").read_bytes()
+    under, _, decoded = _cold_queries(copy, True, monkeypatch)
+    assert decoded == [sum(before.values()) - covered] * COLD_REPEATS
+    assert (copy / "index.idx").read_bytes() == snapshot
+    with open(copy / last, "ab") as fh:
+        fh.write(line)
+    _, rewritten, decoded = _cold_queries(copy, True, monkeypatch)
+    assert decoded[0] == sum(at_bound.values()) - covered
+    assert decoded[1:] == [0] * (COLD_REPEATS - 1)
+    writer = ResultStore(copy)
+    for result in results[:2]:
+        _put_copy(writer, result, seed)
+        seed += 1
+    _, _, decoded = _cold_queries(copy, True, monkeypatch)
+    assert decoded[0] == sum(_shard_sizes(copy).values()) - sum(
+        at_bound.values())
+    assert len(set(answers)) == 1 and len(set(rewritten)) == 1
+    ratio = median(under) / median(fresh)
+    print(format_table(
+        ["index.idx", "tail bytes", "median ms", "min ms"],
+        [["fresh", 0, f"{1e3 * median(fresh):.1f}",
+          f"{1e3 * min(fresh):.1f}"],
+         ["tail under the bound", sum(before.values()) - covered,
+          f"{1e3 * median(under):.1f}", f"{1e3 * min(under):.1f}"]],
+        title=f"Cold query on a fresh handle: tail under the bound / "
+              f"fresh snapshot {ratio:.2f}x ({covered} bytes covered)",
+    ))
+    _log_ratio("store_cold_tail", "slowdown", ratio,
+               fresh_ms=round(1e3 * median(fresh), 2),
+               tail_ms=round(1e3 * median(under), 2))

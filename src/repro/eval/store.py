@@ -29,9 +29,10 @@ On-disk layout (all under one root directory):
   decodes only the lines past them; a shard that fails the check is
   decoded in full, and a snapshot of another format counts as absent.
   :meth:`ResultStore.columns` writes it, by temp file and
-  ``os.replace``, once the bytes the handle decoded itself reach what
-  the snapshot it last loaded or wrote covered (any bytes, if none) --
-  so rewrites of a growing store are amortised, and a handle that only
+  ``os.replace``, once the bytes the handle decoded itself reach
+  1/:data:`DECODE_PER_LOAD` of what the snapshot it last loaded or
+  wrote covered (any bytes, if none) -- so no cold open decodes a tail
+  that costs more than loading the snapshot, and a handle that only
   reads back its own puts writes none.  A failed write (a read-only
   directory) is ignored.  The snapshot holds JSON and raw little-endian
   numbers only, never pickles, so loading one runs no code.
@@ -49,9 +50,9 @@ the next run, not replayed from cache.
 
 In memory, a :class:`ResultStore` keeps its records in flat
 per-position lists (:class:`_Positions`): each record's key,
-``case_id``, elapsed time, arrays flag, case axes (override lists
-interned into codes) and its line's offsets in its shard, and one
-float64 column per metric name.  None of these is a container the
+``case_id`` and its line's offsets in its shard, its elapsed time,
+arrays flag and case axes as codes into each column's distinct values,
+and one float64 column per metric name.  None of these is a container the
 garbage collector tracks, so a big index costs the collector nothing
 and survives no collection it would not; records are read back from
 their lines (``os.pread``) on demand, and a line must carry its key
@@ -69,6 +70,7 @@ import json
 import math
 import operator
 import os
+import struct
 import tempfile
 import zlib
 from array import array
@@ -106,6 +108,24 @@ _PREPARE_BATCH = 1024
 #: also names :data:`STORE_SCHEMA_VERSION` and ``repro.__version__``)
 #: counts as absent.
 SNAPSHOT_VERSION = 2
+
+#: How many times more it costs to decode a tail byte past the index
+#: snapshot than to load a byte the snapshot covers.  A handle rewrites
+#: ``index.idx`` once the bytes it decoded past the snapshot it loaded
+#: (or wrote) reach the covered bytes over this, since every later cold
+#: open would decode that tail again: from then on it would cost each
+#: of them as much as loading the whole snapshot does.  Measured
+#: in-process (``time.process_time`` medians, Python 3.11, numpy 2.4,
+#: 2-CPU host) by a cold :meth:`ResultStore.columns` on a 20k-record
+#: store of 441-byte lines, all covered by the snapshot (8.8 MB):
+#: reading, crc-checking and loading it took 18 ms, 0.9 us per record
+#: or 2.0 ns per byte; 645 more lines (284 kB) past it added 13.5 ms,
+#: 21 us per record or 48 ns per byte (``_decode_lines``,
+#: :meth:`ResultStore._prepare`, ``_place`` and ``_merge``); 48 / 2.0
+#: is 24.  Writing the snapshot took 12 ms, 0.6 us per record, so a
+#: rewrite costs about what 1/35 of the store's records cost to decode:
+#: the writer pays it once, and every later cold open saves its tail.
+DECODE_PER_LOAD = 24
 
 
 def evaluator_fingerprint(evaluate) -> str:
@@ -235,9 +255,9 @@ class ResultStore:
     a streaming loop.
 
     The index is flat (:class:`_Positions`): every record sits at a
-    stable position as its key, its ``case_id``, its elapsed time, its
-    arrays flag, its scalar case axes, one interned code for its
-    overrides, its line's offsets in its shard and one entry in each
+    stable position as its key, its ``case_id``, its line's offsets in
+    its shard, one code per column of elapsed time, arrays flag and case
+    axes (into the column's distinct values) and one entry in each
     metric's float64 column -- no per-record container the garbage
     collector tracks.  :meth:`get` and :meth:`iter_records` read
     records' lines by ``os.pread`` and decode them on demand.  On top
@@ -380,10 +400,13 @@ class ResultStore:
     def _read(self, name: str, sig: Tuple[int, int], consumed: int,
               size: int) -> bytes:
         """The bytes of shard file ``name`` from offset ``consumed`` up
-        to ``size`` (see :meth:`_changed`)."""
-        with open(self._dir + name, "rb") as fh:
-            fh.seek(consumed)
-            chunk = fh.read(size - consumed)
+        to ``size`` (see :meth:`_changed`), read by ``os.pread``: no
+        buffered file object per shard."""
+        fd = os.open(self._dir + name, os.O_RDONLY)
+        try:
+            chunk = os.pread(fd, size - consumed, consumed)
+        finally:
+            os.close(fd)
         self.stats.shard_reads += 1
         self._sig[name] = sig
         return chunk
@@ -422,7 +445,8 @@ class ResultStore:
                  prefixes: Optional[List[str]] = None
                  ) -> Tuple[list, Dict[str, np.ndarray]]:
         """``records`` as :meth:`_place` arguments: one list per
-        :class:`_Positions` list, in :meth:`_Positions.columns` order,
+        :class:`_Positions` list, in :meth:`_Positions.columns` order
+        (each :data:`_CODED` column as codes, its new values interned),
         and their metrics as one float64 column per metric name
         (:func:`_float_column`); ``starts`` and ``ends`` are their
         lines' byte offsets in their shards and ``prefixes`` the key
@@ -445,12 +469,16 @@ class ResultStore:
             fields = _fields([records[i] for i in keep], None
                              if prefixes is None else [prefixes[i]
                                                        for i in keep])
-        keys, metrics, elapsed, flags, axes, texts, lists = fields
+        keys, metrics, elapsed, flags, axes, texts = fields
         table = self._positions
-        axes["noi_overrides"] = table.intern(texts, lists)
+        axes["noi_overrides"] = table.intern("noi_overrides", texts,
+                                             axes["noi_overrides"])
         case_ids = _case_ids(axes, table.ids)
-        return [keys, case_ids, elapsed, flags, array("q", starts),
-                array("q", ends), *axes.values()], {
+        columns = dict(axes, elapsed=elapsed, flags=flags)
+        return [keys, case_ids, array("q", starts), array("q", ends), *(
+            columns[name] if name == "noi_overrides" else table.intern(
+                name, _identities(columns[name]), columns[name])
+            for name in _CODED)], {
                     name: _float_column(list(map(dict.get, metrics,
                                                  repeat(name))))
                     for name in set().union(*metrics)}
@@ -472,8 +500,7 @@ class ResultStore:
         reordered) the order is stale.  Re-reading a line this instance
         put itself changes nothing.
         """
-        keys, case_ids = chunk[:2]
-        starts, ends = chunk[4:6]
+        keys, case_ids, starts, ends = chunk[:4]
         table = self._positions
         pos = self._pos
         start = len(table.keys)
@@ -591,7 +618,7 @@ class ResultStore:
         snapshot = None
         if use_snapshot and any(consumed == 0 for _, _, consumed, _ in todo):
             snapshot = _load_snapshot(self._snapshot_path,
-                                      self._positions.codes)
+                                      self._positions.index["noi_overrides"])
         if snapshot is not None:
             self._covered, self._decoded = snapshot.covered, 0
         held, tails, batch = [], [], ([], [], [], [])
@@ -637,8 +664,8 @@ class ResultStore:
         (:meth:`put`), and a full read consumes every shard past them.
         Records go in ``(case_id, key)`` order, the order of ``_perm``,
         with the line offsets and metric values of the index's columns.
-        The next write waits until as many bytes again are decoded, also
-        if this one fails."""
+        The next write waits until the bytes decoded since reach the
+        bound again (:data:`DECODE_PER_LOAD`), also if this one fails."""
         self._covered = self._decoded = 0
         names = sorted(name for name, (size, _) in self._crc.items()
                        if size == self._consumed.get(name) and size > 0)
@@ -662,17 +689,10 @@ class ResultStore:
         renumber[kept] = np.arange(len(kept))
         ints = np.empty((3 + len(_CODED), len(picked)), "<i8")
         ints[0] = renumber[shard[rows]]
-        ints[1] = np.array(table.starts, np.int64)[rows]
-        ints[2] = np.array(table.ends, np.int64)[rows]
-        header = {}
-        for i, name in enumerate(_CODED, 3):
-            column = (table.axes[name] if name in table.axes
-                      else getattr(table, name))
-            ints[i], header[name] = _distinct(
-                list(map(column.__getitem__, picked)))
-        distinct = header["noi_overrides"]
-        header["noi_overrides"] = [table.overrides[c] for c in distinct]
-        header["texts"] = [table.texts[c] for c in distinct]
+        for i, column in enumerate([table.starts, table.ends,
+                                    *table.codes.values()], 1):
+            ints[i] = np.array(column, np.int64)[rows]
+        header = dict(table.values, texts=table.texts)
         metrics = sorted(table.floats)
         matrix = np.empty((len(metrics), len(picked)), "<f8")
         for i, name in enumerate(metrics):
@@ -719,7 +739,7 @@ class ResultStore:
         ``get``.
         """
         pos = self._pos.get(key)
-        if pos is None or (self._positions.flags[pos]
+        if pos is None or (self._positions.value("flags", pos)
                            and not self._npz_path(key).exists()):
             return None
         return pos
@@ -828,7 +848,7 @@ class ResultStore:
         if self._columns is None:
             self._columns = RecordColumns(self._positions, self._dir)
         self._columns.perm = self._perm
-        if self._decoded >= max(self._covered, 1):
+        if self._decoded * DECODE_PER_LOAD >= max(self._covered, 1):
             self._write_snapshot()
         return self._columns
 
@@ -1172,20 +1192,32 @@ def _snapshot_format() -> str:
 _CODED = ("elapsed", "flags", *_AXES)
 
 
-def _distinct(values: list) -> Tuple[list, list]:
-    """``(codes, distinct)`` with ``distinct[codes[i]]`` identical to
-    ``values[i]``: ``1``, ``1.0`` and ``True`` stay apart, and so do
-    ``0.0`` and ``-0.0``."""
+def _identities(values: list) -> list:
+    """A key per one of ``values`` (JSON scalars) that tells apart
+    exactly what is not identical: ``1``, ``1.0`` and ``True`` get three
+    keys, ``0.0`` and ``-0.0`` two.  Strings, ints and ``None`` are
+    their own keys (none of them equals another's value), a float is
+    the 1-tuple of its bit pattern and a bool ``(None, value)``.  Each
+    kind is keyed in one pass when it is the only one."""
     kinds = set(map(type, values))
-    if kinds == {float}:  # one value per bit pattern
-        bits, codes = np.unique(np.array(values, np.float64).view(np.int64),
-                                return_inverse=True)
-        return codes.ravel(), bits.view(np.float64).tolist()
-    keys = (values if len(kinds) == 1 and kinds <= {str, int, bool, type(None)}
-            else list(map(repr, values)))
-    first = dict(zip(keys, values))
-    index = dict(zip(first, range(len(first))))
-    return list(map(index.__getitem__, keys)), list(first.values())
+    if kinds <= {str, int, type(None)}:
+        return values
+    if kinds == {float}:
+        return list(zip(np.array(values, np.float64).view(np.int64)
+                        .tolist()))
+    if kinds == {bool}:
+        return list(zip(repeat(None), values))
+    return list(map(_identity, values))
+
+
+def _identity(value: object) -> object:
+    """:func:`_identities` of one value."""
+    if isinstance(value, bool):
+        return None, value
+    if isinstance(value, float):
+        return int.from_bytes(struct.pack("<d", value), "little",
+                              signed=True),
+    return value
 
 
 def _objects(values: list) -> np.ndarray:
@@ -1193,11 +1225,6 @@ def _objects(values: list) -> np.ndarray:
     out = np.empty(len(values), object)
     out[:] = values
     return out
-
-
-def _at(distinct: list, codes: np.ndarray) -> list:
-    """``distinct[code]`` for each of ``codes``."""
-    return _objects(distinct)[codes].tolist()
 
 
 class _Snapshot:
@@ -1235,8 +1262,10 @@ class _Snapshot:
     def records(self, table: "_Positions", rows: np.ndarray
                 ) -> Tuple[list, dict]:
         """Rows ``rows`` (ascending) as :meth:`ResultStore._place`
-        arguments, their override lists interned into ``table``: with
-        every row, each column (line offsets too) in one piece."""
+        arguments, their distinct values interned into ``table``
+        (:meth:`_Positions.remap`), so each code column is one gather;
+        with every row, each other column (line offsets too) in one
+        piece."""
         whole = len(rows) == self.rows
         ints = self.ints if whole else self.ints[:, rows]
         picked = None if whole else rows.tolist()
@@ -1244,17 +1273,14 @@ class _Snapshot:
         def pick(values):
             return values if whole else list(map(values.__getitem__, picked))
 
-        interned = table.intern(self.texts, dict(zip(
-            self.texts, self.values["noi_overrides"])))
-        columns = {name: _at(interned if name == "noi_overrides"
-                             else self.values[name], ints[3 + i])
-                   for i, name in enumerate(_CODED)}
-        return [pick(self.keys), pick(self.case_ids), columns["elapsed"],
-                columns["flags"], array("q", ints[1].tobytes()),
-                array("q", ints[2].tobytes()),
-                *(columns[name] for name in _AXES)], dict(zip(
-                    self.names, self.matrix if whole
-                    else self.matrix[:, rows]))
+        codes = [array("q", table.remap(
+            name, self.values[name],
+            self.texts if name == "noi_overrides" else None)[
+                ints[3 + i]].tobytes()) for i, name in enumerate(_CODED)]
+        return [pick(self.keys), pick(self.case_ids),
+                array("q", ints[1].tobytes()), array("q", ints[2].tobytes()),
+                *codes], dict(zip(self.names, self.matrix if whole
+                                  else self.matrix[:, rows]))
 
 
 def _load_snapshot(path: Path, known: Mapping[str, int]
@@ -1327,7 +1353,11 @@ def _load_snapshot(path: Path, known: Mapping[str, int]
                 return None
     except (ValueError, KeyError, TypeError, IndexError, OverflowError):
         return None
-    order = np.argsort(ints[0], kind="stable")
+    # Shard numbers fit 16 bits (a store has 256 shards), and a stable
+    # argsort of 16-bit ints is a radix sort: the same order, in a
+    # tenth of the time of the int64 one.
+    order = np.argsort(ints[0].astype(
+        np.uint16 if len(shards) <= 1 << 16 else np.int64), kind="stable")
     snapshot.bounds = np.searchsorted(
         ints[0][order], np.arange(len(shards) + 1)).tolist()
     snapshot.order = order
@@ -1359,11 +1389,10 @@ def _fields(records: list, prefixes: Optional[List[str]] = None):
     once per distinct override list), so a clean chunk costs a few
     passes of C loops; reading a key of a value that is not a dict
     raises, which rejects the chunk too.  Returns ``(keys, metrics,
-    elapsed, flags, axes, texts, lists)``: ``axes`` maps each
-    of ``_AXES`` to its values, ``texts`` holds each override list's
-    interning key -- its ``repr``, which keys ``8``, ``8.0`` and
-    ``true`` (or ``0.0`` and ``-0.0``) apart -- and ``lists`` maps each
-    distinct key to one of its lists.
+    elapsed, flags, axes, texts)``: ``axes`` maps each of ``_AXES`` to
+    its values, and ``texts`` holds each override list's interning key
+    -- its ``repr``, which keys ``8``, ``8.0`` and ``true`` (or ``0.0``
+    and ``-0.0``) apart.
     """
     try:
         if not set(map(itemgetter("v"), records)) <= {STORE_SCHEMA_VERSION}:
@@ -1382,15 +1411,15 @@ def _fields(records: list, prefixes: Optional[List[str]] = None):
             list(map(float, elapsed))  # OverflowError: an int past float
         axes = {name: list(map(read, cases)) for name, read in _AXES.items()}
         texts = list(map(repr, axes["noi_overrides"]))
-        lists = dict(zip(texts, axes["noi_overrides"]))
         if not (all(_only(axes[name], _SCALARS) for name in _AXES
                     if name != "noi_overrides")
-                and all(map(_pairs_ok, lists.values()))):
+                and all(map(_pairs_ok, dict(zip(
+                    texts, axes["noi_overrides"])).values()))):
             return None
     except (KeyError, TypeError, AttributeError, OverflowError):
         return None
     flags = list(map(bool, map(dict.get, records, repeat("arrays"))))
-    return keys, metrics, elapsed, flags, axes, texts, lists
+    return keys, metrics, elapsed, flags, axes, texts
 
 
 def _float_column(values: list) -> np.ndarray:
@@ -1413,63 +1442,94 @@ class _Positions:
     """The flat lists a store's index is made of, one entry per position.
 
     Position ``p`` holds one record: ``keys[p]``, ``case_ids[p]``,
-    ``elapsed[p]``, ``flags[p]`` (whether it has an array payload),
     ``starts[p]`` and ``ends[p]`` (where its line starts and ends in its
     shard, terminator excluded, in int64 ``array`` objects: the line
     itself stays on disk and is read back by ``os.pread`` on demand,
-    :func:`_read_records`), per case axis ``axes[axis][p]`` -- the
-    scalar value, or for ``noi_overrides`` a code into ``overrides``,
-    the distinct override
-    lists as tuples of pairs -- and, per metric name,
-    ``floats[name][p]``: :func:`finite_float` of its value, NaN where
-    it is missing.  Each metric column is a float64 array with room to
-    grow past the last position, NaN there.  Bytes, strings, numbers
-    and float64 arrays are all untracked by the garbage collector, so an
-    index of any size adds only a few dozen tracked objects, and
-    nothing here refers to the store.
+    :func:`_read_records`), per column of :data:`_CODED` -- elapsed
+    time, arrays flag and each case axis -- ``codes[name][p]``, an int64
+    code into the column's distinct values ``values[name]``, and, per
+    metric name, ``floats[name][p]``: :func:`finite_float` of its
+    value, NaN where it is missing.  Each metric column is a float64
+    array with room to grow past the last position, NaN there.
+
+    A column's values are distinct as :func:`_identities` tells them
+    apart -- ``1``, ``1.0`` and ``True``, or ``0.0`` and ``-0.0``, are
+    three and two values -- so ``values[name][codes[name][p]]`` is the
+    value the record's line holds, of the same type.  Override lists
+    are tuples of pairs, told apart by their interning keys ``texts``
+    (the ``repr`` of their JSON lists), with their ``case_id`` parts
+    ``ids``.  Bytes, strings, numbers and numeric arrays are all
+    untracked by the garbage collector, so an index of any size adds
+    only a few dozen tracked objects, and nothing here refers to the
+    store.
     """
 
-    __slots__ = ("keys", "case_ids", "elapsed", "flags", "starts", "ends",
-                 "axes", "overrides", "texts", "ids", "codes", "floats")
+    __slots__ = ("keys", "case_ids", "starts", "ends", "codes", "values",
+                 "index", "texts", "ids", "floats")
 
     def __init__(self) -> None:
         self.keys: List[str] = []
         self.case_ids: List[str] = []
-        self.elapsed: List[float] = []
-        self.flags: List[bool] = []
         self.starts = array("q")
         self.ends = array("q")
-        self.axes: Dict[str, list] = {name: [] for name in _AXES}
-        self.overrides: List[tuple] = []
-        #: The interning key of each distinct override list: the
-        #: ``repr`` of its JSON value.
+        self.codes: Dict[str, array] = {name: array("q") for name in _CODED}
+        self.values: Dict[str, list] = {name: [] for name in _CODED}
+        #: Code of each distinct value by its key (:func:`_identities`;
+        #: override lists by their text), ``None`` until a value is
+        #: interned into a column whose values a snapshot gave.
+        self.index: Dict[str, Optional[dict]] = {name: {} for name in _CODED}
         self.texts: List[str] = []
-        #: The ``case_id`` part of each distinct override list
-        #: (:func:`~repro.eval.sweeps.overrides_id`).
         self.ids: List[str] = []
-        #: Code of each distinct override list, by its ``repr``:
-        #: unlike the lists themselves, the keys tell ``8`` from ``8.0``.
-        self.codes: Dict[str, int] = {}
         self.floats: Dict[str, np.ndarray] = {}
 
     def columns(self) -> List[list]:
         """Every per-position list, in :meth:`ResultStore._place`'s
         chunk order."""
-        return [self.keys, self.case_ids, self.elapsed, self.flags,
-                self.starts, self.ends, *self.axes.values()]
+        return [self.keys, self.case_ids, self.starts, self.ends,
+                *self.codes.values()]
 
-    def intern(self, texts: list, lists: dict) -> List[int]:
-        """The override codes of ``texts``, interning keys of override
-        lists; ``lists`` maps each distinct key to its list, which
-        becomes a distinct value the first time its key is seen."""
-        codes = self.codes
-        for text, pairs in lists.items():
-            if text not in codes:
-                codes[text] = len(self.overrides)
-                self.overrides.append(_frozen(pairs))
-                self.texts.append(text)
-                self.ids.append(overrides_id(pairs))
-        return list(map(codes.__getitem__, texts))
+    def value(self, name: str, pos: int) -> object:
+        """Column ``name`` of the record at ``pos``."""
+        return self.values[name][self.codes[name][pos]]
+
+    def intern(self, name: str, keys: list, values: list) -> List[int]:
+        """The codes in column ``name`` of ``values``, whose keys are
+        ``keys``; a value becomes a distinct value the first time its
+        key is seen (an override list as a tuple of pairs, ``keys``
+        being its text)."""
+        index = self.index[name]
+        distinct = self.values[name]
+        if index is None:
+            index = self.index[name] = dict(zip(
+                _identities(distinct), range(len(distinct))))
+        for key, value in dict(zip(keys, values)).items():
+            if key not in index:
+                index[key] = len(distinct)
+                if name == "noi_overrides":
+                    self.texts.append(key)
+                    self.ids.append(overrides_id(value))
+                    value = _frozen(value)
+                distinct.append(value)
+        return list(map(index.__getitem__, keys))
+
+    def remap(self, name: str, values: list,
+              texts: Optional[List[str]] = None) -> np.ndarray:
+        """The code in column ``name`` of each of ``values``, distinct
+        values of a snapshot (override lists with their ``texts``),
+        interned: an empty column takes them as they are."""
+        if self.values[name]:
+            return np.array(self.intern(
+                name, _identities(values) if texts is None else texts,
+                values), np.int64)
+        if texts is None:
+            self.values[name] = list(values)
+            self.index[name] = None
+        else:
+            self.values[name] = list(map(_frozen, values))
+            self.index[name] = dict(zip(texts, range(len(texts))))
+            self.texts = list(texts)
+            self.ids = list(map(overrides_id, values))
+        return np.arange(len(values), dtype=np.int64)
 
     def set_metrics(self, slots, metrics: Dict[str, np.ndarray],
                     picks) -> None:
@@ -1489,10 +1549,10 @@ class _Positions:
 
     def select(self, keep: List[int]) -> "_Positions":
         """A copy holding only positions ``keep``, renumbered in order;
-        the interned override lists are shared."""
+        the distinct values are shared."""
         out = _Positions()
-        out.overrides, out.texts, out.ids, out.codes = (
-            self.overrides, self.texts, self.ids, self.codes)
+        out.values, out.index, out.texts, out.ids = (
+            self.values, self.index, self.texts, self.ids)
         for mine, theirs in zip(self.columns(), out.columns()):
             theirs.extend(mine[pos] for pos in keep)
         rows = np.array(keep, np.intp)
@@ -1529,26 +1589,49 @@ class RecordColumns:
         #: ``directory + name``.
         self._dir = directory
         self._arrays_dir = Path(directory, "arrays")
-        self._axes: Dict[str, Tuple[np.ndarray, list, dict]] = {}
+        #: Per axis: its codes so far, its distinct values, their codes
+        #: by value and each index code's axis code (-1: not seen yet).
+        self._axes: Dict[str, Tuple[np.ndarray, list, dict,
+                                    np.ndarray]] = {}
         self._flags = np.empty(0, bool)
+
+    def _new(self, name: str, done: int) -> np.ndarray:
+        """The index's codes of column ``name`` from position ``done``
+        on, copied."""
+        return np.frombuffer(self._positions.codes[name][done:], np.int64)
 
     def axis(self, name: str) -> Tuple[np.ndarray, list]:
         """``(codes, distinct)``: ``distinct[codes[p]]`` equals record
         ``p``'s value of axis ``name`` (one of ``_AXES``; override
-        lists come back as tuples of pairs)."""
-        codes, distinct, index = self._axes.get(
-            name, (np.empty(0, np.intp), [], {}))
-        new = self._positions.axes[name][len(codes):]
-        if name == "noi_overrides":  # interned as records are indexed
-            distinct = self._positions.overrides
-        elif new:
-            for value in dict.fromkeys(new):
-                if index.setdefault(value, len(distinct)) == len(distinct):
-                    distinct.append(value)
-            new = list(map(index.__getitem__, new))
-        if new:
-            codes = np.concatenate([codes, np.array(new, np.intp)])
-            self._axes[name] = (codes, distinct, index)
+        lists come back as tuples of pairs, one per interning key).
+
+        Axis codes are the index's codes, remapped so that values that
+        are equal (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``)
+        share one: the value that comes first by position stands for
+        them, and distinct values are listed in order of first
+        position.  Only index codes not seen yet are looked at, in
+        order of their first new position."""
+        codes, distinct, index, remap = self._axes.get(
+            name, (np.empty(0, np.int64), [], {}, np.empty(0, np.int64)))
+        new = self._new(name, len(codes))
+        if not len(new):
+            return codes, distinct
+        values = self._positions.values[name]
+        if name == "noi_overrides":  # told apart by their interning keys
+            distinct = values
+        else:
+            if len(remap) < len(values):
+                remap = np.concatenate([remap, np.full(
+                    len(values) - len(remap), -1, np.int64)])
+            seen, first = np.unique(new, return_index=True)
+            unseen = remap[seen] < 0
+            for code in seen[unseen][np.argsort(first[unseen])].tolist():
+                remap[code] = index.setdefault(values[code], len(distinct))
+                if remap[code] == len(distinct):
+                    distinct.append(values[code])
+            new = remap[new]
+        codes = np.concatenate([codes, new])
+        self._axes[name] = (codes, distinct, index, remap)
         return codes, distinct
 
     def metric(self, name: str) -> np.ndarray:
@@ -1563,11 +1646,12 @@ class RecordColumns:
     def complete(self, positions: np.ndarray) -> np.ndarray:
         """``positions`` without records whose flagged ``.npz`` is gone
         (the same completeness rule as :meth:`ResultStore.has`)."""
-        flags = self._positions.flags
-        if len(flags) > len(self._flags):
+        table = self._positions
+        if len(table.keys) > len(self._flags):
             self._flags = np.concatenate([self._flags, np.array(
-                flags[len(self._flags):], bool)])
-        keys = self._positions.keys
+                table.values["flags"], bool)[self._new(
+                    "flags", len(self._flags))]])
+        keys = table.keys
         gone = [pos for pos in positions[self._flags[positions]].tolist()
                 if not _npz_file(self._arrays_dir, keys[pos]).exists()]
         if not gone:
@@ -1583,17 +1667,18 @@ class RecordColumns:
         The lines are read and decoded by :func:`_read_records`, which
         raises :class:`StaleIndexError` for a line without its key."""
         table = self._positions
-        axes = table.axes
+        value = table.value
         decoded = _read_records(self._dir, table, positions)
         records = []
         for pos, record in zip(positions, decoded):
-            case = {name: axes[name][pos] for name in _AXES}
+            case = {name: value(name, pos) for name in _AXES}
             case["noi_overrides"] = [
-                list(pair) for pair in table.overrides[case["noi_overrides"]]]
+                list(pair) for pair in case["noi_overrides"]]
             records.append({
                 "k": table.keys[pos], "case": case,
                 "metrics": record["metrics"],
-                "elapsed_s": table.elapsed[pos], "arrays": table.flags[pos]})
+                "elapsed_s": value("elapsed", pos),
+                "arrays": value("flags", pos)})
         return records
 
     def case_id(self, pos: int) -> str:

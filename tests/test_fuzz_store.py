@@ -47,15 +47,19 @@ import math
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.eval.store as store_module
 from repro.eval.queries import MAX_PAGE_ROWS, ResultQuery, query_results
 from repro.eval.store import (
     _CODED,
+    DECODE_PER_LOAD,
     ResultStore,
+    _load_snapshot,
     case_from_record,
     case_key,
     evaluator_fingerprint,
@@ -413,20 +417,54 @@ class Harness:
     def check(self, query: ResultQuery) -> None:
         expected = recount(self.root, query)
         want = _dumps(expected)
-        fresh = ResultStore(self.root)
         for name, store in (("writer", self.writer),
-                            ("reader", self.reader),
-                            ("fresh", fresh)):
+                            ("reader", self.reader)):
             got = query_results(store, query)
             assert _dumps(got) == want, f"{name} disagrees with the recount"
             # sort_keys hides dict order: pivot rows, and the columns
             # within a row, come in order of first appearance.
             assert _layout(got) == _layout(expected), f"{name} pivot order"
+        fresh, got = self.cold_query(query, bounded=False)
+        assert _dumps(got) == want, "fresh disagrees with the recount"
+        assert _layout(got) == _layout(expected), "fresh pivot order"
+        # Whatever the first cold open decoded, it left a tail under
+        # the bound: the next one decodes less than that.
+        again, got = self.cold_query(query, bounded=True)
+        assert _dumps(got) == want, "second fresh disagrees with the recount"
         views = _views(fresh)
         for name, store in (("writer", self.writer),
                             ("reader", self.reader),
+                            ("second fresh", again),
                             ("snapshot-free", self.without_snapshots())):
             assert _views(store) == views, f"{name} serves other records"
+
+    def cold_query(self, query: ResultQuery, bounded: bool):
+        """A fresh handle and its answer to ``query``.  If it decoded
+        1/DECODE_PER_LOAD or more of the bytes the snapshot it loaded
+        covers (any bytes, if none), it wrote ``index.idx`` anew; if
+        ``bounded``, it decoded less."""
+        path = self.root / "index.idx"
+        before = path.read_bytes() if path.exists() else None
+        snapshot = _load_snapshot(path, {})
+        covered = 0 if snapshot is None else snapshot.covered
+        decoded = []
+        real = store_module._decode_lines
+
+        def counting(data, offset=0):
+            decoded.append(len(data))
+            return real(data, offset)
+
+        with mock.patch.object(store_module, "_decode_lines", counting):
+            store = ResultStore(self.root)
+            got = query_results(store, query)
+        bound = max(covered, 1)
+        if sum(decoded) * DECODE_PER_LOAD >= bound:
+            assert not bounded, "decoded a tail at the bound"
+            assert path.read_bytes() != before, "left a tail at the bound"
+        else:
+            after = path.read_bytes() if path.exists() else None
+            assert after == before, "rewrote a tail under the bound"
+        return store, got
 
     def without_snapshots(self) -> ResultStore:
         """A fresh handle on a copy of the shards with no snapshot (the
@@ -673,8 +711,6 @@ class TestRegressions:
 def test_second_cold_open_decodes_no_covered_line(monkeypatch, tmp_path):
     """A cold open after one that wrote the snapshots decodes only the
     lines appended since, and answers the same."""
-    import repro.eval.store as store_module
-
     writer = ResultStore(tmp_path)
     cases = [SweepCase(ARCHS[s % 3], 16, "uniform", s) for s in range(40)]
     for case in cases:

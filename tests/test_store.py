@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -17,6 +18,7 @@ from helpers import MALFORMED_RECORDS, malformed_store
 
 import repro.eval.store as store_module
 from repro.eval.store import (
+    DECODE_PER_LOAD,
     STORE_SCHEMA_VERSION,
     ResultStore,
     StaleIndexError,
@@ -850,14 +852,36 @@ class TestSnapshots:
         assert len(writer) == 10
         assert list(tmp_path.glob("*.idx")) == []
 
-    def test_small_tail_rewrites_nothing(self, tmp_path):
-        seed = _fill(tmp_path, 6, prefix="ab")
+    def test_small_tail_rewrites_nothing(self, tmp_path, monkeypatch):
+        # Lines go past the snapshot one at a time, each followed by a
+        # cold open.  Every tail under 1/DECODE_PER_LOAD of the covered
+        # bytes leaves index.idx as it is; the first tail at the bound
+        # is rewritten by the cold handle that decodes it, and the next
+        # cold open decodes only the line appended since.
+        seed = _fill(tmp_path, 3 * DECODE_PER_LOAD, prefix="ab")
         len(ResultStore(tmp_path))
+        covered = _valid(tmp_path)["shard-ab.jsonl"]
+        shard = tmp_path / "shard-ab.jsonl"
         before = (tmp_path / "index.idx").read_bytes()
+        decoded = _decoded_bytes(monkeypatch)
+        while True:
+            seed = _fill(tmp_path, 1, prefix="ab", seed0=seed)
+            tail = shard.stat().st_size - covered
+            want = _snapshot_free_answer(tmp_path)
+            decoded.clear()
+            assert _answer(ResultStore(tmp_path)) == want
+            assert sum(map(len, decoded)) == tail
+            if tail * DECODE_PER_LOAD >= covered:
+                break
+            assert (tmp_path / "index.idx").read_bytes() == before
+        assert tail * DECODE_PER_LOAD < 2 * covered  # tails grew by lines
+        assert _valid(tmp_path) == {"shard-ab.jsonl": shard.stat().st_size}
+        size = shard.stat().st_size
         _fill(tmp_path, 1, prefix="ab", seed0=seed)
-        assert _answer(ResultStore(tmp_path)) == _snapshot_free_answer(
-            tmp_path)
-        assert (tmp_path / "index.idx").read_bytes() == before
+        want = _snapshot_free_answer(tmp_path)
+        decoded.clear()
+        assert _answer(ResultStore(tmp_path)) == want
+        assert b"".join(decoded) == shard.read_bytes()[size:]
 
     def test_two_handles_write_the_same_snapshot_in_turn(self, tmp_path):
         seed = _fill(tmp_path, 3, prefix="ab")
@@ -865,7 +889,8 @@ class TestSnapshots:
         len(first)
         covered = _valid(tmp_path)["shard-ab.jsonl"]
         # Grow the store past twice what the snapshot covers: a fresh
-        # handle decodes a tail as long as the snapshot, so it writes.
+        # handle decodes a tail past 1/DECODE_PER_LOAD of the covered
+        # bytes, so it writes.
         seed = _fill(tmp_path, 4, prefix="ab", seed0=seed)
         seed = _fill(tmp_path, 2, prefix="cd", seed0=seed)
         second = ResultStore(tmp_path)
@@ -874,8 +899,8 @@ class TestSnapshots:
                  for p in tmp_path.glob("shard-*.jsonl")}
         assert _valid(tmp_path) == sizes
         assert sizes["shard-ab.jsonl"] > 2 * covered
-        # The first handle has decoded as many bytes since its write
-        # and now writes in turn, over the second's.
+        # The first handle has decoded past the bound of what its own
+        # write covered, and now writes in turn, over the second's.
         _fill(tmp_path, 12, prefix="ab", seed0=seed)
         len(first)
         assert _valid(tmp_path) == {p.name: p.stat().st_size
@@ -1272,6 +1297,98 @@ class TestFloatColumn:
                        numbers + [[1.0]]):
             want = np.array([finite_float(v) for v in values], np.float64)
             assert _float_column(values).tobytes() == want.tobytes()
+
+
+class TestCodedColumns:
+    """Elapsed time, arrays flag and case axes are codes into each
+    column's distinct values, told apart by identity; a query's axis
+    column merges equal values."""
+
+    SIZES = [16.0, 16, True, 1, 0.0, -0.0]
+    TAGS = ["x", 1, 1.0, True, None, "x"]
+
+    def _write(self, root, sizes=SIZES, tags=TAGS, elapsed=0.5, first=0):
+        root.mkdir(exist_ok=True)
+        with open(root / "shard-ab.jsonl", "a") as fh:
+            for i, (size, tag) in enumerate(zip(sizes, tags), first):
+                fh.write(json.dumps({
+                    "v": STORE_SCHEMA_VERSION, "k": f"ab{i:04d}",
+                    "case": {"arch": "siam", "num_chiplets": size,
+                             "workload": "uniform", "seed": 0,
+                             "noi_overrides": [], "tag": tag},
+                    "metrics": {"value": float(i)}, "elapsed_s": elapsed,
+                    "arrays": False}) + "\n")
+
+    def _rows(self, store) -> dict:
+        return {row["key"]: json.dumps(row["case"]) for row in
+                query_results(store, ResultQuery(limit=50))["results"]}
+
+    def test_equal_values_share_an_axis_code(self, tmp_path):
+        root = tmp_path / "store"
+        self._write(root)
+        decoding = ResultStore(root)  # positions in line order
+        codes, distinct = decoding.columns().axis("num_chiplets")
+        assert codes.tolist() == [0, 0, 1, 1, 2, 2]
+        assert [(type(v), v) for v in distinct] == [
+            (float, 16.0), (bool, True), (float, 0.0)]
+        assert math.copysign(1.0, distinct[2]) == 1.0
+        codes, distinct = decoding.columns().axis("tag")
+        assert codes.tolist() == [0, 1, 1, 1, 2, 0]
+        assert [(type(v), v) for v in distinct] == [
+            (str, "x"), (int, 1), (type(None), None)]
+        # Page rows show each value as its line holds it, also from a
+        # handle that loads the snapshot the first one wrote.
+        rows = self._rows(decoding)
+        assert [json.loads(rows[f"ab{i:04d}"])["num_chiplets"]
+                for i in range(6)] == self.SIZES
+        assert [json.dumps(json.loads(rows[f"ab{i:04d}"])["num_chiplets"])
+                for i in range(6)] == ["16.0", "16", "true", "1", "0.0",
+                                       "-0.0"]
+        loading = ResultStore(root)
+        assert self._rows(loading) == rows
+        assert list(map(repr, loading._positions.values["num_chiplets"])
+                    ) == ["16.0", "16", "True", "1", "0.0", "-0.0"]
+
+    def test_identity_holds_across_chunks_of_one_kind(self, tmp_path):
+        # Each append is indexed as its own chunk, every value in it of
+        # one type; a later chunk's equal value of another sign or type
+        # still gets its own code.
+        root = tmp_path / "store"
+        steps = [([16.0], [0.0], 0.0), ([16], [-0.0], -0.0),
+                 ([True], [True], 0.5), ([1], [1], 0.5)]
+        store = ResultStore(root)
+        for first, (sizes, tags, elapsed) in enumerate(steps):
+            self._write(root, sizes, tags, elapsed, first)
+            store.columns()
+        want = ['{"num_chiplets": 16.0, "tag": 0.0, "elapsed_s": 0.0}',
+                '{"num_chiplets": 16, "tag": -0.0, "elapsed_s": -0.0}',
+                '{"num_chiplets": true, "tag": true, "elapsed_s": 0.5}',
+                '{"num_chiplets": 1, "tag": 1, "elapsed_s": 0.5}']
+        for handle in (store, ResultStore(root)):
+            rows = query_results(handle, ResultQuery(limit=50))["results"]
+            assert [json.dumps({
+                "num_chiplets": row["case"]["num_chiplets"],
+                "tag": row["case"]["tag"], "elapsed_s": row["elapsed_s"]})
+                for row in sorted(rows, key=lambda row: row["key"])] == want
+
+    def test_snapshot_is_written_from_the_codes(self, tmp_path):
+        # The snapshot lists each column's distinct values as the index
+        # holds them, and a handle that loads it into an empty index
+        # takes them as they are.
+        root = tmp_path / "store"
+        self._write(root)
+        writer = ResultStore(root)
+        writer.columns()
+        snapshot = _load_snapshot(root / "index.idx", {})
+        for name, values in writer._positions.values.items():
+            if name != "noi_overrides":
+                assert list(map(repr, snapshot.values[name])) == list(
+                    map(repr, values))
+        loading = ResultStore(root)
+        loading.columns()
+        assert loading._positions.values["tag"] == snapshot.values["tag"]
+        assert list(map(repr, loading._positions.values["tag"])) == [
+            "'x'", "1", "1.0", "True", "None"]
 
 
 class TestMemory:
