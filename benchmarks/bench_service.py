@@ -13,12 +13,12 @@ millions-of-users story says it will be:
    queries (aggregates, pivots, axis and override filters) and
    progress/metrics reads.  Gates: every warm sweep performs **zero
    evaluations**, the warm-query p99 latency stays under
-   ``P99_FLOOR_S`` -- repeated queries over a quiescent store are
-   column-cache reads, not file I/O, and the latency budget is how
+   ``P99_FLOOR_S`` -- repeated queries over a quiescent store read
+   the in-memory index, not files, and the latency budget is how
    that shows up externally -- and every answer the clients got equals
    ``query_results`` on a freshly opened store, so the service's
-   lazily built column cache never serves a torn or stale view under
-   concurrent clients.
+   index, extended by new lines as clients query it, never serves a
+   torn or stale view under concurrent clients.
 
 Between the two, warm re-POSTs of the same grid run alone (no other
 client, status polled every :data:`TIMED_POLL_S`, as for the cold
@@ -250,8 +250,8 @@ def _run(tmp):
             replay_times.append(time.perf_counter() - t0)
             assert replay["evaluated"] == 0, replay
 
-        # The service's column cache is built over the grid's results,
-        # then extended by the swarm over the override results.
+        # The service's index covers the grid's results, then the
+        # swarm's queries extend it over the override results.
         _get(base, QUERY_PATHS[0])
         _put_override_results(root, grid)
 

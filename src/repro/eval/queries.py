@@ -9,10 +9,11 @@ equally usable from scripts against any store directory.
 
 Three properties matter for serving queries at scale:
 
-* **Array-speed filters and folds, no payload I/O.**  A query runs on
-  the store's column cache (:meth:`~repro.eval.store.ResultStore
-  .columns`): interned per-axis codes and float64 metric columns over
-  the records, which sit at stable positions in flat lists.  Each
+* **Array-speed filters and folds, no payload I/O.**  A query reads
+  the store's index as it is (:meth:`~repro.eval.store.ResultStore
+  .columns`): per-axis codes into each axis's distinct values and
+  float64 metric columns over the records, which sit at stable
+  positions in flat lists.  Each
   filter is evaluated once per *distinct* value of its axis and
   broadcast into a position mask; the matches, in order, are
   ``perm[mask[perm]]`` for the store's ``(case_id, key)`` permutation
@@ -45,8 +46,10 @@ Three properties matter for serving queries at scale:
   step for the compensation terms, the first ``argmin``/``argmax``
   for the extrema (:func:`_fold`).  An optional pivot metric folds
   each (workload row, arch column) cell the same way, rows and columns
-  in first-appearance order (the table ``SweepOutcome.pivot`` and
-  :class:`~repro.eval.stream.RunningPivot` build).  Aggregates and
+  in first-appearance order, equal values (``16`` and ``16.0``) in one
+  row or column labelled by the first of them (the table
+  ``SweepOutcome.pivot`` and :class:`~repro.eval.stream.RunningPivot`
+  build).  Aggregates and
   pivot count the same values as ``missing``: absent, non-numeric,
   non-finite or too large for a float
   (:func:`~repro.eval.store.finite_float`).  Page rows echo stored
@@ -289,31 +292,42 @@ def _pivot(columns: RecordColumns, matches: np.ndarray,
     Each cell folds its values in match order; rows, and the columns
     within a row, come out in order of first appearance among the
     finite values -- the table a per-record
-    :class:`~repro.eval.stream.RunningPivot` fold would build.  A cell
-    whose mean overflows is ``None``.
+    :class:`~repro.eval.stream.RunningPivot` fold would build.  Equal
+    values (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``) share a
+    row or column, which the first of them in match order labels, as a
+    dict keyed by value keeps its first key.  A cell whose mean
+    overflows is ``None``.
     """
     values = columns.metric(metric)[matches]
     finite = ~np.isnan(values)
+    held = matches[finite]
     row_codes, rows = columns.axis("workload")
     col_codes, cols = columns.axis("arch")
-    cell = (row_codes[matches[finite]] * len(cols)
-            + col_codes[matches[finite]])
+    row_codes, col_codes = row_codes[held], col_codes[held]
+    cell = _merged(rows)[row_codes] * len(cols) + _merged(cols)[col_codes]
     order = np.argsort(cell, kind="stable")
-    cells, first, counts = np.unique(cell, return_index=True,
-                                     return_counts=True)
+    _, first, counts = np.unique(cell, return_index=True,
+                                 return_counts=True)
     groups = np.split(values[finite][order], np.cumsum(counts)[:-1])
     table: Dict[object, Dict[object, float]] = {}
-    for _, code, group in sorted(zip(first.tolist(), cells.tolist(),
-                                     groups)):
-        row, col = divmod(code, len(cols))
-        table.setdefault(rows[row], {})[cols[col]] = _json_number(
-            _fold(group).mean)
+    for i in np.argsort(first).tolist():
+        at = first[i]
+        table.setdefault(rows[row_codes[at]], {})[
+            cols[col_codes[at]]] = _json_number(_fold(groups[i]).mean)
     return {
         "metric": metric,
         "missing": int(len(values) - finite.sum()),
         "rows": {str(row): {str(col): mean for col, mean in means.items()}
                  for row, means in table.items()},
     }
+
+
+def _merged(distinct: list) -> np.ndarray:
+    """A code per one of ``distinct``, shared by the values that are
+    equal: one dict over the few distinct values of an axis."""
+    codes: Dict[object, int] = {}
+    return np.array([codes.setdefault(value, len(codes))
+                     for value in distinct], np.int64)
 
 
 def _json_number(value: object) -> object:
@@ -346,7 +360,7 @@ def query_results(store: ResultStore, query: ResultQuery) -> Dict[str, object]:
     each requested metric to its fold over all matches, and ``pivot``
     (present only when requested) is the mean table of the pivot
     metric over workload rows x arch columns.  Filters, folds and the
-    page all work on the store's column cache
+    page all read the store's index
     (:meth:`~repro.eval.store.ResultStore.columns`).  A page line whose
     shard changed since it was indexed makes the store index that shard
     again and the query run once more

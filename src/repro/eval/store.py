@@ -56,8 +56,8 @@ and one float64 column per metric name.  None of these is a container the
 garbage collector tracks, so a big index costs the collector nothing
 and survives no collection it would not; records are read back from
 their lines (``os.pread``) on demand, and a line must carry its key
-(:meth:`ResultStore.retrying`).  The column cache
-(:class:`RecordColumns`) reads the same lists and columns, and nothing
+(:meth:`ResultStore.retrying`).  Queries read those lists and columns
+as they are (:class:`RecordColumns`, no state of its own), and nothing
 refers back to the store, so a dropped store is freed by reference
 counting alone.
 """
@@ -68,7 +68,6 @@ import hashlib
 import inspect
 import json
 import math
-import operator
 import os
 import struct
 import tempfile
@@ -107,7 +106,7 @@ _PREPARE_BATCH = 1024
 #: the same lines differently.  A snapshot of any other format (which
 #: also names :data:`STORE_SCHEMA_VERSION` and ``repro.__version__``)
 #: counts as absent.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: How many times more it costs to decode a tail byte past the index
 #: snapshot than to load a byte the snapshot covers.  A handle rewrites
@@ -261,11 +260,10 @@ class ResultStore:
     metric's float64 column -- no per-record container the garbage
     collector tracks.  :meth:`get` and :meth:`iter_records` read
     records' lines by ``os.pread`` and decode them on demand.  On top
-    sit the ``(case_id, key)`` order of the positions
-    (enumeration and queries never sort) and a lazily built
-    :class:`RecordColumns` cache for the query layer
-    (:meth:`columns`).  Nothing the store holds refers back to it, so
-    a dropped store is freed by reference counting alone.
+    sits the ``(case_id, key)`` order of the positions, so enumeration
+    and queries never sort; :meth:`columns` hands the query layer the
+    index as it is.  Nothing the store holds refers back to it, so a
+    dropped store is freed by reference counting alone.
     """
 
     def __init__(self, root) -> None:
@@ -297,17 +295,14 @@ class ResultStore:
         #: I/O beyond one ``stat`` per consulted shard.
         self._sig: Dict[str, Tuple[int, int]] = {}
         #: Every indexed position in ``(case_id, key)`` order as of the
-        #: last merge, an int64 array; enumeration and the column cache
-        #: walk it, so queries never sort.
+        #: last merge, an int64 array; enumeration and queries walk it,
+        #: so they never sort.
         self._perm = np.empty(0, np.int64)
         #: Positions indexed since the last merge, not yet in ``_perm``.
         self._pending: List[int] = []
         #: Set when an indexed record's case_id changed or a shard was
         #: rewritten: ``_perm`` may be out of order and is rebuilt.
         self._stale = False
-        #: Lazily built :class:`RecordColumns`; dropped when a record
-        #: changes in place or positions are compacted.
-        self._columns: Optional[RecordColumns] = None
         #: ``(records, starts, ends)`` this instance put and has not
         #: indexed yet, with their lines' offsets; :meth:`_refresh`
         #: indexes them, in one chunk, before it reads anything.
@@ -380,7 +375,6 @@ class ResultStore:
         self._pos = dict(zip(self._positions.keys, range(len(keep))))
         self._pending.clear()
         self._stale = True
-        self._columns = None
         self._consumed[name] = 0
         self._sig.pop(name, None)
 
@@ -493,10 +487,8 @@ class ResultStore:
         the next :meth:`_merge` -- unless the index was empty and the
         chunk comes ``ordered`` (in ``(case_id, key)`` order, as a
         snapshot's records do): then the chunk's order is the order.
-        A known key keeps its position; if its line is not at the same
-        offsets and its bytes differ (read by ``os.pread``; so ``-0.0``
-        differs from ``0.0`` and ``8`` from ``8.0``) the column cache is
-        dropped, and if its case_id changed (same key, overrides
+        A known key keeps its position: a line at other offsets
+        overwrites it, and if its case_id changed (same key, overrides
         reordered) the order is stale.  Re-reading a line this instance
         put itself changes nothing.
         """
@@ -524,12 +516,8 @@ class ResultStore:
                 self._pending.append(slot)
                 for column, new in zip(table.columns(), chunk):
                     column.append(new[i])
-            elif (table.starts[slot], table.ends[slot]) != (
-                    starts[i], ends[i]) and operator.ne(*_read_spans(
-                        self._dir, [(key[:2], table.starts[slot],
-                                     table.ends[slot]),
-                                    (key[:2], starts[i], ends[i])])):
-                self._columns = None
+            elif (table.starts[slot], table.ends[slot]) != (starts[i],
+                                                            ends[i]):
                 self._stale |= table.case_ids[slot] != case_ids[i]
                 for column, new in zip(table.columns(), chunk):
                     column[slot] = new[i]
@@ -617,8 +605,7 @@ class ResultStore:
                 if todo is not None]
         snapshot = None
         if use_snapshot and any(consumed == 0 for _, _, consumed, _ in todo):
-            snapshot = _load_snapshot(self._snapshot_path,
-                                      self._positions.index["noi_overrides"])
+            snapshot = _load_snapshot(self._snapshot_path)
         if snapshot is not None:
             self._covered, self._decoded = snapshot.covered, 0
         held, tails, batch = [], [], ([], [], [], [])
@@ -692,7 +679,7 @@ class ResultStore:
         for i, column in enumerate([table.starts, table.ends,
                                     *table.codes.values()], 1):
             ints[i] = np.array(column, np.int64)[rows]
-        header = dict(table.values, texts=table.texts)
+        header = dict(table.values)
         metrics = sorted(table.floats)
         matrix = np.empty((len(metrics), len(picked)), "<f8")
         for i, name in enumerate(metrics):
@@ -835,22 +822,20 @@ class ResultStore:
         return columns.complete(columns.perm).tolist()
 
     def columns(self) -> "RecordColumns":
-        """The column cache over every indexed record, refreshed.
+        """Every indexed record, refreshed, as the query layer reads it.
 
         Picks up appends from other writers first, so ``perm`` lists
         every indexed record in ``(case_id, key)`` order.  Records
         whose flagged ``.npz`` is gone are still listed;
         :meth:`RecordColumns.complete` drops them from a set of
-        positions.  Stats-neutral.
+        positions.  The result reads the index as it is, so it is valid
+        until the store's next read.  Stats-neutral.
         """
         self._refresh_all()
         self._merge()
-        if self._columns is None:
-            self._columns = RecordColumns(self._positions, self._dir)
-        self._columns.perm = self._perm
         if self._decoded * DECODE_PER_LOAD >= max(self._covered, 1):
             self._write_snapshot()
-        return self._columns
+        return RecordColumns(self._positions, self._dir, self._perm)
 
     def __len__(self) -> int:
         return len(self._complete())
@@ -1019,12 +1004,9 @@ def _decode_lines(data: bytes, offset: int = 0
 
     Lines are what ``bytes.splitlines`` makes of ``data``: a newline, a
     carriage return or both end one, and its end offset is where its
-    terminator starts.  One ``json.loads`` over the lines joined into a
-    JSON array decodes a whole chunk at once.  If that raises (a
-    corrupt or blank line) or yields a different number of values than
-    there are lines (a line holding two values), each non-blank line is
-    decoded on its own and the ones that fail are skipped -- torn or
-    corrupt, last writer wins anyway.
+    terminator starts.  A whole chunk decodes at once
+    (:func:`_loads_lines`); lines that do not decode are skipped --
+    torn or corrupt, last writer wins anyway.
     """
     if b"\r" in data:
         pieces = data.splitlines(True)
@@ -1038,16 +1020,26 @@ def _decode_lines(data: bytes, offset: int = 0
     starts = np.cumsum(sizes) - sizes + offset
     ends = (starts + lengths).tolist()
     starts = starts.tolist()
+    values = _loads_lines(lines)
+    if None not in values:
+        return values, starts, ends
+    kept = [i for i, value in enumerate(values) if value is not None]
+    return ([values[i] for i in kept], [starts[i] for i in kept],
+            [ends[i] for i in kept])
+
+
+def _loads_lines(lines: List[bytes]) -> list:
+    """The JSON value of each of ``lines``, ``None`` where one does not
+    decode: one ``json.loads`` of them joined into a JSON array, or --
+    if that raises (a corrupt or blank line) or yields another number
+    of values (a line holding two) -- one per line."""
     try:
         values = json.loads(b"[" + b",".join(lines) + b"]")
     except ValueError:
         values = None
     if values is not None and len(values) == len(lines):
-        return values, starts, ends
-    values = list(map(_loads, lines))
-    kept = [i for i, value in enumerate(values) if value is not None]
-    return ([values[i] for i in kept], [starts[i] for i in kept],
-            [ends[i] for i in kept])
+        return values
+    return list(map(_loads, lines))
 
 
 def _loads(line: bytes) -> object:
@@ -1068,13 +1060,18 @@ class StaleIndexError(RuntimeError):
         self.shards = shards
 
 
-def _read_spans(directory: str, spans: List[Tuple[str, int, int]]
-                ) -> List[bytes]:
-    """The bytes of each of ``spans`` (key prefix of a shard in
-    ``directory``, start and end offset), read by ``os.pread``: each
-    shard once, from its first span's start to its last span's end,
-    shards in name order.  Empty where the file is gone or ends first."""
-    out = [b""] * len(spans)
+def _read_records(directory: str, table: "_Positions",
+                  positions: List[int]) -> List[dict]:
+    """The records at ``positions``, decoded (:func:`_loads_lines`)
+    from their lines in the shards in ``directory``.  The lines are
+    read by ``os.pread``: each shard once, from its first line's start
+    to its last line's end, shards in name order; a line is empty where
+    the file is gone or ends first.  Raises :class:`StaleIndexError` if
+    a line does not carry its key."""
+    keys = list(map(table.keys.__getitem__, positions))
+    spans = [(key[:2], table.starts[pos], table.ends[pos])
+             for key, pos in zip(keys, positions)]
+    lines = [b""] * len(spans)
     last: Dict[str, int] = {}
     for prefix, _, end in spans:
         if last.get(prefix, -1) < end:
@@ -1094,26 +1091,8 @@ def _read_spans(directory: str, spans: List[Tuple[str, int, int]]
                     data = os.pread(fd, last[prefix] - start, start)
                 finally:
                     os.close(fd)
-        out[i] = data[start - first:end - first]
-    return out
-
-
-def _read_records(directory: str, table: "_Positions",
-                  positions: List[int]) -> List[dict]:
-    """The records at ``positions``, decoded from their lines
-    (:func:`_read_spans`) with one ``json.loads`` of them joined into a
-    JSON array, or one by one if that fails.  Raises
-    :class:`StaleIndexError` if a line does not carry its key."""
-    keys = list(map(table.keys.__getitem__, positions))
-    lines = _read_spans(directory, [
-        (key[:2], table.starts[pos], table.ends[pos])
-        for key, pos in zip(keys, positions)])
-    try:
-        records = json.loads(b"[" + b",".join(lines) + b"]")
-    except ValueError:
-        records = None
-    if records is None or len(records) != len(lines):
-        records = list(map(_loads, lines))
+        lines[i] = data[start - first:end - first]
+    records = _loads_lines(lines)
     stale = {_shard_name(key) for key, record in zip(keys, records)
              if type(record) is not dict or record.get("k") != key}
     if stale:
@@ -1236,9 +1215,10 @@ class _Snapshot:
     start and line end are ``ints[0:3, r]``, and its code into
     ``values[name]`` of each of :data:`_CODED` is ``ints[3 + i, r]``
     (``values["noi_overrides"]`` holds the distinct override lists,
-    ``texts`` their interning keys).  ``matrix[m, r]`` is metric
-    ``names[m]`` as :func:`finite_float` makes it, NaN where missing,
-    and ``keys[r]``, ``case_ids[r]`` are the record's key and case id.
+    ``texts`` their interning keys, each list's ``repr``).  ``matrix[m,
+    r]`` is metric ``names[m]`` as :func:`finite_float` makes it, NaN
+    where missing, and ``keys[r]``, ``case_ids[r]`` are the record's key
+    and case id.
     ``order`` lists the rows shard by shard; shard ``s`` has entries
     ``bounds[s]`` to ``bounds[s + 1]``.
     """
@@ -1283,17 +1263,14 @@ class _Snapshot:
                                   else self.matrix[:, rows]))
 
 
-def _load_snapshot(path: Path, known: Mapping[str, int]
-                   ) -> Optional[_Snapshot]:
+def _load_snapshot(path: Path) -> Optional[_Snapshot]:
     """The index snapshot at ``path``, parsed, or ``None`` if it is
     absent or not valid.
 
     Valid means: it parses, names this format (:func:`_snapshot_format`)
     and every part has the length, range and types the index needs --
-    types checked once per distinct value, and an override list only if
-    its interning key is not ``known`` yet, and then also against that
-    key.  Whether it still describes a shard is :meth:`_Snapshot.cut`'s
-    check.
+    types checked once per distinct value.  Whether it still describes
+    a shard is :meth:`_Snapshot.cut`'s check.
     """
     try:
         raw = path.read_bytes()
@@ -1305,7 +1282,7 @@ def _load_snapshot(path: Path, known: Mapping[str, int]
         head = json.loads(raw[:cut])
         if head["format"] != _snapshot_format():
             return None
-        rows, names, texts = head["rows"], head["metrics"], head["texts"]
+        rows, names = head["rows"], head["metrics"]
         values = {name: head[name] for name in _CODED}
         shards = {name: (number, covered, crc) for number, (
             name, covered, crc) in enumerate(head["shards"])}
@@ -1322,11 +1299,7 @@ def _load_snapshot(path: Path, known: Mapping[str, int]
                 and _only(values["flags"], bool)
                 and all(_only(values[name], _SCALARS) for name in _AXES
                         if name != "noi_overrides")
-                and type(texts) is list and _only(texts, str)
-                and len(texts) == len(overrides)
-                and all(_pairs_ok(pairs) and repr(pairs) == text
-                        for text, pairs in zip(texts, overrides)
-                        if text not in known)
+                and all(map(_pairs_ok, overrides))
                 and len(raw) >= cut + 1
                 + 8 * rows * (3 + len(_CODED) + len(names))):
             return None
@@ -1365,7 +1338,8 @@ def _load_snapshot(path: Path, known: Mapping[str, int]
         shards, sum(covered), rows)
     # Copies, so the raw bytes are freed on return.
     snapshot.ints = ints.astype(np.int64)
-    snapshot.values, snapshot.texts, snapshot.names = values, texts, names
+    snapshot.values, snapshot.names = values, names
+    snapshot.texts = list(map(repr, overrides))
     snapshot.matrix = matrix.astype(np.float64).reshape(len(names), rows)
     snapshot.keys, snapshot.case_ids = text[:rows], text[rows:-1]
     return snapshot
@@ -1456,8 +1430,8 @@ class _Positions:
     apart -- ``1``, ``1.0`` and ``True``, or ``0.0`` and ``-0.0``, are
     three and two values -- so ``values[name][codes[name][p]]`` is the
     value the record's line holds, of the same type.  Override lists
-    are tuples of pairs, told apart by their interning keys ``texts``
-    (the ``repr`` of their JSON lists), with their ``case_id`` parts
+    are tuples of pairs, told apart by their interning keys (the
+    ``repr`` of their JSON lists), with their ``case_id`` parts
     ``ids``.  Bytes, strings, numbers and numeric arrays are all
     untracked by the garbage collector, so an index of any size adds
     only a few dozen tracked objects, and nothing here refers to the
@@ -1465,7 +1439,7 @@ class _Positions:
     """
 
     __slots__ = ("keys", "case_ids", "starts", "ends", "codes", "values",
-                 "index", "texts", "ids", "floats")
+                 "index", "ids", "floats")
 
     def __init__(self) -> None:
         self.keys: List[str] = []
@@ -1478,7 +1452,6 @@ class _Positions:
         #: override lists by their text), ``None`` until a value is
         #: interned into a column whose values a snapshot gave.
         self.index: Dict[str, Optional[dict]] = {name: {} for name in _CODED}
-        self.texts: List[str] = []
         self.ids: List[str] = []
         self.floats: Dict[str, np.ndarray] = {}
 
@@ -1506,7 +1479,6 @@ class _Positions:
             if key not in index:
                 index[key] = len(distinct)
                 if name == "noi_overrides":
-                    self.texts.append(key)
                     self.ids.append(overrides_id(value))
                     value = _frozen(value)
                 distinct.append(value)
@@ -1527,7 +1499,6 @@ class _Positions:
         else:
             self.values[name] = list(map(_frozen, values))
             self.index[name] = dict(zip(texts, range(len(texts))))
-            self.texts = list(texts)
             self.ids = list(map(overrides_id, values))
         return np.arange(len(values), dtype=np.int64)
 
@@ -1551,8 +1522,7 @@ class _Positions:
         """A copy holding only positions ``keep``, renumbered in order;
         the distinct values are shared."""
         out = _Positions()
-        out.values, out.index, out.texts, out.ids = (
-            self.values, self.index, self.texts, self.ids)
+        out.values, out.index, out.ids = self.values, self.index, self.ids
         for mine, theirs in zip(self.columns(), out.columns()):
             theirs.extend(mine[pos] for pos in keep)
         rows = np.array(keep, np.intp)
@@ -1562,77 +1532,41 @@ class _Positions:
 
 
 class RecordColumns:
-    """Array views over a store's records, indexed by position.
+    """The index of a store's records, as the query layer reads it.
 
-    Built lazily, one axis column at a time, by
-    :meth:`ResultStore.columns` for the query layer, from the store's
-    flat position lists (:class:`_Positions`) and its arrays directory
-    -- never from the store itself, so the cache forms no reference
-    cycle.  An axis column holds one interned code per record, next to
-    the list of distinct values, so a filter is evaluated once per
-    distinct value and broadcast as ``keep[codes]``.  A metric column
-    is the index's own float64 column, NaN wherever
-    :func:`finite_float` says the metric is missing.  ``perm`` lists
-    every position in ``(case_id, key)`` order; :meth:`page_records` and
-    :meth:`case_id` give what a page row shows of one record.
-
-    Positions are stable, so an axis column built over the first ``n``
-    records stays valid while records are appended; the next access
-    extends it over the new ones.  The store drops the whole cache
-    when a record changes in place or positions are compacted.
+    Made by :meth:`ResultStore.columns` from the store's flat position
+    lists (:class:`_Positions`), its directory and its ``(case_id,
+    key)`` order ``perm`` -- never from the store itself, so it forms no
+    reference cycle -- and holding nothing else.  An axis is the
+    index's codes of it, one per record, next to the list of distinct
+    values, so a filter is evaluated once per distinct value and
+    broadcast as ``keep[codes]``.  A metric column is the index's own
+    float64 column, NaN wherever :func:`finite_float` says the metric
+    is missing.  :meth:`page_records` and :meth:`case_id` give what a
+    page row shows of one record.
     """
 
-    def __init__(self, positions: _Positions, directory: str) -> None:
-        self.perm = np.empty(0, np.int64)
+    def __init__(self, positions: _Positions, directory: str,
+                 perm: np.ndarray) -> None:
+        self.perm = perm
         self._positions = positions
         #: The store's root, ending in a separator: shard files are
         #: ``directory + name``.
         self._dir = directory
         self._arrays_dir = Path(directory, "arrays")
-        #: Per axis: its codes so far, its distinct values, their codes
-        #: by value and each index code's axis code (-1: not seen yet).
-        self._axes: Dict[str, Tuple[np.ndarray, list, dict,
-                                    np.ndarray]] = {}
-        self._flags = np.empty(0, bool)
-
-    def _new(self, name: str, done: int) -> np.ndarray:
-        """The index's codes of column ``name`` from position ``done``
-        on, copied."""
-        return np.frombuffer(self._positions.codes[name][done:], np.int64)
 
     def axis(self, name: str) -> Tuple[np.ndarray, list]:
-        """``(codes, distinct)``: ``distinct[codes[p]]`` equals record
+        """``(codes, distinct)``: ``distinct[codes[p]]`` is record
         ``p``'s value of axis ``name`` (one of ``_AXES``; override
-        lists come back as tuples of pairs, one per interning key).
+        lists come back as tuples of pairs), as its line holds it.
 
-        Axis codes are the index's codes, remapped so that values that
-        are equal (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``)
-        share one: the value that comes first by position stands for
-        them, and distinct values are listed in order of first
-        position.  Only index codes not seen yet are looked at, in
-        order of their first new position."""
-        codes, distinct, index, remap = self._axes.get(
-            name, (np.empty(0, np.int64), [], {}, np.empty(0, np.int64)))
-        new = self._new(name, len(codes))
-        if not len(new):
-            return codes, distinct
-        values = self._positions.values[name]
-        if name == "noi_overrides":  # told apart by their interning keys
-            distinct = values
-        else:
-            if len(remap) < len(values):
-                remap = np.concatenate([remap, np.full(
-                    len(values) - len(remap), -1, np.int64)])
-            seen, first = np.unique(new, return_index=True)
-            unseen = remap[seen] < 0
-            for code in seen[unseen][np.argsort(first[unseen])].tolist():
-                remap[code] = index.setdefault(values[code], len(distinct))
-                if remap[code] == len(distinct):
-                    distinct.append(values[code])
-            new = remap[new]
-        codes = np.concatenate([codes, new])
-        self._axes[name] = (codes, distinct, index, remap)
-        return codes, distinct
+        The codes are a copy of the index's.  Values equal but not
+        identical (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``)
+        are distinct values here; a pivot merges them
+        (:mod:`repro.eval.queries`)."""
+        table = self._positions
+        return (np.frombuffer(table.codes[name], np.int64).copy(),
+                table.values[name])
 
     def metric(self, name: str) -> np.ndarray:
         """Metric ``name`` of every record, NaN where it is missing: a
@@ -1645,14 +1579,16 @@ class RecordColumns:
 
     def complete(self, positions: np.ndarray) -> np.ndarray:
         """``positions`` without records whose flagged ``.npz`` is gone
-        (the same completeness rule as :meth:`ResultStore.has`)."""
+        (the same completeness rule as :meth:`ResultStore.has`); at
+        once if no record is flagged."""
         table = self._positions
-        if len(table.keys) > len(self._flags):
-            self._flags = np.concatenate([self._flags, np.array(
-                table.values["flags"], bool)[self._new(
-                    "flags", len(self._flags))]])
+        flagged = table.values["flags"]
+        if True not in flagged:
+            return positions
+        flags = np.array(flagged, bool)[
+            np.frombuffer(table.codes["flags"], np.int64)[positions]]
         keys = table.keys
-        gone = [pos for pos in positions[self._flags[positions]].tolist()
+        gone = [pos for pos in positions[flags].tolist()
                 if not _npz_file(self._arrays_dir, keys[pos]).exists()]
         if not gone:
             return positions

@@ -2,11 +2,14 @@
 
 Random cases (arch, size, workload, seed, unicode tag, overrides such
 as ``8`` vs ``8.0`` and one pair in both orders, which share a key but
-not a ``case_id``) are put through a writer store with random metrics
+not a ``case_id``; archs and workloads also take values that are equal
+but not identical, ``0.0``/``-0.0``/``1``/``1.0``/``True``, which a
+pivot merges under the first of them in match order) are put through a
+writer store with random metrics
 -- missing, NaN, inf, strings, booleans, an integer too large for a
 float, ``0.0``/``-0.0`` ties -- and random npz payloads.  Between the
 puts, payloads are deleted, earlier cases are re-put with new metrics
-(a key rewritten after queries built the column cache) and queries
+(a key rewritten after queries read the index) and queries
 run.  Index snapshot events ride along: a fresh full open writes the
 store's snapshot, a shard is rewritten shorter, a line is overwritten
 in place with garbage of the same length (a same-length rewrite that
@@ -73,9 +76,12 @@ def _fuzz_eval(case):
 
 FP = evaluator_fingerprint(_fuzz_eval)
 
-ARCHS = ("siam", "kite", "floret")
+#: Axis values that are equal but not identical, as a foreign writer
+#: may store them.
+EQUAL = (0.0, -0.0, 1, 1.0, True)
+ARCHS = ("siam", "kite", "floret") + EQUAL
 SIZES = (16, 36)
-WORKLOADS = ("uniform", "hotspot@0.1")
+WORKLOADS = ("uniform", "hotspot@0.1") + EQUAL
 OVERRIDES = (
     (),
     (("fc_buffer_flits", 8),),
@@ -269,8 +275,8 @@ def recount(root: Path, query: ResultQuery) -> dict:
         out["pivot"] = {
             "metric": query.pivot,
             "missing": missing,
-            "rows": {row: {col: _neumaier(vals) / len(vals)
-                           for col, vals in cols.items()}
+            "rows": {str(row): {str(col): _neumaier(vals) / len(vals)
+                                for col, vals in cols.items()}
                      for row, cols in cells.items()},
         }
     return out
@@ -331,7 +337,7 @@ class Harness:
             self.put(*event[1:])
         elif kind == "reput":
             # Same key, new metrics: rewritten in place after earlier
-            # queries built the column cache.
+            # queries read the index.
             if self.cases:
                 self.put(self.cases[event[1] % len(self.cases)], event[2],
                          False)
@@ -445,7 +451,7 @@ class Harness:
         ``bounded``, it decoded less."""
         path = self.root / "index.idx"
         before = path.read_bytes() if path.exists() else None
-        snapshot = _load_snapshot(path, {})
+        snapshot = _load_snapshot(path)
         covered = 0 if snapshot is None else snapshot.covered
         decoded = []
         real = store_module._decode_lines
@@ -593,7 +599,7 @@ class TestRegressions:
     def test_rewriting_a_zero_sign_after_the_columns_were_built(self):
         # 0.0 == -0.0 in Python, but the JSON bytes of min/max differ,
         # so a rewrite that only flips a zero's sign must still
-        # replace the built metric column.
+        # replace the value in the index's metric column.
         a = SweepCase("siam", 16, "uniform", 0)
         query = ResultQuery(metrics=("lat",), pivot="lat")
         _round_trip(
@@ -620,6 +626,39 @@ class TestRegressions:
              ("reput", 1, {"lat": 8}),
              ("query", query)],
             [query], 0, [("put", a, {"lat": 8.0}, False)],
+        )
+
+    def test_equal_axis_values_take_the_first_label_in_match_order(self):
+        # Put first: workload True and arch 0.0.  First in (case_id,
+        # key) order: workload 1 and arch -0.0, which label the merged
+        # pivot row and column on every handle, whatever order its
+        # positions are in.
+        a = SweepCase(0.0, 16, True, 0)
+        b = SweepCase(-0.0, 16, 1, 0)
+        c = SweepCase("siam", 16, 1.0, 0)
+        assert b.case_id < a.case_id < c.case_id
+        query = ResultQuery(metrics=("lat",), pivot="lat")
+        _round_trip(
+            [("put", a, {"lat": 1.0}, False),
+             ("put", b, {"lat": 2.0}, False),
+             ("put", c, {"lat": 4.0}, False),
+             ("query", query),
+             ("snapshot",),
+             ("query", query)],
+            [query], 0, [],
+        )
+
+    def test_equal_axis_values_take_the_first_finite_label(self):
+        # Shrunk: -0.0 is first in match order but has no value to
+        # pivot, so the 0.0 after it labels the row, also on a handle
+        # whose snapshot holds -0.0 at the first position.
+        with_override = SweepCase("siam", 16, 0.0, 0, OVERRIDES[2])
+        query = ResultQuery(pivot="lat", limit=0)
+        _round_trip(
+            [("snapshot",)], [ResultQuery(limit=0), query], 0,
+            [("put", with_override, {}, False),
+             ("put", SweepCase("siam", 16, -0.0, 0), {}, False),
+             ("put", SweepCase("siam", 16, 0.0, 0), {"lat": 0.0}, False)],
         )
 
     def test_torn_snapshot_counts_as_absent(self):

@@ -173,7 +173,7 @@ def _midline(root: Path) -> bool:
         raw = path.read_bytes()
     except OSError:
         return False
-    if _load_snapshot(path, {}) is None or path.read_bytes() != raw:
+    if _load_snapshot(path) is None or path.read_bytes() != raw:
         return False  # torn, or replaced meanwhile
     cut = raw.index(b"\n")
     head = json.loads(raw[:cut])
@@ -220,7 +220,7 @@ def _stopped_writer(root: Path, mode: str, limit: int) -> None:
             os._exit(code)
     assert os.waitpid(pid, 0)[1] == 0
     after = path.read_bytes() if path.exists() else None
-    assert after == before or _load_snapshot(path, {}) is not None, (
+    assert after == before or _load_snapshot(path) is not None, (
         "a stopped snapshot writer left index.idx torn")
 
 
@@ -328,6 +328,6 @@ def test_processes_agree_with_a_recount(tmp_path):
     for store in (early, ResultStore(copy), ResultStore(root)):
         assert _query(store, root) == want
         assert _views(store) == views
-    assert _load_snapshot(root / "index.idx", {}) is not None
+    assert _load_snapshot(root / "index.idx") is not None
     leftovers = [p.name for p in root.iterdir() if p.suffix == ".tmp"]
     assert len(leftovers) <= WORKERS  # one per stopped-at-replace writer

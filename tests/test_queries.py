@@ -557,9 +557,9 @@ class TestColumns:
 class TestSharedColumnCache:
     def test_concurrent_service_queries_match_a_fresh_store(
             self, tmp_path):
-        # The service's one read store builds and extends its column
-        # cache lazily under its lock: threads racing to do so must
-        # each get a fresh reader's answer.
+        # The service's one read store indexes new lines under its lock
+        # as threads race to query it: each must get a fresh reader's
+        # answer.
         import sys
 
         from repro.svc.jobs import JobManager
@@ -583,8 +583,8 @@ class TestSharedColumnCache:
         ]
         put_seeds(range(300))
         manager = JobManager(tmp_path)
-        first = manager.query(shapes[0])  # builds part of the cache
-        put_seeds(range(300, 600))        # ...which the swarm extends
+        first = manager.query(shapes[0])  # indexes the first 300
+        put_seeds(range(300, 600))        # ...the swarm indexes the rest
         answers, errors = [], []
         start = threading.Barrier(6)
 

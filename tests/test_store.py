@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import os
 import shutil
 import tempfile
@@ -759,7 +758,7 @@ def _views(store) -> str:
 def _valid(root) -> dict:
     """``{shard name: covered bytes}`` of the index snapshot, which must
     parse and still describe every shard it covers."""
-    snapshot = _load_snapshot(root / "index.idx", {})
+    snapshot = _load_snapshot(root / "index.idx")
     assert snapshot is not None
     for name, (_, covered, crc) in snapshot.shards.items():
         data = (root / name).read_bytes()
@@ -810,7 +809,7 @@ class TestSnapshots:
     def test_snapshot_records_come_in_case_id_order(self, tmp_path):
         _fill(tmp_path, 30)
         len(ResultStore(tmp_path))
-        snapshot = _load_snapshot(tmp_path / "index.idx", {})
+        snapshot = _load_snapshot(tmp_path / "index.idx")
         order = list(zip(snapshot.case_ids, snapshot.keys))
         assert order == sorted(order) and len(order) == 30
 
@@ -842,7 +841,7 @@ class TestSnapshots:
             assert query_results(loaded, ResultQuery(metrics=(name,))) \
                 == query_results(_snapshot_free(tmp_path),
                                  ResultQuery(metrics=(name,)))
-        assert _load_snapshot(tmp_path / "index.idx", {}).names == ["a", "b"]
+        assert _load_snapshot(tmp_path / "index.idx").names == ["a", "b"]
 
     def test_own_puts_write_no_snapshot(self, tmp_path):
         writer = ResultStore(tmp_path)
@@ -1065,7 +1064,7 @@ class TestSnapshots:
             spoilt.append(json.dumps(other).encode() + good[cut:])
         for raw in spoilt:
             path.write_bytes(raw)
-            assert _load_snapshot(path, {}) is None
+            assert _load_snapshot(path) is None
             decoded = _decoded_bytes(monkeypatch)
             store = ResultStore(tmp_path)
             assert _views(store) == want
@@ -1301,20 +1300,23 @@ class TestFloatColumn:
 
 class TestCodedColumns:
     """Elapsed time, arrays flag and case axes are codes into each
-    column's distinct values, told apart by identity; a query's axis
-    column merges equal values."""
+    column's distinct values, told apart by identity; a query reads
+    them as they are, and only the pivot merges equal values."""
 
     SIZES = [16.0, 16, True, 1, 0.0, -0.0]
     TAGS = ["x", 1, 1.0, True, None, "x"]
 
-    def _write(self, root, sizes=SIZES, tags=TAGS, elapsed=0.5, first=0):
+    def _write(self, root, sizes=SIZES, tags=TAGS, elapsed=0.5, first=0,
+               workloads=None):
         root.mkdir(exist_ok=True)
+        workloads = workloads or ["uniform"] * len(sizes)
         with open(root / "shard-ab.jsonl", "a") as fh:
-            for i, (size, tag) in enumerate(zip(sizes, tags), first):
+            for i, (size, tag, workload) in enumerate(
+                    zip(sizes, tags, workloads), first):
                 fh.write(json.dumps({
                     "v": STORE_SCHEMA_VERSION, "k": f"ab{i:04d}",
                     "case": {"arch": "siam", "num_chiplets": size,
-                             "workload": "uniform", "seed": 0,
+                             "workload": workload, "seed": 0,
                              "noi_overrides": [], "tag": tag},
                     "metrics": {"value": float(i)}, "elapsed_s": elapsed,
                     "arrays": False}) + "\n")
@@ -1327,15 +1329,15 @@ class TestCodedColumns:
         root = tmp_path / "store"
         self._write(root)
         decoding = ResultStore(root)  # positions in line order
+        # Axis codes keep the values apart as their lines hold them.
         codes, distinct = decoding.columns().axis("num_chiplets")
-        assert codes.tolist() == [0, 0, 1, 1, 2, 2]
-        assert [(type(v), v) for v in distinct] == [
-            (float, 16.0), (bool, True), (float, 0.0)]
-        assert math.copysign(1.0, distinct[2]) == 1.0
+        assert codes.tolist() == [0, 1, 2, 3, 4, 5]
+        assert list(map(repr, distinct)) == [
+            "16.0", "16", "True", "1", "0.0", "-0.0"]
         codes, distinct = decoding.columns().axis("tag")
-        assert codes.tolist() == [0, 1, 1, 1, 2, 0]
-        assert [(type(v), v) for v in distinct] == [
-            (str, "x"), (int, 1), (type(None), None)]
+        assert codes.tolist() == [0, 1, 2, 3, 4, 0]
+        assert list(map(repr, distinct)) == [
+            "'x'", "1", "1.0", "True", "None"]
         # Page rows show each value as its line holds it, also from a
         # handle that loads the snapshot the first one wrote.
         rows = self._rows(decoding)
@@ -1348,6 +1350,37 @@ class TestCodedColumns:
         assert self._rows(loading) == rows
         assert list(map(repr, loading._positions.values["num_chiplets"])
                     ) == ["16.0", "16", "True", "1", "0.0", "-0.0"]
+        # A pivot over workloads holding the same six values merges the
+        # equal ones into one row, labelled by the first in match order
+        # (case ids: -0.0 < 0.0 < 1 < 16.0 < 16 < True), on a handle
+        # that decodes the shard and on one that loads its snapshot.
+        pivoted = tmp_path / "pivoted"
+        self._write(pivoted, workloads=self.SIZES)
+        for _ in range(2):
+            got = query_results(ResultStore(pivoted),
+                                ResultQuery(pivot="value", limit=0))
+            assert list(got["pivot"]["rows"].items()) == [
+                ("-0.0", {"siam": 4.5}), ("1", {"siam": 2.5}),
+                ("16.0", {"siam": 0.5})]
+            assert (pivoted / "index.idx").exists()
+
+    def test_pivot_label_does_not_depend_on_the_snapshot(self, tmp_path):
+        # 0.0 comes first in the file and -0.0 first in (case_id, key)
+        # order, so the handle that decodes the shard (and writes the
+        # snapshot) and the one that loads the snapshot hold them at
+        # other positions; both answer alike.
+        root = tmp_path / "store"
+        self._write(root, sizes=[16, 16], tags=["", ""],
+                    workloads=[0.0, -0.0])
+        query = ResultQuery(pivot="value", limit=0)
+        decoding = ResultStore(root)
+        decoded = json.dumps(query_results(decoding, query))
+        loading = ResultStore(root)
+        assert json.dumps(query_results(loading, query)) == decoded
+        assert decoding._positions.keys == ["ab0000", "ab0001"]
+        assert loading._positions.keys == ["ab0001", "ab0000"]
+        assert json.loads(decoded)["pivot"]["rows"] == {
+            "-0.0": {"siam": 0.5}}
 
     def test_identity_holds_across_chunks_of_one_kind(self, tmp_path):
         # Each append is indexed as its own chunk, every value in it of
@@ -1379,7 +1412,7 @@ class TestCodedColumns:
         self._write(root)
         writer = ResultStore(root)
         writer.columns()
-        snapshot = _load_snapshot(root / "index.idx", {})
+        snapshot = _load_snapshot(root / "index.idx")
         for name, values in writer._positions.values.items():
             if name != "noi_overrides":
                 assert list(map(repr, snapshot.values[name])) == list(
